@@ -10,7 +10,6 @@ import numpy as np
 
 from coresel import FitConfig, ModelSpec, Sample, build_context, fit, loo_retrain_delta
 from coresel.models import grad_matrix
-from coresel.numkit import CgConfig
 
 rng = np.random.default_rng(42)
 dim, n = 10, 200
@@ -36,8 +35,7 @@ print(f"fitted {n} samples, parameter dimension {spec.param_dim}")
 
 # candidates = the outer pool whose loss we care about (the test set);
 # the Hessian comes from the training set the model was fitted on
-ctx = build_context(spec, params, test, train,
-                    cg=CgConfig(rel_tolerance=1e-12), damping=0.0)
+ctx = build_context(spec, params, test, train, damping=0.0)
 scores = -(grad_matrix(spec, params, train) @ ctx.ihvp)
 
 print("running exact leave-one-out retraining for all 200 samples...")

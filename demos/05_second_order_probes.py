@@ -14,7 +14,6 @@ import numpy as np
 from coresel import FitConfig, ModelSpec, Sample, SecondOrderCase, build_context, fit
 from coresel.harness import finite_eps_second_order
 from coresel.influence import second_order_influence
-from coresel.numkit import CgConfig
 
 rng = np.random.default_rng(3)
 spec = ModelSpec(kind="logistic", dim=5, num_classes=3, l2_strength=0.1)
@@ -23,8 +22,7 @@ pool = [Sample(id=i, task_id=0, label=i % 3,
                features=rng.normal(size=5) + centers[i % 3]) for i in range(30)]
 
 params = fit(spec, pool, FitConfig(method="newton", grad_tolerance=1e-10))
-ctx = build_context(spec, params, pool[:25], pool[:25],
-                    cg=CgConfig(rel_tolerance=1e-13, max_iterations=400), damping=0.01)
+ctx = build_context(spec, params, pool[:25], pool[:25], damping=0.01)
 z, zp = pool[0], pool[-1]
 
 for case in SecondOrderCase:

@@ -1,22 +1,15 @@
 """Influence-guided replay-buffer selection for continual learning.
 
 The package keeps every quantity small enough to check against exact
-oracles: convex models with analytic derivatives, matrix-free conjugate
-gradients for the inverse-Hessian solves, influence scores with their
-second-order interference regularizer, greedy and brute-force selectors,
-and a continual-learning harness with retraining and rank-agreement
-validation built in.
+oracles: convex models with analytic derivatives, one Cholesky factor of
+the damped Hessian per selection round serving all of that round's
+inverse-Hessian solves, influence scores with their second-order
+interference regularizer, greedy and brute-force selectors, and a
+continual-learning harness with retraining and rank-agreement validation
+built in.
 """
 
-from .numkit import (
-    DEFAULT_DAMPING,
-    CgConfig,
-    CgResult,
-    ConvergenceError,
-    SpdOperator,
-    cg_solve,
-    deterministic_sum,
-)
+from .numkit import DEFAULT_DAMPING, SolveError, deterministic_sum
 from .models import (
     Dataset,
     FitConfig,
@@ -29,7 +22,6 @@ from .models import (
     grad,
     loss,
     sample_hvp,
-    set_hvp,
 )
 from .influence import (
     CriterionConfig,

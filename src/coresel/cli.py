@@ -272,8 +272,17 @@ class RunConfig:
         return flat
 
 
+def _read_input(reader, source):
+    """Read a stream or sample file, reporting bad input as a config error
+    (exit code 2) instead of a failed run."""
+    try:
+        return reader(source)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def execute_run(cfg: RunConfig) -> RunReport:
-    stream = make_stream(cfg.stream)
+    stream = _read_input(make_stream, cfg.stream)
     return run_continual(stream, cfg.model, cfg.selector, cfg.criterion, cfg.fit,
                          cfg.oracle, cfg.seed,
                          reweight_constant=cfg.reweight_constant,
@@ -411,7 +420,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_select(args) -> int:
-    samples, dim = _parse_csv_samples(args.data)
+    samples, dim = _read_input(_parse_csv_samples, args.data)
     if not samples:
         raise ConfigError(f"{args.data}: no samples")
     if args.model == "quad1d":

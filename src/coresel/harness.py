@@ -30,7 +30,7 @@ from .influence import (
     build_context,
 )
 from .models import FitConfig, ModelSpec, Params, Sample
-from .numkit import DEFAULT_DAMPING, CgConfig
+from .numkit import DEFAULT_DAMPING
 from .selection import (
     GREEDY_KINDS,
     ReplayBuffer,
@@ -184,7 +184,8 @@ def _circle_templates(rng: np.random.Generator, total_classes: int, dim: int,
 
 
 def _parse_csv_samples(path: str):
-    """Read one sample file, reporting schema violations by row and column."""
+    """Read one sample file, reporting schema violations and repeated
+    sample ids by row (and column, where one is at fault)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -198,6 +199,7 @@ def _parse_csv_samples(path: str):
         if feature_cols != expected or not feature_cols:
             raise ValueError(f"{path}: feature columns must be f0..f{{d-1}}, got {feature_cols}")
         samples = []
+        id_rows = {}
         for row_num, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValueError(f"{path}: row {row_num}: expected {len(header)} fields, got {len(row)}")
@@ -210,6 +212,10 @@ def _parse_csv_samples(path: str):
                     raise ValueError(
                         f"{path}: row {row_num}, column {col!r}: could not parse {cell!r}"
                     ) from None
+            first_row = id_rows.setdefault(values["id"], row_num)
+            if first_row != row_num:
+                raise ValueError(f"{path}: row {row_num}: sample id {values['id']} "
+                                 f"already used at row {first_row}")
             features = np.array([values[c] for c in feature_cols])
             samples.append(Sample(id=values["id"], task_id=values["task"],
                                   label=values["label"], features=features))
@@ -280,11 +286,55 @@ def acc_bwt(matrix: AccuracyMatrix):
     return acc, bwt
 
 
+def _tied_pairs(*columns: np.ndarray) -> int:
+    """Pairs of rows equal in every column; equal rows must be adjacent."""
+    new_run = np.ones(columns[0].shape[0] + 1, dtype=bool)
+    new_run[1:-1] = False
+    for c in columns:
+        new_run[1:-1] |= c[1:] != c[:-1]
+    runs = np.diff(np.flatnonzero(new_run))
+    return int((runs * (runs - 1) // 2).sum())
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs ``i < j`` with ``ranks[i] > ranks[j]``, by bottom-up merge sort.
+
+    Each pass merges all adjacent sorted runs of length ``width`` at once.
+    Offsetting every rank by its merged block's index times the rank range
+    keeps the keys of different blocks apart, so the left-run keys form
+    one sorted array, and a right-run element's count of larger left-run
+    elements in its block is the difference of two binary searches.
+    """
+    n = ranks.shape[0]
+    span = int(ranks.max()) + 1
+    pos = np.arange(n)
+    values = ranks.astype(np.int64)
+    count = 0
+    width = 1
+    while width < n:
+        block = pos // (2 * width)
+        keys = block * span + values
+        in_right = (pos // width) % 2 == 1
+        left_keys = keys[~in_right]
+        right_keys = keys[in_right]
+        block_end = (block[in_right] + 1) * span
+        count += int((np.searchsorted(left_keys, block_end)
+                      - np.searchsorted(left_keys, right_keys, side="right")).sum())
+        values = np.sort(keys) - block * span
+        width *= 2
+    return count
+
+
 def kendall_tau(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
     """Kendall rank correlation over all pairs, tied pairs counting zero.
 
     tau = (concordant - discordant) / C(n, 2); pairs tied in either list
-    contribute to the denominator but not the numerator.
+    contribute to the denominator but not the numerator. Counted as in
+    Knight (1966), in O(n) memory: after sorting by ``a`` with ties broken
+    by ``b``, the discordant pairs are exactly the inversions left in
+    ``b``, and concordant = C(n, 2) - ties in a - ties in b + ties in both
+    - discordant. The counts are exact integers, so the value is the same
+    float as the all-pairs sign sum.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
@@ -293,10 +343,17 @@ def kendall_tau(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
     n = a.shape[0]
     if n < 2:
         raise ValueError("rank correlation needs at least 2 scores")
-    sign_a = np.sign(a[:, None] - a[None, :])
-    sign_b = np.sign(b[:, None] - b[None, :])
-    upper = np.triu_indices(n, k=1)
-    return float((sign_a[upper] * sign_b[upper]).sum() / (n * (n - 1) / 2))
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("rank correlation needs finite scores")
+    order = np.lexsort((b, a))
+    a, b = a[order], b[order]
+    total = n * (n - 1) // 2
+    tied_a = _tied_pairs(a)
+    tied_b = _tied_pairs(np.sort(b))
+    tied_both = _tied_pairs(a, b)
+    discordant = _inversions(np.unique(b, return_inverse=True)[1])
+    concordant = total - tied_a - tied_b + tied_both - discordant
+    return float((concordant - discordant) / total)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +394,7 @@ def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
     p = ctx.dim
     if p > DENSE_ORACLE_GUARD:
         raise ValueError(f"dense oracle is guarded to {DENSE_ORACLE_GUARD} parameters, got {p}")
-    H = ctx.hessian.dense(damped=True)
+    H = ctx.damped_hessian
     g_sum = ctx.grad_sum
     g_z = ctx.grad_of(z)
     g_zp = ctx.grad_of(zp)
@@ -461,7 +518,6 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                   reweight_constant: Optional[float] = None,
                   refit_at_selection: bool = False,
                   damping: float = DEFAULT_DAMPING,
-                  cg: Optional[CgConfig] = None,
                   config_echo: Optional[dict] = None) -> RunReport:
     """Train on the task stream while maintaining the replay buffer.
 
@@ -516,7 +572,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                         buffer, method_seen, oracle_buffer, oracle_seen, tau = _selection_step(
                             stream, model, params, buffer, batch, selector, criterion,
                             oracle, oracle_buffer, method_res_rng, oracle_res_rng,
-                            reweight_constant, refit_at_selection, damping, cg,
+                            reweight_constant, refit_at_selection, damping,
                             method_seen, oracle_seen)
                         if len(buffer) > criterion.budget:
                             raise RuntimeError("selector violated the buffer capacity")
@@ -547,7 +603,7 @@ def _draw_replay(buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
 
 def _selection_step(stream, model, params, buffer, batch, selector, criterion,
                     oracle, oracle_buffer, method_res_rng, oracle_res_rng,
-                    reweight_constant, refit_at_selection, damping, cg,
+                    reweight_constant, refit_at_selection, damping,
                     method_seen, oracle_seen):
     """One buffer refresh: update the oracle reservoir, log tau, select."""
     batch = list(batch)
@@ -563,8 +619,7 @@ def _selection_step(stream, model, params, buffer, batch, selector, criterion,
         if refit_at_selection:
             refit_cfg = oracle.refit if oracle is not None else FitConfig(method="newton")
             sel_params = models.fit(model, candidates, refit_cfg, init=params)
-        ctx = build_context(model, sel_params, candidates, candidates,
-                            cg=cg, damping=damping)
+        ctx = build_context(model, sel_params, candidates, candidates, damping=damping)
         if oracle_buffer is not None and len(oracle_buffer) > 0:
             tau = _tau_checkpoint(model, sel_params, candidates, raw_by_id, ctx,
                                   oracle_buffer, oracle.min_overlap)

@@ -2,13 +2,14 @@
 
 The machinery revolves around a frozen selection-time state (the
 :class:`InfluenceContext`): model parameters, the candidate pool whose
-summed gradient defines the outer objective, and a damped Hessian operator
-over a designated Hessian set. The context caches one conjugate-gradient
-solve for the shared inverse-Hessian-vector product
+summed gradient defines the outer objective, and the damped Hessian
+``H + damping*I`` of a designated Hessian set, materialized and
+Cholesky-factored once. Every solve of the round comes from that one
+factor: the shared inverse-Hessian-vector product
 
     ihvp = (H + damping*I)^{-1} * sum_of_candidate_gradients
 
-plus one extra solve per distinct right-hand side, keyed by sample id.
+and one extra solve per distinct right-hand side, cached by sample id.
 
 Scores follow the "more negative = more valuable to keep" convention: the
 first-order influence of upweighting ``z`` on the summed candidate loss is
@@ -22,14 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models
-from .numkit import (
-    DEFAULT_DAMPING,
-    CgConfig,
-    ConvergenceError,
-    SpdOperator,
-    as_vector,
-    cg_solve,
-)
+from .numkit import DEFAULT_DAMPING, CholeskySolver, SolveError, as_vector
 
 # When the regularizer norm is this close to zero its gradient direction is
 # arbitrary; we define the Taylor gradient as zero there so selection falls
@@ -106,53 +100,49 @@ class TaylorGradResult:
 class InfluenceContext:
     """Frozen selection-time state; build via :func:`build_context`.
 
-    Immutable after construction (mutating methods only fill internal solve
-    caches), so a context may be shared across threads; a racing duplicate
-    solve is harmless.
+    Immutable after construction; methods only fill internal caches.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
                  candidates: Sequence[models.Sample], hessian_set: Sequence[models.Sample],
-                 hessian: SpdOperator, cg: CgConfig, ihvp: np.ndarray,
-                 grads: np.ndarray):
+                 damping: float, solver: CholeskySolver, grads: np.ndarray):
         self.model = model
         self.params = params
         self.candidates = tuple(candidates)
         self.hessian_set = tuple(hessian_set)
-        self.hessian = hessian
-        self.cg = cg
-        self.ihvp = ihvp
+        self.damping = damping
+        self._solver = solver
         self.grads = grads                      # (n, p) per-candidate gradients
-        self.grad_sum = grads.sum(axis=0) if len(candidates) else np.zeros(model.param_dim)
+        self.grad_sum = grads.sum(axis=0)
         self._rhs_cache: dict[int, np.ndarray] = {}
         self._mu_terms: dict[float, np.ndarray] = {}
         self._scores: Optional[np.ndarray] = None
+        self.ihvp = solver.solve(self.grad_sum)
 
     @property
     def dim(self) -> int:
         return self.model.param_dim
 
     @property
-    def damping(self) -> float:
-        return self.hessian.damping
+    def damped_hessian(self) -> np.ndarray:
+        """The factored matrix ``H + damping*I``, as a read-only view."""
+        return self._solver.matrix
 
     def grad_of(self, z: models.Sample) -> np.ndarray:
         return models.grad(self.model, self.params, z)
 
     def solve(self, rhs: np.ndarray, cache_key: Optional[int] = None) -> np.ndarray:
-        """Apply the damped inverse Hessian to ``rhs``, caching by sample id."""
+        """Apply the damped inverse Hessian to ``rhs``, caching by sample id.
+
+        Raises :class:`SolveError` naming the residual if the solution's
+        true residual exceeds the solver tolerance.
+        """
         if cache_key is not None and cache_key in self._rhs_cache:
             return self._rhs_cache[cache_key]
-        result = cg_solve(self.hessian, rhs, self.cg)
-        if not result.converged:
-            raise ConvergenceError(
-                f"inverse-Hessian solve did not converge: residual "
-                f"{result.residual_norm:.3e} after {result.iterations} iterations",
-                result,
-            )
+        solution = self._solver.solve(rhs)
         if cache_key is not None:
-            self._rhs_cache[cache_key] = result.solution
-        return result.solution
+            self._rhs_cache[cache_key] = solution
+        return solution
 
     def scores(self) -> np.ndarray:
         """First-order influence of every candidate, in candidate order."""
@@ -178,14 +168,13 @@ class InfluenceContext:
 def build_context(model: models.ModelSpec, params: models.Params,
                   candidates: Sequence[models.Sample],
                   hessian_set: Sequence[models.Sample],
-                  cg: Optional[CgConfig] = None,
                   damping: float = DEFAULT_DAMPING) -> InfluenceContext:
     """Assemble the shared selection-time state.
 
-    The candidate gradients are summed in list order and the shared
-    inverse-Hessian-vector product is solved once by conjugate gradients
-    against the damped Hessian of ``hessian_set``. Raises
-    :class:`ConvergenceError` with the residual report if the solve fails.
+    Materializes the damped Hessian of ``hessian_set``, Cholesky-factors it
+    once, and solves it against the candidate gradients summed in list
+    order. Raises :class:`SolveError` if the damped Hessian is not positive
+    definite or the solve's true residual exceeds the tolerance.
     """
     candidates = tuple(candidates)
     hessian_set = tuple(hessian_set)
@@ -193,26 +182,16 @@ def build_context(model: models.ModelSpec, params: models.Params,
         raise ValueError("candidate list must be nonempty")
     if not hessian_set:
         raise ValueError("hessian_set must be nonempty")
-    p = model.param_dim
-    if cg is None:
-        cg = CgConfig(max_iterations=2 * p)
-
-    def apply_hessian(v: np.ndarray) -> np.ndarray:
-        return models.set_hvp(model, params, hessian_set, v)
-
-    hessian = SpdOperator(dim=p, apply=apply_hessian, damping=damping)
+    try:
+        solver = CholeskySolver(models.dense_hessian(model, params, hessian_set),
+                                damping=damping)
+    except SolveError:
+        raise SolveError(
+            f"damped Hessian of the {len(hessian_set)}-sample Hessian set is not "
+            f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
+            f"raise either") from None
     grads = models.grad_matrix(model, params, candidates)
-    rhs = grads.sum(axis=0)
-    result = cg_solve(hessian, rhs, cg)
-    if not result.converged:
-        raise ConvergenceError(
-            f"shared inverse-Hessian solve did not converge: residual "
-            f"{result.residual_norm:.3e} after {result.iterations} iterations "
-            f"(tolerance {cg.rel_tolerance:.1e} * ||b||)",
-            result,
-        )
-    return InfluenceContext(model, params, candidates, hessian_set, hessian,
-                            cg, result.solution, grads)
+    return InfluenceContext(model, params, candidates, hessian_set, damping, solver, grads)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:

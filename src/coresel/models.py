@@ -14,14 +14,10 @@ Two model families are provided:
 
 Parameters for ``logistic`` are flattened class-major: ``theta.reshape(
 num_classes, dim)`` has one row per class. Per-sample operations are exact
-analytic formulas; batch helpers (``grad_matrix``, ``set_hvp``, ...) are
-vectorized equivalents that agree with per-sample summation to float64
+analytic formulas; batch helpers (``grad_matrix``, ``dense_hessian``, ...)
+are vectorized equivalents that agree with per-sample summation to float64
 roundoff and exist because the leave-one-out oracles need thousands of
-refits.
-
-Everything here is a pure function of read-only inputs, so per-sample
-calls may fan out across threads; combine partial results with
-``deterministic_sum`` to keep reductions order-fixed.
+refits and every selection round needs one set Hessian.
 """
 
 from dataclasses import dataclass
@@ -206,32 +202,6 @@ def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray
     return sample.weight * out.ravel()
 
 
-def set_hvp(spec: ModelSpec, params: Params, samples: Sequence[Sample], v) -> np.ndarray:
-    """Action of the summed Hessian over ``samples`` on ``v``.
-
-    Matches the per-sample sum to float64 roundoff; computed vectorized so
-    it can serve as the operator inside conjugate-gradient solves.
-    """
-    if not samples:
-        raise ValueError("set Hessian is undefined for an empty sample list")
-    v = as_vector(v, dim=spec.param_dim)
-    if spec.kind == "quad1d":
-        total_weight = sum(s.weight for s in samples)
-        for s in samples:
-            _check_sample(spec, s)
-        return total_weight * v
-    X, _, w = stack_samples(spec, samples)
-    theta = _theta_matrix(spec, params)
-    P = _softmax(X @ theta.T)
-    V = v.reshape(spec.num_classes, spec.dim)
-    a = X @ V.T                                  # (n, C)
-    m = np.einsum("nc,nc->n", P, a)
-    rows = P * (a - m[:, None])                  # (n, C)
-    out = (w[:, None] * rows).T @ X              # (C, d)
-    out += spec.l2_strength * w.sum() * V
-    return out.ravel()
-
-
 # ---------------------------------------------------------------------------
 # vectorized batch helpers
 # ---------------------------------------------------------------------------
@@ -287,19 +257,29 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Sequence[Sample], v) ->
 
 
 def dense_hessian(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> np.ndarray:
-    """Materialized summed Hessian; used by Newton steps and dense oracles."""
+    """Materialized summed Hessian; used by Newton steps and influence contexts.
+
+    For ``logistic`` the set Hessian ``sum_n w_n (diag(P_n) - P_n P_n^T)
+    (x) x_n x_n^T`` is built in block form: one ``(n, p)`` product for the
+    ``-P P^T`` part, one ``(n, dim)`` product per diagonal class block for
+    the ``diag(P)`` part, and the L2 term on the diagonal. Both products
+    are Gram matrices ``Z^T Z`` of square-root-weighted rows, which numpy
+    evaluates as symmetric rank-k updates, so the result is exactly
+    symmetric.
+    """
     if not samples:
         raise ValueError("set Hessian is undefined for an empty sample list")
     X, _, w = stack_samples(spec, samples)
     if spec.kind == "quad1d":
         return np.array([[w.sum()]])
-    theta = _theta_matrix(spec, params)
-    P = _softmax(X @ theta.T)
-    K = -P[:, :, None] * P[:, None, :]
-    idx = np.arange(spec.num_classes)
-    K[:, idx, idx] += P
-    H = np.einsum("n,ncd,nj,nk->cjdk", w, K, X, X).reshape(spec.param_dim, spec.param_dim)
-    H += spec.l2_strength * w.sum() * np.eye(spec.param_dim)
+    n, d, p = len(samples), spec.dim, spec.param_dim
+    P = _softmax(X @ _theta_matrix(spec, params).T)
+    Z = ((np.sqrt(w)[:, None] * P)[:, :, None] * X[:, None, :]).reshape(n, p)
+    H = -(Z.T @ Z)
+    for c in range(spec.num_classes):
+        Xc = np.sqrt(w * P[:, c])[:, None] * X
+        H[c * d:(c + 1) * d, c * d:(c + 1) * d] += Xc.T @ Xc
+    H[np.diag_indices(p)] += spec.l2_strength * w.sum()
     return H
 
 

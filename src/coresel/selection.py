@@ -7,9 +7,6 @@ every drop (the influence scores and the shared inverse-Hessian solve stay
 fixed for the round). Baselines cover pure influence ranking, the two
 single-term regularizer ablations, reservoir sampling, and a class-balanced
 ring buffer; an exhaustive enumerator serves as the small-instance oracle.
-
-Selectors are single-threaded state machines per round; the read-only
-candidate scoring inside a round is the only parallelizable part.
 """
 
 import itertools

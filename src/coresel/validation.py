@@ -40,7 +40,6 @@ from .influence import (
     second_order_influence,
 )
 from .models import FitConfig, ModelSpec, Params, Sample, fit
-from .numkit import CgConfig
 from .selection import (
     SelectorKind,
     criterion_value,
@@ -110,8 +109,7 @@ def suite_logistic_loo():
         spec, train = _blob_instance(rng, 200, 10, 2, 0.1)
         _, test = _blob_instance(rng, 200, 10, 2, 0.1, id0=1000)
         params = fit(spec, train, cfg)
-        ctx = build_context(spec, params, test, train,
-                            cg=CgConfig(rel_tolerance=1e-12), damping=0.0)
+        ctx = build_context(spec, params, test, train, damping=0.0)
         scores = -(models.grad_matrix(spec, params, train) @ ctx.ihvp)
         deltas = np.array([loo_retrain_delta(spec, train, test, z, cfg) for z in train])
         worst = min(worst, float(np.corrcoef(deltas, -scores)[0, 1]))
@@ -129,9 +127,7 @@ def suite_second_order():
         rng = np.random.default_rng(20_000 + seed)
         spec, samples = _blob_instance(rng, 30, 5, 3, 0.1)
         params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = build_context(spec, params, samples[:25], samples[:25],
-                            cg=CgConfig(rel_tolerance=1e-13, max_iterations=400),
-                            damping=0.01)
+        ctx = build_context(spec, params, samples[:25], samples[:25], damping=0.01)
         pairs = [(samples[i], samples[-1 - i]) for i in range(4)]
         z, zp = max(pairs, key=lambda p: abs(
             second_order_influence(ctx, p[0], p[1], SecondOrderCase.JOINT)))
@@ -183,8 +179,7 @@ def suite_regularizer_identities():
     for _ in range(10):
         spec, samples = _blob_instance(rng, 12, 3, 2, 0.1)
         params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = build_context(spec, params, samples, samples,
-                            cg=CgConfig(rel_tolerance=1e-12), damping=0.0)
+        ctx = build_context(spec, params, samples, samples, damping=0.0)
         w = (rng.random(12) < 0.6).astype(float)
         if w.sum() in (0, 12):
             w[0] = 1.0 - w[0]

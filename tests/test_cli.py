@@ -86,6 +86,23 @@ class TestRunCommand:
         assert "model.dim" in capsys.readouterr().err
 
 
+    def test_csv_stream_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
+        header = "id,task,label,f0,f1\n"
+        train = tmp_path / "train.csv"
+        train.write_text(header + "0,0,0,1.0,0.0\n1,0,1,0.0,1.0\n"
+                         "0,1,2,-1.0,0.0\n3,1,3,0.0,-1.0\n")
+        test = tmp_path / "test.csv"
+        test.write_text(header + "10,0,0,1.0,0.0\n11,1,2,-1.0,0.0\n")
+        config = tmp_path / "csv.cfg"
+        config.write_text(f"selector.kind = regularized_if\ncriterion.m = 2\n"
+                          f"stream.source = csv\nstream.train_csv = {train}\n"
+                          f"stream.test_csv = {test}\nstream.batch_size = 2\n")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "train.csv: row 4: sample id 0 already used at row 2" in err
+
+
 class TestConfigRoundTrip:
     def test_echo_reparses_to_equal_config(self, config_file):
         cfg = RunConfig.from_flat(parse_flat_file(config_file))
@@ -174,6 +191,12 @@ class TestSelectCommand:
         printed = capsys.readouterr().out.strip().split()
         assert len(printed) == 4
         assert set(printed) <= {str(i) for i in range(6)}
+
+    def test_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n1,0,0,-2.0\n")
+        assert main(["select", "--data", str(data), "--m", "2"]) == 2
+        assert "pool.csv: row 4: sample id 1 already used at row 3" in capsys.readouterr().err
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["select", "--data", "x.csv"]) == 2  # missing --m

@@ -23,6 +23,17 @@ from coresel.selection import SelectorKind
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
 
+def all_pairs_kendall_tau(scores_a, scores_b):
+    """Reference tau-a: the sign products of all n*(n-1)/2 pairs, summed."""
+    a = np.asarray(scores_a, dtype=np.float64)
+    b = np.asarray(scores_b, dtype=np.float64)
+    n = a.shape[0]
+    sign_a = np.sign(a[:, None] - a[None, :])
+    sign_b = np.sign(b[:, None] - b[None, :])
+    upper = np.triu_indices(n, k=1)
+    return float((sign_a[upper] * sign_b[upper]).sum() / (n * (n - 1) / 2))
+
+
 def qsample(i, z):
     return Sample(id=i, task_id=0, label=0, features=[z])
 
@@ -112,6 +123,15 @@ class TestCsvStream:
         with pytest.raises(ValueError, match=r"row 3, column 'f0'"):
             make_stream(spec)
 
+    def test_repeated_id_names_file_and_rows(self, tmp_path):
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        self.write_csv(train, ["0,0,0,1.5,2.5", "1,0,1,-1.0,0.5", "0,1,2,0,0"])
+        self.write_csv(test, ["10,0,0,1.0,1.0", "11,1,2,0.5,0.5"])
+        spec = StreamSpec(source="csv", train_csv=str(train), test_csv=str(test))
+        with pytest.raises(ValueError, match=r"train\.csv: row 4: sample id 0 already used at row 2"):
+            make_stream(spec)
+
     def test_bad_header_rejected(self, tmp_path):
         train = tmp_path / "train.csv"
         train.write_text("id,task,label,x0\n0,0,0,1.0\n")
@@ -184,6 +204,25 @@ class TestKendallTau:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 2], [1, 2, 3])
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            kendall_tau([1.0, np.nan, 2.0], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("levels", [None, 2, 5])
+    def test_bit_identical_to_all_pairs_oracle(self, levels):
+        # levels=None draws continuous scores (no ties); small integer
+        # levels force ties in a, in b and in both
+        rng = np.random.default_rng(7 if levels is None else levels)
+        for n in (2, 3, 4, 7, 16, 33, 100, 257):
+            for _ in range(5):
+                if levels is None:
+                    a = rng.normal(size=n)
+                    b = a + rng.normal(size=n)
+                else:
+                    a = rng.integers(levels, size=n).astype(float)
+                    b = rng.integers(levels, size=n).astype(float)
+                assert kendall_tau(a, b) == all_pairs_kendall_tau(a, b)
 
 
 class TestLooRetrainDelta:

@@ -21,8 +21,8 @@ from coresel.influence import (
     second_order_influence,
     total_interference,
 )
-from coresel.models import FitConfig, ModelSpec, Params, Sample, fit, grad_matrix
-from coresel.numkit import CgConfig, ConvergenceError
+from coresel.models import FitConfig, ModelSpec, Params, Sample, dense_hessian, fit, grad_matrix
+from coresel.numkit import SolveError
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
@@ -43,9 +43,7 @@ def random_logistic_ctx(rng, n=15, dim=3, num_classes=2, l2=0.1, damping=0.0):
     samples = [Sample(id=i, task_id=0, label=int(rng.integers(num_classes)),
                       features=rng.normal(size=dim)) for i in range(n)]
     params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-12))
-    ctx = build_context(spec, params, samples, samples,
-                        cg=CgConfig(rel_tolerance=1e-12, max_iterations=None),
-                        damping=damping)
+    ctx = build_context(spec, params, samples, samples, damping=damping)
     return spec, samples, params, ctx
 
 
@@ -71,21 +69,46 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             build_context(QUAD, Params([1.0]), [], [qsample(0, 0.0)])
 
-    def test_cg_failure_surfaces_residual(self):
-        candidates = [qsample(0, 0.0), qsample(1, 2.0), qsample(2, 4.0)]
-        with pytest.raises(ConvergenceError, match="residual"):
-            build_context(QUAD, Params([1.0]), candidates, candidates,
-                          cg=CgConfig(rel_tolerance=1e-16, max_iterations=1), damping=123.4)
-
     def test_model_built_operator_is_symmetric(self):
-        # x'(H y) == y'(H x) for the damped set-Hessian operator
+        # the factored damped set Hessian is exactly symmetric
         rng = np.random.default_rng(31)
         _, _, _, ctx = random_logistic_ctx(rng, n=12, dim=4, num_classes=3, damping=0.01)
-        for _ in range(20):
-            x = rng.normal(size=ctx.dim)
-            y = rng.normal(size=ctx.dim)
-            defect = abs(x @ ctx.hessian.apply_damped(y) - y @ ctx.hessian.apply_damped(x))
-            assert defect <= 1e-9 * np.linalg.norm(x) * np.linalg.norm(y)
+        assert np.array_equal(ctx.damped_hessian, ctx.damped_hessian.T)
+
+    @pytest.mark.parametrize("num_classes,damping", [(2, 0.0), (3, 0.01), (10, 1.0)])
+    def test_factored_solves_match_dense_inverse(self, num_classes, damping):
+        rng = np.random.default_rng(32 + num_classes)
+        spec, samples, params, ctx = random_logistic_ctx(
+            rng, n=40, dim=3, num_classes=num_classes, damping=damping)
+        inverse = np.linalg.inv(dense_hessian(spec, params, samples)
+                                + damping * np.eye(spec.param_dim))
+        np.testing.assert_allclose(ctx.damped_hessian @ inverse, np.eye(spec.param_dim),
+                                   atol=1e-9)
+        np.testing.assert_allclose(ctx.ihvp, inverse @ ctx.grad_sum, rtol=1e-8, atol=1e-12)
+        for z in samples[:5]:
+            g = ctx.grad_of(z)
+            np.testing.assert_allclose(ctx.solve(g, cache_key=z.id), inverse @ g,
+                                       rtol=1e-8, atol=1e-12)
+
+    def test_solves_are_cached_by_id(self):
+        rng = np.random.default_rng(33)
+        _, samples, _, ctx = random_logistic_ctx(rng, n=10, dim=2, num_classes=2)
+        first = ctx.solve(ctx.grad_of(samples[0]), cache_key=samples[0].id)
+        assert ctx.solve(ctx.grad_of(samples[0]), cache_key=samples[0].id) is first
+
+    def test_rank_deficient_hessian_names_damping_and_l2(self):
+        # no L2 and no damping, and every sample is zero in feature 1: the
+        # set Hessian has exact zero rows, so it cannot be factored
+        spec = ModelSpec(kind="logistic", dim=2, num_classes=2, l2_strength=0.0)
+        samples = [Sample(id=i, task_id=0, label=i % 2, features=[float(i) - 1.5, 0.0])
+                   for i in range(4)]
+        with pytest.raises(SolveError, match=r"damping=0\.0, l2_strength=0\.0"):
+            build_context(spec, Params(np.zeros(4)), samples, samples, damping=0.0)
+
+    def test_negative_damping_rejected(self):
+        with pytest.raises(ValueError, match="damping"):
+            build_context(QUAD, Params([1.0]), [qsample(0, 0.0)], [qsample(0, 0.0)],
+                          damping=-0.1)
 
 
 class TestFirstOrder:
@@ -131,8 +154,7 @@ class TestFirstOrder:
         test = draw(200, 1000)
         cfg = FitConfig(method="newton", grad_tolerance=1e-10)
         params = fit(spec, train, cfg)
-        ctx = build_context(spec, params, test, train,
-                            cg=CgConfig(rel_tolerance=1e-12), damping=0.0)
+        ctx = build_context(spec, params, test, train, damping=0.0)
         scores = -(grad_matrix(spec, params, train) @ ctx.ihvp)
         deltas = np.array([loo_retrain_delta(spec, train, test, z, cfg) for z in train])
         corr = np.corrcoef(deltas, -scores)[0, 1]

@@ -19,7 +19,7 @@ from coresel.models import (
     loss,
     loss_sum,
     sample_hvp,
-    set_hvp,
+    stack_samples,
 )
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
@@ -27,6 +27,28 @@ QUAD = ModelSpec(kind="quad1d", dim=1)
 
 def qsample(i, z, weight=1.0):
     return Sample(id=i, task_id=0, label=0, features=[z], weight=weight)
+
+
+def set_hvp(spec, params, samples, v):
+    """The set Hessian's action on ``v``, through the materialized matrix."""
+    return dense_hessian(spec, params, samples) @ np.asarray(v, dtype=np.float64)
+
+
+def einsum_dense_hessian(spec, params, samples):
+    """Reference set Hessian: one einsum over per-sample Kronecker blocks."""
+    X, _, w = stack_samples(spec, samples)
+    if spec.kind == "quad1d":
+        return np.array([[w.sum()]])
+    theta = params.theta.reshape(spec.num_classes, spec.dim)
+    logits = X @ theta.T
+    P = np.exp(logits - logits.max(axis=1, keepdims=True))
+    P /= P.sum(axis=1, keepdims=True)
+    K = -P[:, :, None] * P[:, None, :]
+    idx = np.arange(spec.num_classes)
+    K[:, idx, idx] += P
+    H = np.einsum("n,ncd,nj,nk->cjdk", w, K, X, X).reshape(spec.param_dim, spec.param_dim)
+    H += spec.l2_strength * w.sum() * np.eye(spec.param_dim)
+    return H
 
 
 def random_logistic_instance(rng, n=12, dim=3, num_classes=3, l2=0.1):
@@ -124,6 +146,8 @@ class TestFiniteDifferenceOracles:
 
 
 class TestSetHvp:
+    """The summed Hessian of a sample set applied to a vector."""
+
     def test_quad_counts_curvature(self):
         samples = [qsample(0, 0.0), qsample(1, 2.0)]
         np.testing.assert_allclose(set_hvp(QUAD, Params([1.0]), samples, [1.0]), [2.0])
@@ -199,7 +223,33 @@ class TestBatchHelpers:
         np.testing.assert_allclose(H, H.T, atol=1e-12)
         for _ in range(3):
             v = rng.normal(size=spec.param_dim)
-            np.testing.assert_allclose(H @ v, set_hvp(spec, params, samples, v), atol=1e-10)
+            manual = sum(sample_hvp(spec, params, s, v) for s in samples)
+            np.testing.assert_allclose(H @ v, manual, atol=1e-10)
+
+
+class TestDenseHessianBlockForm:
+    @pytest.mark.parametrize("num_classes", [2, 3, 10])
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_matches_einsum_oracle(self, num_classes, l2):
+        rng = np.random.default_rng(100 + num_classes)
+        spec, samples, params = random_logistic_instance(
+            rng, n=40, dim=4, num_classes=num_classes, l2=l2)
+        assert len({s.weight for s in samples}) > 1
+        H = dense_hessian(spec, params, samples)
+        oracle = einsum_dense_hessian(spec, params, samples)
+        np.testing.assert_allclose(H, oracle, rtol=0, atol=1e-12 * np.abs(oracle).max())
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(31)
+        spec, samples, params = random_logistic_instance(rng, n=50, dim=5, num_classes=4)
+        H = dense_hessian(spec, params, samples)
+        assert np.array_equal(H, H.T)
+
+    def test_quad1d_is_total_weight(self):
+        samples = [qsample(0, 0.0, weight=0.5), qsample(1, 2.0, weight=2.0)]
+        H = dense_hessian(QUAD, Params([1.0]), samples)
+        np.testing.assert_array_equal(H, einsum_dense_hessian(QUAD, Params([1.0]), samples))
+        np.testing.assert_array_equal(H, [[2.5]])
 
 
 class TestFit:

@@ -5,7 +5,6 @@ import pytest
 
 from coresel.influence import CriterionConfig, build_context
 from coresel.models import FitConfig, ModelSpec, Params, Sample, fit
-from coresel.numkit import CgConfig
 from coresel.selection import (
     ReplayBuffer,
     SelectorKind,
@@ -33,8 +32,7 @@ def random_logistic_ctx(rng, n, dim=4, num_classes=2, l2=0.1):
                       features=rng.normal(size=dim) + (2.0 if rng.random() < 0.2 else 0.0))
                for i in range(n)]
     params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-    return build_context(spec, params, samples, samples,
-                         cg=CgConfig(rel_tolerance=1e-12), damping=0.01)
+    return build_context(spec, params, samples, samples, damping=0.01)
 
 
 class TestGreedy:
