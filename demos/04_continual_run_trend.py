@@ -13,7 +13,6 @@ import numpy as np
 
 from coresel import (
     CriterionConfig,
-    FitConfig,
     ModelSpec,
     OracleConfig,
     StreamSpec,
@@ -28,7 +27,6 @@ SEEDS = range(3)
 
 model = ModelSpec(kind="logistic", dim=2, num_classes=10, l2_strength=0.01)
 criterion = CriterionConfig(budget=50, mu=0.5, nu=1.0)
-fit_cfg = FitConfig(method="sgd", learning_rate=0.02, epochs=20)
 
 rows = {}
 for kind in SELECTORS:
@@ -39,8 +37,9 @@ for kind in SELECTORS:
             batch_size=12, seed=seed, mean_scale=5.0, within_std=0.8,
             drift_offsets=(0.0, 0.3, 0.6, 0.9, 1.2), label_noise=(0.15,) * 5,
             test_fraction=0.5))
-        report = run_continual(stream, model, kind, criterion, fit_cfg,
-                               OracleConfig(), seed=seed, reweight_constant=1.0)
+        report = run_continual(stream, model, kind, criterion, OracleConfig(),
+                               seed=seed, learning_rate=0.02, epochs=20,
+                               reweight_constant=1.0)
         if report.mean_tau is not None:
             taus.append(report.mean_tau)
         accs.append(report.acc)

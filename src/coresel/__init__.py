@@ -9,9 +9,8 @@ continual-learning harness with retraining and rank-agreement validation
 built in.
 """
 
-from .numkit import DEFAULT_DAMPING, SolveError, deterministic_sum
+from .numkit import DEFAULT_DAMPING, SolveError
 from .models import (
-    Dataset,
     FitConfig,
     FitError,
     ModelSpec,

@@ -123,18 +123,12 @@ _SCHEMA = {
     "criterion.m": (_conv_int, _REQUIRED),
     "criterion.mu": (_conv_float, 0.5),
     "criterion.nu": (_conv_float, 0.01),
-    "fit.method": (_conv_str, "sgd"),
     "fit.learning_rate": (_conv_float, 0.01),
     "fit.epochs": (_conv_int, 2),
-    "fit.batch_size": (_conv_int, 32),
-    "fit.grad_tolerance": (_conv_float, 1e-10),
-    "fit.max_steps": (_conv_int, 100),
-    "fit.seed": (_conv_int, 0),
     "harness.damping": (_conv_float, DEFAULT_DAMPING),
     "harness.refit_at_selection": (_conv_bool, False),
     "harness.reweight_constant": (_conv_opt_float, None),
     "oracle.enabled": (_conv_bool, True),
-    "oracle.epsilon": (_conv_float, 1e-4),
     "oracle.buffer_multiplier": (_conv_int, 4),
     "oracle.min_overlap": (_conv_int, 10),
 }
@@ -146,7 +140,8 @@ class RunConfig:
     model: ModelSpec
     selector: SelectorKind
     criterion: CriterionConfig
-    fit: FitConfig
+    learning_rate: float
+    epochs: int
     oracle: Optional[OracleConfig]
     damping: float
     refit_at_selection: bool
@@ -207,15 +202,9 @@ class RunConfig:
         criterion = build(CriterionConfig, dict(
             budget=values["criterion.m"], mu=values["criterion.mu"],
             nu=values["criterion.nu"]), "criterion")
-        fit_cfg = build(FitConfig, dict(
-            method=values["fit.method"], learning_rate=values["fit.learning_rate"],
-            epochs=values["fit.epochs"], batch_size=values["fit.batch_size"],
-            grad_tolerance=values["fit.grad_tolerance"],
-            max_steps=values["fit.max_steps"], seed=values["fit.seed"]), "fit")
         oracle = None
         if values["oracle.enabled"]:
             oracle = build(OracleConfig, dict(
-                epsilon=values["oracle.epsilon"],
                 buffer_multiplier=values["oracle.buffer_multiplier"],
                 min_overlap=values["oracle.min_overlap"]), "oracle")
         if model.kind != "logistic":
@@ -231,7 +220,8 @@ class RunConfig:
                     f"config key 'model.num_classes': {model.num_classes} is below the "
                     f"stream's {total} classes")
         return cls(stream=stream, model=model, selector=selector,
-                   criterion=criterion, fit=fit_cfg, oracle=oracle,
+                   criterion=criterion, learning_rate=values["fit.learning_rate"],
+                   epochs=values["fit.epochs"], oracle=oracle,
                    damping=values["harness.damping"],
                    refit_at_selection=values["harness.refit_at_selection"],
                    reweight_constant=values["harness.reweight_constant"],
@@ -239,7 +229,7 @@ class RunConfig:
 
     def to_flat(self) -> dict:
         """Echo as a flat dict that reparses to an equal RunConfig."""
-        s, m, c, f = self.stream, self.model, self.criterion, self.fit
+        s, m, c = self.stream, self.model, self.criterion
         flat = {
             "seed": self.seed,
             "selector.kind": self.selector.value,
@@ -256,17 +246,13 @@ class RunConfig:
             "model.kind": m.kind, "model.dim": m.dim,
             "model.num_classes": m.num_classes, "model.l2_strength": m.l2_strength,
             "criterion.m": c.budget, "criterion.mu": c.mu, "criterion.nu": c.nu,
-            "fit.method": f.method, "fit.learning_rate": f.learning_rate,
-            "fit.epochs": f.epochs, "fit.batch_size": f.batch_size,
-            "fit.grad_tolerance": f.grad_tolerance, "fit.max_steps": f.max_steps,
-            "fit.seed": f.seed,
+            "fit.learning_rate": self.learning_rate, "fit.epochs": self.epochs,
             "harness.damping": self.damping,
             "harness.refit_at_selection": self.refit_at_selection,
             "harness.reweight_constant": self.reweight_constant,
             "oracle.enabled": self.oracle is not None,
         }
         if self.oracle is not None:
-            flat["oracle.epsilon"] = self.oracle.epsilon
             flat["oracle.buffer_multiplier"] = self.oracle.buffer_multiplier
             flat["oracle.min_overlap"] = self.oracle.min_overlap
         return flat
@@ -283,11 +269,17 @@ def _read_input(reader, source):
 
 def execute_run(cfg: RunConfig) -> RunReport:
     stream = _read_input(make_stream, cfg.stream)
-    return run_continual(stream, cfg.model, cfg.selector, cfg.criterion, cfg.fit,
-                         cfg.oracle, cfg.seed,
-                         reweight_constant=cfg.reweight_constant,
-                         refit_at_selection=cfg.refit_at_selection,
-                         damping=cfg.damping, config_echo=cfg.to_flat())
+    try:
+        return run_continual(stream, cfg.model, cfg.selector, cfg.criterion,
+                             cfg.oracle, cfg.seed,
+                             learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+                             reweight_constant=cfg.reweight_constant,
+                             refit_at_selection=cfg.refit_at_selection,
+                             damping=cfg.damping, config_echo=cfg.to_flat())
+    except ValueError as exc:
+        # run_continual checks its arguments before step 0 and raises
+        # ValueError; failures during the run are wrapped as RuntimeError
+        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

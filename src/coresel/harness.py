@@ -17,7 +17,7 @@ logged at every selection step where the overlap is large enough.
 """
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -417,16 +417,14 @@ def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
 
 @dataclass(frozen=True)
 class OracleConfig:
-    epsilon: float = 1e-4
     buffer_multiplier: int = 4
-    refit: FitConfig = field(default_factory=lambda: FitConfig(method="newton"))
     min_overlap: int = TAU_MIN_OVERLAP
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.buffer_multiplier < 1:
             raise ValueError("buffer_multiplier must be at least 1")
+        if self.min_overlap < 2:
+            raise ValueError(f"min_overlap must be at least 2 to rank, got {self.min_overlap}")
 
 
 @dataclass
@@ -446,7 +444,7 @@ class RunReport:
     bwt: float
     tau_series: list
     buffer_trace: list                    # (step, sorted kept ids)
-    config: dict
+    config: Optional[dict]
 
     @property
     def mean_tau(self) -> Optional[float]:
@@ -483,8 +481,6 @@ def _reweighted_candidates(buffer_samples, batch, constant):
     """
     if constant is None:
         constant = len(buffer_samples) / len(batch) if buffer_samples else 1.0
-    if constant <= 0:
-        raise ValueError("reweight constant must be positive")
     reweighted = [replace(s, weight=s.weight * constant) for s in batch]
     return list(buffer_samples) + reweighted
 
@@ -513,31 +509,45 @@ def _tau_checkpoint(model, params, candidates, raw_by_id, method_ctx,
 
 
 def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
-                  criterion: CriterionConfig, fit_cfg: FitConfig,
+                  criterion: CriterionConfig,
                   oracle: Optional[OracleConfig] = None, seed: int = 0, *,
+                  learning_rate: float, epochs: int,
                   reweight_constant: Optional[float] = None,
                   refit_at_selection: bool = False,
                   damping: float = DEFAULT_DAMPING,
                   config_echo: Optional[dict] = None) -> RunReport:
     """Train on the task stream while maintaining the replay buffer.
 
-    Each SGD step descends the summed loss of the current batch plus a
-    replay batch drawn uniformly from the buffer. During the last epoch of
-    each task the selector updates the buffer after every batch; with an
-    oracle configured, a parallel reservoir of ``buffer_multiplier *
-    budget`` capacity ingests the same stream and a Kendall-tau agreement
-    point is logged per selection step. After each task the model is
-    evaluated on all seen tasks' test splits.
+    Each task is trained for ``epochs`` passes over its batches; each SGD
+    step of size ``learning_rate`` descends the summed loss of the current
+    batch plus a replay batch drawn uniformly from the buffer. During the
+    last epoch of each task the selector updates the buffer after every
+    batch; with an oracle configured, a parallel reservoir of
+    ``buffer_multiplier * budget`` capacity ingests the same stream and a
+    Kendall-tau agreement point is logged per selection step. After each
+    task the model is evaluated on all seen tasks' test splits.
 
-    ``refit_at_selection=True`` fits the candidate set to optimality before
-    scoring (the regime the influence formulas assume); the default scores
-    at the current SGD parameters. Any sub-operation failure is re-raised
-    with the task/epoch/batch position prepended.
+    ``refit_at_selection=True`` fits the candidate set to optimality by
+    Newton's method before scoring (the regime the influence formulas
+    assume); the default scores at the current SGD parameters. The report
+    carries ``config_echo`` as its config. Arguments are checked before
+    step 0 and rejected with a ``ValueError``; any later sub-operation
+    failure is re-raised as a ``RuntimeError`` with the task/epoch/batch
+    position prepended.
     """
     if model.kind != "logistic":
         raise ValueError("the continual loop drives classification models only")
-    if criterion.budget > stream.total_train_size():
-        raise ValueError("buffer capacity exceeds the total stream size")
+    total = stream.total_train_size()
+    if criterion.budget > total:
+        raise ValueError(f"budget {criterion.budget} exceeds the stream's {total} training samples")
+    if not learning_rate > 0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be at least 1, got {epochs}")
+    if not damping >= 0:
+        raise ValueError(f"damping must be nonnegative, got {damping}")
+    if reweight_constant is not None and not reweight_constant > 0:
+        raise ValueError(f"reweight_constant must be positive, got {reweight_constant}")
 
     init_rng = named_rng(seed, "model_init")
     replay_rng = named_rng(seed, "replay")
@@ -560,14 +570,14 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
 
     for ti in range(num_tasks):
         batches = stream.batches(ti)
-        for epoch in range(1, fit_cfg.epochs + 1):
-            last_epoch = epoch == fit_cfg.epochs
+        for epoch in range(1, epochs + 1):
+            last_epoch = epoch == epochs
             for bi, batch in enumerate(batches):
                 where = f"step {step} (task {ti}, epoch {epoch}, batch {bi})"
                 try:
                     replay = _draw_replay(buffer, stream.batch_size, replay_rng)
                     g = models.grad_sum(model, params, list(batch) + replay)
-                    params = Params(params.theta - fit_cfg.learning_rate * g)
+                    params = Params(params.theta - learning_rate * g)
                     if last_epoch:
                         buffer, method_seen, oracle_buffer, oracle_seen, tau = _selection_step(
                             stream, model, params, buffer, batch, selector, criterion,
@@ -585,12 +595,9 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
             matrix.set(ti, tj, models.accuracy(model, params, stream.tasks[tj].test))
 
     acc, bwt = acc_bwt(matrix) if num_tasks >= 2 else (float(matrix.values[0, 0]), 0.0)
-    echo = config_echo if config_echo is not None else _default_echo(
-        stream, model, selector, criterion, fit_cfg, oracle, seed,
-        reweight_constant, refit_at_selection, damping)
     return RunReport(seed=seed, selector=selector.value, acc_matrix=matrix,
                      acc=acc, bwt=bwt, tau_series=tau_series,
-                     buffer_trace=buffer_trace, config=echo)
+                     buffer_trace=buffer_trace, config=config_echo)
 
 
 def _draw_replay(buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator):
@@ -617,8 +624,7 @@ def _selection_step(stream, model, params, buffer, batch, selector, criterion,
         candidates = _reweighted_candidates(buffer.samples, batch, reweight_constant)
         sel_params = params
         if refit_at_selection:
-            refit_cfg = oracle.refit if oracle is not None else FitConfig(method="newton")
-            sel_params = models.fit(model, candidates, refit_cfg, init=params)
+            sel_params = models.fit(model, candidates, FitConfig(), init=params)
         ctx = build_context(model, sel_params, candidates, candidates, damping=damping)
         if oracle_buffer is not None and len(oracle_buffer) > 0:
             tau = _tau_checkpoint(model, sel_params, candidates, raw_by_id, ctx,
@@ -634,23 +640,3 @@ def _selection_step(stream, model, params, buffer, batch, selector, criterion,
         buffer = select_ring(buffer, batch, stream.num_classes)
 
     return buffer, method_seen, oracle_buffer, oracle_seen, tau
-
-
-def _default_echo(stream, model, selector, criterion, fit_cfg, oracle, seed,
-                  reweight_constant, refit_at_selection, damping) -> dict:
-    return {
-        "stream": {"tasks": len(stream.tasks), "batch_size": stream.batch_size,
-                   "dim": stream.dim, "num_classes": stream.num_classes},
-        "model": {"kind": model.kind, "dim": model.dim,
-                  "num_classes": model.num_classes, "l2_strength": model.l2_strength},
-        "selector": selector.value,
-        "criterion": {"budget": criterion.budget, "mu": criterion.mu, "nu": criterion.nu},
-        "fit": {"learning_rate": fit_cfg.learning_rate, "epochs": fit_cfg.epochs,
-                "batch_size": fit_cfg.batch_size},
-        "oracle": None if oracle is None else {
-            "epsilon": oracle.epsilon, "buffer_multiplier": oracle.buffer_multiplier},
-        "seed": seed,
-        "reweight_constant": reweight_constant,
-        "refit_at_selection": refit_at_selection,
-        "damping": damping,
-    }

@@ -80,15 +80,6 @@ class SelectionWeights:
     def all_ones(cls, n: int) -> "SelectionWeights":
         return cls(np.ones(n))
 
-    @property
-    def kept_count(self) -> int:
-        return int(self.w.sum())
-
-    def drop(self, index: int) -> "SelectionWeights":
-        w = self.w.copy()
-        w[index] = 0.0
-        return SelectionWeights(w)
-
 
 @dataclass(frozen=True)
 class TaylorGradResult:

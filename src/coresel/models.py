@@ -28,7 +28,7 @@ import numpy as np
 from .numkit import as_vector
 
 MODEL_KINDS = ("quad1d", "logistic")
-FIT_METHODS = ("closed_form", "newton", "sgd")
+FIT_METHODS = ("closed_form", "newton")
 
 
 class FitError(RuntimeError):
@@ -57,24 +57,6 @@ class Sample:
             raise ValueError(f"sample {self.id}: task_id must be nonnegative")
         if self.label < 0:
             raise ValueError(f"sample {self.id}: label must be nonnegative")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    samples: tuple
-    dim: int
-    num_classes: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
-            raise ValueError("dataset contains duplicate sample ids")
-        for s in self.samples:
-            if s.features.shape[0] != self.dim:
-                raise ValueError(f"sample {s.id}: feature dim {s.features.shape[0]} != {self.dim}")
-            if not 0 <= s.label < self.num_classes:
-                raise ValueError(f"sample {s.id}: label {s.label} outside [0, {self.num_classes})")
 
 
 @dataclass(frozen=True)
@@ -112,18 +94,12 @@ class FitConfig:
     method: str = "newton"
     grad_tolerance: float = 1e-10
     max_steps: int = 100
-    learning_rate: float = 0.1
-    batch_size: int = 32
-    epochs: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.method not in FIT_METHODS:
             raise ValueError(f"unknown fit method {self.method!r}; expected one of {FIT_METHODS}")
         if self.grad_tolerance <= 0:
             raise ValueError("grad_tolerance must be positive")
-        if self.method == "sgd" and self.learning_rate <= 0:
-            raise ValueError("sgd requires a positive learning_rate")
 
 
 def _check_sample(spec: ModelSpec, sample: Sample):
@@ -289,11 +265,10 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Sequence[Sample]) ->
 
 def fit(spec: ModelSpec, samples: Sequence[Sample], cfg: FitConfig,
         init: Optional[Params] = None) -> Params:
-    """Fit parameters on ``samples``.
+    """Fit parameters on ``samples`` to optimality.
 
-    ``closed_form`` (quad1d only) and ``newton`` drive the summed gradient
-    below ``grad_tolerance``; ``sgd`` just runs the scheduled passes and
-    offers no optimality guarantee.
+    ``closed_form`` (quad1d only) is exact; ``newton`` drives the summed
+    gradient below ``grad_tolerance`` within ``max_steps`` steps.
     """
     if not samples:
         raise ValueError("cannot fit on an empty sample list")
@@ -303,9 +278,7 @@ def fit(spec: ModelSpec, samples: Sequence[Sample], cfg: FitConfig,
         _, _, w = stack_samples(spec, samples)
         z = np.array([s.features[0] for s in samples])
         return Params(np.array([float((w * z).sum() / w.sum())]))
-    if cfg.method == "newton":
-        return _fit_newton(spec, samples, cfg, init)
-    return _fit_sgd(spec, samples, cfg, init)
+    return _fit_newton(spec, samples, cfg, init)
 
 
 def _fit_newton(spec: ModelSpec, samples, cfg: FitConfig, init) -> Params:
@@ -342,20 +315,6 @@ def _fit_newton(spec: ModelSpec, samples, cfg: FitConfig, init) -> Params:
         f"Newton did not converge in {cfg.max_steps} steps (|grad| = {g_norm:.3e})",
         g_norm,
     )
-
-
-def _fit_sgd(spec: ModelSpec, samples, cfg: FitConfig, init) -> Params:
-    rng = np.random.default_rng(cfg.seed)
-    theta = init.theta.copy() if init is not None else np.zeros(spec.param_dim)
-    samples = list(samples)
-    n = len(samples)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = [samples[i] for i in order[start:start + cfg.batch_size]]
-            g = grad_sum(spec, Params(theta), batch)
-            theta = theta - cfg.learning_rate * g
-    return Params(theta)
 
 
 def accuracy(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> float:

@@ -1,5 +1,4 @@
-"""Vector validation, order-fixed sums, and factored solves against one
-SPD matrix.
+"""Vector validation and factored solves against one SPD matrix.
 
 Every model here has at most a few hundred parameters, so the damped
 Hessian of a selection round is materialized once and Cholesky-factored
@@ -7,7 +6,7 @@ once; each later solve against it costs two matrix-vector products plus a
 check of the true residual.
 """
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -37,23 +36,6 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("vector contains NaN or Inf entries")
     return v
-
-
-def deterministic_sum(vectors: Iterable, dim: Optional[int] = None) -> np.ndarray:
-    """Sum vectors in fixed list order; bit-identical for identical inputs.
-
-    An empty input requires an explicit ``dim`` and returns the zero vector.
-    """
-    vectors = list(vectors)
-    if not vectors:
-        if dim is None:
-            raise ValueError("empty sum requires an explicit dimension")
-        return np.zeros(dim, dtype=np.float64)
-    first = as_vector(vectors[0], dim=dim)
-    total = first.copy()
-    for v in vectors[1:]:
-        total += as_vector(v, dim=first.shape[0])
-    return total
 
 
 def _inverse_lower(lower: np.ndarray) -> np.ndarray:

@@ -316,7 +316,6 @@ def suite_tau_trend():
     # nu is rescaled from the deep-model default to desk-scale gradient
     # magnitudes; the selection criterion is otherwise stock
     criterion = CriterionConfig(budget=50, mu=0.5, nu=1.0)
-    fit_cfg = FitConfig(method="sgd", learning_rate=0.02, epochs=20)
     for seed in range(10):
         stream = make_stream(StreamSpec(
             num_tasks=5, classes_per_task=2, samples_per_class=12, dim=2,
@@ -325,8 +324,9 @@ def suite_tau_trend():
             test_fraction=0.5))
         for kind in (SelectorKind.REGULARIZED_IF, SelectorKind.VANILLA_IF,
                      SelectorKind.RESERVOIR):
-            report = run_continual(stream, model, kind, criterion, fit_cfg,
-                                   OracleConfig(), seed=seed, reweight_constant=1.0)
+            report = run_continual(stream, model, kind, criterion, OracleConfig(),
+                                   seed=seed, learning_rate=0.02, epochs=20,
+                                   reweight_constant=1.0)
             if kind.value in taus:
                 taus[kind.value].append(report.mean_tau)
             if kind.value in accs:

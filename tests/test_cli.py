@@ -2,11 +2,14 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from coresel import influence
 from coresel.cli import ConfigError, RunConfig, main, parse_flat_file
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE_CONFIG = """
 # minimal smoke configuration
@@ -85,6 +88,50 @@ class TestRunCommand:
         assert code == 2
         assert "model.dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, named", [
+        (["harness.damping=-1"], "damping"),
+        (["harness.reweight_constant=-1"], "reweight_constant"),
+        (["stream.batch_size=1", "oracle.min_overlap=1"], "min_overlap"),
+        (["criterion.m=100000"], "budget"),
+        (["fit.epochs=0"], "epochs"),
+        (["fit.learning_rate=-1"], "learning_rate"),
+    ])
+    def test_bad_run_value_exits_2_before_step_0(self, config_file, tmp_path, capsys,
+                                                 overrides, named):
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(config_file), "--out", str(out)]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "step" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("assignment", [
+        "fit.method=newton", "fit.batch_size=3", "fit.grad_tolerance=0.5",
+        "fit.max_steps=1", "fit.seed=9", "oracle.epsilon=0.5",
+    ])
+    def test_deleted_key_exits_2_and_names_it(self, config_file, tmp_path, capsys,
+                                              assignment):
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                     "--set", assignment])
+        assert code == 2
+        key = assignment.split("=")[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("assignment", ["fit.learning_rate=0.03", "fit.epochs=3"])
+    def test_schedule_keys_change_the_report(self, config_file, tmp_path, capsys,
+                                             assignment):
+        def report_without_echo(out, *extra):
+            assert main(["run", "--config", str(config_file), "--out", str(out),
+                         *extra]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["config"]
+            return report
+        base = report_without_echo(tmp_path / "base")
+        changed = report_without_echo(tmp_path / "changed", "--set", assignment)
+        assert changed != base
+
 
     def test_csv_stream_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
         header = "id,task,label,f0,f1\n"
@@ -101,6 +148,19 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "train.csv: row 4: sample id 0 already used at row 2" in err
+
+
+class TestShippedConfigs:
+    def test_example_run_config_runs(self, tmp_path, capsys):
+        assert main(["run", "--config", str(CONFIGS / "example_run.cfg"),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_example_grid_config_sweeps(self, config_file, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_file),
+                     "--grid", str(CONFIGS / "example_grid.cfg"), "--out", str(out)]) == 0
+        with (out / "sweep.csv").open() as fh:
+            assert len(list(csv.DictReader(fh))) == 12
 
 
 class TestConfigRoundTrip:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from coresel import harness
 from coresel.harness import (
     AccuracyMatrix,
     OracleConfig,
@@ -18,6 +19,7 @@ from coresel.harness import (
 )
 from coresel.influence import CriterionConfig
 from coresel.models import FitConfig, ModelSpec, Sample
+from coresel.numkit import SolveError
 from coresel.selection import SelectorKind
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
@@ -255,9 +257,8 @@ def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, **kwarg
     return run_continual(
         stream, model, selector,
         CriterionConfig(budget=20, mu=0.5, nu=0.01),
-        FitConfig(method="sgd", learning_rate=0.01, epochs=2),
         OracleConfig() if oracle else None,
-        seed=seed, **kwargs)
+        seed=seed, learning_rate=0.01, epochs=2, **kwargs)
 
 
 class TestRunContinual:
@@ -308,11 +309,14 @@ class TestRunContinual:
         model = ModelSpec(kind="logistic", dim=2, num_classes=2)
         with pytest.raises(ValueError):
             run_continual(stream, model, SelectorKind.RESERVOIR,
-                          CriterionConfig(budget=100), FitConfig(method="sgd"))
+                          CriterionConfig(budget=100), learning_rate=0.01, epochs=1)
 
-    def test_errors_carry_step_context(self):
-        with pytest.raises(RuntimeError, match="task 0, epoch"):
-            small_run(reweight_constant=-1.0)
+    def test_errors_carry_step_context(self, monkeypatch):
+        def failing_context(*args, **kwargs):
+            raise SolveError("matrix is not positive definite")
+        monkeypatch.setattr(harness, "build_context", failing_context)
+        with pytest.raises(RuntimeError, match=r"step 0 \(task 0, epoch 2, batch 0\): matrix"):
+            small_run()
 
 
 class TestNamedRngs:

@@ -288,39 +288,9 @@ class TestFit:
             fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-14, max_steps=5))
         assert err.value.grad_norm > 0
 
-    def test_sgd_is_deterministic_per_seed(self):
-        rng = np.random.default_rng(33)
-        spec, samples, _ = random_logistic_instance(rng, n=20)
-        cfg = FitConfig(method="sgd", learning_rate=0.01, batch_size=4, epochs=3, seed=5)
-        a = fit(spec, samples, cfg)
-        b = fit(spec, samples, cfg)
-        assert np.array_equal(a.theta, b.theta)
-
     def test_empty_fit_raises(self):
         with pytest.raises(ValueError):
             fit(QUAD, [], FitConfig(method="closed_form"))
-
-
-class TestDataset:
-    def test_valid_dataset(self):
-        from coresel.models import Dataset
-        samples = [Sample(id=i, task_id=0, label=i % 2, features=[float(i), 0.0])
-                   for i in range(4)]
-        ds = Dataset(samples=tuple(samples), dim=2, num_classes=2)
-        assert len(ds.samples) == 4
-
-    def test_duplicate_ids_rejected(self):
-        from coresel.models import Dataset
-        samples = [Sample(id=1, task_id=0, label=0, features=[0.0]),
-                   Sample(id=1, task_id=0, label=1, features=[1.0])]
-        with pytest.raises(ValueError, match="duplicate"):
-            Dataset(samples=tuple(samples), dim=1, num_classes=2)
-
-    def test_label_range_enforced(self):
-        from coresel.models import Dataset
-        samples = [Sample(id=0, task_id=0, label=5, features=[0.0])]
-        with pytest.raises(ValueError, match="label"):
-            Dataset(samples=tuple(samples), dim=1, num_classes=2)
 
 
 class TestAccuracy:

@@ -1,5 +1,4 @@
-"""Factored SPD solver, vector validation, deterministic reduction and
-Neumann-expansion tests."""
+"""Factored SPD solver, vector validation and Neumann-expansion tests."""
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from coresel.numkit import (
     CholeskySolver,
     SolveError,
     as_vector,
-    deterministic_sum,
 )
 
 
@@ -110,48 +108,17 @@ class TestSpdOperator:
             assert abs(x @ solver.solve(y) - y @ solver.solve(x)) <= 1e-9 * scale
 
 
-class TestDeterministicSum:
-    def test_basic(self):
-        np.testing.assert_array_equal(
-            deterministic_sum([np.array([1.0, 0.0]), np.array([0.0, 1.0])]), [1.0, 1.0])
-
-    def test_empty_with_declared_dim(self):
-        np.testing.assert_array_equal(deterministic_sum([], dim=3), [0.0, 0.0, 0.0])
-
-    def test_empty_without_dim_raises(self):
-        with pytest.raises(ValueError):
-            deterministic_sum([])
-
-    def test_bit_identical_for_identical_inputs(self):
-        rng = np.random.default_rng(1)
-        vs = [rng.normal(size=6) for _ in range(50)]
-        a = deterministic_sum(vs)
-        b = deterministic_sum([v.copy() for v in vs])
-        assert np.array_equal(a, b)
-
-    def test_permutation_agrees_within_tolerance(self):
-        rng = np.random.default_rng(4)
-        vs = [rng.normal(size=8) for _ in range(100)]
-        perm = rng.permutation(100)
-        a = deterministic_sum(vs)
-        b = deterministic_sum([vs[i] for i in perm])
-        np.testing.assert_allclose(a, b, atol=1e-12)
-
-    def test_rejects_mismatched_dims(self):
-        with pytest.raises(ValueError):
-            deterministic_sum([np.zeros(2), np.zeros(3)])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            as_vector([np.nan, 1.0])
-
-
 class TestAsVector:
     def test_rejects_wrong_shape_and_dimension(self):
         with pytest.raises(ValueError, match="1-D"):
             as_vector([[1.0, 2.0]])
         with pytest.raises(ValueError, match="dimension"):
             as_vector([1.0, 2.0], dim=3)
+
+    def test_rejects_nan_and_inf(self):
+        for bad in ([np.nan, 1.0], [1.0, np.inf], [-np.inf]):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                as_vector(bad)
 
 
 class TestNeumannExpansion:
