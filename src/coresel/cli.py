@@ -17,6 +17,7 @@ from typing import Optional
 
 from .harness import (
     OracleConfig,
+    RunArgumentError,
     RunReport,
     StreamSpec,
     _parse_csv_samples,
@@ -134,6 +135,30 @@ _SCHEMA = {
 }
 
 
+# keys that only a synthetic stream reads, and keys that only a csv stream reads
+_SYNTHETIC_STREAM_KEYS = (
+    "stream.num_tasks", "stream.classes_per_task", "stream.samples_per_class",
+    "stream.dim", "stream.seed", "stream.mean_scale", "stream.within_std",
+    "stream.drift_offsets", "stream.label_noise", "stream.test_fraction",
+)
+_CSV_STREAM_KEYS = ("stream.train_csv", "stream.test_csv")
+
+# run_continual / OracleConfig argument -> the config key that sets it
+_ARGUMENT_KEYS = {
+    "budget": "criterion.m",
+    "learning_rate": "fit.learning_rate",
+    "epochs": "fit.epochs",
+    "damping": "harness.damping",
+    "reweight_constant": "harness.reweight_constant",
+    "buffer_multiplier": "oracle.buffer_multiplier",
+    "min_overlap": "oracle.min_overlap",
+}
+
+
+def _argument_error(exc: RunArgumentError) -> ConfigError:
+    return ConfigError(f"config key '{_ARGUMENT_KEYS[exc.argument]}': {exc}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     stream: StreamSpec
@@ -151,6 +176,7 @@ class RunConfig:
     @classmethod
     def from_flat(cls, flat: dict) -> "RunConfig":
         flat = dict(flat)
+        given = set(flat)
         values = {}
         for key, (convert, default) in _SCHEMA.items():
             if key in flat:
@@ -169,6 +195,8 @@ class RunConfig:
         def build(factory, kwargs, context):
             try:
                 return factory(**kwargs)
+            except RunArgumentError as exc:
+                raise _argument_error(exc) from exc
             except ValueError as exc:
                 raise ConfigError(f"config section '{context}': {exc}") from exc
 
@@ -184,6 +212,11 @@ class RunConfig:
             test_fraction=values["stream.test_fraction"],
             train_csv=values["stream.train_csv"], test_csv=values["stream.test_csv"],
         ), "stream")
+        ignored = _SYNTHETIC_STREAM_KEYS if stream.source == "csv" else _CSV_STREAM_KEYS
+        for key in ignored:
+            if key in given and values[key] is not None:
+                raise ConfigError(f"config key '{key}' does not apply to a "
+                                  f"{stream.source} stream")
         if stream.source == "csv":
             for key in ("stream.train_csv", "stream.test_csv"):
                 if not Path(values[key]).exists():
@@ -228,7 +261,12 @@ class RunConfig:
                    seed=values["seed"])
 
     def to_flat(self) -> dict:
-        """Echo as a flat dict that reparses to an equal RunConfig."""
+        """Echo as a flat dict that reparses to an equal RunConfig.
+
+        A csv stream's echo leaves the synthetic-stream keys out; a
+        synthetic stream's echo holds the csv keys as None, which reads as
+        unset.
+        """
         s, m, c = self.stream, self.model, self.criterion
         flat = {
             "seed": self.seed,
@@ -252,6 +290,9 @@ class RunConfig:
             "harness.reweight_constant": self.reweight_constant,
             "oracle.enabled": self.oracle is not None,
         }
+        if s.source == "csv":
+            for key in _SYNTHETIC_STREAM_KEYS:
+                del flat[key]
         if self.oracle is not None:
             flat["oracle.buffer_multiplier"] = self.oracle.buffer_multiplier
             flat["oracle.min_overlap"] = self.oracle.min_overlap
@@ -276,6 +317,8 @@ def execute_run(cfg: RunConfig) -> RunReport:
                              reweight_constant=cfg.reweight_constant,
                              refit_at_selection=cfg.refit_at_selection,
                              damping=cfg.damping, config_echo=cfg.to_flat())
+    except RunArgumentError as exc:
+        raise _argument_error(exc) from exc
     except ValueError as exc:
         # run_continual checks its arguments before step 0 and raises
         # ValueError; failures during the run are wrapped as RuntimeError

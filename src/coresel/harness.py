@@ -50,6 +50,14 @@ STREAM_SOURCES = ("synthetic_gaussian", "csv")
 CSV_BASE_COLUMNS = ("id", "task", "label")
 
 
+class RunArgumentError(ValueError):
+    """A run argument out of range; ``argument`` is the parameter's name."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
 def named_rng(seed: int, name: str) -> np.random.Generator:
     """Independent generator for one named randomness stream of a run."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_RNG_TAGS[name],)))
@@ -369,13 +377,15 @@ def loo_retrain_delta(model: ModelSpec, coreset: Sequence[Sample],
     coreset = list(coreset)
     if len(coreset) < 2:
         raise ValueError("leave-one-out needs a coreset of at least 2 samples")
-    if all(s.id != z.id for s in coreset):
+    kept = np.array([s.id != z.id for s in coreset])
+    if kept.all():
         raise ValueError(f"sample {z.id} is not in the coreset")
-    base_params = models.fit(model, coreset, fit_cfg)
-    rest = [s for s in coreset if s.id != z.id]
-    new_params = models.fit(model, rest, fit_cfg, init=base_params)
-    old_loss = models.loss_sum(model, base_params, test_set)
-    new_loss = models.loss_sum(model, new_params, test_set)
+    full = models.stack_samples(model, coreset)
+    test = models.stack_samples(model, test_set)
+    base_params = models.fit(model, full, fit_cfg)
+    new_params = models.fit(model, full.rows(kept), fit_cfg, init=base_params)
+    old_loss = models.loss_sum(model, base_params, test)
+    new_loss = models.loss_sum(model, new_params, test)
     return new_loss - old_loss
 
 
@@ -422,9 +432,10 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.buffer_multiplier < 1:
-            raise ValueError("buffer_multiplier must be at least 1")
+            raise RunArgumentError("buffer_multiplier", "buffer_multiplier must be at least 1")
         if self.min_overlap < 2:
-            raise ValueError(f"min_overlap must be at least 2 to rank, got {self.min_overlap}")
+            raise RunArgumentError(
+                "min_overlap", f"min_overlap must be at least 2 to rank, got {self.min_overlap}")
 
 
 @dataclass
@@ -531,23 +542,26 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     Newton's method before scoring (the regime the influence formulas
     assume); the default scores at the current SGD parameters. The report
     carries ``config_echo`` as its config. Arguments are checked before
-    step 0 and rejected with a ``ValueError``; any later sub-operation
-    failure is re-raised as a ``RuntimeError`` with the task/epoch/batch
-    position prepended.
+    step 0 and rejected with a ``RunArgumentError`` (a ``ValueError``)
+    naming the argument; any later sub-operation failure is re-raised as a
+    ``RuntimeError`` with the task/epoch/batch position prepended.
     """
     if model.kind != "logistic":
         raise ValueError("the continual loop drives classification models only")
     total = stream.total_train_size()
     if criterion.budget > total:
-        raise ValueError(f"budget {criterion.budget} exceeds the stream's {total} training samples")
+        raise RunArgumentError(
+            "budget", f"budget {criterion.budget} exceeds the stream's {total} training samples")
     if not learning_rate > 0:
-        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        raise RunArgumentError("learning_rate",
+                               f"learning_rate must be positive, got {learning_rate}")
     if epochs < 1:
-        raise ValueError(f"epochs must be at least 1, got {epochs}")
+        raise RunArgumentError("epochs", f"epochs must be at least 1, got {epochs}")
     if not damping >= 0:
-        raise ValueError(f"damping must be nonnegative, got {damping}")
+        raise RunArgumentError("damping", f"damping must be nonnegative, got {damping}")
     if reweight_constant is not None and not reweight_constant > 0:
-        raise ValueError(f"reweight_constant must be positive, got {reweight_constant}")
+        raise RunArgumentError("reweight_constant",
+                               f"reweight_constant must be positive, got {reweight_constant}")
 
     init_rng = named_rng(seed, "model_init")
     replay_rng = named_rng(seed, "replay")
@@ -622,10 +636,12 @@ def _selection_step(stream, model, params, buffer, batch, selector, criterion,
     tau = None
     if selector in GREEDY_KINDS or oracle_buffer is not None:
         candidates = _reweighted_candidates(buffer.samples, batch, reweight_constant)
+        stacked = models.stack_samples(model, candidates)
         sel_params = params
         if refit_at_selection:
-            sel_params = models.fit(model, candidates, FitConfig(), init=params)
-        ctx = build_context(model, sel_params, candidates, candidates, damping=damping)
+            sel_params = models.fit(model, stacked, FitConfig(), init=params)
+        ctx = build_context(model, sel_params, candidates, candidates, damping=damping,
+                            stacked=stacked)
         if oracle_buffer is not None and len(oracle_buffer) > 0:
             tau = _tau_checkpoint(model, sel_params, candidates, raw_by_id, ctx,
                                   oracle_buffer, oracle.min_overlap)

@@ -96,13 +96,15 @@ class InfluenceContext:
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
                  candidates: Sequence[models.Sample], hessian_set: Sequence[models.Sample],
-                 damping: float, solver: CholeskySolver, grads: np.ndarray):
+                 damping: float, solver: CholeskySolver, grads: np.ndarray,
+                 batch: models.Batch):
         self.model = model
         self.params = params
         self.candidates = tuple(candidates)
         self.hessian_set = tuple(hessian_set)
         self.damping = damping
         self._solver = solver
+        self._batch = batch                     # the candidates, stacked
         self.grads = grads                      # (n, p) per-candidate gradients
         self.grad_sum = grads.sum(axis=0)
         self._rhs_cache: dict[int, np.ndarray] = {}
@@ -147,7 +149,7 @@ class InfluenceContext:
             if mu == 0.0:
                 U = self.grads.copy()
             else:
-                hvps = models.hvp_matrix(self.model, self.params, self.candidates, self.ihvp)
+                hvps = models.hvp_matrix(self.model, self.params, self._batch, self.ihvp)
                 U = self.grads - mu * hvps
             self._mu_terms[mu] = U
         return self._mu_terms[mu]
@@ -159,13 +161,17 @@ class InfluenceContext:
 def build_context(model: models.ModelSpec, params: models.Params,
                   candidates: Sequence[models.Sample],
                   hessian_set: Sequence[models.Sample],
-                  damping: float = DEFAULT_DAMPING) -> InfluenceContext:
+                  damping: float = DEFAULT_DAMPING, *,
+                  stacked: Optional[models.Batch] = None) -> InfluenceContext:
     """Assemble the shared selection-time state.
 
     Materializes the damped Hessian of ``hessian_set``, Cholesky-factors it
     once, and solves it against the candidate gradients summed in list
-    order. Raises :class:`SolveError` if the damped Hessian is not positive
-    definite or the solve's true residual exceeds the tolerance.
+    order. The candidates are stacked once (or taken from ``stacked``, a
+    caller's :func:`models.stack_samples` of them) and reused as the
+    Hessian set when ``hessian_set`` lists the same samples. Raises
+    :class:`SolveError` if the damped Hessian is not positive definite or
+    the solve's true residual exceeds the tolerance.
     """
     candidates = tuple(candidates)
     hessian_set = tuple(hessian_set)
@@ -173,16 +179,24 @@ def build_context(model: models.ModelSpec, params: models.Params,
         raise ValueError("candidate list must be nonempty")
     if not hessian_set:
         raise ValueError("hessian_set must be nonempty")
+    if stacked is None:
+        stacked = models.stack_samples(model, candidates)
+    elif len(stacked.y) != len(candidates):
+        raise ValueError(f"stacked candidates have {len(stacked.y)} rows "
+                         f"for {len(candidates)} candidates")
+    # Sample compares by identity, so this is an element-wise `is` check
+    hessian_batch = stacked if hessian_set == candidates else hessian_set
     try:
-        solver = CholeskySolver(models.dense_hessian(model, params, hessian_set),
+        solver = CholeskySolver(models.dense_hessian(model, params, hessian_batch),
                                 damping=damping)
     except SolveError:
         raise SolveError(
             f"damped Hessian of the {len(hessian_set)}-sample Hessian set is not "
             f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
             f"raise either") from None
-    grads = models.grad_matrix(model, params, candidates)
-    return InfluenceContext(model, params, candidates, hessian_set, damping, solver, grads)
+    grads = models.grad_matrix(model, params, stacked)
+    return InfluenceContext(model, params, candidates, hessian_set, damping, solver,
+                            grads, stacked)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:

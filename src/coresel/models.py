@@ -18,10 +18,18 @@ analytic formulas; batch helpers (``grad_matrix``, ``dense_hessian``, ...)
 are vectorized equivalents that agree with per-sample summation to float64
 roundoff and exist because the leave-one-out oracles need thousands of
 refits and every selection round needs one set Hessian.
+
+Every batch helper takes either a sample sequence or a :class:`Batch`.
+:func:`stack_samples` is the one place a sample set is validated against
+the model and stacked into a ``Batch`` of read-only arrays; a helper given
+a sequence stacks it on entry. Callers that visit one set many times (a
+Newton fit, a leave-one-out refit, an influence context) stack it once and
+pass the ``Batch``; the array math is the same either way, so the results
+are bit-identical.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -109,14 +117,39 @@ def _check_sample(spec: ModelSpec, sample: Sample):
         raise ValueError(f"sample {sample.id}: label {sample.label} outside [0, {spec.num_classes})")
 
 
-def stack_samples(spec: ModelSpec, samples: Sequence[Sample]):
-    """Stack a sample list into (features, labels, weights) arrays."""
+class Batch(NamedTuple):
+    """A validated sample set as read-only arrays: features ``X`` (n, dim),
+    labels ``y`` and weights ``w``. Build one with :func:`stack_samples`."""
+
+    X: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+
+    def rows(self, index) -> "Batch":
+        """The sub-batch selected by an index or boolean mask, in row order."""
+        return Batch(*(_read_only(a[index]) for a in (self.X, self.y, self.w)))
+
+
+Samples = Union[Batch, Sequence[Sample]]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def stack_samples(spec: ModelSpec, samples: Sequence[Sample]) -> Batch:
+    """Validate every sample against ``spec`` and stack the set into a Batch."""
     for s in samples:
         _check_sample(spec, s)
     X = np.stack([s.features for s in samples]) if samples else np.zeros((0, spec.dim))
     y = np.array([s.label for s in samples], dtype=np.int64)
     w = np.array([s.weight for s in samples], dtype=np.float64)
-    return X, y, w
+    return Batch(_read_only(X), _read_only(y), _read_only(w))
+
+
+def _as_batch(spec: ModelSpec, samples: Samples) -> Batch:
+    return samples if isinstance(samples, Batch) else stack_samples(spec, samples)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -182,23 +215,24 @@ def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray
 # vectorized batch helpers
 # ---------------------------------------------------------------------------
 
-def loss_sum(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> float:
-    X, y, w = stack_samples(spec, samples)
-    if len(samples) == 0:
+def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
+    X, y, w = _as_batch(spec, samples)
+    n = len(y)
+    if n == 0:
         return 0.0
     if spec.kind == "quad1d":
         return float(0.5 * (w * (params.theta[0] - X[:, 0]) ** 2).sum())
     theta = _theta_matrix(spec, params)
     logp = _log_softmax(X @ theta.T)
-    ce = -logp[np.arange(len(samples)), y]
+    ce = -logp[np.arange(n), y]
     l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
     return float((w * (ce + l2)).sum())
 
 
-def grad_matrix(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> np.ndarray:
+def grad_matrix(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
     """Per-sample gradients stacked as rows of an (n, param_dim) array."""
-    X, y, w = stack_samples(spec, samples)
-    n = len(samples)
+    X, y, w = _as_batch(spec, samples)
+    n = len(y)
     if spec.kind == "quad1d":
         return (w * (params.theta[0] - X[:, 0]))[:, None]
     theta = _theta_matrix(spec, params)
@@ -209,17 +243,18 @@ def grad_matrix(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> n
     return (w[:, None, None] * G).reshape(n, spec.param_dim)
 
 
-def grad_sum(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> np.ndarray:
-    if not samples:
+def grad_sum(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
+    batch = _as_batch(spec, samples)
+    if len(batch.y) == 0:
         return np.zeros(spec.param_dim)
-    return grad_matrix(spec, params, samples).sum(axis=0)
+    return grad_matrix(spec, params, batch).sum(axis=0)
 
 
-def hvp_matrix(spec: ModelSpec, params: Params, samples: Sequence[Sample], v) -> np.ndarray:
+def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v) -> np.ndarray:
     """Rows ``H_i v`` of each sample's Hessian applied to a fixed vector."""
     v = as_vector(v, dim=spec.param_dim)
-    X, _, w = stack_samples(spec, samples)
-    n = len(samples)
+    X, _, w = _as_batch(spec, samples)
+    n = len(w)
     if spec.kind == "quad1d":
         return w[:, None] * v[None, :]
     theta = _theta_matrix(spec, params)
@@ -232,7 +267,7 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Sequence[Sample], v) ->
     return (w[:, None, None] * out).reshape(n, spec.param_dim)
 
 
-def dense_hessian(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> np.ndarray:
+def dense_hessian(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
     """Materialized summed Hessian; used by Newton steps and influence contexts.
 
     For ``logistic`` the set Hessian ``sum_n w_n (diag(P_n) - P_n P_n^T)
@@ -243,12 +278,13 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Sequence[Sample]) ->
     evaluates as symmetric rank-k updates, so the result is exactly
     symmetric.
     """
-    if not samples:
+    X, _, w = _as_batch(spec, samples)
+    n = len(w)
+    if n == 0:
         raise ValueError("set Hessian is undefined for an empty sample list")
-    X, _, w = stack_samples(spec, samples)
     if spec.kind == "quad1d":
         return np.array([[w.sum()]])
-    n, d, p = len(samples), spec.dim, spec.param_dim
+    d, p = spec.dim, spec.param_dim
     P = _softmax(X @ _theta_matrix(spec, params).T)
     Z = ((np.sqrt(w)[:, None] * P)[:, :, None] * X[:, None, :]).reshape(n, p)
     H = -(Z.T @ Z)
@@ -263,34 +299,34 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Sequence[Sample]) ->
 # fitting and evaluation
 # ---------------------------------------------------------------------------
 
-def fit(spec: ModelSpec, samples: Sequence[Sample], cfg: FitConfig,
+def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
         init: Optional[Params] = None) -> Params:
     """Fit parameters on ``samples`` to optimality.
 
     ``closed_form`` (quad1d only) is exact; ``newton`` drives the summed
     gradient below ``grad_tolerance`` within ``max_steps`` steps.
     """
-    if not samples:
+    batch = _as_batch(spec, samples)
+    if len(batch.y) == 0:
         raise ValueError("cannot fit on an empty sample list")
     if cfg.method == "closed_form":
         if spec.kind != "quad1d":
             raise ValueError("closed_form fitting is only defined for quad1d")
-        _, _, w = stack_samples(spec, samples)
-        z = np.array([s.features[0] for s in samples])
+        z, w = batch.X[:, 0], batch.w
         return Params(np.array([float((w * z).sum() / w.sum())]))
-    return _fit_newton(spec, samples, cfg, init)
+    return _fit_newton(spec, batch, cfg, init)
 
 
-def _fit_newton(spec: ModelSpec, samples, cfg: FitConfig, init) -> Params:
+def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
     theta = init.theta.copy() if init is not None else np.zeros(spec.param_dim)
     g_norm = np.inf
     for _ in range(cfg.max_steps):
         params = Params(theta)
-        g = grad_sum(spec, params, samples)
+        g = grad_sum(spec, params, batch)
         g_norm = float(np.linalg.norm(g))
         if g_norm <= cfg.grad_tolerance:
             return params
-        H = dense_hessian(spec, params, samples)
+        H = dense_hessian(spec, params, batch)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -298,17 +334,17 @@ def _fit_newton(spec: ModelSpec, samples, cfg: FitConfig, init) -> Params:
         # backtracking keeps the iteration safe far from the optimum; the
         # slack admits the full Newton step once the decrease is below
         # float roundoff of the loss value
-        base = loss_sum(spec, params, samples)
+        base = loss_sum(spec, params, batch)
         slack = 1e-12 * (1.0 + abs(base))
         t = 1.0
         while t > 1e-8:
             candidate = Params(theta - t * step)
-            if loss_sum(spec, candidate, samples) <= base - 1e-4 * t * float(g @ step) + slack:
+            if loss_sum(spec, candidate, batch) <= base - 1e-4 * t * float(g @ step) + slack:
                 break
             t *= 0.5
         theta = theta - t * step
     params = Params(theta)
-    g_norm = float(np.linalg.norm(grad_sum(spec, params, samples)))
+    g_norm = float(np.linalg.norm(grad_sum(spec, params, batch)))
     if g_norm <= cfg.grad_tolerance:
         return params
     raise FitError(
@@ -317,13 +353,13 @@ def _fit_newton(spec: ModelSpec, samples, cfg: FitConfig, init) -> Params:
     )
 
 
-def accuracy(spec: ModelSpec, params: Params, samples: Sequence[Sample]) -> float:
+def accuracy(spec: ModelSpec, params: Params, samples: Samples) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     if spec.kind != "logistic":
         raise ValueError("accuracy is only defined for classification models")
-    if not samples:
+    X, y, _ = _as_batch(spec, samples)
+    if len(y) == 0:
         raise ValueError("accuracy over an empty sample list is undefined")
-    X, y, _ = stack_samples(spec, samples)
     theta = _theta_matrix(spec, params)
     pred = np.argmax(X @ theta.T, axis=1)
     return float((pred == y).mean())

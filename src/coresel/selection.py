@@ -103,6 +103,15 @@ def _greedy_terms(ctx: InfluenceContext, cfg: CriterionConfig, kind: SelectorKin
     return tg.grad_w, tg.reg_value
 
 
+def _drop_index(totals: np.ndarray, ids: np.ndarray, w: np.ndarray) -> int:
+    """Row of the kept sample (``w == 1``) with the largest total; among
+    equal totals (``-0.0 == 0.0``), the one with the lowest id."""
+    kept_idx = np.flatnonzero(w == 1.0)
+    kept_totals = totals[kept_idx]
+    top = kept_idx[kept_totals == kept_totals.max()]
+    return int(top[np.argmin(ids[top])])
+
+
 def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
                   kind: SelectorKind = SelectorKind.REGULARIZED_IF):
     """Greedily shrink the candidate pool to the budget.
@@ -132,9 +141,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     while int(w.sum()) > cfg.budget:
         grad_term, reg_value = _greedy_terms(ctx, cfg, kind, w)
         totals = scores + nu * grad_term
-        kept_idx = np.flatnonzero(w == 1.0)
-        order = sorted(kept_idx, key=lambda i: (-totals[i], ids[i]))
-        drop = order[0]
+        drop = _drop_index(totals, ids, w)
         trace.drop_order.append((int(ids[drop]), float(totals[drop])))
         trace.reg_values.append(reg_value)
         w[drop] = 0.0

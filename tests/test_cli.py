@@ -34,6 +34,33 @@ def config_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def csv_config_file(tmp_path):
+    """A run config on a two-task csv stream."""
+    header = "id,task,label,f0,f1\n"
+    train = tmp_path / "train.csv"
+    train.write_text(header + "".join(
+        f"{i},{i // 4},{i % 4},{i % 3 - 1}.0,{i % 2}.0\n" for i in range(8)))
+    test = tmp_path / "test.csv"
+    test.write_text(header + "10,0,0,1.0,0.0\n11,1,2,-1.0,0.0\n")
+    path = tmp_path / "csv.cfg"
+    path.write_text(f"selector.kind = regularized_if\ncriterion.m = 2\n"
+                    f"stream.source = csv\nstream.train_csv = {train}\n"
+                    f"stream.test_csv = {test}\nstream.batch_size = 2\n")
+    return path
+
+
+# the config key behind each run argument of test_bad_run_value_exits_2_before_step_0
+RUN_VALUE_KEYS = {
+    "damping": "harness.damping",
+    "reweight_constant": "harness.reweight_constant",
+    "min_overlap": "oracle.min_overlap",
+    "budget": "criterion.m",
+    "epochs": "fit.epochs",
+    "learning_rate": "fit.learning_rate",
+}
+
+
 class TestRunCommand:
     def test_writes_all_artifacts(self, config_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -105,7 +132,29 @@ class TestRunCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "step" not in err
+        assert f"config key '{RUN_VALUE_KEYS[named]}'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("assignment", [
+        "stream.num_tasks=7", "stream.seed=9", "stream.mean_scale=0.1",
+        "stream.dim=2", "stream.drift_offsets=0,1", "stream.test_fraction=0.3",
+    ])
+    def test_synthetic_key_on_csv_stream_exits_2_and_names_it(
+            self, csv_config_file, tmp_path, capsys, assignment):
+        code = main(["run", "--config", str(csv_config_file), "--out", str(tmp_path / "o"),
+                     "--set", assignment])
+        assert code == 2
+        key = assignment.split("=")[0]
+        assert f"config key '{key}' does not apply to a csv stream" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["stream.train_csv", "stream.test_csv"])
+    def test_csv_key_on_synthetic_stream_exits_2_and_names_it(
+            self, config_file, csv_config_file, tmp_path, capsys, key):
+        code = main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                     "--set", f"{key}={csv_config_file}"])
+        assert code == 2
+        assert (f"config key '{key}' does not apply to a synthetic_gaussian stream"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("assignment", [
         "fit.method=newton", "fit.batch_size=3", "fit.grad_tolerance=0.5",
@@ -167,6 +216,14 @@ class TestConfigRoundTrip:
     def test_echo_reparses_to_equal_config(self, config_file):
         cfg = RunConfig.from_flat(parse_flat_file(config_file))
         assert RunConfig.from_flat(cfg.to_flat()) == cfg
+
+    def test_csv_echo_reparses_to_equal_config(self, csv_config_file):
+        cfg = RunConfig.from_flat(parse_flat_file(csv_config_file))
+        echo = cfg.to_flat()
+        assert RunConfig.from_flat(echo) == cfg
+        assert RunConfig.from_flat(json.loads(json.dumps(echo))) == cfg
+        assert not [key for key in echo if key in (
+            "stream.num_tasks", "stream.seed", "stream.dim", "stream.mean_scale")]
 
     def test_echo_survives_json(self, config_file):
         cfg = RunConfig.from_flat(parse_flat_file(config_file))

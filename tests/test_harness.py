@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from coresel import harness
+from coresel import harness, models
 from coresel.harness import (
     AccuracyMatrix,
     OracleConfig,
@@ -247,6 +247,46 @@ class TestLooRetrainDelta:
         with pytest.raises(ValueError):
             loo_retrain_delta(QUAD, coreset, coreset, qsample(9, 1.0),
                               FitConfig(method="closed_form"))
+
+    @staticmethod
+    def logistic_instance(seed, n=40):
+        rng = np.random.default_rng(seed)
+        spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
+        samples = [Sample(id=i, task_id=0, label=i % 3,
+                          features=rng.normal(size=3) + (i % 3),
+                          weight=float(rng.uniform(0.5, 2.0)))
+                   for i in range(2 * n)]
+        return spec, samples[:n], samples[n:]
+
+    def test_same_bits_as_refitting_sample_lists(self):
+        """Row-masked refits give the delta of fitting the lists themselves."""
+        def list_oracle(model, coreset, test_set, z, cfg):
+            base = models.fit(model, coreset, cfg)
+            rest = [s for s in coreset if s.id != z.id]
+            new = models.fit(model, rest, cfg, init=base)
+            return (models.loss_sum(model, new, test_set)
+                    - models.loss_sum(model, base, test_set))
+
+        spec, train, test = self.logistic_instance(50)
+        cfg = FitConfig(grad_tolerance=1e-10)
+        for z in train[::3]:
+            assert loo_retrain_delta(spec, train, test, z, cfg) == \
+                list_oracle(spec, train, test, z, cfg)
+        quad = [qsample(i, float(i) ** 0.5) for i in range(7)]
+        closed = FitConfig(method="closed_form")
+        for z in quad:
+            assert loo_retrain_delta(QUAD, quad, quad[:3], z, closed) == \
+                list_oracle(QUAD, quad, quad[:3], z, closed)
+
+    def test_stacks_coreset_and_test_set_once_each(self, monkeypatch):
+        spec, train, test = self.logistic_instance(51, n=30)
+        calls = []
+        original = models.stack_samples
+        monkeypatch.setattr(models, "stack_samples",
+                            lambda spec, samples: calls.append(len(samples))
+                            or original(spec, samples))
+        loo_retrain_delta(spec, train, test[:20], train[4], FitConfig())
+        assert calls == [30, 20]
 
 
 def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, **kwargs):

@@ -21,7 +21,18 @@ from coresel.influence import (
     second_order_influence,
     total_interference,
 )
-from coresel.models import FitConfig, ModelSpec, Params, Sample, dense_hessian, fit, grad_matrix
+from coresel import models
+from coresel.models import (
+    FitConfig,
+    ModelSpec,
+    Params,
+    Sample,
+    dense_hessian,
+    fit,
+    grad_matrix,
+    hvp_matrix,
+    stack_samples,
+)
 from coresel.numkit import SolveError
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
@@ -104,6 +115,40 @@ class TestBuildContext:
                    for i in range(4)]
         with pytest.raises(SolveError, match=r"damping=0\.0, l2_strength=0\.0"):
             build_context(spec, Params(np.zeros(4)), samples, samples, damping=0.0)
+
+    def test_candidates_are_stacked_once(self, monkeypatch):
+        rng = np.random.default_rng(60)
+        spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
+        pool = [Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=3))
+                for i in range(25)]
+        params = Params(rng.normal(scale=0.3, size=spec.param_dim))
+        calls = []
+        original = models.stack_samples
+        monkeypatch.setattr(models, "stack_samples",
+                            lambda spec, samples: calls.append(len(samples))
+                            or original(spec, samples))
+        ctx = build_context(spec, params, pool, list(pool))
+        U = ctx.mu_terms(0.5)
+        assert calls == [25]
+        assert np.array_equal(U, ctx.grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
+        calls.clear()
+        build_context(spec, params, pool, pool[:10])
+        assert calls == [25, 10]
+        build_context(spec, params, pool, pool, stacked=original(spec, pool))
+        assert calls == [25, 10]
+
+    def test_stacked_candidates_match_list_context(self):
+        rng = np.random.default_rng(61)
+        spec = ModelSpec(kind="logistic", dim=2, num_classes=2, l2_strength=0.1)
+        pool = [Sample(id=i, task_id=0, label=i % 2, features=rng.normal(size=2))
+                for i in range(12)]
+        params = Params(rng.normal(scale=0.3, size=spec.param_dim))
+        plain = build_context(spec, params, pool, pool)
+        given = build_context(spec, params, pool, pool, stacked=stack_samples(spec, pool))
+        assert np.array_equal(plain.ihvp, given.ihvp)
+        assert np.array_equal(plain.damped_hessian, given.damped_hessian)
+        with pytest.raises(ValueError, match="11 rows for 12 candidates"):
+            build_context(spec, params, pool, pool, stacked=stack_samples(spec, pool[:11]))
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError, match="damping"):

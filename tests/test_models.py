@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from coresel import models
 from coresel.models import (
+    Batch,
     FitConfig,
     FitError,
     ModelSpec,
@@ -250,6 +252,97 @@ class TestDenseHessianBlockForm:
         H = dense_hessian(QUAD, Params([1.0]), samples)
         np.testing.assert_array_equal(H, einsum_dense_hessian(QUAD, Params([1.0]), samples))
         np.testing.assert_array_equal(H, [[2.5]])
+
+
+def count_stacks(monkeypatch):
+    """Wrap ``models.stack_samples`` so each call is counted."""
+    calls = []
+    original = models.stack_samples
+
+    def counting(spec, samples):
+        calls.append(len(samples))
+        return original(spec, samples)
+
+    monkeypatch.setattr(models, "stack_samples", counting)
+    return calls
+
+
+def quad_instance(rng, n=9):
+    samples = [qsample(i, float(rng.normal()), weight=float(rng.uniform(0.5, 2.0)))
+               for i in range(n)]
+    return QUAD, samples, Params([0.3])
+
+
+class TestBatch:
+    """Every batch kernel gives the same bits on a Batch as on the list."""
+
+    @pytest.mark.parametrize("kind", ["quad1d", "logistic"])
+    def test_kernels_are_bit_identical_on_a_batch(self, kind):
+        rng = np.random.default_rng(40)
+        if kind == "quad1d":
+            spec, samples, params = quad_instance(rng)
+        else:
+            spec, samples, params = random_logistic_instance(rng, n=15)
+        batch = stack_samples(spec, samples)
+        v = rng.normal(size=spec.param_dim)
+        assert loss_sum(spec, params, batch) == loss_sum(spec, params, samples)
+        for kernel in (grad_matrix, grad_sum, dense_hessian):
+            assert np.array_equal(kernel(spec, params, batch), kernel(spec, params, samples))
+        assert np.array_equal(hvp_matrix(spec, params, batch, v),
+                              hvp_matrix(spec, params, samples, v))
+        methods = ["newton"] + (["closed_form"] if kind == "quad1d" else [])
+        for method in methods:
+            cfg = FitConfig(method=method)
+            assert np.array_equal(fit(spec, batch, cfg).theta, fit(spec, samples, cfg).theta)
+        if kind == "logistic":
+            assert accuracy(spec, params, batch) == accuracy(spec, params, samples)
+
+    def test_empty_batch_behaves_like_empty_list(self):
+        empty = stack_samples(QUAD, [])
+        assert loss_sum(QUAD, Params([1.0]), empty) == 0.0
+        assert np.array_equal(grad_sum(QUAD, Params([1.0]), empty), [0.0])
+        with pytest.raises(ValueError, match="empty"):
+            dense_hessian(QUAD, Params([1.0]), empty)
+        with pytest.raises(ValueError, match="empty"):
+            fit(QUAD, empty, FitConfig(method="closed_form"))
+
+    def test_arrays_are_read_only(self):
+        rng = np.random.default_rng(41)
+        spec, samples, _ = random_logistic_instance(rng, n=6)
+        batch = stack_samples(spec, samples)
+        X, y, w = batch
+        assert isinstance(batch, Batch) and len(batch[0]) == 6
+        for a in (*batch, *batch.rows(np.arange(6) % 2 == 0)):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_rows_equal_stacking_the_subset(self):
+        rng = np.random.default_rng(42)
+        spec, samples, _ = random_logistic_instance(rng, n=10)
+        mask = rng.random(10) < 0.6
+        subset = stack_samples(spec, [s for s, keep in zip(samples, mask) if keep])
+        for got, want in zip(stack_samples(spec, samples).rows(mask), subset):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_invalid_sample_rejected_when_stacked(self):
+        spec = ModelSpec(kind="logistic", dim=1, num_classes=2)
+        bad = [Sample(id=0, task_id=0, label=0, features=[1.0]),
+               Sample(id=1, task_id=0, label=5, features=[1.0])]
+        with pytest.raises(ValueError, match="sample 1: label 5"):
+            stack_samples(spec, bad)
+        with pytest.raises(ValueError, match="sample 1: label 5"):
+            grad_sum(spec, Params([0.0, 0.0]), bad)
+
+    def test_newton_fit_stacks_its_samples_once(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        spec, samples, _ = random_logistic_instance(rng, n=30)
+        batch = stack_samples(spec, samples)
+        calls = count_stacks(monkeypatch)
+        fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
+        assert calls == [30]
+        fit(spec, batch, FitConfig(method="newton", grad_tolerance=1e-10))
+        assert calls == [30]
 
 
 class TestFit:

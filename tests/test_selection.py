@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coresel import selection
 from coresel.influence import CriterionConfig, build_context
 from coresel.models import FitConfig, ModelSpec, Params, Sample, fit
 from coresel.selection import (
@@ -24,6 +27,26 @@ def qsample(i, z):
 
 def csample(i, label, dim=1):
     return Sample(id=i, task_id=0, label=label, features=np.zeros(dim))
+
+
+def sorted_drop_index(totals, ids, w):
+    """Reference drop rule: sort the kept rows by (-total, id), take the first."""
+    kept_idx = np.flatnonzero(w == 1.0)
+    return int(sorted(kept_idx, key=lambda i: (-totals[i], ids[i]))[0])
+
+
+@st.composite
+def drop_instances(draw):
+    """Kept masks over totals drawn mostly from a few values, so rows tie,
+    0.0 and -0.0 among them; ids are unique but out of row order."""
+    n = draw(st.integers(1, 40))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    totals = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.5]) | finite,
+                           min_size=n, max_size=n))
+    ids = 3 * np.array(draw(st.permutations(range(n)))) - 40
+    w = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=float)
+    w[draw(st.integers(0, n - 1))] = 1.0
+    return np.array(totals), ids, w
 
 
 def random_logistic_ctx(rng, n, dim=4, num_classes=2, l2=0.1):
@@ -98,6 +121,25 @@ class TestGreedy:
                                       SelectorKind.IF_DIVERSITY)
         assert len(buffer) == 5
         assert len(trace.drop_order) == 7
+
+    @settings(max_examples=400, deadline=None)
+    @given(drop_instances())
+    def test_drop_rule_matches_sorted_oracle(self, instance):
+        totals, ids, w = instance
+        assert selection._drop_index(totals, ids, w) == sorted_drop_index(totals, ids, w)
+
+    @pytest.mark.parametrize("kind", [SelectorKind.REGULARIZED_IF, SelectorKind.VANILLA_IF,
+                                      SelectorKind.IF_GRAD_MATCH, SelectorKind.IF_DIVERSITY])
+    def test_drop_order_matches_sorted_oracle(self, kind, monkeypatch):
+        rng = np.random.default_rng(15)
+        contexts = [random_logistic_ctx(rng, int(rng.integers(10, 30))) for _ in range(4)]
+        cfg = CriterionConfig(budget=4, nu=0.5)
+        fast = [select_greedy(ctx, cfg, kind)[1] for ctx in contexts]
+        monkeypatch.setattr(selection, "_drop_index", sorted_drop_index)
+        for ctx, trace in zip(contexts, fast):
+            oracle = select_greedy(ctx, cfg, kind)[1]
+            assert trace.drop_order == oracle.drop_order
+            assert trace.final_criterion == oracle.final_criterion
 
     def test_non_greedy_kind_rejected(self):
         rng = np.random.default_rng(10)
