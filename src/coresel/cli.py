@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .harness import (
     OracleConfig,
@@ -55,14 +55,6 @@ def parse_flat_file(path) -> dict:
     return flat
 
 
-def _conv_int(v):
-    return int(v)
-
-
-def _conv_float(v):
-    return float(v)
-
-
 def _conv_bool(v):
     if isinstance(v, bool):
         return v
@@ -73,90 +65,101 @@ def _conv_bool(v):
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-def _conv_str(v):
-    return str(v)
-
-
 def _conv_float_tuple(v):
-    if v is None or v == "":
-        return None
     if isinstance(v, (list, tuple)):
         return tuple(float(x) for x in v)
     return tuple(float(x) for x in str(v).split(","))
 
 
-def _conv_opt_float(v):
-    if v is None or v == "":
-        return None
-    return float(v)
+def _conv_selector(v):
+    kind = str(v)
+    try:
+        return SelectorKind(kind)
+    except ValueError:
+        names = ", ".join(k.value for k in SelectorKind)
+        raise ValueError(f"{kind!r} is not one of {names}") from None
 
 
-def _conv_opt_str(v):
-    if v is None or v == "":
-        return None
-    return str(v)
+class _Key(NamedTuple):
+    """One config key: its converter and default, the ``RunConfig`` part it
+    fills (``run`` is the config itself) and that part's field, and the
+    stream source it applies to, or None for every source. A key whose
+    default is None reads None and the empty string as unset."""
+
+    convert: Callable
+    default: object
+    part: str
+    field: str
+    source: Optional[str] = None
 
 
-# key -> (converter, default); _REQUIRED means the key must be present
+# _REQUIRED as a default means the key must be present
 _REQUIRED = object()
+_SYNTHETIC = "synthetic_gaussian"
 
 _SCHEMA = {
-    "seed": (_conv_int, 0),
-    "selector.kind": (_conv_str, _REQUIRED),
-    "stream.source": (_conv_str, "synthetic_gaussian"),
-    "stream.num_tasks": (_conv_int, 2),
-    "stream.classes_per_task": (_conv_int, 2),
-    "stream.samples_per_class": (_conv_int, 50),
-    "stream.dim": (_conv_int, 2),
-    "stream.batch_size": (_conv_int, 10),
-    "stream.seed": (_conv_int, 0),
-    "stream.mean_scale": (_conv_float, 3.0),
-    "stream.within_std": (_conv_float, 1.0),
-    "stream.drift_offsets": (_conv_float_tuple, None),
-    "stream.label_noise": (_conv_float_tuple, None),
-    "stream.test_fraction": (_conv_float, 0.2),
-    "stream.train_csv": (_conv_opt_str, None),
-    "stream.test_csv": (_conv_opt_str, None),
-    "model.kind": (_conv_str, "logistic"),
-    "model.dim": (_conv_int, 2),
-    "model.num_classes": (_conv_int, 4),
-    "model.l2_strength": (_conv_float, 0.05),
-    "criterion.m": (_conv_int, _REQUIRED),
-    "criterion.mu": (_conv_float, 0.5),
-    "criterion.nu": (_conv_float, 0.01),
-    "fit.learning_rate": (_conv_float, 0.01),
-    "fit.epochs": (_conv_int, 2),
-    "harness.damping": (_conv_float, DEFAULT_DAMPING),
-    "harness.refit_at_selection": (_conv_bool, False),
-    "harness.reweight_constant": (_conv_opt_float, None),
-    "oracle.enabled": (_conv_bool, True),
-    "oracle.buffer_multiplier": (_conv_int, 4),
-    "oracle.min_overlap": (_conv_int, 10),
+    "seed": _Key(int, 0, "run", "seed"),
+    "selector.kind": _Key(_conv_selector, _REQUIRED, "run", "selector"),
+    "stream.source": _Key(str, _SYNTHETIC, "stream", "source"),
+    "stream.num_tasks": _Key(int, 2, "stream", "num_tasks", _SYNTHETIC),
+    "stream.classes_per_task": _Key(int, 2, "stream", "classes_per_task", _SYNTHETIC),
+    "stream.samples_per_class": _Key(int, 50, "stream", "samples_per_class", _SYNTHETIC),
+    "stream.dim": _Key(int, 2, "stream", "dim", _SYNTHETIC),
+    "stream.batch_size": _Key(int, 10, "stream", "batch_size"),
+    "stream.seed": _Key(int, 0, "stream", "seed", _SYNTHETIC),
+    "stream.mean_scale": _Key(float, 3.0, "stream", "mean_scale", _SYNTHETIC),
+    "stream.within_std": _Key(float, 1.0, "stream", "within_std", _SYNTHETIC),
+    "stream.drift_offsets": _Key(_conv_float_tuple, None, "stream", "drift_offsets",
+                                 _SYNTHETIC),
+    "stream.label_noise": _Key(_conv_float_tuple, None, "stream", "label_noise", _SYNTHETIC),
+    "stream.test_fraction": _Key(float, 0.2, "stream", "test_fraction", _SYNTHETIC),
+    "stream.train_csv": _Key(str, None, "stream", "train_csv", "csv"),
+    "stream.test_csv": _Key(str, None, "stream", "test_csv", "csv"),
+    "model.kind": _Key(str, "logistic", "model", "kind"),
+    "model.dim": _Key(int, 2, "model", "dim"),
+    "model.num_classes": _Key(int, 4, "model", "num_classes"),
+    "model.l2_strength": _Key(float, 0.05, "model", "l2_strength"),
+    "criterion.m": _Key(int, _REQUIRED, "criterion", "budget"),
+    "criterion.mu": _Key(float, 0.5, "criterion", "mu"),
+    "criterion.nu": _Key(float, 0.01, "criterion", "nu"),
+    "fit.learning_rate": _Key(float, 0.01, "run", "learning_rate"),
+    "fit.epochs": _Key(int, 2, "run", "epochs"),
+    "harness.damping": _Key(float, DEFAULT_DAMPING, "run", "damping"),
+    "harness.refit_at_selection": _Key(_conv_bool, False, "run", "refit_at_selection"),
+    "harness.reweight_constant": _Key(float, None, "run", "reweight_constant"),
+    "oracle.enabled": _Key(_conv_bool, True, "run", "oracle"),
+    "oracle.buffer_multiplier": _Key(int, 4, "oracle", "buffer_multiplier"),
+    "oracle.min_overlap": _Key(int, 10, "oracle", "min_overlap"),
 }
 
-
-# keys that only a synthetic stream reads, and keys that only a csv stream reads
-_SYNTHETIC_STREAM_KEYS = (
-    "stream.num_tasks", "stream.classes_per_task", "stream.samples_per_class",
-    "stream.dim", "stream.seed", "stream.mean_scale", "stream.within_std",
-    "stream.drift_offsets", "stream.label_noise", "stream.test_fraction",
-)
-_CSV_STREAM_KEYS = ("stream.train_csv", "stream.test_csv")
-
-# run_continual / OracleConfig argument -> the config key that sets it
-_ARGUMENT_KEYS = {
-    "budget": "criterion.m",
-    "learning_rate": "fit.learning_rate",
-    "epochs": "fit.epochs",
-    "damping": "harness.damping",
-    "reweight_constant": "harness.reweight_constant",
-    "buffer_multiplier": "oracle.buffer_multiplier",
-    "min_overlap": "oracle.min_overlap",
-}
+# the parts a run config is built from, in build order
+_PARTS = (("stream", StreamSpec), ("model", ModelSpec), ("criterion", CriterionConfig),
+          ("oracle", OracleConfig))
 
 
 def _argument_error(exc: RunArgumentError) -> ConfigError:
-    return ConfigError(f"config key '{_ARGUMENT_KEYS[exc.argument]}': {exc}")
+    # no argument that run_continual or OracleConfig checks shares its name
+    # with another part's field
+    key = next(key for key, row in _SCHEMA.items() if row.field == exc.argument)
+    return ConfigError(f"config key '{key}': {exc}")
+
+
+def _build(factory, kwargs: dict, part: str):
+    try:
+        return factory(**kwargs)
+    except RunArgumentError as exc:
+        raise _argument_error(exc) from exc
+    except ValueError as exc:
+        raise ConfigError(f"config section '{part}': {exc}") from exc
+
+
+def _echo(value):
+    """A config value as the JSON echo holds it."""
+    if isinstance(value, SelectorKind):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -175,75 +178,39 @@ class RunConfig:
 
     @classmethod
     def from_flat(cls, flat: dict) -> "RunConfig":
-        flat = dict(flat)
-        given = set(flat)
-        values = {}
-        for key, (convert, default) in _SCHEMA.items():
-            if key in flat:
-                raw = flat.pop(key)
+        """Parse a flat config. The oracle's values are checked even when
+        ``oracle.enabled`` is false; the config then holds no oracle."""
+        kwargs = {"run": {}, **{part: {} for part, _ in _PARTS}}
+        for key, row in _SCHEMA.items():
+            if key in flat and not (row.default is None and flat[key] in (None, "")):
                 try:
-                    values[key] = convert(raw)
+                    kwargs[row.part][row.field] = row.convert(flat[key])
                 except (ValueError, TypeError) as exc:
                     raise ConfigError(f"config key '{key}': {exc}") from exc
-            elif default is _REQUIRED:
+            elif row.default is _REQUIRED:
                 raise ConfigError(f"config key '{key}' is required")
             else:
-                values[key] = default
-        if flat:
-            raise ConfigError(f"unknown config key '{next(iter(flat))}'")
+                kwargs[row.part][row.field] = row.default
+        unknown = [key for key in flat if key not in _SCHEMA]
+        if unknown:
+            raise ConfigError(f"unknown config key '{unknown[0]}'")
 
-        def build(factory, kwargs, context):
-            try:
-                return factory(**kwargs)
-            except RunArgumentError as exc:
-                raise _argument_error(exc) from exc
-            except ValueError as exc:
-                raise ConfigError(f"config section '{context}': {exc}") from exc
-
-        stream = build(StreamSpec, dict(
-            source=values["stream.source"], num_tasks=values["stream.num_tasks"],
-            classes_per_task=values["stream.classes_per_task"],
-            samples_per_class=values["stream.samples_per_class"],
-            dim=values["stream.dim"], batch_size=values["stream.batch_size"],
-            seed=values["stream.seed"], mean_scale=values["stream.mean_scale"],
-            within_std=values["stream.within_std"],
-            drift_offsets=values["stream.drift_offsets"],
-            label_noise=values["stream.label_noise"],
-            test_fraction=values["stream.test_fraction"],
-            train_csv=values["stream.train_csv"], test_csv=values["stream.test_csv"],
-        ), "stream")
-        ignored = _SYNTHETIC_STREAM_KEYS if stream.source == "csv" else _CSV_STREAM_KEYS
-        for key in ignored:
-            if key in given and values[key] is not None:
-                raise ConfigError(f"config key '{key}' does not apply to a "
-                                  f"{stream.source} stream")
-        if stream.source == "csv":
-            for key in ("stream.train_csv", "stream.test_csv"):
-                if not Path(values[key]).exists():
-                    raise ConfigError(f"config key '{key}': file not found: {values[key]}")
-        model = build(ModelSpec, dict(
-            kind=values["model.kind"], dim=values["model.dim"],
-            num_classes=values["model.num_classes"],
-            l2_strength=values["model.l2_strength"]), "model")
-        try:
-            selector = SelectorKind(values["selector.kind"])
-        except ValueError:
-            names = ", ".join(k.value for k in SelectorKind)
-            raise ConfigError(
-                f"config key 'selector.kind': {values['selector.kind']!r} "
-                f"is not one of {names}") from None
-        criterion = build(CriterionConfig, dict(
-            budget=values["criterion.m"], mu=values["criterion.mu"],
-            nu=values["criterion.nu"]), "criterion")
-        oracle = None
-        if values["oracle.enabled"]:
-            oracle = build(OracleConfig, dict(
-                buffer_multiplier=values["oracle.buffer_multiplier"],
-                min_overlap=values["oracle.min_overlap"]), "oracle")
+        parts = {part: _build(factory, kwargs[part], part) for part, factory in _PARTS}
+        stream, model = parts["stream"], parts["model"]
+        for key, row in _SCHEMA.items():
+            if row.source is None:
+                continue
+            value = getattr(stream, row.field)
+            if row.source != stream.source:
+                if key in flat and value is not None:
+                    raise ConfigError(f"config key '{key}' does not apply to a "
+                                      f"{stream.source} stream")
+            elif row.source == "csv" and not Path(value).exists():
+                raise ConfigError(f"config key '{key}': file not found: {value}")
         if model.kind != "logistic":
             raise ConfigError("config key 'model.kind': the continual loop drives "
                               "classification models; use the library directly for quad1d")
-        if stream.source == "synthetic_gaussian":
+        if stream.source == _SYNTHETIC:
             if model.dim != stream.dim:
                 raise ConfigError(
                     f"config key 'model.dim': {model.dim} does not match stream.dim {stream.dim}")
@@ -252,50 +219,27 @@ class RunConfig:
                 raise ConfigError(
                     f"config key 'model.num_classes': {model.num_classes} is below the "
                     f"stream's {total} classes")
-        return cls(stream=stream, model=model, selector=selector,
-                   criterion=criterion, learning_rate=values["fit.learning_rate"],
-                   epochs=values["fit.epochs"], oracle=oracle,
-                   damping=values["harness.damping"],
-                   refit_at_selection=values["harness.refit_at_selection"],
-                   reweight_constant=values["harness.reweight_constant"],
-                   seed=values["seed"])
+        run = kwargs["run"]
+        run["oracle"] = parts["oracle"] if run["oracle"] else None
+        return cls(stream=stream, model=model, criterion=parts["criterion"], **run)
 
     def to_flat(self) -> dict:
         """Echo as a flat dict that reparses to an equal RunConfig.
 
-        A csv stream's echo leaves the synthetic-stream keys out; a
-        synthetic stream's echo holds the csv keys as None, which reads as
-        unset.
+        A csv stream's echo leaves the synthetic-stream keys out, and a
+        disabled oracle's echo its values; a synthetic stream's echo holds
+        the csv keys as None, which reads as unset.
         """
-        s, m, c = self.stream, self.model, self.criterion
-        flat = {
-            "seed": self.seed,
-            "selector.kind": self.selector.value,
-            "stream.source": s.source, "stream.num_tasks": s.num_tasks,
-            "stream.classes_per_task": s.classes_per_task,
-            "stream.samples_per_class": s.samples_per_class,
-            "stream.dim": s.dim, "stream.batch_size": s.batch_size,
-            "stream.seed": s.seed, "stream.mean_scale": s.mean_scale,
-            "stream.within_std": s.within_std,
-            "stream.drift_offsets": list(s.drift_offsets) if s.drift_offsets else None,
-            "stream.label_noise": list(s.label_noise) if s.label_noise else None,
-            "stream.test_fraction": s.test_fraction,
-            "stream.train_csv": s.train_csv, "stream.test_csv": s.test_csv,
-            "model.kind": m.kind, "model.dim": m.dim,
-            "model.num_classes": m.num_classes, "model.l2_strength": m.l2_strength,
-            "criterion.m": c.budget, "criterion.mu": c.mu, "criterion.nu": c.nu,
-            "fit.learning_rate": self.learning_rate, "fit.epochs": self.epochs,
-            "harness.damping": self.damping,
-            "harness.refit_at_selection": self.refit_at_selection,
-            "harness.reweight_constant": self.reweight_constant,
-            "oracle.enabled": self.oracle is not None,
-        }
-        if s.source == "csv":
-            for key in _SYNTHETIC_STREAM_KEYS:
-                del flat[key]
-        if self.oracle is not None:
-            flat["oracle.buffer_multiplier"] = self.oracle.buffer_multiplier
-            flat["oracle.min_overlap"] = self.oracle.min_overlap
+        owners = {"run": self, "stream": self.stream, "model": self.model,
+                  "criterion": self.criterion, "oracle": self.oracle}
+        flat = {}
+        for key, row in _SCHEMA.items():
+            owner = owners[row.part]
+            if owner is None or (row.source == _SYNTHETIC and self.stream.source == "csv"):
+                continue
+            flat[key] = _echo(getattr(owner, row.field))
+        # the run holds the oracle's config, or None when it is off
+        flat["oracle.enabled"] = self.oracle is not None
         return flat
 
 
@@ -420,15 +364,15 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     flat = parse_flat_file(args.config)
     grid = parse_flat_file(args.grid)
-    mu_values = _conv_float_tuple(grid.pop("grid.mu", "")) or None
-    nu_values = _conv_float_tuple(grid.pop("grid.nu", "")) or None
+    mu_text = grid.pop("grid.mu", "")
+    nu_text = grid.pop("grid.nu", "")
     if grid:
         raise ConfigError(f"unknown grid key '{next(iter(grid))}'")
-    if mu_values is None and nu_values is None:
+    if not mu_text and not nu_text:
         raise ConfigError("grid file must set grid.mu and/or grid.nu")
     base = RunConfig.from_flat(dict(flat))
-    mu_values = mu_values or (base.criterion.mu,)
-    nu_values = nu_values or (base.criterion.nu,)
+    mu_values = _conv_float_tuple(mu_text) if mu_text else (base.criterion.mu,)
+    nu_values = _conv_float_tuple(nu_text) if nu_text else (base.criterion.nu,)
     points = list(itertools.product(mu_values, nu_values))
     if len(points) > SWEEP_POINT_LIMIT:
         raise ConfigError(f"grid has {len(points)} points, limit is {SWEEP_POINT_LIMIT}")

@@ -570,9 +570,8 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
 
     params = Params(init_rng.normal(scale=0.01, size=model.param_dim))
     buffer = ReplayBuffer.empty(criterion.budget)
-    method_seen = 0
+    offered = 0       # samples offered so far, to both reservoirs alike
     oracle_buffer = None
-    oracle_seen = 0
     if oracle is not None:
         oracle_buffer = ReplayBuffer.empty(oracle.buffer_multiplier * criterion.budget)
 
@@ -593,11 +592,11 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                     g = models.grad_sum(model, params, list(batch) + replay)
                     params = Params(params.theta - learning_rate * g)
                     if last_epoch:
-                        buffer, method_seen, oracle_buffer, oracle_seen, tau = _selection_step(
+                        buffer, oracle_buffer, tau = _selection_step(
                             stream, model, params, buffer, batch, selector, criterion,
                             oracle, oracle_buffer, method_res_rng, oracle_res_rng,
-                            reweight_constant, refit_at_selection, damping,
-                            method_seen, oracle_seen)
+                            reweight_constant, refit_at_selection, damping, offered)
+                        offered += len(batch)
                         if len(buffer) > criterion.budget:
                             raise RuntimeError("selector violated the buffer capacity")
                         tau_series.append(TauPoint(step, ti, tau, len(buffer)))
@@ -624,14 +623,12 @@ def _draw_replay(buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator
 
 def _selection_step(stream, model, params, buffer, batch, selector, criterion,
                     oracle, oracle_buffer, method_res_rng, oracle_res_rng,
-                    reweight_constant, refit_at_selection, damping,
-                    method_seen, oracle_seen):
+                    reweight_constant, refit_at_selection, damping, offered):
     """One buffer refresh: update the oracle reservoir, log tau, select."""
     batch = list(batch)
     raw_by_id = {s.id: s for s in list(buffer.samples) + batch}
     if oracle_buffer is not None:
-        oracle_buffer, oracle_seen = select_reservoir(
-            oracle_buffer, batch, oracle_seen, oracle_res_rng)
+        oracle_buffer, _ = select_reservoir(oracle_buffer, batch, offered, oracle_res_rng)
 
     tau = None
     if selector in GREEDY_KINDS or oracle_buffer is not None:
@@ -651,8 +648,8 @@ def _selection_step(stream, model, params, buffer, batch, selector, criterion,
             buffer = ReplayBuffer(kept, criterion.budget)
 
     if selector is SelectorKind.RESERVOIR:
-        buffer, method_seen = select_reservoir(buffer, batch, method_seen, method_res_rng)
+        buffer, _ = select_reservoir(buffer, batch, offered, method_res_rng)
     elif selector is SelectorKind.RING:
         buffer = select_ring(buffer, batch, stream.num_classes)
 
-    return buffer, method_seen, oracle_buffer, oracle_seen, tau
+    return buffer, oracle_buffer, tau

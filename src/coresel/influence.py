@@ -95,14 +95,11 @@ class InfluenceContext:
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
-                 candidates: Sequence[models.Sample], hessian_set: Sequence[models.Sample],
-                 damping: float, solver: CholeskySolver, grads: np.ndarray,
-                 batch: models.Batch):
+                 candidates: Sequence[models.Sample], solver: CholeskySolver,
+                 grads: np.ndarray, batch: models.Batch):
         self.model = model
         self.params = params
         self.candidates = tuple(candidates)
-        self.hessian_set = tuple(hessian_set)
-        self.damping = damping
         self._solver = solver
         self._batch = batch                     # the candidates, stacked
         self.grads = grads                      # (n, p) per-candidate gradients
@@ -195,8 +192,7 @@ def build_context(model: models.ModelSpec, params: models.Params,
             f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
             f"raise either") from None
     grads = models.grad_matrix(model, params, stacked)
-    return InfluenceContext(model, params, candidates, hessian_set, damping, solver,
-                            grads, stacked)
+    return InfluenceContext(model, params, candidates, solver, grads, stacked)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:

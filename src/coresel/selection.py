@@ -189,17 +189,16 @@ def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig,
 
 
 def select_reservoir(buffer: ReplayBuffer, incoming: Sequence[Sample],
-                     seen_count: int, rng_seed):
+                     seen_count: int, rng: np.random.Generator):
     """Classic single-pass reservoir update.
 
     Stream item ``k`` (1-indexed over the whole stream) enters a full buffer
     with probability ``capacity / k``, evicting a uniformly chosen victim.
-    ``rng_seed`` may be an integer seed or a ``numpy.random.Generator``. The
-    admit/victim draws are pre-generated in one vectorized call per batch,
-    which keeps the classic per-item distribution while staying fast and
-    deterministic per seed. Returns the new buffer and updated stream count.
+    The admit/victim draws are pre-generated from ``rng`` in one vectorized
+    call per batch, which keeps the classic per-item distribution while
+    staying fast and deterministic per seed. Returns the new buffer and
+    updated stream count.
     """
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
     samples = list(buffer.samples)
     m = buffer.capacity
     incoming = list(incoming)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from coresel import influence
-from coresel.cli import ConfigError, RunConfig, main, parse_flat_file
+from coresel.cli import _SCHEMA, ConfigError, RunConfig, main, parse_flat_file
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -59,6 +59,45 @@ RUN_VALUE_KEYS = {
     "epochs": "fit.epochs",
     "learning_rate": "fit.learning_rate",
 }
+
+# One case per config key for test_schedule_keys_change_the_report:
+# (config, assignments of the changed run only, assignments of both runs,
+# exit code of the changed run). The key's own assignment comes first, then
+# any key that must move with it; "{dir}" is the directory that holds the
+# config files and the csv fixture's train.csv and test.csv.
+KEY_CASES = [
+    ("synthetic", ["seed=8"], [], 0),
+    ("synthetic", ["selector.kind=vanilla_if"], [], 0),
+    ("synthetic", ["stream.source=csv"], [], 2),
+    ("synthetic", ["stream.num_tasks=3"], ["model.num_classes=6"], 0),
+    ("synthetic", ["stream.classes_per_task=1"], [], 0),
+    ("synthetic", ["stream.samples_per_class=10"], [], 0),
+    ("synthetic", ["stream.dim=3", "model.dim=3"], [], 0),
+    ("synthetic", ["stream.batch_size=4"], [], 0),
+    ("synthetic", ["stream.seed=4"], [], 0),
+    ("synthetic", ["stream.mean_scale=1.0"], [], 0),
+    ("synthetic", ["stream.within_std=2.0"], [], 0),
+    ("synthetic", ["stream.drift_offsets=0,1"], [], 0),
+    ("synthetic", ["stream.label_noise=0.3,0.3"], [], 0),
+    ("synthetic", ["stream.test_fraction=0.5"], [], 0),
+    ("csv", ["stream.train_csv={dir}/test.csv"], [], 0),
+    ("csv", ["stream.test_csv={dir}/train.csv"], [], 0),
+    ("synthetic", ["model.kind=quad1d"], [], 2),
+    ("synthetic", ["model.dim=3", "stream.dim=3"], [], 0),
+    ("synthetic", ["model.num_classes=5"], [], 0),
+    ("synthetic", ["model.l2_strength=0.5"], [], 0),
+    ("synthetic", ["criterion.m=10"], [], 0),
+    ("synthetic", ["criterion.mu=0"], ["criterion.nu=10"], 0),
+    ("synthetic", ["criterion.nu=0"], [], 0),
+    ("synthetic", ["fit.learning_rate=0.03"], [], 0),
+    ("synthetic", ["fit.epochs=3"], [], 0),
+    ("synthetic", ["harness.damping=1.0"], [], 0),
+    ("synthetic", ["harness.refit_at_selection=true"], [], 0),
+    ("synthetic", ["harness.reweight_constant=0.5"], [], 0),
+    ("synthetic", ["oracle.enabled=false"], [], 0),
+    ("synthetic", ["oracle.buffer_multiplier=1"], [], 0),
+    ("synthetic", ["oracle.min_overlap=30"], [], 0),
+]
 
 
 class TestRunCommand:
@@ -122,6 +161,7 @@ class TestRunCommand:
         (["criterion.m=100000"], "budget"),
         (["fit.epochs=0"], "epochs"),
         (["fit.learning_rate=-1"], "learning_rate"),
+        (["oracle.enabled=false", "oracle.min_overlap=1"], "min_overlap"),
     ])
     def test_bad_run_value_exits_2_before_step_0(self, config_file, tmp_path, capsys,
                                                  overrides, named):
@@ -168,18 +208,32 @@ class TestRunCommand:
         key = assignment.split("=")[0]
         assert f"unknown config key '{key}'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("assignment", ["fit.learning_rate=0.03", "fit.epochs=3"])
-    def test_schedule_keys_change_the_report(self, config_file, tmp_path, capsys,
-                                             assignment):
-        def report_without_echo(out, *extra):
-            assert main(["run", "--config", str(config_file), "--out", str(out),
-                         *extra]) == 0
+    @pytest.mark.parametrize("source, changed, shared, code", [
+        pytest.param(*case, id=case[1][0]) for case in KEY_CASES])
+    def test_schedule_keys_change_the_report(self, config_file, csv_config_file, tmp_path,
+                                             capsys, source, changed, shared, code):
+        """Every key either changes the report body or is rejected."""
+        config = csv_config_file if source == "csv" else config_file
+
+        def report_without_echo(out, assignments, expected_code):
+            argv = ["run", "--config", str(config), "--out", str(out)]
+            for assignment in assignments:
+                argv += ["--set", assignment.format(dir=tmp_path)]
+            assert main(argv) == expected_code
+            if expected_code:
+                return None
             report = json.loads((out / "report.json").read_text())
             del report["config"]
             return report
-        base = report_without_echo(tmp_path / "base")
-        changed = report_without_echo(tmp_path / "changed", "--set", assignment)
-        assert changed != base
+        base = report_without_echo(tmp_path / "base", shared, 0)
+        if code:
+            assert report_without_echo(tmp_path / "changed", shared + changed, code) is None
+        else:
+            assert report_without_echo(tmp_path / "changed", shared + changed, 0) != base
+
+    def test_schedule_key_cases_cover_the_schema(self):
+        keys = [changed[0].split("=")[0] for _, changed, _, _ in KEY_CASES]
+        assert sorted(keys) == sorted(_SCHEMA)
 
 
     def test_csv_stream_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):

@@ -211,16 +211,19 @@ class TestReservoir:
 
     def test_fills_before_evicting(self):
         buffer = ReplayBuffer.empty(5)
-        buffer, seen = select_reservoir(buffer, self.samples(3), 0, 1)
+        buffer, seen = select_reservoir(buffer, self.samples(3), 0, np.random.default_rng(1))
         assert buffer.ids() == (0, 1, 2)
         assert seen == 3
 
     def test_deterministic_per_seed(self):
         incoming = self.samples(200)
-        a, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0, 77)
-        b, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0, 77)
+        a, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0,
+                                np.random.default_rng(77))
+        b, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0,
+                                np.random.default_rng(77))
         assert a.ids() == b.ids()
-        c, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0, 78)
+        c, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0,
+                                np.random.default_rng(78))
         assert a.ids() != c.ids()
 
     def test_inclusion_is_uniform(self):
@@ -233,7 +236,8 @@ class TestReservoir:
         incoming = self.samples(n)
         counts = np.zeros(n)
         for seed in range(trials):
-            buffer, _ = select_reservoir(ReplayBuffer.empty(m), incoming, 0, seed)
+            buffer, _ = select_reservoir(ReplayBuffer.empty(m), incoming, 0,
+                                         np.random.default_rng(seed))
             for i in buffer.ids():
                 counts[i] += 1
         p = m / n
