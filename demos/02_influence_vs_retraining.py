@@ -8,7 +8,7 @@ magnitude cheaper than the 200 refits it stands in for.
 
 import numpy as np
 
-from coresel import FitConfig, ModelSpec, Sample, build_context, fit, loo_retrain_delta
+from coresel import FitConfig, ModelSpec, Sample, build_context, fit, loo_retrain_deltas
 from coresel.models import grad_matrix
 
 rng = np.random.default_rng(42)
@@ -39,7 +39,7 @@ ctx = build_context(spec, params, test, train, damping=0.0)
 scores = -(grad_matrix(spec, params, train) @ ctx.ihvp)
 
 print("running exact leave-one-out retraining for all 200 samples...")
-deltas = np.array([loo_retrain_delta(spec, train, test, z, cfg) for z in train])
+deltas = loo_retrain_deltas(spec, train, test, cfg)
 
 corr = np.corrcoef(deltas, -scores)[0, 1]
 print(f"Pearson correlation between retraining deltas and -scores: {corr:.4f}")

@@ -56,6 +56,7 @@ from .harness import (
     finite_eps_second_order,
     kendall_tau,
     loo_retrain_delta,
+    loo_retrain_deltas,
     make_stream,
     run_continual,
 )

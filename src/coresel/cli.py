@@ -210,15 +210,6 @@ class RunConfig:
         if model.kind != "logistic":
             raise ConfigError("config key 'model.kind': the continual loop drives "
                               "classification models; use the library directly for quad1d")
-        if stream.source == _SYNTHETIC:
-            if model.dim != stream.dim:
-                raise ConfigError(
-                    f"config key 'model.dim': {model.dim} does not match stream.dim {stream.dim}")
-            total = stream.num_tasks * stream.classes_per_task
-            if model.num_classes < total:
-                raise ConfigError(
-                    f"config key 'model.num_classes': {model.num_classes} is below the "
-                    f"stream's {total} classes")
         run = kwargs["run"]
         run["oracle"] = parts["oracle"] if run["oracle"] else None
         return cls(stream=stream, model=model, criterion=parts["criterion"], **run)
@@ -253,7 +244,16 @@ def _read_input(reader, source):
 
 
 def execute_run(cfg: RunConfig) -> RunReport:
+    """Load the stream, check it against the model, and run."""
     stream = _read_input(make_stream, cfg.stream)
+    model = cfg.model
+    if model.dim != stream.dim:
+        raise ConfigError(
+            f"config key 'model.dim': {model.dim} does not match stream.dim {stream.dim}")
+    if model.num_classes < stream.num_classes:
+        raise ConfigError(
+            f"config key 'model.num_classes': {model.num_classes} is below the "
+            f"stream's {stream.num_classes} classes")
     try:
         return run_continual(stream, cfg.model, cfg.selector, cfg.criterion,
                              cfg.oracle, cfg.seed,
@@ -378,7 +378,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"grid has {len(points)} points, limit is {SWEEP_POINT_LIMIT}")
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for idx, (mu, nu) in enumerate(points):
         point_flat = dict(flat)

@@ -6,7 +6,10 @@ of that epoch the configured selector is run on the union of the previous
 buffer and the batch (with the batch reweighted so both cohorts carry equal
 total mass in the outer objective). Accuracy on every seen task's test
 split is recorded after each task into a lower-triangular matrix, from
-which average accuracy and backward transfer are derived.
+which average accuracy and backward transfer are derived. A run stacks the
+stream's splits once, checking every sample against the model there; from
+then on the buffer, the oracle reservoir, replay draws and candidate pools
+are integer rows into those arrays.
 
 For validating influence estimates the module provides the exact
 leave-one-out retraining delta and a dense-inverse finite-perturbation
@@ -35,8 +38,8 @@ from .selection import (
     GREEDY_KINDS,
     ReplayBuffer,
     SelectorKind,
+    reservoir_slots,
     select_greedy,
-    select_reservoir,
     select_ring,
 )
 
@@ -119,11 +122,6 @@ class Stream:
     batch_size: int
     dim: int
     num_classes: int
-
-    def batches(self, task_index: int):
-        """Fixed consecutive slices of the task's train list (same every epoch)."""
-        train = self.tasks[task_index].train
-        return [train[i:i + self.batch_size] for i in range(0, len(train), self.batch_size)]
 
     def total_train_size(self) -> int:
         return sum(len(t.train) for t in self.tasks)
@@ -389,6 +387,28 @@ def loo_retrain_delta(model: ModelSpec, coreset: Sequence[Sample],
     return new_loss - old_loss
 
 
+def loo_retrain_deltas(model: ModelSpec, coreset: Sequence[Sample],
+                       test_set: Sequence[Sample], fit_cfg: FitConfig) -> np.ndarray:
+    """:func:`loo_retrain_delta` of every coreset sample, in coreset order.
+
+    Fits the base model once and warm-starts each refit from it, so the
+    deltas are the same floats as one call per sample at half the fits.
+    """
+    coreset = list(coreset)
+    if len(coreset) < 2:
+        raise ValueError("leave-one-out needs a coreset of at least 2 samples")
+    ids = np.array([s.id for s in coreset])
+    full = models.stack_samples(model, coreset)
+    test = models.stack_samples(model, test_set)
+    base_params = models.fit(model, full, fit_cfg)
+    old_loss = models.loss_sum(model, base_params, test)
+    deltas = np.empty(len(coreset))
+    for i, z_id in enumerate(ids):
+        new_params = models.fit(model, full.rows(ids != z_id), fit_cfg, init=base_params)
+        deltas[i] = models.loss_sum(model, new_params, test) - old_loss
+    return deltas
+
+
 def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
                             case: SecondOrderCase, eps: float) -> float:
     """Finite-perturbation probe of the second-order influence.
@@ -482,39 +502,72 @@ class RunReport:
         }
 
 
-def _reweighted_candidates(buffer_samples, batch, constant):
-    """Buffer plus batch with the batch reweighted to balance cohort mass.
+class _TrainRows:
+    """The stream's train samples in task order, stacked and checked once.
+
+    The run state refers to samples by row: the replay buffer, the oracle
+    reservoir, replay draws and candidate pools are integer arrays of rows
+    into :attr:`batch`, and row ``r`` is ``samples[r]``.
+    """
+
+    def __init__(self, model: ModelSpec, stream: Stream):
+        self.samples = tuple(s for t in stream.tasks for s in t.train)
+        self.batch = models.stack_samples(model, self.samples)
+        self._row_of = {s.id: r for r, s in enumerate(self.samples)}
+
+    def samples_at(self, rows) -> list:
+        return [self.samples[r] for r in rows]
+
+    def rows_of(self, samples) -> np.ndarray:
+        return np.array([self._row_of[s.id] for s in samples], dtype=np.intp)
+
+
+_NO_ROWS = np.zeros(0, dtype=np.intp)
+
+
+def _candidate_batch(pool: models.Batch, rows: np.ndarray, buffer_size: int,
+                     constant: Optional[float]) -> models.Batch:
+    """The candidate rows, the buffer's ``buffer_size`` first, with the
+    batch after them reweighted to balance cohort mass.
 
     The default constant |buffer| / |batch| gives both cohorts equal total
     weight in the outer objective; with an empty buffer there is nothing to
-    balance and the batch stays at weight 1. Reweighted copies exist only
+    balance and the batch stays at weight 1. The reweighting exists only
     for the selection round; the buffer always stores original weights.
     """
     if constant is None:
-        constant = len(buffer_samples) / len(batch) if buffer_samples else 1.0
-    reweighted = [replace(s, weight=s.weight * constant) for s in batch]
-    return list(buffer_samples) + reweighted
+        constant = buffer_size / (len(rows) - buffer_size) if buffer_size else 1.0
+    candidates = pool.rows(rows)
+    w = candidates.w.copy()
+    w[buffer_size:] *= constant
+    return candidates.with_weights(w)
 
 
-def _tau_checkpoint(model, params, candidates, raw_by_id, method_ctx,
-                    oracle_buffer, min_overlap):
+def _tau_checkpoint(ctx: InfluenceContext, pool: models.Batch, rows: np.ndarray,
+                    weights: np.ndarray, oracle_rows: np.ndarray, min_overlap: int):
     """Rank agreement between method and unbiased influence estimates.
 
-    Both estimates score the same raw samples through the same damped
-    Hessian (the one over the method's candidate pool, the set the model
-    would be trained on); they differ only in the outer gradient sum, the
-    method's candidate pool versus the oracle reservoir. That isolates
-    exactly the pool bias the reservoir is meant to expose. Returns None
-    when the id overlap is too small to rank.
+    ``rows`` and ``weights`` are the context's candidate rows and their
+    selection-round weights. Both estimates score the same raw samples
+    through the same damped Hessian (the one over the method's candidate
+    pool, the set the model would be trained on); they differ only in the
+    outer gradient sum, the method's candidate pool versus the oracle
+    reservoir. That isolates exactly the pool bias the reservoir is meant
+    to expose. Returns None when the overlap is too small to rank.
     """
-    oracle_ids = {s.id for s in oracle_buffer.samples}
-    overlap = [s.id for s in candidates if s.id in oracle_ids]
+    overlap = np.flatnonzero(np.isin(rows, oracle_rows))
     if len(overlap) < min_overlap:
         return None
-    G = models.grad_matrix(model, params, [raw_by_id[i] for i in overlap])
-    oracle_gsum = models.grad_sum(model, params, oracle_buffer.samples)
-    oracle_solve = method_ctx.solve(oracle_gsum)
-    method_scores = -(G @ method_ctx.ihvp)
+    # raw-weight gradients: the context's own rows, except the reweighted
+    # ones, which are recomputed at their raw weight
+    G = ctx.grads[overlap]
+    reweighted = np.flatnonzero(weights[overlap] != pool.w[rows[overlap]])
+    if len(reweighted):
+        G[reweighted] = models.grad_matrix(ctx.model, ctx.params,
+                                           pool.rows(rows[overlap[reweighted]]))
+    oracle_gsum = models.grad_sum(ctx.model, ctx.params, pool.rows(oracle_rows))
+    oracle_solve = ctx.solve(oracle_gsum)
+    method_scores = -(G @ ctx.ihvp)
     oracle_scores = -(G @ oracle_solve)
     return kendall_tau(method_scores, oracle_scores)
 
@@ -543,7 +596,9 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     assume); the default scores at the current SGD parameters. The report
     carries ``config_echo`` as its config. Arguments are checked before
     step 0 and rejected with a ``RunArgumentError`` (a ``ValueError``)
-    naming the argument; any later sub-operation failure is re-raised as a
+    naming the argument, and a sample that does not fit the model is
+    rejected with a ``ValueError`` naming the sample when the splits are
+    stacked; any later sub-operation failure is re-raised as a
     ``RuntimeError`` with the task/epoch/batch position prepended.
     """
     if model.kind != "logistic":
@@ -563,17 +618,19 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
         raise RunArgumentError("reweight_constant",
                                f"reweight_constant must be positive, got {reweight_constant}")
 
+    train = _TrainRows(model, stream)
+    tests = [models.stack_samples(model, t.test) for t in stream.tasks]
+    bounds = np.cumsum([0] + [len(t.train) for t in stream.tasks])
+
     init_rng = named_rng(seed, "model_init")
     replay_rng = named_rng(seed, "replay")
     method_res_rng = named_rng(seed, "method_reservoir")
     oracle_res_rng = named_rng(seed, "oracle_reservoir")
 
     params = Params(init_rng.normal(scale=0.01, size=model.param_dim))
-    buffer = ReplayBuffer.empty(criterion.budget)
+    buffer = _NO_ROWS
     offered = 0       # samples offered so far, to both reservoirs alike
-    oracle_buffer = None
-    if oracle is not None:
-        oracle_buffer = ReplayBuffer.empty(oracle.buffer_multiplier * criterion.budget)
+    oracle_rows = None if oracle is None else _NO_ROWS
 
     num_tasks = len(stream.tasks)
     matrix = AccuracyMatrix.empty(num_tasks)
@@ -582,30 +639,35 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     step = 0
 
     for ti in range(num_tasks):
-        batches = stream.batches(ti)
+        # fixed consecutive slices of the task's train rows, the same every epoch
+        batches = [np.arange(lo, min(lo + stream.batch_size, bounds[ti + 1]))
+                   for lo in range(bounds[ti], bounds[ti + 1], stream.batch_size)]
         for epoch in range(1, epochs + 1):
             last_epoch = epoch == epochs
             for bi, batch in enumerate(batches):
                 where = f"step {step} (task {ti}, epoch {epoch}, batch {bi})"
                 try:
                     replay = _draw_replay(buffer, stream.batch_size, replay_rng)
-                    g = models.grad_sum(model, params, list(batch) + replay)
+                    g = models.grad_sum(model, params,
+                                        train.batch.rows(np.concatenate([batch, replay])))
                     params = Params(params.theta - learning_rate * g)
                     if last_epoch:
-                        buffer, oracle_buffer, tau = _selection_step(
-                            stream, model, params, buffer, batch, selector, criterion,
-                            oracle, oracle_buffer, method_res_rng, oracle_res_rng,
-                            reweight_constant, refit_at_selection, damping, offered)
+                        buffer, oracle_rows, tau = _selection_step(
+                            stream, train, model, params, buffer, batch, selector,
+                            criterion, oracle, oracle_rows, method_res_rng,
+                            oracle_res_rng, reweight_constant, refit_at_selection,
+                            damping, offered)
                         offered += len(batch)
                         if len(buffer) > criterion.budget:
                             raise RuntimeError("selector violated the buffer capacity")
                         tau_series.append(TauPoint(step, ti, tau, len(buffer)))
-                        buffer_trace.append((step, tuple(sorted(buffer.ids()))))
+                        kept = sorted(s.id for s in train.samples_at(buffer))
+                        buffer_trace.append((step, tuple(kept)))
                         step += 1
                 except Exception as exc:
                     raise RuntimeError(f"{where}: {exc}") from exc
         for tj in range(ti + 1):
-            matrix.set(ti, tj, models.accuracy(model, params, stream.tasks[tj].test))
+            matrix.set(ti, tj, models.accuracy(model, params, tests[tj]))
 
     acc, bwt = acc_bwt(matrix) if num_tasks >= 2 else (float(matrix.values[0, 0]), 0.0)
     return RunReport(seed=seed, selector=selector.value, acc_matrix=matrix,
@@ -613,43 +675,54 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                      buffer_trace=buffer_trace, config=config_echo)
 
 
-def _draw_replay(buffer: ReplayBuffer, batch_size: int, rng: np.random.Generator):
+def _draw_replay(buffer: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
+    """Rows of a uniform draw without replacement from the buffer, in buffer order."""
     if len(buffer) == 0:
-        return []
-    k = min(batch_size, len(buffer))
-    idx = rng.choice(len(buffer), size=k, replace=False)
-    return [buffer.samples[i] for i in sorted(idx)]
+        return buffer
+    idx = rng.choice(len(buffer), size=min(batch_size, len(buffer)), replace=False)
+    return buffer[np.sort(idx)]
 
 
-def _selection_step(stream, model, params, buffer, batch, selector, criterion,
-                    oracle, oracle_buffer, method_res_rng, oracle_res_rng,
+def _reservoir_rows(rows: np.ndarray, capacity: int, batch: np.ndarray, offered: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    slots = reservoir_slots(len(rows), capacity, len(batch), offered, rng)
+    return np.concatenate([rows, batch])[slots]
+
+
+def _selection_step(stream, train, model, params, buffer, batch, selector, criterion,
+                    oracle, oracle_rows, method_res_rng, oracle_res_rng,
                     reweight_constant, refit_at_selection, damping, offered):
-    """One buffer refresh: update the oracle reservoir, log tau, select."""
-    batch = list(batch)
-    raw_by_id = {s.id: s for s in list(buffer.samples) + batch}
-    if oracle_buffer is not None:
-        oracle_buffer, _ = select_reservoir(oracle_buffer, batch, offered, oracle_res_rng)
+    """One buffer refresh: update the oracle reservoir, log tau, select.
+
+    ``buffer``, ``batch`` and ``oracle_rows`` are rows of ``train``; so are
+    the returned buffer and oracle reservoir.
+    """
+    if oracle_rows is not None:
+        oracle_rows = _reservoir_rows(oracle_rows, oracle.buffer_multiplier * criterion.budget,
+                                      batch, offered, oracle_res_rng)
 
     tau = None
-    if selector in GREEDY_KINDS or oracle_buffer is not None:
-        candidates = _reweighted_candidates(buffer.samples, batch, reweight_constant)
-        stacked = models.stack_samples(model, candidates)
+    if selector in GREEDY_KINDS or oracle_rows is not None:
+        rows = np.concatenate([buffer, batch])
+        stacked = _candidate_batch(train.batch, rows, len(buffer), reweight_constant)
+        candidates = train.samples_at(rows)
         sel_params = params
         if refit_at_selection:
             sel_params = models.fit(model, stacked, FitConfig(), init=params)
         ctx = build_context(model, sel_params, candidates, candidates, damping=damping,
                             stacked=stacked)
-        if oracle_buffer is not None and len(oracle_buffer) > 0:
-            tau = _tau_checkpoint(model, sel_params, candidates, raw_by_id, ctx,
-                                  oracle_buffer, oracle.min_overlap)
+        if oracle_rows is not None and len(oracle_rows) > 0:
+            tau = _tau_checkpoint(ctx, train.batch, rows, stacked.w, oracle_rows,
+                                  oracle.min_overlap)
         if selector in GREEDY_KINDS:
             selected, _ = select_greedy(ctx, criterion, selector)
-            kept = [raw_by_id[i] for i in selected.ids()]
-            buffer = ReplayBuffer(kept, criterion.budget)
+            buffer = train.rows_of(selected.samples)
 
     if selector is SelectorKind.RESERVOIR:
-        buffer, _ = select_reservoir(buffer, batch, offered, method_res_rng)
+        buffer = _reservoir_rows(buffer, criterion.budget, batch, offered, method_res_rng)
     elif selector is SelectorKind.RING:
-        buffer = select_ring(buffer, batch, stream.num_classes)
+        ring = select_ring(ReplayBuffer(train.samples_at(buffer), criterion.budget),
+                           train.samples_at(batch), stream.num_classes)
+        buffer = train.rows_of(ring.samples)
 
-    return buffer, oracle_buffer, tau
+    return buffer, oracle_rows, tau

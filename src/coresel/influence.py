@@ -164,9 +164,11 @@ def build_context(model: models.ModelSpec, params: models.Params,
 
     Materializes the damped Hessian of ``hessian_set``, Cholesky-factors it
     once, and solves it against the candidate gradients summed in list
-    order. The candidates are stacked once (or taken from ``stacked``, a
-    caller's :func:`models.stack_samples` of them) and reused as the
-    Hessian set when ``hessian_set`` lists the same samples. Raises
+    order. The candidates are stacked once, or taken from ``stacked``: a
+    caller's ``Batch`` of their rows in candidate order, whose weights
+    replace the samples' own in every quantity of the context. The stack
+    is reused as the Hessian set when ``hessian_set`` lists the same
+    samples. Raises
     :class:`SolveError` if the damped Hessian is not positive definite or
     the solve's true residual exceeds the tolerance.
     """

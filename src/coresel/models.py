@@ -129,6 +129,10 @@ class Batch(NamedTuple):
         """The sub-batch selected by an index or boolean mask, in row order."""
         return Batch(*(_read_only(a[index]) for a in (self.X, self.y, self.w)))
 
+    def with_weights(self, w: np.ndarray) -> "Batch":
+        """The same rows under the weights ``w``."""
+        return Batch(self.X, self.y, _read_only(w))
+
 
 Samples = Union[Batch, Sequence[Sample]]
 

@@ -160,59 +160,67 @@ def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
     return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * reg
 
 
-def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig,
-                      exact_size: bool = True) -> ReplayBuffer:
+def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuffer:
     """Brute-force minimizer of the selection criterion over all subsets.
 
-    Enumerates subsets of size exactly ``budget`` (or up to it when
-    ``exact_size=False``); ties resolve to the lexicographically smallest
-    sorted id tuple. Guarded to at most 20 candidates.
+    Enumerates subsets of size exactly ``budget``; ties resolve to the
+    lexicographically smallest sorted id tuple. Guarded to at most 20
+    candidates.
     """
     n = len(ctx.candidates)
     if n > EXHAUSTIVE_GUARD:
         raise ValueError(f"exhaustive selection is guarded to {EXHAUSTIVE_GUARD} candidates, got {n}")
-    m = min(cfg.budget, n)
-    sizes = [m] if exact_size else range(1, m + 1)
     ids = [s.id for s in ctx.candidates]
 
     best = None
-    for size in sizes:
-        for combo in itertools.combinations(range(n), size):
-            mask = np.zeros(n)
-            mask[list(combo)] = 1.0
-            value = criterion_value(ctx, cfg, mask)
-            key = tuple(sorted(ids[i] for i in combo))
-            if best is None or value < best[0] or (value == best[0] and key < best[1]):
-                best = (value, key, combo)
+    for combo in itertools.combinations(range(n), min(cfg.budget, n)):
+        mask = np.zeros(n)
+        mask[list(combo)] = 1.0
+        value = criterion_value(ctx, cfg, mask)
+        key = tuple(sorted(ids[i] for i in combo))
+        if best is None or value < best[0] or (value == best[0] and key < best[1]):
+            best = (value, key, combo)
     kept = [ctx.candidates[i] for i in best[2]]
     return ReplayBuffer(kept, cfg.budget)
 
 
+def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Classic single-pass reservoir update, as positions into the old
+    contents followed by the incoming items.
+
+    A reservoir of ``size`` items takes ``incoming`` more. Stream item ``k``
+    (1-indexed over the whole stream, ``seen_count`` items before this
+    batch) fills a free slot, or enters a full reservoir with probability
+    ``capacity / k`` and evicts a uniformly chosen victim. The admit and
+    victim draws are pre-generated from ``rng`` in one vectorized call each
+    per batch, so the per-item distribution stays classic and each seed
+    gives one result; only the admitted items are visited one by one,
+    in stream order, so a later admission to the same slot wins. Entry
+    ``i`` of the result is the position, in ``old + incoming``, of the item
+    that ends up in slot ``i``.
+    """
+    fill = min(incoming, capacity - size)
+    slots = np.arange(size + fill)
+    if incoming:
+        admit = rng.random(incoming)
+        victims = rng.integers(0, capacity, incoming)
+        k = seen_count + 1 + np.arange(fill, incoming)
+        for j in np.flatnonzero(admit[fill:] < capacity / k) + fill:
+            slots[victims[j]] = size + j
+    return slots
+
+
 def select_reservoir(buffer: ReplayBuffer, incoming: Sequence[Sample],
                      seen_count: int, rng: np.random.Generator):
-    """Classic single-pass reservoir update.
+    """Reservoir update of ``buffer`` by :func:`reservoir_slots`.
 
-    Stream item ``k`` (1-indexed over the whole stream) enters a full buffer
-    with probability ``capacity / k``, evicting a uniformly chosen victim.
-    The admit/victim draws are pre-generated from ``rng`` in one vectorized
-    call per batch, which keeps the classic per-item distribution while
-    staying fast and deterministic per seed. Returns the new buffer and
-    updated stream count.
+    Returns the new buffer and the updated stream count.
     """
-    samples = list(buffer.samples)
-    m = buffer.capacity
     incoming = list(incoming)
-    if incoming:
-        admit = rng.random(len(incoming))
-        victims = rng.integers(0, m, len(incoming))
-    k = seen_count
-    for j, s in enumerate(incoming):
-        k += 1
-        if len(samples) < m:
-            samples.append(s)
-        elif admit[j] < m / k:
-            samples[victims[j]] = s
-    return ReplayBuffer(samples, m), k
+    pool = list(buffer.samples) + incoming
+    slots = reservoir_slots(len(buffer), buffer.capacity, len(incoming), seen_count, rng)
+    return ReplayBuffer([pool[i] for i in slots], buffer.capacity), seen_count + len(incoming)
 
 
 def select_ring(buffer: ReplayBuffer, incoming: Sequence[Sample],

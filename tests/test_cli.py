@@ -154,6 +154,21 @@ class TestRunCommand:
         assert code == 2
         assert "model.dim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("assignment, message", [
+        ("model.dim=3", "config key 'model.dim': 3 does not match stream.dim 2"),
+        ("model.num_classes=3",
+         "config key 'model.num_classes': 3 is below the stream's 4 classes"),
+    ])
+    def test_csv_stream_model_mismatch_exits_2_and_names_key(
+            self, csv_config_file, tmp_path, capsys, assignment, message):
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(csv_config_file), "--out", str(out),
+                     "--set", assignment])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "step" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, named", [
         (["harness.damping=-1"], "damping"),
         (["harness.reweight_constant=-1"], "reweight_constant"),

@@ -13,6 +13,7 @@ from coresel.harness import (
     acc_bwt,
     kendall_tau,
     loo_retrain_delta,
+    loo_retrain_deltas,
     make_stream,
     named_rng,
     run_continual,
@@ -287,6 +288,34 @@ class TestLooRetrainDelta:
                             or original(spec, samples))
         loo_retrain_delta(spec, train, test[:20], train[4], FitConfig())
         assert calls == [30, 20]
+
+    @pytest.mark.parametrize("seed, n", [(52, 12), (53, 25), (54, 40)])
+    def test_sweep_equals_one_call_per_sample(self, seed, n):
+        """One base fit for the sweep gives the same floats as refitting the
+        base for every sample."""
+        spec, train, test = self.logistic_instance(seed, n=n)
+        cfg = FitConfig(grad_tolerance=1e-10)
+        expected = [loo_retrain_delta(spec, train, test, z, cfg) for z in train]
+        assert loo_retrain_deltas(spec, train, test, cfg).tolist() == expected
+        quad = [qsample(i, float(i) ** 0.5) for i in range(7)]
+        closed = FitConfig(method="closed_form")
+        assert loo_retrain_deltas(QUAD, quad, quad[:3], closed).tolist() == \
+            [loo_retrain_delta(QUAD, quad, quad[:3], z, closed) for z in quad]
+
+    def test_sweep_fits_the_base_once(self, monkeypatch):
+        spec, train, test = self.logistic_instance(55, n=10)
+        inits = []
+        original = models.fit
+        monkeypatch.setattr(models, "fit", lambda spec, samples, cfg, init=None:
+                            inits.append(init) or original(spec, samples, cfg, init=init))
+        loo_retrain_deltas(spec, train, test, FitConfig())
+        assert len(inits) == 11 and inits[0] is None
+        assert all(init is not None for init in inits[1:])
+
+    def test_sweep_needs_two_samples(self):
+        with pytest.raises(ValueError):
+            loo_retrain_deltas(QUAD, [qsample(0, 1.0)], [qsample(1, 0.0)],
+                               FitConfig(method="closed_form"))
 
 
 def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, **kwargs):

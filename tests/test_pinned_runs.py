@@ -1,0 +1,112 @@
+"""Run outputs pinned across commits, and the stacking budget of one run.
+
+``test_acceptance.py`` checks that one commit repeats its own report byte
+for byte. The digests below were recorded from an earlier commit, so a
+change that moves a kept id, an accuracy bit or a tau value anywhere in
+these runs fails here even when it repeats itself perfectly.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from coresel import cli, harness, models
+from coresel.harness import StreamSpec, make_stream, run_continual
+from coresel.influence import CriterionConfig
+from coresel.models import ModelSpec
+from coresel.selection import SelectorKind
+
+EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example_run.cfg"
+
+
+def digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, separators=(",", ":")).encode()).hexdigest()
+
+
+def run_digests(tmp_path, assignments):
+    """Digests of the kept ids per step, the accuracy matrix and the tau
+    series of ``coresel run`` on the example config."""
+    argv = ["run", "--config", str(EXAMPLE), "--out", str(tmp_path)]
+    for assignment in assignments:
+        argv += ["--set", assignment]
+    assert cli.main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    return (digest([entry["kept_ids"] for entry in report["buffer_trace"]]),
+            digest(report["acc_matrix"]),
+            digest([point["tau"] for point in report["tau_series"]]))
+
+
+# the benchmark's scaled run (p = 200) at stream and run seed 0
+SCALED = ["stream.samples_per_class=100", "criterion.m=200", "stream.dim=20",
+          "model.dim=20", "stream.seed=0", "seed=0"]
+
+# name: (assignments, digests of (kept ids, acc matrix, tau series))
+PINNED = {
+    "regularized_if": ([], (
+        "4d50dafba02580c694a1be13d3e264cf0de7f731db57232e694bc6432b84c6fc",
+        "2132d03dae2ab538a5c16cf2c7adc36bfc1f9dc6e1cda6f21db4badbe0fdb5d0",
+        "add9ee9d3b7b3c1bb4d71752b7b7fb5b6f4be4e3a94a60603fa42cc54a7c3850",
+    )),
+    "reservoir": (["selector.kind=reservoir"], (
+        "aceb004f25c658252f240188dfa4cb9d9c5042c3066ffbcc04a2538287fbd099",
+        "bfb971a64c137358d407967932f8596232d1a7efad04659a5bda6d2586080300",
+        "5cf5652fa714316262d7f08937e0424175f040b033d8c301066dc37f08f6889e",
+    )),
+    "ring": (["selector.kind=ring"], (
+        "38211b354d3fe837d66d24686dff258ae4eb4d37b353867c6e151c8fe43f8c9e",
+        "bc013e046d25e6f5676b15eb3ccb48c53ec62bef16af6caca2cc0e3d14bc8047",
+        "a79164166744332eb7be7ad4d1f74e9acf3afdc2af4179695ec5c696bb8ddfc9",
+    )),
+    "if_diversity": (["selector.kind=if_diversity"], (
+        "835aa7f71e197eac6db4ffed8e37e5e85a996ea3d234d83191fff3cdebcd1b58",
+        "47d26769c9080b2f7b11770e66eb657da040462fcfe7a5e31b71f0018c9e05c2",
+        "5c2263d76779d7114a69f7e7b96b98a06146a67c4d13e7ffbc6508004212abc0",
+    )),
+    "refit": (["harness.refit_at_selection=true"], (
+        "668273cbbb72e864b001fed3b25111a4f2a06e172a39323b583191c226b8cbe8",
+        "2e36349c44ce28efaa87cb9463c0d9a64e3789578f6a61fc0f438fbfeb826eea",
+        "8b86f1884af45437596933e4b7faf49903381e4e9af8df27c2ab0eca5c622460",
+    )),
+    "oracle_off": (["oracle.enabled=false"], (
+        "4d50dafba02580c694a1be13d3e264cf0de7f731db57232e694bc6432b84c6fc",
+        "2132d03dae2ab538a5c16cf2c7adc36bfc1f9dc6e1cda6f21db4badbe0fdb5d0",
+        "a6f025aa56fe7063e9216382083ec1f1d93898802e4a323e4b08d4742756566f",
+    )),
+    "balanced_reweight": (["harness.reweight_constant="], (
+        "7148c00ee50c198c85594d5c70452c35caa8c4c5d3fcc4cfb293d4df6711ec71",
+        "ad1232c3f41d5301f991de451c79e1e70b81747c4779fc578ca216adbf82dfa8",
+        "b37306a64e7499b217b8ca3488234fcd8f4b1d5547614e6e0aa98b31b5c97ec5",
+    )),
+    "p200": (SCALED, (
+        "65305fece94511233b212865cd19602e714fa4469be37b0c54eda595668ba26e",
+        "6173821da4443e82d97ea17f4780f4893cd46435b394f25082150917c5c933ed",
+        "dcc4a60ac9df45ca2e95048509bed817b69cbf7f53c24b60c4c30f37f3963d79",
+    )),
+}
+
+
+@pytest.mark.parametrize("assignments, expected", PINNED.values(), ids=PINNED.keys())
+def test_example_config_outputs_are_pinned(tmp_path, capsys, assignments, expected):
+    assert run_digests(tmp_path, assignments) == expected
+
+
+@pytest.mark.parametrize("selector", [SelectorKind.REGULARIZED_IF, SelectorKind.RESERVOIR,
+                                      SelectorKind.RING])
+def test_run_stacks_each_split_once(monkeypatch, selector):
+    """Every train and test row is stacked once, in at most one call per
+    split of each task; the loop itself works on row indices."""
+    stream = make_stream(StreamSpec(num_tasks=3, classes_per_task=2, samples_per_class=10,
+                                    dim=2, batch_size=5, seed=8))
+    model = ModelSpec(kind="logistic", dim=2, num_classes=6, l2_strength=0.05)
+    rows = []
+    original = models.stack_samples
+    monkeypatch.setattr(models, "stack_samples",
+                        lambda spec, samples: rows.append(len(samples))
+                        or original(spec, samples))
+    run_continual(stream, model, selector, CriterionConfig(budget=12),
+                  harness.OracleConfig(min_overlap=2), seed=1,
+                  learning_rate=0.05, epochs=2, refit_at_selection=True)
+    assert len(rows) <= 2 * len(stream.tasks)
+    assert sum(rows) == sum(len(t.train) + len(t.test) for t in stream.tasks)

@@ -205,9 +205,52 @@ class TestExhaustive:
         assert wins >= 95
 
 
+def per_item_reservoir(buffer, incoming, seen_count, rng):
+    """Reference reservoir update: the same two draws, then a visit of every
+    incoming item, filling free slots first."""
+    samples = list(buffer.samples)
+    m = buffer.capacity
+    if incoming:
+        admit = rng.random(len(incoming))
+        victims = rng.integers(0, m, len(incoming))
+    k = seen_count
+    for j, s in enumerate(incoming):
+        k += 1
+        if len(samples) < m:
+            samples.append(s)
+        elif admit[j] < m / k:
+            samples[victims[j]] = s
+    return ReplayBuffer(samples, m), k
+
+
+@st.composite
+def reservoir_instances(draw):
+    """A buffer filled to any level up to its capacity, a stream count at
+    least its size, and a batch of new items."""
+    capacity = draw(st.integers(1, 30))
+    size = draw(st.integers(0, capacity))
+    seen_count = size + draw(st.sampled_from([0, 1, 5, 50, 10_000]) | st.integers(0, 200))
+    incoming = draw(st.integers(0, 80))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return capacity, size, seen_count, incoming, seed
+
+
 class TestReservoir:
     def samples(self, n, id0=0):
         return [qsample(id0 + i, float(i)) for i in range(n)]
+
+    @settings(max_examples=400, deadline=None)
+    @given(reservoir_instances())
+    def test_admitted_only_loop_matches_per_item_oracle(self, instance):
+        capacity, size, seen_count, incoming, seed = instance
+        buffer = ReplayBuffer(self.samples(size), capacity)
+        batch = self.samples(incoming, id0=1000)
+        fast, fast_seen = select_reservoir(buffer, batch, seen_count,
+                                           np.random.default_rng(seed))
+        slow, slow_seen = per_item_reservoir(buffer, batch, seen_count,
+                                             np.random.default_rng(seed))
+        assert fast == slow
+        assert fast_seen == slow_seen
 
     def test_fills_before_evicting(self):
         buffer = ReplayBuffer.empty(5)
