@@ -68,10 +68,10 @@ print(f"total interference of discarding {{z=0}} on z'=3 at mu=1: "
 
 # The regularizer is the norm of the summed discarded terms; its Taylor
 # gradient is what the greedy selector adds to the scores.
-w = SelectionWeights(np.array([0.0, 1.0, 1.0]))  # discard the z=0 candidate
+w = np.array([0.0, 1.0, 1.0])  # keep weights: discard the z=0 candidate
 for mu in (0.0, 1.0):
     print(f"regularizer with z=0 discarded, mu={mu}: {regularizer(ctx, w, mu)}")
 tg = regularizer_taylor_grad(ctx, w, 0.0)
 print(f"taylor gradient across candidates: {tg.grad_w}")
 print(f"gradient-matching distance (must equal mu=0 regularizer): "
-      f"{gradient_matching_distance(ctx, w)}")
+      f"{gradient_matching_distance(ctx, SelectionWeights(w))}")

@@ -43,7 +43,6 @@ from .selection import (
     SelectorKind,
     select_exhaustive,
     select_greedy,
-    select_reservoir,
     select_ring,
 )
 from .harness import (

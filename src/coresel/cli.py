@@ -10,6 +10,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -397,22 +398,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# the `coresel select` flag behind each checked dataclass field
+_SELECT_FLAGS = {"budget": "--m", "mu": "--mu", "nu": "--nu", "l2_strength": "--l2"}
+
+
 def cmd_select(args) -> int:
     samples, dim = _read_input(_parse_csv_samples, args.data)
     if not samples:
         raise ConfigError(f"{args.data}: no samples")
-    if args.model == "quad1d":
-        if dim != 1:
-            raise ConfigError("quad1d selection needs exactly one feature column")
-        model = ModelSpec(kind="quad1d", dim=1)
-        params = fit(model, samples, FitConfig(method="closed_form"))
-    else:
-        num_classes = max(s.label for s in samples) + 1
-        model = ModelSpec(kind="logistic", dim=dim, num_classes=max(num_classes, 2),
-                          l2_strength=args.l2)
-        params = fit(model, samples, FitConfig(method="newton"))
+    quad = args.model == "quad1d"
+    if quad and dim != 1:
+        raise ConfigError("quad1d selection needs exactly one feature column")
+    if not 0 <= args.damping < math.inf:
+        raise ConfigError(f"--damping: damping must be finite and nonnegative, "
+                          f"got {args.damping}")
+    try:
+        cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
+        model = ModelSpec(kind="quad1d", dim=1) if quad else ModelSpec(
+            kind="logistic", dim=dim, num_classes=max(max(s.label for s in samples) + 1, 2),
+            l2_strength=args.l2)
+    except ValueError as exc:
+        # each check of these fields raises a message that opens with the field
+        raise ConfigError(f"{_SELECT_FLAGS[str(exc).split()[0]]}: {exc}") from exc
+    params = fit(model, samples, FitConfig(method="closed_form" if quad else "newton"))
     ctx = build_context(model, params, samples, samples, damping=args.damping)
-    cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
     buffer, _ = select_greedy(ctx, cfg, SelectorKind.REGULARIZED_IF)
     print(" ".join(str(i) for i in sorted(buffer.ids())))
     return 0

@@ -20,6 +20,7 @@ logged at every selection step where the overlap is large enough.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -607,16 +608,17 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     if criterion.budget > total:
         raise RunArgumentError(
             "budget", f"budget {criterion.budget} exceeds the stream's {total} training samples")
-    if not learning_rate > 0:
+    if not 0 < learning_rate < math.inf:
         raise RunArgumentError("learning_rate",
-                               f"learning_rate must be positive, got {learning_rate}")
+                               f"learning_rate must be finite and positive, got {learning_rate}")
     if epochs < 1:
         raise RunArgumentError("epochs", f"epochs must be at least 1, got {epochs}")
-    if not damping >= 0:
-        raise RunArgumentError("damping", f"damping must be nonnegative, got {damping}")
-    if reweight_constant is not None and not reweight_constant > 0:
-        raise RunArgumentError("reweight_constant",
-                               f"reweight_constant must be positive, got {reweight_constant}")
+    if not 0 <= damping < math.inf:
+        raise RunArgumentError("damping",
+                               f"damping must be finite and nonnegative, got {damping}")
+    if reweight_constant is not None and not 0 < reweight_constant < math.inf:
+        raise RunArgumentError("reweight_constant", f"reweight_constant must be finite "
+                                                    f"and positive, got {reweight_constant}")
 
     train = _TrainRows(model, stream)
     tests = [models.stack_samples(model, t.test) for t in stream.tasks]

@@ -9,13 +9,15 @@ factor: the shared inverse-Hessian-vector product
 
     ihvp = (H + damping*I)^{-1} * sum_of_candidate_gradients
 
-and one extra solve per distinct right-hand side, cached by sample id.
+and one extra solve per future sample whose score a second-order
+influence reads.
 
 Scores follow the "more negative = more valuable to keep" convention: the
 first-order influence of upweighting ``z`` on the summed candidate loss is
 ``-ihvp . grad(z)``, and a coreset should retain the lowest-scoring samples.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -60,8 +62,8 @@ class CriterionConfig:
             raise ValueError("budget must be at least 1")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
-        if self.nu < 0:
-            raise ValueError("nu must be nonnegative")
+        if not 0 <= self.nu < math.inf:
+            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,9 @@ class SelectionWeights:
             raise ValueError("selection weights must be a 1-D array of 0/1 flags")
         object.__setattr__(self, "w", w)
 
-    @classmethod
-    def all_ones(cls, n: int) -> "SelectionWeights":
-        return cls(np.ones(n))
-
 
 @dataclass(frozen=True)
 class TaylorGradResult:
-    beta: np.ndarray
     grad_w: np.ndarray
     reg_value: float
 
@@ -91,6 +88,9 @@ class TaylorGradResult:
 class InfluenceContext:
     """Frozen selection-time state; build via :func:`build_context`.
 
+    The stacked candidates' weights are read by ``grads``, ``grad_sum``,
+    ``ihvp``, :meth:`scores` and :meth:`mu_terms`; :meth:`grad_of` and the
+    per-sample influence functions read each ``Sample``'s own weight.
     Immutable after construction; methods only fill internal caches.
     """
 
@@ -104,7 +104,6 @@ class InfluenceContext:
         self._batch = batch                     # the candidates, stacked
         self.grads = grads                      # (n, p) per-candidate gradients
         self.grad_sum = grads.sum(axis=0)
-        self._rhs_cache: dict[int, np.ndarray] = {}
         self._mu_terms: dict[float, np.ndarray] = {}
         self._scores: Optional[np.ndarray] = None
         self.ihvp = solver.solve(self.grad_sum)
@@ -121,18 +120,13 @@ class InfluenceContext:
     def grad_of(self, z: models.Sample) -> np.ndarray:
         return models.grad(self.model, self.params, z)
 
-    def solve(self, rhs: np.ndarray, cache_key: Optional[int] = None) -> np.ndarray:
-        """Apply the damped inverse Hessian to ``rhs``, caching by sample id.
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Apply the damped inverse Hessian to ``rhs``.
 
         Raises :class:`SolveError` naming the residual if the solution's
         true residual exceeds the solver tolerance.
         """
-        if cache_key is not None and cache_key in self._rhs_cache:
-            return self._rhs_cache[cache_key]
-        solution = self._solver.solve(rhs)
-        if cache_key is not None:
-            self._rhs_cache[cache_key] = solution
-        return solution
+        return self._solver.solve(rhs)
 
     def scores(self) -> np.ndarray:
         """First-order influence of every candidate, in candidate order."""
@@ -165,10 +159,12 @@ def build_context(model: models.ModelSpec, params: models.Params,
     Materializes the damped Hessian of ``hessian_set``, Cholesky-factors it
     once, and solves it against the candidate gradients summed in list
     order. The candidates are stacked once, or taken from ``stacked``: a
-    caller's ``Batch`` of their rows in candidate order, whose weights
-    replace the samples' own in every quantity of the context. The stack
-    is reused as the Hessian set when ``hessian_set`` lists the same
-    samples. Raises
+    caller's ``Batch`` of their rows in candidate order. Its weights
+    replace the samples' own in the stacked quantities: the gradients,
+    ``grad_sum``, ``ihvp``, the scores, ``mu_terms``, and the Hessian when
+    ``hessian_set`` lists the candidates, which reuses the stack.
+    ``grad_of`` and the per-sample influence functions still read each
+    ``Sample``'s own weight. Raises
     :class:`SolveError` if the damped Hessian is not positive definite or
     the solve's true residual exceeds the tolerance.
     """
@@ -212,7 +208,7 @@ def second_order_influence(ctx: InfluenceContext, z: models.Sample,
     EXCLUDED: ``- grad(z) . Hinv grad(zp)``; JOINT additionally corrects for
     the Hessian perturbation: ``- (grad(z) - H_z ihvp) . Hinv grad(zp)``.
     """
-    q = ctx.solve(ctx.grad_of(zp), cache_key=zp.id)
+    q = ctx.solve(ctx.grad_of(zp))
     g_z = ctx.grad_of(z)
     if case is SecondOrderCase.EXCLUDED:
         left = g_z
@@ -233,7 +229,7 @@ def total_interference(ctx: InfluenceContext, discarded: Sequence[models.Sample]
     """
     if not discarded:
         return 0.0
-    q = ctx.solve(ctx.grad_of(zp), cache_key=zp.id)
+    q = ctx.solve(ctx.grad_of(zp))
     total = 0.0
     for z in discarded:
         term = ctx.grad_of(z)
@@ -243,41 +239,47 @@ def total_interference(ctx: InfluenceContext, discarded: Sequence[models.Sample]
     return total
 
 
-def relaxed_regularizer(ctx: InfluenceContext, w, mu: float) -> float:
-    """Regularizer value at arbitrary real-valued keep weights.
+def _linearized_norm(ctx: InfluenceContext, a: np.ndarray, M: np.ndarray,
+                     sign: Optional[float] = None):
+    """``||a @ M||`` and, given ``sign``, its gradient in ``a`` times ``sign``.
 
-    ``||sum_i (1 - w_i) (grad(z_i) - mu * H_{z_i} ihvp)||``. The binary-flag
-    entry point is :func:`regularizer`; this relaxation exists so the Taylor
-    gradient can be checked by finite differences.
+    The gradient is ``sign * M @ (a @ M) / ||a @ M||``, defined as zero where
+    the norm is at or below the context's degenerate threshold (there the
+    direction is arbitrary, so selection falls back to the scores). Without
+    ``sign`` no gradient is computed and None is returned in its place.
+    """
+    v = a @ M
+    value = float(np.linalg.norm(v))
+    if sign is None:
+        return value, None
+    if value <= ctx.degenerate_threshold():
+        return value, np.zeros(len(a))
+    return value, sign * (M @ (v / value))
+
+
+def regularizer(ctx: InfluenceContext, w, mu: float) -> float:
+    """Norm of the summed discarded-sample terms; small means low interference.
+
+    ``||sum_i (1 - w_i) (grad(z_i) - mu * H_{z_i} ihvp)||`` at keep weights
+    ``w``, binary flags or any real values (the relaxation the Taylor
+    gradient is checked against by finite differences).
     """
     w = as_vector(w, dim=len(ctx.candidates))
-    U = ctx.mu_terms(mu)
-    return float(np.linalg.norm((1.0 - w) @ U))
+    return _linearized_norm(ctx, 1.0 - w, ctx.mu_terms(mu))[0]
 
 
-def regularizer(ctx: InfluenceContext, weights: SelectionWeights, mu: float) -> float:
-    """Norm of the summed discarded-sample terms; small means low interference."""
-    return relaxed_regularizer(ctx, weights.w, mu)
+def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradResult:
+    """First-order expansion of the regularizer around keep weights ``w``.
 
-
-def regularizer_taylor_grad(ctx: InfluenceContext, weights: SelectionWeights,
-                            mu: float) -> TaylorGradResult:
-    """First-order expansion of the regularizer around the current weights.
-
-    Returns the unit direction ``beta`` of the discarded-term sum, the exact
-    gradient ``grad_w[i] = -beta . (grad(z_i) - mu * H_{z_i} ihvp)``, and the
-    regularizer value. Where the value is degenerate (below the zero-norm
-    threshold) the direction is arbitrary, so the gradient is defined as zero.
+    Returns the exact gradient ``grad_w[i] = -beta . (grad(z_i) - mu *
+    H_{z_i} ihvp)``, with ``beta`` the unit direction of the discarded-term
+    sum, and the regularizer value. Where the value is degenerate (below
+    the zero-norm threshold) the direction is arbitrary, so the gradient is
+    defined as zero.
     """
-    w = as_vector(weights.w, dim=len(ctx.candidates))
-    U = ctx.mu_terms(mu)
-    v = (1.0 - w) @ U
-    r_value = float(np.linalg.norm(v))
-    if r_value <= ctx.degenerate_threshold():
-        zeros = np.zeros(len(ctx.candidates))
-        return TaylorGradResult(np.zeros(ctx.dim), zeros, r_value)
-    beta = v / r_value
-    return TaylorGradResult(beta, -(U @ beta), r_value)
+    w = as_vector(w, dim=len(ctx.candidates))
+    value, grad_w = _linearized_norm(ctx, 1.0 - w, ctx.mu_terms(mu), -1.0)
+    return TaylorGradResult(grad_w, value)
 
 
 def gradient_matching_distance(ctx: InfluenceContext, weights: SelectionWeights) -> float:

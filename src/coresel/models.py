@@ -28,6 +28,7 @@ pass the ``Batch``; the array math is the same either way, so the results
 are bit-identical.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -81,8 +82,8 @@ class ModelSpec:
             raise ValueError("quad1d requires dim=1")
         if self.dim < 1 or self.num_classes < 1:
             raise ValueError("dim and num_classes must be positive")
-        if self.l2_strength < 0:
-            raise ValueError("l2_strength must be nonnegative")
+        if not 0 <= self.l2_strength < math.inf:
+            raise ValueError(f"l2_strength must be finite and nonnegative, got {self.l2_strength}")
 
     @property
     def param_dim(self) -> int:

@@ -5,8 +5,9 @@ repeatedly drops the sample whose removal most improves the criterion
 ``sum_kept(score) + nu * regularizer``, re-linearizing the regularizer after
 every drop (the influence scores and the shared inverse-Hessian solve stay
 fixed for the round). Baselines cover pure influence ranking, the two
-single-term regularizer ablations, reservoir sampling, and a class-balanced
-ring buffer; an exhaustive enumerator serves as the small-instance oracle.
+single-term regularizer ablations, the reservoir-sampling update, and a
+class-balanced ring buffer; an exhaustive enumerator serves as the
+small-instance oracle.
 """
 
 import itertools
@@ -20,7 +21,8 @@ from .influence import (
     CriterionConfig,
     InfluenceContext,
     SelectionWeights,
-    regularizer_taylor_grad,
+    _linearized_norm,
+    regularizer,
 )
 from .models import Sample
 
@@ -59,10 +61,6 @@ class ReplayBuffer:
         if len(set(ids)) != len(ids):
             raise ValueError("buffer contains duplicate sample ids")
 
-    @classmethod
-    def empty(cls, capacity: int) -> "ReplayBuffer":
-        return cls((), capacity)
-
     def ids(self) -> tuple:
         return tuple(s.id for s in self.samples)
 
@@ -80,27 +78,6 @@ class SelectionTrace:
     drop_order: list = field(default_factory=list)   # (sample id, drop score)
     reg_values: list = field(default_factory=list)   # regularizer before each drop
     final_criterion: float = 0.0
-
-
-def _diversity_grad(ctx: InfluenceContext, w: np.ndarray):
-    """Linearized gradient of ||sum_kept grad|| in the keep weights."""
-    kept_sum = w @ ctx.grads
-    norm = float(np.linalg.norm(kept_sum))
-    if norm <= ctx.degenerate_threshold():
-        return np.zeros(len(ctx.candidates)), norm
-    return ctx.grads @ (kept_sum / norm), norm
-
-
-def _greedy_terms(ctx: InfluenceContext, cfg: CriterionConfig, kind: SelectorKind,
-                  w: np.ndarray):
-    """Per-candidate regularizer gradient and value for the current weights."""
-    if kind is SelectorKind.VANILLA_IF:
-        return np.zeros(len(ctx.candidates)), 0.0
-    if kind is SelectorKind.IF_DIVERSITY:
-        return _diversity_grad(ctx, w)
-    mu = 0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu
-    tg = regularizer_taylor_grad(ctx, SelectionWeights(w), mu)
-    return tg.grad_w, tg.reg_value
 
 
 def _drop_index(totals: np.ndarray, ids: np.ndarray, w: np.ndarray) -> int:
@@ -133,31 +110,41 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         buffer = ReplayBuffer(ctx.candidates, cfg.budget)
         return buffer, trace
 
-    nu = 0.0 if kind is SelectorKind.VANILLA_IF else cfg.nu
+    # The term is ||a @ M|| on the discarded side (a = 1 - w, gradient
+    # negated) or, for if_diversity, the kept side (a = w). vanilla_if's M
+    # has no columns, so its term and gradient are +0.0 whatever the
+    # (finite) nu.
+    kept_side = kind is SelectorKind.IF_DIVERSITY
+    if kind is SelectorKind.VANILLA_IF:
+        M = np.zeros((n, 0))
+    elif kept_side:
+        M = ctx.grads
+    else:
+        M = ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu)
+    sign = 1.0 if kept_side else -1.0
     scores = ctx.scores()
     ids = np.array([s.id for s in ctx.candidates])
     w = np.ones(n)
 
     while int(w.sum()) > cfg.budget:
-        grad_term, reg_value = _greedy_terms(ctx, cfg, kind, w)
-        totals = scores + nu * grad_term
+        reg_value, grad_term = _linearized_norm(ctx, w if kept_side else 1.0 - w, M, sign)
+        totals = scores + cfg.nu * grad_term
         drop = _drop_index(totals, ids, w)
         trace.drop_order.append((int(ids[drop]), float(totals[drop])))
         trace.reg_values.append(reg_value)
         w[drop] = 0.0
 
-    _, final_reg = _greedy_terms(ctx, cfg, kind, w)
-    trace.final_criterion = float(scores[w == 1.0].sum()) + nu * final_reg
+    final_reg, _ = _linearized_norm(ctx, w if kept_side else 1.0 - w, M)
+    trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
     kept = [c for c, wi in zip(ctx.candidates, w) if wi == 1.0]
     return ReplayBuffer(kept, cfg.budget), trace
 
 
 def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
                     keep_mask: np.ndarray) -> float:
-    """Criterion ``sum_kept(score) + nu * regularizer`` for a keep mask."""
-    w = np.asarray(keep_mask, dtype=np.float64)
-    reg = regularizer_taylor_grad(ctx, SelectionWeights(w), cfg.mu).reg_value
-    return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * reg
+    """Criterion ``sum_kept(score) + nu * regularizer`` for a 0/1 keep mask."""
+    w = SelectionWeights(keep_mask).w
+    return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * regularizer(ctx, w, cfg.mu)
 
 
 def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuffer:
@@ -209,18 +196,6 @@ def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,
         for j in np.flatnonzero(admit[fill:] < capacity / k) + fill:
             slots[victims[j]] = size + j
     return slots
-
-
-def select_reservoir(buffer: ReplayBuffer, incoming: Sequence[Sample],
-                     seen_count: int, rng: np.random.Generator):
-    """Reservoir update of ``buffer`` by :func:`reservoir_slots`.
-
-    Returns the new buffer and the updated stream count.
-    """
-    incoming = list(incoming)
-    pool = list(buffer.samples) + incoming
-    slots = reservoir_slots(len(buffer), buffer.capacity, len(incoming), seen_count, rng)
-    return ReplayBuffer([pool[i] for i in slots], buffer.capacity), seen_count + len(incoming)
 
 
 def select_ring(buffer: ReplayBuffer, incoming: Sequence[Sample],

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from coresel import influence
+from coresel import cli, influence
 from coresel.cli import _SCHEMA, ConfigError, RunConfig, main, parse_flat_file
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -177,6 +177,9 @@ class TestRunCommand:
         (["fit.epochs=0"], "epochs"),
         (["fit.learning_rate=-1"], "learning_rate"),
         (["oracle.enabled=false", "oracle.min_overlap=1"], "min_overlap"),
+        (["harness.damping=inf"], "damping"),
+        (["fit.learning_rate=inf"], "learning_rate"),
+        (["harness.reweight_constant=inf"], "reweight_constant"),
     ])
     def test_bad_run_value_exits_2_before_step_0(self, config_file, tmp_path, capsys,
                                                  overrides, named):
@@ -188,6 +191,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert named in err and "step" not in err
         assert f"config key '{RUN_VALUE_KEYS[named]}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("assignment, section", [
+        ("criterion.nu=nan", "criterion"),
+        ("criterion.nu=inf", "criterion"),
+        ("model.l2_strength=nan", "model"),
+        ("model.l2_strength=inf", "model"),
+    ])
+    def test_non_finite_criterion_or_model_value_exits_2_before_step_0(
+            self, config_file, tmp_path, capsys, assignment, section):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_file), "--out", str(out),
+                     "--set", assignment]) == 2
+        err = capsys.readouterr().err
+        field = assignment.split(".")[1].split("=")[0]
+        assert f"config section '{section}': {field} must be finite" in err
+        assert "step" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("assignment", [
@@ -377,6 +397,25 @@ class TestSelectCommand:
         printed = capsys.readouterr().out.strip().split()
         assert len(printed) == 4
         assert set(printed) <= {str(i) for i in range(6)}
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--m", "0"], "--m: budget must be at least 1"),
+        (["--m", "4", "--mu", "2"], "--mu: mu must lie in [0, 1]"),
+        (["--m", "4", "--nu", "-1"], "--nu: nu must be finite and nonnegative"),
+        (["--m", "4", "--l2", "-1"], "--l2: l2_strength must be finite and nonnegative"),
+        (["--m", "4", "--damping", "-1"], "--damping: damping must be finite and nonnegative"),
+        (["--m", "4", "--nu", "nan"], "--nu: nu must be finite and nonnegative"),
+    ])
+    def test_bad_flag_exits_2_and_names_it_before_fitting(self, tmp_path, capsys,
+                                                          monkeypatch, flags, message):
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n2,0,0,-2.0\n3,0,1,2.0\n"
+                        "4,0,0,-1.5\n")
+        def no_fit(*args):
+            raise AssertionError("fit called")
+        monkeypatch.setattr(cli, "fit", no_fit)
+        assert main(["select", "--data", str(data)] + flags) == 2
+        assert message in capsys.readouterr().err
 
     def test_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
         data = tmp_path / "pool.csv"

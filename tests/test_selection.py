@@ -5,16 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coresel import selection
+from coresel import influence, selection
 from coresel.influence import CriterionConfig, build_context
 from coresel.models import FitConfig, ModelSpec, Params, Sample, fit
 from coresel.selection import (
+    GREEDY_KINDS,
     ReplayBuffer,
     SelectorKind,
     criterion_value,
+    reservoir_slots,
     select_exhaustive,
     select_greedy,
-    select_reservoir,
     select_ring,
 )
 
@@ -56,6 +57,31 @@ def random_logistic_ctx(rng, n, dim=4, num_classes=2, l2=0.1):
                for i in range(n)]
     params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
     return build_context(spec, params, samples, samples, damping=0.01)
+
+
+def off_optimum_ctx(rng, n, dim=4):
+    """A logistic context at random parameters. At the pool's own optimum
+    ``ihvp`` is ~0, so ``mu_terms(mu)`` is ``grads`` for every ``mu``; here
+    ``mu`` changes the regularizer."""
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
+    pool = [Sample(id=i, task_id=0, label=int(rng.integers(2)), features=rng.normal(size=dim))
+            for i in range(n)]
+    params = Params(rng.normal(scale=0.5, size=spec.param_dim))
+    return build_context(spec, params, pool, pool, damping=0.01)
+
+
+@st.composite
+def greedy_instances(draw):
+    """A quad1d pool (values from a few levels, so scores tie), a budget that
+    may exceed the pool, and a greedy kind with its criterion knobs."""
+    zs = draw(st.lists(st.sampled_from([-2.0, 0.0, 1.0, 3.0]) | st.floats(-5, 5),
+                       min_size=1, max_size=12))
+    candidates = [qsample(3 * i + 1, z) for i, z in enumerate(zs)]
+    theta = draw(st.floats(-3, 3))
+    ctx = build_context(QUAD, Params([theta]), candidates, candidates, damping=0.01)
+    cfg = CriterionConfig(budget=draw(st.integers(1, len(zs) + 2)),
+                          mu=draw(st.floats(0, 1)), nu=draw(st.sampled_from([0.0, 0.1, 5.0])))
+    return ctx, cfg, draw(st.sampled_from(GREEDY_KINDS))
 
 
 class TestGreedy:
@@ -105,14 +131,17 @@ class TestGreedy:
             assert ours.id_set() == vanilla.id_set()
 
     def test_mu_zero_matches_grad_match(self):
+        # if_grad_match reads no mu: it is regularized_if at mu = 0
         rng = np.random.default_rng(8)
         for _ in range(10):
-            ctx = random_logistic_ctx(rng, int(rng.integers(8, 16)))
+            ctx = off_optimum_ctx(rng, int(rng.integers(8, 16)))
             m = len(ctx.candidates) // 2
-            cfg = CriterionConfig(budget=m, mu=0.0, nu=0.05)
-            ours, _ = select_greedy(ctx, cfg, SelectorKind.REGULARIZED_IF)
-            match, _ = select_greedy(ctx, cfg, SelectorKind.IF_GRAD_MATCH)
-            assert ours.id_set() == match.id_set()
+            ours, _ = select_greedy(ctx, CriterionConfig(budget=m, mu=0.0, nu=0.5),
+                                    SelectorKind.REGULARIZED_IF)
+            for mu in (0.0, 0.7):
+                match, _ = select_greedy(ctx, CriterionConfig(budget=m, mu=mu, nu=0.5),
+                                         SelectorKind.IF_GRAD_MATCH)
+                assert ours.id_set() == match.id_set()
 
     def test_diversity_kind_runs_and_respects_budget(self):
         rng = np.random.default_rng(9)
@@ -140,6 +169,48 @@ class TestGreedy:
             oracle = select_greedy(ctx, cfg, kind)[1]
             assert trace.drop_order == oracle.drop_order
             assert trace.final_criterion == oracle.final_criterion
+
+    @pytest.mark.parametrize("kind, mu", [(SelectorKind.REGULARIZED_IF, 0.5),
+                                          (SelectorKind.IF_GRAD_MATCH, 0.0)])
+    def test_final_criterion_is_the_kept_mask_criterion(self, kind, mu):
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            ctx = off_optimum_ctx(rng, int(rng.integers(8, 20)))
+            cfg = CriterionConfig(budget=len(ctx.candidates) // 3, mu=mu, nu=0.3)
+            buffer, trace = select_greedy(ctx, cfg, kind)
+            kept_mask = np.array([1.0 if c.id in buffer.id_set() else 0.0
+                                  for c in ctx.candidates])
+            assert trace.final_criterion == criterion_value(ctx, cfg, kept_mask)
+
+    def test_diversity_gradient_matches_finite_differences(self):
+        # if_diversity linearizes ||w @ grads|| on the kept side
+        rng = np.random.default_rng(17)
+        h = 1e-6
+        for _ in range(5):
+            ctx = random_logistic_ctx(rng, 12)
+            w = (rng.random(12) < 0.6).astype(float)
+            w[0] = 1.0
+            value, grad = influence._linearized_norm(ctx, w, ctx.grads, 1.0)
+            assert value == np.linalg.norm(w @ ctx.grads)
+            for i in range(12):
+                wp, wm = w.copy(), w.copy()
+                wp[i] += h
+                wm[i] -= h
+                fd = (np.linalg.norm(wp @ ctx.grads) - np.linalg.norm(wm @ ctx.grads)) / (2 * h)
+                assert grad[i] == pytest.approx(fd, abs=1e-8)
+
+    @settings(max_examples=100, deadline=None)
+    @given(greedy_instances())
+    def test_greedy_capacity_invariants(self, instance):
+        ctx, cfg, kind = instance
+        ids = [c.id for c in ctx.candidates]
+        n, m = len(ids), cfg.budget
+        buffer, trace = select_greedy(ctx, cfg, kind)
+        dropped = [i for i, _ in trace.drop_order]
+        assert len(buffer) == min(m, n)
+        assert set(buffer.ids()) <= set(ids)
+        assert len(dropped) == max(n - m, 0)
+        assert sorted(dropped + list(buffer.ids())) == sorted(ids)
 
     def test_non_greedy_kind_rejected(self):
         rng = np.random.default_rng(10)
@@ -177,6 +248,12 @@ class TestExhaustive:
                                for c in ctx.candidates])
             assert criterion_value(ctx, cfg, mask_e) <= criterion_value(ctx, cfg, mask_g) + 1e-12
 
+    def test_criterion_rejects_non_binary_mask(self):
+        rng = np.random.default_rng(18)
+        ctx = random_logistic_ctx(rng, 4)
+        with pytest.raises(ValueError, match="0/1 flags"):
+            criterion_value(ctx, CriterionConfig(budget=2), np.array([1.0, 0.5, 0.0, 1.0]))
+
     def test_guard(self):
         rng = np.random.default_rng(14)
         ctx = random_logistic_ctx(rng, 21)
@@ -205,27 +282,26 @@ class TestExhaustive:
         assert wins >= 95
 
 
-def per_item_reservoir(buffer, incoming, seen_count, rng):
+def per_item_reservoir(size, capacity, incoming, seen_count, rng):
     """Reference reservoir update: the same two draws, then a visit of every
-    incoming item, filling free slots first."""
-    samples = list(buffer.samples)
-    m = buffer.capacity
+    incoming item, filling free slots first; positions into old + incoming."""
+    slots = list(range(size))
     if incoming:
-        admit = rng.random(len(incoming))
-        victims = rng.integers(0, m, len(incoming))
+        admit = rng.random(incoming)
+        victims = rng.integers(0, capacity, incoming)
     k = seen_count
-    for j, s in enumerate(incoming):
+    for j in range(incoming):
         k += 1
-        if len(samples) < m:
-            samples.append(s)
-        elif admit[j] < m / k:
-            samples[victims[j]] = s
-    return ReplayBuffer(samples, m), k
+        if len(slots) < capacity:
+            slots.append(size + j)
+        elif admit[j] < capacity / k:
+            slots[victims[j]] = size + j
+    return slots
 
 
 @st.composite
 def reservoir_instances(draw):
-    """A buffer filled to any level up to its capacity, a stream count at
+    """A reservoir filled to any level up to its capacity, a stream count at
     least its size, and a batch of new items."""
     capacity = draw(st.integers(1, 30))
     size = draw(st.integers(0, capacity))
@@ -236,38 +312,27 @@ def reservoir_instances(draw):
 
 
 class TestReservoir:
-    def samples(self, n, id0=0):
-        return [qsample(id0 + i, float(i)) for i in range(n)]
-
     @settings(max_examples=400, deadline=None)
     @given(reservoir_instances())
     def test_admitted_only_loop_matches_per_item_oracle(self, instance):
         capacity, size, seen_count, incoming, seed = instance
-        buffer = ReplayBuffer(self.samples(size), capacity)
-        batch = self.samples(incoming, id0=1000)
-        fast, fast_seen = select_reservoir(buffer, batch, seen_count,
-                                           np.random.default_rng(seed))
-        slow, slow_seen = per_item_reservoir(buffer, batch, seen_count,
-                                             np.random.default_rng(seed))
-        assert fast == slow
-        assert fast_seen == slow_seen
+        fast = reservoir_slots(size, capacity, incoming, seen_count,
+                               np.random.default_rng(seed))
+        slow = per_item_reservoir(size, capacity, incoming, seen_count,
+                                  np.random.default_rng(seed))
+        assert fast.tolist() == slow
 
     def test_fills_before_evicting(self):
-        buffer = ReplayBuffer.empty(5)
-        buffer, seen = select_reservoir(buffer, self.samples(3), 0, np.random.default_rng(1))
-        assert buffer.ids() == (0, 1, 2)
-        assert seen == 3
+        rng = np.random.default_rng(1)
+        assert reservoir_slots(0, 5, 3, 0, rng).tolist() == [0, 1, 2]
+        assert reservoir_slots(3, 5, 2, 3, rng).tolist() == [0, 1, 2, 3, 4]
 
     def test_deterministic_per_seed(self):
-        incoming = self.samples(200)
-        a, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0,
-                                np.random.default_rng(77))
-        b, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0,
-                                np.random.default_rng(77))
-        assert a.ids() == b.ids()
-        c, _ = select_reservoir(ReplayBuffer.empty(10), incoming, 0,
-                                np.random.default_rng(78))
-        assert a.ids() != c.ids()
+        a = reservoir_slots(0, 10, 200, 0, np.random.default_rng(77))
+        b = reservoir_slots(0, 10, 200, 0, np.random.default_rng(77))
+        assert a.tolist() == b.tolist()
+        c = reservoir_slots(0, 10, 200, 0, np.random.default_rng(78))
+        assert a.tolist() != c.tolist()
 
     def test_inclusion_is_uniform(self):
         """Monte-Carlo uniformity: stream of 10000 items, capacity 100,
@@ -276,13 +341,10 @@ class TestReservoir:
         (with 10000 items a 3-SE bound on every single item would be
         expected to fail by chance alone)."""
         n, m, trials = 10000, 100, 2000
-        incoming = self.samples(n)
         counts = np.zeros(n)
         for seed in range(trials):
-            buffer, _ = select_reservoir(ReplayBuffer.empty(m), incoming, 0,
-                                         np.random.default_rng(seed))
-            for i in buffer.ids():
-                counts[i] += 1
+            # into an empty reservoir, slot positions are stream positions
+            counts[reservoir_slots(0, m, n, 0, np.random.default_rng(seed))] += 1
         p = m / n
         se = np.sqrt(p * (1 - p) / trials)
         deviation = np.abs(counts / trials - p)
@@ -294,29 +356,29 @@ class TestRing:
     def test_keeps_newest_per_class(self):
         # capacity 4, 2 classes, 3 arrivals per class: the 2 newest per class stay
         incoming = [csample(i, label=i % 2) for i in range(6)]
-        buffer = select_ring(ReplayBuffer.empty(4), incoming, num_classes=2)
+        buffer = select_ring(ReplayBuffer((), 4), incoming, num_classes=2)
         assert buffer.id_set() == {2, 4, 3, 5}
 
     def test_under_capacity_keeps_everything(self):
         incoming = [csample(i, label=i % 2) for i in range(3)]
-        buffer = select_ring(ReplayBuffer.empty(10), incoming, num_classes=2)
+        buffer = select_ring(ReplayBuffer((), 10), incoming, num_classes=2)
         assert buffer.id_set() == {0, 1, 2}
 
     def test_single_class_is_plain_fifo(self):
         incoming = [csample(i, label=0) for i in range(7)]
-        buffer = select_ring(ReplayBuffer.empty(3), incoming, num_classes=1)
+        buffer = select_ring(ReplayBuffer((), 3), incoming, num_classes=1)
         assert buffer.ids() == (4, 5, 6)
 
     def test_remainder_slots_go_to_lowest_classes(self):
         # capacity 5 over 2 classes: quotas 3 and 2
         incoming = [csample(i, label=i % 2) for i in range(10)]
-        buffer = select_ring(ReplayBuffer.empty(5), incoming, num_classes=2)
+        buffer = select_ring(ReplayBuffer((), 5), incoming, num_classes=2)
         class0 = [s.id for s in buffer.samples if s.label == 0]
         class1 = [s.id for s in buffer.samples if s.label == 1]
         assert len(class0) == 3 and len(class1) == 2
 
     def test_existing_buffer_contents_age_first(self):
-        start = select_ring(ReplayBuffer.empty(2), [csample(0, 0), csample(1, 0)], 1)
+        start = select_ring(ReplayBuffer((), 2), [csample(0, 0), csample(1, 0)], 1)
         updated = select_ring(start, [csample(2, 0)], 1)
         assert updated.ids() == (1, 2)
 
