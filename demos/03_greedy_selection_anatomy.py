@@ -33,7 +33,7 @@ print(f"kept ids: {sorted(buffer.ids())}")
 print(f"greedy criterion value: {trace.final_criterion:.6f}")
 
 exact = select_exhaustive(ctx, cfg)
-mask = np.array([1.0 if c.id in exact.id_set() else 0.0 for c in ctx.candidates])
+mask = np.isin(ctx.batch.ids, exact.ids())
 print(f"exhaustive optimum:     {criterion_value(ctx, cfg, mask):.6f} "
       f"(ids {sorted(exact.ids())})")
 

@@ -412,11 +412,13 @@ def cmd_select(args) -> int:
     if not 0 <= args.damping < math.inf:
         raise ConfigError(f"--damping: damping must be finite and nonnegative, "
                           f"got {args.damping}")
+    if quad and args.l2 is not None:
+        raise ConfigError("--l2: quad1d has no L2 term; drop the flag")
     try:
         cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
         model = ModelSpec(kind="quad1d", dim=1) if quad else ModelSpec(
             kind="logistic", dim=dim, num_classes=max(max(s.label for s in samples) + 1, 2),
-            l2_strength=args.l2)
+            l2_strength=0.1 if args.l2 is None else args.l2)
     except ValueError as exc:
         # each check of these fields raises a message that opens with the field
         raise ConfigError(f"{_SELECT_FLAGS[str(exc).split()[0]]}: {exc}") from exc
@@ -457,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument("--mu", type=float, default=0.5)
     select.add_argument("--nu", type=float, default=0.01)
     select.add_argument("--model", choices=["logistic", "quad1d"], default="logistic")
-    select.add_argument("--l2", type=float, default=0.1)
+    select.add_argument("--l2", type=float, default=None,
+                        help="L2 strength of the logistic model (default 0.1)")
     select.add_argument("--damping", type=float, default=DEFAULT_DAMPING)
     select.set_defaults(func=cmd_select)
     return parser

@@ -9,7 +9,9 @@ split is recorded after each task into a lower-triangular matrix, from
 which average accuracy and backward transfer are derived. A run stacks the
 stream's splits once, checking every sample against the model there; from
 then on the buffer, the oracle reservoir, replay draws and candidate pools
-are integer rows into those arrays.
+are integer rows into those arrays. A selection round's candidates reach
+the influence context as a ``Batch`` of their rows, and the rows whose
+ids greedy keeps become the new buffer.
 
 For validating influence estimates the module provides the exact
 leave-one-out retraining delta and a dense-inverse finite-perturbation
@@ -37,11 +39,10 @@ from .models import FitConfig, ModelSpec, Params, Sample
 from .numkit import DEFAULT_DAMPING
 from .selection import (
     GREEDY_KINDS,
-    ReplayBuffer,
     SelectorKind,
     reservoir_slots,
+    ring_slots,
     select_greedy,
-    select_ring,
 )
 
 DENSE_ORACLE_GUARD = 200
@@ -503,26 +504,6 @@ class RunReport:
         }
 
 
-class _TrainRows:
-    """The stream's train samples in task order, stacked and checked once.
-
-    The run state refers to samples by row: the replay buffer, the oracle
-    reservoir, replay draws and candidate pools are integer arrays of rows
-    into :attr:`batch`, and row ``r`` is ``samples[r]``.
-    """
-
-    def __init__(self, model: ModelSpec, stream: Stream):
-        self.samples = tuple(s for t in stream.tasks for s in t.train)
-        self.batch = models.stack_samples(model, self.samples)
-        self._row_of = {s.id: r for r, s in enumerate(self.samples)}
-
-    def samples_at(self, rows) -> list:
-        return [self.samples[r] for r in rows]
-
-    def rows_of(self, samples) -> np.ndarray:
-        return np.array([self._row_of[s.id] for s in samples], dtype=np.intp)
-
-
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
@@ -620,7 +601,9 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
         raise RunArgumentError("reweight_constant", f"reweight_constant must be finite "
                                                     f"and positive, got {reweight_constant}")
 
-    train = _TrainRows(model, stream)
+    # the stream's train rows in task order; the run state refers to samples
+    # by row into this batch
+    train = models.stack_samples(model, [s for t in stream.tasks for s in t.train])
     tests = [models.stack_samples(model, t.test) for t in stream.tasks]
     bounds = np.cumsum([0] + [len(t.train) for t in stream.tasks])
 
@@ -651,7 +634,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                 try:
                     replay = _draw_replay(buffer, stream.batch_size, replay_rng)
                     g = models.grad_sum(model, params,
-                                        train.batch.rows(np.concatenate([batch, replay])))
+                                        train.rows(np.concatenate([batch, replay])))
                     params = Params(params.theta - learning_rate * g)
                     if last_epoch:
                         buffer, oracle_rows, tau = _selection_step(
@@ -663,8 +646,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                         if len(buffer) > criterion.budget:
                             raise RuntimeError("selector violated the buffer capacity")
                         tau_series.append(TauPoint(step, ti, tau, len(buffer)))
-                        kept = sorted(s.id for s in train.samples_at(buffer))
-                        buffer_trace.append((step, tuple(kept)))
+                        buffer_trace.append((step, tuple(sorted(train.ids[buffer].tolist()))))
                         step += 1
                 except Exception as exc:
                     raise RuntimeError(f"{where}: {exc}") from exc
@@ -696,35 +678,31 @@ def _selection_step(stream, train, model, params, buffer, batch, selector, crite
                     reweight_constant, refit_at_selection, damping, offered):
     """One buffer refresh: update the oracle reservoir, log tau, select.
 
-    ``buffer``, ``batch`` and ``oracle_rows`` are rows of ``train``; so are
-    the returned buffer and oracle reservoir.
+    ``buffer``, ``batch`` and ``oracle_rows`` are rows of the stacked train
+    split ``train``; so are the returned buffer and oracle reservoir.
     """
     if oracle_rows is not None:
         oracle_rows = _reservoir_rows(oracle_rows, oracle.buffer_multiplier * criterion.budget,
                                       batch, offered, oracle_res_rng)
 
     tau = None
+    rows = np.concatenate([buffer, batch])
     if selector in GREEDY_KINDS or oracle_rows is not None:
-        rows = np.concatenate([buffer, batch])
-        stacked = _candidate_batch(train.batch, rows, len(buffer), reweight_constant)
-        candidates = train.samples_at(rows)
+        stacked = _candidate_batch(train, rows, len(buffer), reweight_constant)
         sel_params = params
         if refit_at_selection:
             sel_params = models.fit(model, stacked, FitConfig(), init=params)
-        ctx = build_context(model, sel_params, candidates, candidates, damping=damping,
-                            stacked=stacked)
+        ctx = build_context(model, sel_params, stacked, stacked, damping=damping)
         if oracle_rows is not None and len(oracle_rows) > 0:
-            tau = _tau_checkpoint(ctx, train.batch, rows, stacked.w, oracle_rows,
+            tau = _tau_checkpoint(ctx, train, rows, stacked.w, oracle_rows,
                                   oracle.min_overlap)
         if selector in GREEDY_KINDS:
             selected, _ = select_greedy(ctx, criterion, selector)
-            buffer = train.rows_of(selected.samples)
+            buffer = rows[np.isin(stacked.ids, selected.ids())]
 
     if selector is SelectorKind.RESERVOIR:
         buffer = _reservoir_rows(buffer, criterion.budget, batch, offered, method_res_rng)
     elif selector is SelectorKind.RING:
-        ring = select_ring(ReplayBuffer(train.samples_at(buffer), criterion.budget),
-                           train.samples_at(batch), stream.num_classes)
-        buffer = train.rows_of(ring.samples)
+        buffer = rows[ring_slots(train.y[rows], criterion.budget, stream.num_classes)]
 
     return buffer, oracle_rows, tau

@@ -88,20 +88,18 @@ class TaylorGradResult:
 class InfluenceContext:
     """Frozen selection-time state; build via :func:`build_context`.
 
-    The stacked candidates' weights are read by ``grads``, ``grad_sum``,
-    ``ihvp``, :meth:`scores` and :meth:`mu_terms`; :meth:`grad_of` and the
-    per-sample influence functions read each ``Sample``'s own weight.
-    Immutable after construction; methods only fill internal caches.
+    ``batch`` holds the candidates, stacked with their ids; ``grads``,
+    ``grad_sum``, ``ihvp``, :meth:`scores` and :meth:`mu_terms` read its
+    weights. Immutable after construction; methods only fill internal
+    caches.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
-                 candidates: Sequence[models.Sample], solver: CholeskySolver,
-                 grads: np.ndarray, batch: models.Batch):
+                 batch: models.Batch, solver: CholeskySolver, grads: np.ndarray):
         self.model = model
         self.params = params
-        self.candidates = tuple(candidates)
+        self.batch = batch
         self._solver = solver
-        self._batch = batch                     # the candidates, stacked
         self.grads = grads                      # (n, p) per-candidate gradients
         self.grad_sum = grads.sum(axis=0)
         self._mu_terms: dict[float, np.ndarray] = {}
@@ -140,57 +138,44 @@ class InfluenceContext:
             if mu == 0.0:
                 U = self.grads.copy()
             else:
-                hvps = models.hvp_matrix(self.model, self.params, self._batch, self.ihvp)
+                hvps = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp)
                 U = self.grads - mu * hvps
             self._mu_terms[mu] = U
         return self._mu_terms[mu]
 
     def degenerate_threshold(self) -> float:
-        return DEGENERATE_NORM_FACTOR * max(1, len(self.candidates))
+        return DEGENERATE_NORM_FACTOR * max(1, len(self.batch.ids))
 
 
 def build_context(model: models.ModelSpec, params: models.Params,
-                  candidates: Sequence[models.Sample],
-                  hessian_set: Sequence[models.Sample],
-                  damping: float = DEFAULT_DAMPING, *,
-                  stacked: Optional[models.Batch] = None) -> InfluenceContext:
+                  candidates: models.Samples, hessian_set: models.Samples,
+                  damping: float = DEFAULT_DAMPING) -> InfluenceContext:
     """Assemble the shared selection-time state.
 
-    Materializes the damped Hessian of ``hessian_set``, Cholesky-factors it
-    once, and solves it against the candidate gradients summed in list
-    order. The candidates are stacked once, or taken from ``stacked``: a
-    caller's ``Batch`` of their rows in candidate order. Its weights
-    replace the samples' own in the stacked quantities: the gradients,
-    ``grad_sum``, ``ihvp``, the scores, ``mu_terms``, and the Hessian when
-    ``hessian_set`` lists the candidates, which reuses the stack.
-    ``grad_of`` and the per-sample influence functions still read each
-    ``Sample``'s own weight. Raises
+    ``candidates`` and ``hessian_set`` are each a sample sequence or a
+    :class:`~coresel.models.Batch`; a sequence is stacked once. Materializes
+    the damped Hessian of ``hessian_set`` (reusing the candidates' stack when
+    ``hessian_set is candidates``), Cholesky-factors it once, and solves it
+    against the candidate gradients summed in candidate order. Raises
     :class:`SolveError` if the damped Hessian is not positive definite or
     the solve's true residual exceeds the tolerance.
     """
-    candidates = tuple(candidates)
-    hessian_set = tuple(hessian_set)
-    if not candidates:
+    batch = models._as_batch(model, candidates)
+    if len(batch.ids) == 0:
         raise ValueError("candidate list must be nonempty")
-    if not hessian_set:
+    hessian_batch = batch if hessian_set is candidates else models._as_batch(model, hessian_set)
+    if len(hessian_batch.ids) == 0:
         raise ValueError("hessian_set must be nonempty")
-    if stacked is None:
-        stacked = models.stack_samples(model, candidates)
-    elif len(stacked.y) != len(candidates):
-        raise ValueError(f"stacked candidates have {len(stacked.y)} rows "
-                         f"for {len(candidates)} candidates")
-    # Sample compares by identity, so this is an element-wise `is` check
-    hessian_batch = stacked if hessian_set == candidates else hessian_set
     try:
         solver = CholeskySolver(models.dense_hessian(model, params, hessian_batch),
                                 damping=damping)
     except SolveError:
         raise SolveError(
-            f"damped Hessian of the {len(hessian_set)}-sample Hessian set is not "
+            f"damped Hessian of the {len(hessian_batch.ids)}-sample Hessian set is not "
             f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
             f"raise either") from None
-    grads = models.grad_matrix(model, params, stacked)
-    return InfluenceContext(model, params, candidates, solver, grads, stacked)
+    grads = models.grad_matrix(model, params, batch)
+    return InfluenceContext(model, params, batch, solver, grads)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:
@@ -264,7 +249,7 @@ def regularizer(ctx: InfluenceContext, w, mu: float) -> float:
     ``w``, binary flags or any real values (the relaxation the Taylor
     gradient is checked against by finite differences).
     """
-    w = as_vector(w, dim=len(ctx.candidates))
+    w = as_vector(w, dim=len(ctx.batch.ids))
     return _linearized_norm(ctx, 1.0 - w, ctx.mu_terms(mu))[0]
 
 
@@ -277,7 +262,7 @@ def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradRe
     the zero-norm threshold) the direction is arbitrary, so the gradient is
     defined as zero.
     """
-    w = as_vector(w, dim=len(ctx.candidates))
+    w = as_vector(w, dim=len(ctx.batch.ids))
     value, grad_w = _linearized_norm(ctx, 1.0 - w, ctx.mu_terms(mu), -1.0)
     return TaylorGradResult(grad_w, value)
 

@@ -21,11 +21,11 @@ refits and every selection round needs one set Hessian.
 
 Every batch helper takes either a sample sequence or a :class:`Batch`.
 :func:`stack_samples` is the one place a sample set is validated against
-the model and stacked into a ``Batch`` of read-only arrays; a helper given
-a sequence stacks it on entry. Callers that visit one set many times (a
-Newton fit, a leave-one-out refit, an influence context) stack it once and
-pass the ``Batch``; the array math is the same either way, so the results
-are bit-identical.
+the model and stacked into a ``Batch`` of read-only arrays, sample ids
+included; a helper given a sequence stacks it on entry. Callers that visit
+one set many times (a Newton fit, a leave-one-out refit, an influence
+context) stack it once and pass the ``Batch``; the array math is the same
+either way, so the results are bit-identical.
 """
 
 import math
@@ -120,19 +120,22 @@ def _check_sample(spec: ModelSpec, sample: Sample):
 
 class Batch(NamedTuple):
     """A validated sample set as read-only arrays: features ``X`` (n, dim),
-    labels ``y`` and weights ``w``. Build one with :func:`stack_samples`."""
+    labels ``y``, weights ``w`` and sample ids ``ids``. Build one with
+    :func:`stack_samples`; every quantity computed from a Batch reads its
+    ``w``."""
 
     X: np.ndarray
     y: np.ndarray
     w: np.ndarray
+    ids: np.ndarray
 
     def rows(self, index) -> "Batch":
         """The sub-batch selected by an index or boolean mask, in row order."""
-        return Batch(*(_read_only(a[index]) for a in (self.X, self.y, self.w)))
+        return Batch(*(_read_only(a[index]) for a in self))
 
     def with_weights(self, w: np.ndarray) -> "Batch":
         """The same rows under the weights ``w``."""
-        return Batch(self.X, self.y, _read_only(w))
+        return Batch(self.X, self.y, _read_only(w), self.ids)
 
 
 Samples = Union[Batch, Sequence[Sample]]
@@ -150,7 +153,8 @@ def stack_samples(spec: ModelSpec, samples: Sequence[Sample]) -> Batch:
     X = np.stack([s.features for s in samples]) if samples else np.zeros((0, spec.dim))
     y = np.array([s.label for s in samples], dtype=np.int64)
     w = np.array([s.weight for s in samples], dtype=np.float64)
-    return Batch(_read_only(X), _read_only(y), _read_only(w))
+    ids = np.array([s.id for s in samples], dtype=np.int64)
+    return Batch(_read_only(X), _read_only(y), _read_only(w), _read_only(ids))
 
 
 def _as_batch(spec: ModelSpec, samples: Samples) -> Batch:
@@ -221,7 +225,7 @@ def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
-    X, y, w = _as_batch(spec, samples)
+    X, y, w, _ = _as_batch(spec, samples)
     n = len(y)
     if n == 0:
         return 0.0
@@ -236,7 +240,7 @@ def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
 
 def grad_matrix(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
     """Per-sample gradients stacked as rows of an (n, param_dim) array."""
-    X, y, w = _as_batch(spec, samples)
+    X, y, w, _ = _as_batch(spec, samples)
     n = len(y)
     if spec.kind == "quad1d":
         return (w * (params.theta[0] - X[:, 0]))[:, None]
@@ -258,7 +262,7 @@ def grad_sum(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
 def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v) -> np.ndarray:
     """Rows ``H_i v`` of each sample's Hessian applied to a fixed vector."""
     v = as_vector(v, dim=spec.param_dim)
-    X, _, w = _as_batch(spec, samples)
+    X, _, w, _ = _as_batch(spec, samples)
     n = len(w)
     if spec.kind == "quad1d":
         return w[:, None] * v[None, :]
@@ -283,7 +287,7 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarr
     evaluates as symmetric rank-k updates, so the result is exactly
     symmetric.
     """
-    X, _, w = _as_batch(spec, samples)
+    X, _, w, _ = _as_batch(spec, samples)
     n = len(w)
     if n == 0:
         raise ValueError("set Hessian is undefined for an empty sample list")
@@ -362,7 +366,7 @@ def accuracy(spec: ModelSpec, params: Params, samples: Samples) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class."""
     if spec.kind != "logistic":
         raise ValueError("accuracy is only defined for classification models")
-    X, y, _ = _as_batch(spec, samples)
+    X, y, _, _ = _as_batch(spec, samples)
     if len(y) == 0:
         raise ValueError("accuracy over an empty sample list is undefined")
     theta = _theta_matrix(spec, params)

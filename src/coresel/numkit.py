@@ -6,6 +6,7 @@ once; each later solve against it costs two matrix-vector products plus a
 check of the true residual.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -70,8 +71,8 @@ class CholeskySolver:
     """
 
     def __init__(self, matrix: np.ndarray, damping: float = 0.0):
-        if damping < 0:
-            raise ValueError("damping must be nonnegative")
+        if not 0 <= damping < math.inf:
+            raise ValueError(f"damping must be finite and nonnegative, got {damping}")
         matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
             raise ValueError(f"expected a nonempty square matrix, got shape {matrix.shape}")

@@ -13,7 +13,6 @@ small-instance oracle.
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .influence import (
     _linearized_norm,
     regularizer,
 )
-from .models import Sample
 
 EXHAUSTIVE_GUARD = 20
 
@@ -48,27 +46,28 @@ GREEDY_KINDS = (
 
 @dataclass(frozen=True)
 class ReplayBuffer:
-    samples: tuple
+    """The ids a selector kept, in candidate order, and the buffer capacity."""
+
+    kept: tuple
     capacity: int
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
+        object.__setattr__(self, "kept", tuple(map(int, self.kept)))
         if self.capacity < 1:
             raise ValueError("buffer capacity must be at least 1")
-        if len(self.samples) > self.capacity:
-            raise ValueError(f"buffer holds {len(self.samples)} samples, capacity {self.capacity}")
-        ids = [s.id for s in self.samples]
-        if len(set(ids)) != len(ids):
+        if len(self.kept) > self.capacity:
+            raise ValueError(f"buffer holds {len(self.kept)} samples, capacity {self.capacity}")
+        if len(set(self.kept)) != len(self.kept):
             raise ValueError("buffer contains duplicate sample ids")
 
     def ids(self) -> tuple:
-        return tuple(s.id for s in self.samples)
+        return self.kept
 
     def id_set(self) -> frozenset:
-        return frozenset(s.id for s in self.samples)
+        return frozenset(self.kept)
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.kept)
 
 
 @dataclass
@@ -102,13 +101,11 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     """
     if kind not in GREEDY_KINDS:
         raise ValueError(f"{kind} is not a greedy influence selector")
-    n = len(ctx.candidates)
-    if n == 0:
-        raise ValueError("cannot select from an empty candidate list")
+    ids = ctx.batch.ids
+    n = len(ids)
     trace = SelectionTrace()
     if cfg.budget >= n:
-        buffer = ReplayBuffer(ctx.candidates, cfg.budget)
-        return buffer, trace
+        return ReplayBuffer(ids, cfg.budget), trace
 
     # The term is ||a @ M|| on the discarded side (a = 1 - w, gradient
     # negated) or, for if_diversity, the kept side (a = w). vanilla_if's M
@@ -123,7 +120,6 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         M = ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu)
     sign = 1.0 if kept_side else -1.0
     scores = ctx.scores()
-    ids = np.array([s.id for s in ctx.candidates])
     w = np.ones(n)
 
     while int(w.sum()) > cfg.budget:
@@ -136,8 +132,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
 
     final_reg, _ = _linearized_norm(ctx, w if kept_side else 1.0 - w, M)
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
-    kept = [c for c, wi in zip(ctx.candidates, w) if wi == 1.0]
-    return ReplayBuffer(kept, cfg.budget), trace
+    return ReplayBuffer(ids[w == 1.0], cfg.budget), trace
 
 
 def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
@@ -154,10 +149,10 @@ def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuff
     lexicographically smallest sorted id tuple. Guarded to at most 20
     candidates.
     """
-    n = len(ctx.candidates)
+    ids = ctx.batch.ids.tolist()
+    n = len(ids)
     if n > EXHAUSTIVE_GUARD:
         raise ValueError(f"exhaustive selection is guarded to {EXHAUSTIVE_GUARD} candidates, got {n}")
-    ids = [s.id for s in ctx.candidates]
 
     best = None
     for combo in itertools.combinations(range(n), min(cfg.budget, n)):
@@ -167,8 +162,7 @@ def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuff
         key = tuple(sorted(ids[i] for i in combo))
         if best is None or value < best[0] or (value == best[0] and key < best[1]):
             best = (value, key, combo)
-    kept = [ctx.candidates[i] for i in best[2]]
-    return ReplayBuffer(kept, cfg.budget)
+    return ReplayBuffer([ids[i] for i in best[2]], cfg.budget)
 
 
 def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,
@@ -198,25 +192,27 @@ def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,
     return slots
 
 
-def select_ring(buffer: ReplayBuffer, incoming: Sequence[Sample],
-                num_classes: int) -> ReplayBuffer:
-    """Class-balanced FIFO update.
+def ring_slots(labels: np.ndarray, capacity: int, num_classes: int) -> np.ndarray:
+    """Class-balanced FIFO update, as positions into the old contents
+    followed by the incoming items.
 
-    Capacity splits into per-class quotas of ``capacity // num_classes``
-    with the remainder going to the lowest class indices; within a class the
-    newest sample evicts the oldest. The returned buffer lists classes in
-    index order, oldest first within each class.
+    ``labels`` are the labels of old + incoming, oldest first. Capacity
+    splits into per-class quotas of ``capacity // num_classes`` with the
+    remainder going to the lowest class indices; within a class the newest
+    item evicts the oldest. The result lists classes in index order, oldest
+    first within each class.
     """
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
-    base, rem = divmod(buffer.capacity, num_classes)
-    quotas = [base + (1 if c < rem else 0) for c in range(num_classes)]
-    queues = [[] for _ in range(num_classes)]
-    for s in list(buffer.samples) + list(incoming):
-        if not 0 <= s.label < num_classes:
-            raise ValueError(f"sample {s.id}: label {s.label} outside [0, {num_classes})")
-        queues[s.label].append(s)
-    kept = []
-    for c in range(num_classes):
-        kept.extend(queues[c][-quotas[c]:] if quotas[c] > 0 else [])
-    return ReplayBuffer(kept, buffer.capacity)
+    labels = np.asarray(labels, dtype=np.int64)
+    bad = np.flatnonzero((labels < 0) | (labels >= num_classes))
+    if len(bad):
+        raise ValueError(f"position {bad[0]}: label {labels[bad[0]]} "
+                         f"outside [0, {num_classes})")
+    base, rem = divmod(capacity, num_classes)
+    quotas = base + (np.arange(num_classes) < rem)
+    order = np.argsort(labels, kind="stable")
+    by_class = labels[order]
+    # 1 for the newest item of its class, 2 for the one before, ...
+    age = np.cumsum(np.bincount(labels, minlength=num_classes))[by_class] - np.arange(len(order))
+    return order[age <= quotas[by_class]]

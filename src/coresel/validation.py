@@ -264,12 +264,11 @@ def suite_greedy_quality():
         ctx = build_context(spec, params, samples, samples, damping=0.01)
         cfg = CriterionConfig(budget=6)
         greedy, _ = select_greedy(ctx, cfg)
-        mask_g = np.array([1.0 if c.id in greedy.id_set() else 0.0 for c in ctx.candidates])
+        mask_g = np.isin(ctx.batch.ids, greedy.ids())
         g_value = criterion_value(ctx, cfg, mask_g)
 
         exhaustive = select_exhaustive(ctx, cfg)
-        mask_e = np.array([1.0 if c.id in exhaustive.id_set() else 0.0
-                           for c in ctx.candidates])
+        mask_e = np.isin(ctx.batch.ids, exhaustive.ids())
         if criterion_value(ctx, cfg, mask_e) > g_value + 1e-12:
             dominated = False
 

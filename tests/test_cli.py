@@ -417,6 +417,17 @@ class TestSelectCommand:
         assert main(["select", "--data", str(data)] + flags) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("l2", ["-1", "5", "0.1"])
+    def test_l2_with_quad1d_exits_2_and_names_it(self, tmp_path, capsys, l2):
+        # quad1d has no L2 term, so any --l2 would be silently ignored
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0\n0,0,0,0.0\n1,0,0,1.0\n2,0,0,3.0\n")
+        assert main(["select", "--data", str(data), "--m", "2", "--model", "quad1d"]) == 0
+        capsys.readouterr()
+        assert main(["select", "--data", str(data), "--m", "2", "--model", "quad1d",
+                     "--l2", l2]) == 2
+        assert "--l2: quad1d has no L2 term" in capsys.readouterr().err
+
     def test_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
         data = tmp_path / "pool.csv"
         data.write_text("id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n1,0,0,-2.0\n")

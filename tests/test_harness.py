@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coresel import harness, models
 from coresel.harness import (
@@ -190,6 +192,15 @@ class TestMetrics:
             m.set(0, 1, 0.5)
 
 
+@st.composite
+def tied_score_pairs(draw):
+    """Two equal-length score lists over a few levels, so ties in a, in b
+    and in both are common; -0.0 and 0.0 count as one level."""
+    levels = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-3, 3)
+    pairs = draw(st.lists(st.tuples(levels, levels), min_size=2, max_size=40))
+    return [a for a, _ in pairs], [b for _, b in pairs]
+
+
 class TestKendallTau:
     def test_identical(self):
         assert kendall_tau([1, 2, 3, 4], [10, 20, 30, 40]) == 1.0
@@ -226,6 +237,12 @@ class TestKendallTau:
                     a = rng.integers(levels, size=n).astype(float)
                     b = rng.integers(levels, size=n).astype(float)
                 assert kendall_tau(a, b) == all_pairs_kendall_tau(a, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_score_pairs())
+    def test_equals_all_pairs_oracle_with_ties(self, pair):
+        a, b = pair
+        assert kendall_tau(a, b) == all_pairs_kendall_tau(a, b)
 
 
 class TestLooRetrainDelta:

@@ -5,6 +5,8 @@ curvature 2 gives a shared solve of -1.5 against the outer gradient sum -3,
 so every score below has a closed form checked by hand.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -41,11 +43,13 @@ def qsample(i, z, weight=1.0):
     return Sample(id=i, task_id=0, label=0, features=[z], weight=weight)
 
 
+QUAD_CANDIDATES = (qsample(0, 0.0), qsample(1, 2.0), qsample(2, 4.0))
+
+
 @pytest.fixture
 def quad_ctx():
-    candidates = [qsample(0, 0.0), qsample(1, 2.0), qsample(2, 4.0)]
     hessian_set = [qsample(10, 0.0), qsample(11, 2.0)]
-    return build_context(QUAD, Params([1.0]), candidates, hessian_set, damping=0.0)
+    return build_context(QUAD, Params([1.0]), QUAD_CANDIDATES, hessian_set, damping=0.0)
 
 
 def random_logistic_ctx(rng, n=15, dim=3, num_classes=2, l2=0.1, damping=0.0):
@@ -55,6 +59,17 @@ def random_logistic_ctx(rng, n=15, dim=3, num_classes=2, l2=0.1, damping=0.0):
     params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-12))
     ctx = build_context(spec, params, samples, samples, damping=damping)
     return spec, samples, params, ctx
+
+
+def off_optimum_ctx(rng, n=12, dim=3):
+    """A logistic context at random parameters. At the pool's own optimum
+    ``ihvp`` is ~0, so ``mu_terms(mu)`` is ``grads`` for every ``mu``; here
+    ``mu`` changes the regularizer."""
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
+    samples = [Sample(id=i, task_id=0, label=int(rng.integers(2)),
+                      features=rng.normal(size=dim)) for i in range(n)]
+    params = Params(rng.normal(scale=0.5, size=spec.param_dim))
+    return build_context(spec, params, samples, samples, damping=0.01)
 
 
 class TestBuildContext:
@@ -120,33 +135,61 @@ class TestBuildContext:
         monkeypatch.setattr(models, "stack_samples",
                             lambda spec, samples: calls.append(len(samples))
                             or original(spec, samples))
-        ctx = build_context(spec, params, pool, list(pool))
+        ctx = build_context(spec, params, pool, pool)
         U = ctx.mu_terms(0.5)
         assert calls == [25]
         assert np.array_equal(U, ctx.grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
         calls.clear()
         build_context(spec, params, pool, pool[:10])
         assert calls == [25, 10]
-        build_context(spec, params, pool, pool, stacked=original(spec, pool))
+        batch = original(spec, pool)
+        build_context(spec, params, batch, batch)
         assert calls == [25, 10]
 
     def test_stacked_candidates_match_list_context(self):
         rng = np.random.default_rng(61)
         spec = ModelSpec(kind="logistic", dim=2, num_classes=2, l2_strength=0.1)
-        pool = [Sample(id=i, task_id=0, label=i % 2, features=rng.normal(size=2))
+        pool = [Sample(id=3 * i + 1, task_id=0, label=i % 2, features=rng.normal(size=2))
                 for i in range(12)]
         params = Params(rng.normal(scale=0.3, size=spec.param_dim))
         plain = build_context(spec, params, pool, pool)
-        given = build_context(spec, params, pool, pool, stacked=stack_samples(spec, pool))
+        batch = stack_samples(spec, pool)
+        given = build_context(spec, params, batch, batch)
         assert np.array_equal(plain.ihvp, given.ihvp)
         assert np.array_equal(plain.damped_hessian, given.damped_hessian)
-        with pytest.raises(ValueError, match="11 rows for 12 candidates"):
-            build_context(spec, params, pool, pool, stacked=stack_samples(spec, pool[:11]))
+        assert plain.batch.ids.tolist() == given.batch.ids.tolist() == [s.id for s in pool]
+
+    def test_batch_weights_are_the_context_weights(self):
+        # a reweighted Batch scores exactly like samples carrying those weights
+        rng = np.random.default_rng(62)
+        spec = ModelSpec(kind="logistic", dim=2, num_classes=3, l2_strength=0.1)
+        pool = [Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=2))
+                for i in range(9)]
+        w = rng.uniform(0.5, 2.0, size=9)
+        params = Params(rng.normal(scale=0.3, size=spec.param_dim))
+        batch = stack_samples(spec, pool).with_weights(w)
+        ctx = build_context(spec, params, batch, batch)
+        weighted = [replace(s, weight=float(wi)) for s, wi in zip(pool, w)]
+        expected = build_context(spec, params, weighted, weighted)
+        assert ctx.batch.ids.tolist() == list(range(9))
+        assert np.array_equal(ctx.scores(), expected.scores())
+        assert np.array_equal(ctx.damped_hessian, expected.damped_hessian)
+        np.testing.assert_allclose(ctx.scores(),
+                                   [first_order_influence(ctx, z) for z in weighted],
+                                   rtol=1e-12, atol=1e-13)
 
     def test_negative_damping_rejected(self):
         with pytest.raises(ValueError, match="damping"):
             build_context(QUAD, Params([1.0]), [qsample(0, 0.0)], [qsample(0, 0.0)],
                           damping=-0.1)
+
+    @pytest.mark.parametrize("damping", [np.nan, np.inf])
+    def test_non_finite_damping_rejected(self, damping):
+        # not a SolveError about a nan residual: the damping itself is named
+        pool = [qsample(0, 0.0), qsample(1, 1.0), qsample(2, 3.0)]
+        with pytest.raises(ValueError, match=f"damping must be finite and nonnegative, "
+                                             f"got {damping}"):
+            build_context(QUAD, Params([1.0]), pool, pool, damping=damping)
 
 
 class TestFirstOrder:
@@ -156,7 +199,7 @@ class TestFirstOrder:
         assert first_order_influence(quad_ctx, qsample(22, 2.0)) == pytest.approx(-1.5)
 
     def test_scores_vector_matches_per_sample(self, quad_ctx):
-        expected = [first_order_influence(quad_ctx, c) for c in quad_ctx.candidates]
+        expected = [first_order_influence(quad_ctx, c) for c in QUAD_CANDIDATES]
         np.testing.assert_allclose(quad_ctx.scores(), expected, atol=1e-13)
 
     def test_quad_loo_exactness_on_worked_family(self):
@@ -268,7 +311,7 @@ class TestRegularizer:
     def test_taylor_grad_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
-            _, samples, _, ctx = random_logistic_ctx(rng, n=12)
+            ctx = off_optimum_ctx(rng)
             w = (rng.random(12) < 0.6).astype(float)
             if w.sum() in (0, 12):
                 w[0] = 1.0 - w[0]

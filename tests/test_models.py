@@ -38,7 +38,7 @@ def set_hvp(spec, params, samples, v):
 
 def einsum_dense_hessian(spec, params, samples):
     """Reference set Hessian: one einsum over per-sample Kronecker blocks."""
-    X, _, w = stack_samples(spec, samples)
+    X, _, w, _ = stack_samples(spec, samples)
     if spec.kind == "quad1d":
         return np.array([[w.sum()]])
     theta = params.theta.reshape(spec.num_classes, spec.dim)
@@ -310,8 +310,9 @@ class TestBatch:
         rng = np.random.default_rng(41)
         spec, samples, _ = random_logistic_instance(rng, n=6)
         batch = stack_samples(spec, samples)
-        X, y, w = batch
+        X, y, w, ids = batch
         assert isinstance(batch, Batch) and len(batch[0]) == 6
+        assert ids.dtype == np.int64 and ids.tolist() == [s.id for s in samples]
         for a in (*batch, *batch.rows(np.arange(6) % 2 == 0)):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
