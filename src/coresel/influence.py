@@ -232,6 +232,8 @@ def _linearized_norm(ctx: InfluenceContext, a: np.ndarray, M: np.ndarray,
     the norm is at or below the context's degenerate threshold (there the
     direction is arbitrary, so selection falls back to the scores). Without
     ``sign`` no gradient is computed and None is returned in its place.
+    Greedy selection calls it once per round, for ``final_criterion``; its
+    drops read running sums of the same quantities.
     """
     v = a @ M
     value = float(np.linalg.norm(v))

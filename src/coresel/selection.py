@@ -4,10 +4,12 @@ The greedy influence selector starts from the full candidate pool and
 repeatedly drops the sample whose removal most improves the criterion
 ``sum_kept(score) + nu * regularizer``, re-linearizing the regularizer after
 every drop (the influence scores and the shared inverse-Hessian solve stay
-fixed for the round). Baselines cover pure influence ranking, the two
+fixed for the round). The regularizer ``||a @ M||`` and its gradient come
+from running sums ``v = a @ M`` and ``M @ v``, so each drop costs one
+matrix-vector product. Baselines cover pure influence ranking, the two
 single-term regularizer ablations, the reservoir-sampling update, and a
-class-balanced ring buffer; an exhaustive enumerator serves as the
-small-instance oracle.
+class-balanced ring buffer; an exhaustive enumerator, scoring every subset
+in one batched criterion call, serves as the small-instance oracle.
 """
 
 import itertools
@@ -92,11 +94,18 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
                   kind: SelectorKind = SelectorKind.REGULARIZED_IF):
     """Greedily shrink the candidate pool to the budget.
 
-    Every iteration drops the kept sample with the largest
-    ``score + nu * reg_grad`` (ties broken toward the lowest sample id)
-    until at most ``cfg.budget`` samples remain. ``vanilla_if`` uses the
-    scores alone, ``if_grad_match`` evaluates the regularizer gradient at
-    ``mu = 0``, and ``if_diversity`` swaps in the kept-gradient norm.
+    Each of the ``n - cfg.budget`` drops removes the kept sample with the
+    largest ``score + nu * reg_grad`` (ties broken toward the lowest sample
+    id). ``vanilla_if`` uses the scores alone, ``if_grad_match`` evaluates
+    the regularizer gradient at ``mu = 0``, and ``if_diversity`` swaps in
+    the kept-gradient norm.
+
+    The regularizer is ``||a @ M||`` and its gradient ``sign * M @ v /
+    ||v||`` with ``v = a @ M``. Both ``v`` and ``M @ v`` are running sums:
+    dropping row ``d`` moves ``a`` by ``+-e_d``, so ``v`` moves by
+    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``, one matrix-vector product
+    per drop. ``reg_values`` are ``||v||`` of the running ``v``;
+    ``final_criterion`` is computed from scratch on the kept mask.
     Returns the resulting buffer plus a :class:`SelectionTrace`.
     """
     if kind not in GREEDY_KINDS:
@@ -118,17 +127,23 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         M = ctx.grads
     else:
         M = ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu)
-    sign = 1.0 if kept_side else -1.0
+    sign, step = (1.0, -1.0) if kept_side else (-1.0, 1.0)
     scores = ctx.scores()
+    threshold = ctx.degenerate_threshold()
     w = np.ones(n)
+    v = (w if kept_side else 1.0 - w) @ M
+    Mv = M @ v
 
-    while int(w.sum()) > cfg.budget:
-        reg_value, grad_term = _linearized_norm(ctx, w if kept_side else 1.0 - w, M, sign)
-        totals = scores + cfg.nu * grad_term
+    for _ in range(n - cfg.budget):
+        reg_value = float(np.linalg.norm(v))
+        grad = sign * Mv / reg_value if reg_value > threshold else np.zeros(n)
+        totals = scores + cfg.nu * grad
         drop = _drop_index(totals, ids, w)
         trace.drop_order.append((int(ids[drop]), float(totals[drop])))
         trace.reg_values.append(reg_value)
         w[drop] = 0.0
+        v += step * M[drop]
+        Mv += step * (M @ M[drop])
 
     final_reg, _ = _linearized_norm(ctx, w if kept_side else 1.0 - w, M)
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
@@ -142,27 +157,38 @@ def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
     return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * regularizer(ctx, w, cfg.mu)
 
 
+def criterion_values(ctx: InfluenceContext, cfg: CriterionConfig,
+                     masks: np.ndarray) -> np.ndarray:
+    """:func:`criterion_value` of every row of a ``(K, n)`` 0/1 keep matrix,
+    from one product with the scores and one row-norm of the discarded sums."""
+    masks = np.asarray(masks, dtype=np.float64)
+    if masks.ndim != 2 or not np.all((masks == 0.0) | (masks == 1.0)):
+        raise ValueError("keep masks must be a 2-D array of 0/1 flags")
+    regs = np.linalg.norm((1.0 - masks) @ ctx.mu_terms(cfg.mu), axis=1)
+    return masks @ ctx.scores() + cfg.nu * regs
+
+
 def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuffer:
     """Brute-force minimizer of the selection criterion over all subsets.
 
-    Enumerates subsets of size exactly ``budget``; ties resolve to the
-    lexicographically smallest sorted id tuple. Guarded to at most 20
-    candidates.
+    Enumerates subsets of size exactly ``budget`` and evaluates them in one
+    :func:`criterion_values` call; ties resolve to the lexicographically
+    smallest sorted id tuple. Guarded to at most 20 candidates; at the
+    guard (budget 10) the keep matrix is 30 MB and the call peaks ~90 MB
+    above its caller.
     """
     ids = ctx.batch.ids.tolist()
     n = len(ids)
     if n > EXHAUSTIVE_GUARD:
         raise ValueError(f"exhaustive selection is guarded to {EXHAUSTIVE_GUARD} candidates, got {n}")
 
-    best = None
-    for combo in itertools.combinations(range(n), min(cfg.budget, n)):
-        mask = np.zeros(n)
-        mask[list(combo)] = 1.0
-        value = criterion_value(ctx, cfg, mask)
-        key = tuple(sorted(ids[i] for i in combo))
-        if best is None or value < best[0] or (value == best[0] and key < best[1]):
-            best = (value, key, combo)
-    return ReplayBuffer([ids[i] for i in best[2]], cfg.budget)
+    combos = np.array(list(itertools.combinations(range(n), min(cfg.budget, n))))
+    masks = np.zeros((len(combos), n))
+    np.put_along_axis(masks, combos, 1.0, axis=1)
+    values = criterion_values(ctx, cfg, masks)
+    tied = np.flatnonzero(values == values.min())
+    best = min(tied, key=lambda c: sorted(ids[i] for i in combos[c]))
+    return ReplayBuffer([ids[i] for i in combos[best]], cfg.budget)
 
 
 def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,

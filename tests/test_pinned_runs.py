@@ -10,13 +10,14 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coresel import cli, harness, models
 from coresel.harness import StreamSpec, make_stream, run_continual
-from coresel.influence import CriterionConfig
-from coresel.models import ModelSpec
-from coresel.selection import SelectorKind
+from coresel.influence import CriterionConfig, build_context
+from coresel.models import FitConfig, ModelSpec, Sample, fit
+from coresel.selection import GREEDY_KINDS, SelectorKind, select_greedy
 
 EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example_run.cfg"
 
@@ -90,6 +91,40 @@ PINNED = {
 @pytest.mark.parametrize("assignments, expected", PINNED.values(), ids=PINNED.keys())
 def test_example_config_outputs_are_pinned(tmp_path, capsys, assignments, expected):
     assert run_digests(tmp_path, assignments) == expected
+
+
+# kept ids (sorted) of each greedy kind on one fitted blob pool at p = 200
+GREEDY_AT_SCALE = {
+    "regularized_if":
+        "2554b1dce315243ff0650f69899f42fb02b986b1c2f593f1408b78b50ff0b57a",
+    "vanilla_if":
+        "ecaee30d72307bc0884466c9fca1db57350f0e7ff64690c197df34994bb69395",
+    "if_grad_match":
+        "fab51183c59c8fe9441c98b11413c77404a009869277ba22cdbada8b5d3b7af7",
+    "if_diversity":
+        "645144f2f4e885d8bffd7fdd5b1712f8c46cd5215c59813842b552e9924404b2",
+}
+
+
+def greedy_at_scale_digests(n=300, dim=20, num_classes=10, budget=100):
+    """Digests of greedy's kept ids on a Gaussian-blob pool of ``n`` (p = 200),
+    scored by a model fitted on a second ``n`` from the same blobs: a few
+    hundred drops per kind, where the run pins see 12 per step."""
+    rng = np.random.default_rng(9)
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=0.1)
+    centers = rng.normal(size=(num_classes, dim)) * 1.5
+    samples = [Sample(id=i, task_id=0, label=i % num_classes,
+                      features=rng.normal(size=dim) + centers[i % num_classes])
+               for i in range(2 * n)]
+    params = fit(spec, samples[:n], FitConfig(method="newton"))
+    ctx = build_context(spec, params, samples[n:], samples[n:])
+    cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
+    return {kind.value: digest(sorted(select_greedy(ctx, cfg, kind)[0].ids()))
+            for kind in GREEDY_KINDS}
+
+
+def test_greedy_at_scale_is_pinned():
+    assert greedy_at_scale_digests() == GREEDY_AT_SCALE
 
 
 @pytest.mark.parametrize("selector", [SelectorKind.REGULARIZED_IF, SelectorKind.RESERVOIR,

@@ -1,5 +1,8 @@
 """Selector tests: greedy drops, brute-force oracle, reservoir, ring."""
 
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from coresel.selection import (
     ReplayBuffer,
     SelectorKind,
     criterion_value,
+    criterion_values,
     reservoir_slots,
     ring_slots,
     select_exhaustive,
@@ -34,6 +38,86 @@ def sorted_drop_index(totals, ids, w):
     """Reference drop rule: sort the kept rows by (-total, id), take the first."""
     kept_idx = np.flatnonzero(w == 1.0)
     return int(sorted(kept_idx, key=lambda i: (-totals[i], ids[i]))[0])
+
+
+def greedy_term(ctx, cfg, kind):
+    """The regularizer rows greedy linearizes and whether they are kept-side."""
+    n = len(ctx.batch.ids)
+    if kind is SelectorKind.VANILLA_IF:
+        return np.zeros((n, 0)), False
+    if kind is SelectorKind.IF_DIVERSITY:
+        return ctx.grads, True
+    return ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu), False
+
+
+def scratch_greedy(ctx, cfg, kind):
+    """Reference greedy: re-linearize ``||a @ M||`` from scratch before every
+    drop (two passes over ``M``) and stop once ``w.sum()`` reaches the budget.
+    Like ``select_greedy``, a budget that does not bind gives no drops and a
+    0.0 criterion."""
+    ids = ctx.batch.ids
+    if cfg.budget >= len(ids):
+        return [], [], 0.0
+    M, kept_side = greedy_term(ctx, cfg, kind)
+    sign = 1.0 if kept_side else -1.0
+    scores = ctx.scores()
+    w = np.ones(len(ids))
+    drop_order, reg_values = [], []
+    while int(w.sum()) > cfg.budget:
+        reg_value, grad_term = influence._linearized_norm(ctx, w if kept_side else 1.0 - w,
+                                                          M, sign)
+        totals = scores + cfg.nu * grad_term
+        drop = selection._drop_index(totals, ids, w)
+        drop_order.append((int(ids[drop]), float(totals[drop])))
+        reg_values.append(reg_value)
+        w[drop] = 0.0
+    final_reg, _ = influence._linearized_norm(ctx, w if kept_side else 1.0 - w, M)
+    return drop_order, reg_values, float(scores[w == 1.0].sum()) + cfg.nu * final_reg
+
+
+def scratch_exhaustive(ctx, cfg):
+    """Reference exhaustive pick: one ``criterion_value`` call per subset."""
+    ids = ctx.batch.ids.tolist()
+    n = len(ids)
+    best = None
+    for combo in itertools.combinations(range(n), min(cfg.budget, n)):
+        mask = np.zeros(n)
+        mask[list(combo)] = 1.0
+        value = criterion_value(ctx, cfg, mask)
+        key = tuple(sorted(ids[i] for i in combo))
+        if best is None or value < best[0] or (value == best[0] and key < best[1]):
+            best = (value, key)
+    return best[1]
+
+
+# Directions whose norm is a power of two: with rows that are integer
+# multiples of one of them, ||v|| is |c| * 2^k for an integer c, so every
+# sum, norm and quotient greedy takes is exact in both loops.
+EXACT_DIRECTIONS = [(1.0,), (1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0, -1.0), (0.0, 2.0)]
+
+
+@st.composite
+def exact_greedy_instances(draw):
+    """A stand-in context whose regularizer rows are small-integer multiples of
+    one power-of-two-norm direction and whose scores are dyadic, so both
+    greedy loops compute exactly and rows tie; plus a budget, a kind and a
+    dyadic ``nu``."""
+    n = draw(st.integers(1, 16))
+    small = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+
+    def rows():
+        return np.outer(draw(small), draw(st.sampled_from(EXACT_DIRECTIONS)))
+
+    grads, at_zero, at_mu = rows(), rows(), rows()
+    scores = np.array(draw(small), dtype=float) / 4
+    ids = 3 * np.array(draw(st.permutations(range(n)))) - 20
+    ctx = SimpleNamespace(batch=SimpleNamespace(ids=ids), grads=grads,
+                          mu_terms=lambda mu: at_zero if mu == 0.0 else at_mu,
+                          scores=lambda: scores,
+                          degenerate_threshold=lambda: influence.DEGENERATE_NORM_FACTOR * n)
+    cfg = CriterionConfig(budget=draw(st.integers(1, n + 1)), mu=0.5,
+                          nu=draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])))
+    return ctx, cfg, draw(st.sampled_from(GREEDY_KINDS))
 
 
 @st.composite
@@ -173,6 +257,56 @@ class TestGreedy:
             assert trace.drop_order == oracle.drop_order
             assert trace.final_criterion == oracle.final_criterion
 
+    @settings(max_examples=200, deadline=None)
+    @given(exact_greedy_instances())
+    def test_running_sums_match_scratch_loop_exactly(self, instance):
+        ctx, cfg, kind = instance
+        _, trace = select_greedy(ctx, cfg, kind)
+        drop_order, reg_values, final_criterion = scratch_greedy(ctx, cfg, kind)
+        assert trace.drop_order == drop_order
+        assert trace.reg_values == reg_values
+        assert trace.final_criterion == final_criterion
+
+    @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
+    def test_running_sums_keep_scratch_drop_order(self, kind):
+        rng = np.random.default_rng(19)
+        contexts = [make(rng, int(rng.integers(10, 60)))
+                    for make in (random_logistic_ctx, off_optimum_ctx) for _ in range(6)]
+        for ctx in contexts:
+            cfg = CriterionConfig(budget=len(ctx.batch.ids) // 4, mu=0.5, nu=1.0)
+            _, trace = select_greedy(ctx, cfg, kind)
+            drop_order, _, final_criterion = scratch_greedy(ctx, cfg, kind)
+            assert [i for i, _ in trace.drop_order] == [i for i, _ in drop_order]
+            assert trace.final_criterion == final_criterion
+
+    def test_running_sums_give_the_exact_criterion_of_every_drop(self):
+        # after dropping row i from the discarded side, ||v + M[i]||^2 is
+        # ||v||^2 + 2 Mv[i] + ||M[i]||^2: the exact criterion of each
+        # candidate drop in O(n), checked here against criterion_value
+        rng = np.random.default_rng(20)
+        contexts = [make(rng, int(rng.integers(20, 40)))
+                    for make in (random_logistic_ctx, off_optimum_ctx) for _ in range(2)]
+        for ctx in contexts:
+            n = len(ctx.batch.ids)
+            cfg = CriterionConfig(budget=n // 4, mu=0.5, nu=1.0)
+            _, trace = select_greedy(ctx, cfg)
+            M, scores = ctx.mu_terms(cfg.mu), ctx.scores()
+            row_of = {int(i): r for r, i in enumerate(ctx.batch.ids)}
+            dropped = [row_of[i] for i, _ in trace.drop_order]
+            w, v, Mv = np.ones(n), np.zeros(M.shape[1]), np.zeros(n)
+            for r, d in enumerate(dropped):
+                if r in (0, 1, len(dropped) // 2, len(dropped) - 1):
+                    for i in np.flatnonzero(w == 1.0):
+                        reg = np.sqrt(v @ v + 2 * Mv[i] + M[i] @ M[i])
+                        mask = w.copy()
+                        mask[i] = 0.0
+                        exact = scores[mask == 1.0].sum() + cfg.nu * reg
+                        assert exact == pytest.approx(criterion_value(ctx, cfg, mask),
+                                                      rel=1e-9)
+                w[d] = 0.0
+                v += M[d]
+                Mv += M @ M[d]
+
     @pytest.mark.parametrize("kind, mu", [(SelectorKind.REGULARIZED_IF, 0.5),
                                           (SelectorKind.IF_GRAD_MATCH, 0.0)])
     def test_final_criterion_is_the_kept_mask_criterion(self, kind, mu):
@@ -233,6 +367,14 @@ class TestExhaustive:
         expected = set(ctx.batch.ids[np.argsort(scores)[:m]].tolist())
         assert buffer.id_set() == expected
 
+    @pytest.mark.parametrize("nu", [0.0, 0.5])
+    def test_ties_resolve_to_smallest_id_tuple(self, nu):
+        # equal values: every size-2 subset has the same criterion, bit for bit
+        candidates = [qsample(i, 2.0) for i in (5, 1, 3, 0)]
+        ctx = build_context(QUAD, Params([1.0]), candidates, candidates, damping=0.01)
+        buffer = select_exhaustive(ctx, CriterionConfig(budget=2, nu=nu))
+        assert buffer.ids() == (1, 0)
+
     def test_full_budget_returns_everything(self):
         rng = np.random.default_rng(12)
         ctx = random_logistic_ctx(rng, 6)
@@ -255,6 +397,33 @@ class TestExhaustive:
         ctx = random_logistic_ctx(rng, 4)
         with pytest.raises(ValueError, match="0/1 flags"):
             criterion_value(ctx, CriterionConfig(budget=2), np.array([1.0, 0.5, 0.0, 1.0]))
+        with pytest.raises(ValueError, match="0/1 flags"):
+            criterion_values(ctx, CriterionConfig(budget=2), np.array([[1.0, 0.5, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="2-D"):
+            criterion_values(ctx, CriterionConfig(budget=2), np.array([1.0, 0.0, 0.0, 1.0]))
+
+    def test_batched_criterion_matches_per_mask(self):
+        rng = np.random.default_rng(21)
+        for make in (random_logistic_ctx, off_optimum_ctx):
+            for _ in range(3):
+                ctx = make(rng, 15)
+                cfg = CriterionConfig(budget=5, mu=float(rng.random()), nu=0.7)
+                masks = (rng.random((200, 15)) < rng.random((200, 1))).astype(float)
+                oracle = [criterion_value(ctx, cfg, mask) for mask in masks]
+                assert criterion_values(ctx, cfg, masks) == pytest.approx(oracle, rel=1e-12)
+
+    def test_exhaustive_pick_is_the_per_mask_optimum(self):
+        # the two picks may differ where subsets tie to the last bits; their
+        # per-mask values may not
+        rng = np.random.default_rng(22)
+        for make in (random_logistic_ctx, off_optimum_ctx):
+            for _ in range(4):
+                ctx = make(rng, 10)
+                cfg = CriterionConfig(budget=int(rng.integers(1, 11)), nu=0.5)
+                pick = np.isin(ctx.batch.ids, select_exhaustive(ctx, cfg).ids())
+                oracle = np.isin(ctx.batch.ids, scratch_exhaustive(ctx, cfg))
+                assert criterion_value(ctx, cfg, pick) == pytest.approx(
+                    criterion_value(ctx, cfg, oracle), rel=1e-12)
 
     def test_guard(self):
         rng = np.random.default_rng(14)
@@ -271,13 +440,11 @@ class TestExhaustive:
             ctx = random_logistic_ctx(rng, 12)
             cfg = CriterionConfig(budget=6)
             greedy, _ = select_greedy(ctx, cfg)
-            mask_g = np.isin(ctx.batch.ids, greedy.ids())
-            g_value = criterion_value(ctx, cfg, mask_g)
-            values = []
-            for _ in range(1000):
-                mask = np.zeros(12)
+            masks = np.zeros((1001, 12))
+            masks[0] = np.isin(ctx.batch.ids, greedy.ids())
+            for mask in masks[1:]:
                 mask[rng.choice(12, size=6, replace=False)] = 1.0
-                values.append(criterion_value(ctx, cfg, mask))
+            g_value, *values = criterion_values(ctx, cfg, masks)
             if g_value <= np.median(values):
                 wins += 1
         assert wins >= 95
