@@ -245,7 +245,7 @@ def _read_input(reader, source):
 
 
 def execute_run(cfg: RunConfig) -> RunReport:
-    """Load the stream, check it against the model, and run."""
+    """Load the stream, check it against the model, run, and echo the config."""
     stream = _read_input(make_stream, cfg.stream)
     model = cfg.model
     if model.dim != stream.dim:
@@ -256,18 +256,20 @@ def execute_run(cfg: RunConfig) -> RunReport:
             f"config key 'model.num_classes': {model.num_classes} is below the "
             f"stream's {stream.num_classes} classes")
     try:
-        return run_continual(stream, cfg.model, cfg.selector, cfg.criterion,
-                             cfg.oracle, cfg.seed,
-                             learning_rate=cfg.learning_rate, epochs=cfg.epochs,
-                             reweight_constant=cfg.reweight_constant,
-                             refit_at_selection=cfg.refit_at_selection,
-                             damping=cfg.damping, config_echo=cfg.to_flat())
+        report = run_continual(stream, cfg.model, cfg.selector, cfg.criterion,
+                               cfg.oracle, cfg.seed,
+                               learning_rate=cfg.learning_rate, epochs=cfg.epochs,
+                               reweight_constant=cfg.reweight_constant,
+                               refit_at_selection=cfg.refit_at_selection,
+                               damping=cfg.damping)
     except RunArgumentError as exc:
         raise _argument_error(exc) from exc
     except ValueError as exc:
         # run_continual checks its arguments before step 0 and raises
         # ValueError; failures during the run are wrapped as RuntimeError
         raise ConfigError(str(exc)) from exc
+    report.config = cfg.to_flat()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +293,14 @@ def write_artifacts(out_dir, report: RunReport):
     with (out / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "task", "tau", "buffer_size"])
-        for p in report.tau_series:
-            writer.writerow([p.step, p.task, "" if p.tau is None else repr(p.tau),
-                             p.buffer_size])
+        for s in report.steps:
+            writer.writerow([s.step, s.task, "" if s.tau is None else repr(s.tau),
+                             len(s.kept_ids)])
     with (out / "buffer_trace.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "kept_ids"])
-        for step, ids in report.buffer_trace:
-            writer.writerow([step, ";".join(str(i) for i in ids)])
+        for s in report.steps:
+            writer.writerow([s.step, ";".join(str(i) for i in s.kept_ids)])
     _check_artifacts(out, report)
 
 
@@ -318,7 +320,7 @@ def _check_artifacts(out: Path, report: RunReport):
         if not rows or rows[0][0] != expected_header:
             raise RuntimeError(f"{name} failed schema check")
     n_rows = len(list(csv.reader((out / "metrics.csv").open(encoding="utf-8")))) - 1
-    if n_rows != len(report.tau_series):
+    if n_rows != len(report.steps):
         raise RuntimeError("metrics.csv row count mismatch")
 
 

@@ -11,7 +11,8 @@ stream's splits once, checking every sample against the model there; from
 then on the buffer, the oracle reservoir, replay draws and candidate pools
 are integer rows into those arrays. A selection round's candidates reach
 the influence context as a ``Batch`` of their rows, and the rows whose
-ids greedy keeps become the new buffer.
+ids greedy keeps become the new buffer. Each selection step leaves one
+:class:`StepRecord` in the report.
 
 For validating influence estimates the module provides the exact
 leave-one-out retraining delta and a dense-inverse finite-perturbation
@@ -374,19 +375,7 @@ def loo_retrain_delta(model: ModelSpec, coreset: Sequence[Sample],
     """Exact effect of dropping ``z``: refit without it, return the change
     in summed test loss. This is the expensive ground truth that influence
     scores approximate."""
-    coreset = list(coreset)
-    if len(coreset) < 2:
-        raise ValueError("leave-one-out needs a coreset of at least 2 samples")
-    kept = np.array([s.id != z.id for s in coreset])
-    if kept.all():
-        raise ValueError(f"sample {z.id} is not in the coreset")
-    full = models.stack_samples(model, coreset)
-    test = models.stack_samples(model, test_set)
-    base_params = models.fit(model, full, fit_cfg)
-    new_params = models.fit(model, full.rows(kept), fit_cfg, init=base_params)
-    old_loss = models.loss_sum(model, base_params, test)
-    new_loss = models.loss_sum(model, new_params, test)
-    return new_loss - old_loss
+    return float(_loo_refits(model, coreset, test_set, [z.id], fit_cfg)[0])
 
 
 def loo_retrain_deltas(model: ModelSpec, coreset: Sequence[Sample],
@@ -396,17 +385,28 @@ def loo_retrain_deltas(model: ModelSpec, coreset: Sequence[Sample],
     Fits the base model once and warm-starts each refit from it, so the
     deltas are the same floats as one call per sample at half the fits.
     """
+    return _loo_refits(model, coreset, test_set, [s.id for s in coreset], fit_cfg)
+
+
+def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[Sample],
+                drop_ids: Sequence[int], fit_cfg: FitConfig) -> np.ndarray:
+    """Change in summed test loss from leaving each of ``drop_ids`` out of
+    the coreset, each refit warm-started from one fit of the whole coreset."""
     coreset = list(coreset)
     if len(coreset) < 2:
         raise ValueError("leave-one-out needs a coreset of at least 2 samples")
     ids = np.array([s.id for s in coreset])
+    kept = [ids != z_id for z_id in drop_ids]
+    for z_id, mask in zip(drop_ids, kept):
+        if mask.all():
+            raise ValueError(f"sample {z_id} is not in the coreset")
     full = models.stack_samples(model, coreset)
     test = models.stack_samples(model, test_set)
     base_params = models.fit(model, full, fit_cfg)
     old_loss = models.loss_sum(model, base_params, test)
-    deltas = np.empty(len(coreset))
-    for i, z_id in enumerate(ids):
-        new_params = models.fit(model, full.rows(ids != z_id), fit_cfg, init=base_params)
+    deltas = np.empty(len(kept))
+    for i, mask in enumerate(kept):
+        new_params = models.fit(model, full.rows(mask), fit_cfg, init=base_params)
         deltas[i] = models.loss_sum(model, new_params, test) - old_loss
     return deltas
 
@@ -460,12 +460,16 @@ class OracleConfig:
                 "min_overlap", f"min_overlap must be at least 2 to rank, got {self.min_overlap}")
 
 
-@dataclass
-class TauPoint:
+@dataclass(frozen=True)
+class StepRecord:
+    """One selection step: its index, its task, the Kendall tau of the
+    rank-agreement checkpoint (None with the oracle off or too small an
+    overlap) and the ids the buffer kept, sorted."""
+
     step: int
     task: int
     tau: Optional[float]
-    buffer_size: int
+    kept_ids: tuple
 
 
 @dataclass
@@ -475,13 +479,12 @@ class RunReport:
     acc_matrix: AccuracyMatrix
     acc: float
     bwt: float
-    tau_series: list
-    buffer_trace: list                    # (step, sorted kept ids)
-    config: Optional[dict]
+    steps: list                           # one StepRecord per selection step
+    config: Optional[dict] = None
 
     @property
     def mean_tau(self) -> Optional[float]:
-        taus = [p.tau for p in self.tau_series if p.tau is not None]
+        taus = [s.tau for s in self.steps if s.tau is not None]
         return float(np.mean(taus)) if taus else None
 
     def to_json_dict(self) -> dict:
@@ -497,39 +500,45 @@ class RunReport:
             "bwt": self.bwt,
             "mean_tau": self.mean_tau,
             "acc_matrix": grid,
-            "tau_series": [{"step": p.step, "task": p.task, "tau": p.tau,
-                            "buffer_size": p.buffer_size} for p in self.tau_series],
-            "buffer_trace": [{"step": step, "kept_ids": list(ids)}
-                             for step, ids in self.buffer_trace],
+            "tau_series": [{"step": s.step, "task": s.task, "tau": s.tau,
+                            "buffer_size": len(s.kept_ids)} for s in self.steps],
+            "buffer_trace": [{"step": s.step, "kept_ids": list(s.kept_ids)}
+                             for s in self.steps],
         }
 
 
 _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 
-def _candidate_batch(pool: models.Batch, rows: np.ndarray, buffer_size: int,
-                     constant: Optional[float]) -> models.Batch:
-    """The candidate rows, the buffer's ``buffer_size`` first, with the
-    batch after them reweighted to balance cohort mass.
+def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
+                       rows: np.ndarray, buffer_size: int, constant: Optional[float],
+                       refit: bool, damping: float) -> InfluenceContext:
+    """The influence context of a selection round over the candidate rows,
+    the buffer's ``buffer_size`` first, with the batch after them
+    reweighted to balance cohort mass.
 
     The default constant |buffer| / |batch| gives both cohorts equal total
     weight in the outer objective; with an empty buffer there is nothing to
     balance and the batch stays at weight 1. The reweighting exists only
     for the selection round; the buffer always stores original weights.
+    ``refit`` Newton-fits the reweighted candidates from ``params`` first.
     """
     if constant is None:
         constant = buffer_size / (len(rows) - buffer_size) if buffer_size else 1.0
     candidates = pool.rows(rows)
     w = candidates.w.copy()
     w[buffer_size:] *= constant
-    return candidates.with_weights(w)
+    candidates = candidates.with_weights(w)
+    if refit:
+        params = models.fit(model, candidates, FitConfig(), init=params)
+    return build_context(model, params, candidates, candidates, damping=damping)
 
 
 def _tau_checkpoint(ctx: InfluenceContext, pool: models.Batch, rows: np.ndarray,
-                    weights: np.ndarray, oracle_rows: np.ndarray, min_overlap: int):
+                    oracle_rows: np.ndarray, min_overlap: int):
     """Rank agreement between method and unbiased influence estimates.
 
-    ``rows`` and ``weights`` are the context's candidate rows and their
+    ``rows`` are the context's candidate rows; ``ctx.batch.w`` holds their
     selection-round weights. Both estimates score the same raw samples
     through the same damped Hessian (the one over the method's candidate
     pool, the set the model would be trained on); they differ only in the
@@ -543,7 +552,7 @@ def _tau_checkpoint(ctx: InfluenceContext, pool: models.Batch, rows: np.ndarray,
     # raw-weight gradients: the context's own rows, except the reweighted
     # ones, which are recomputed at their raw weight
     G = ctx.grads[overlap]
-    reweighted = np.flatnonzero(weights[overlap] != pool.w[rows[overlap]])
+    reweighted = np.flatnonzero(ctx.batch.w[overlap] != pool.w[rows[overlap]])
     if len(reweighted):
         G[reweighted] = models.grad_matrix(ctx.model, ctx.params,
                                            pool.rows(rows[overlap[reweighted]]))
@@ -560,8 +569,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                   learning_rate: float, epochs: int,
                   reweight_constant: Optional[float] = None,
                   refit_at_selection: bool = False,
-                  damping: float = DEFAULT_DAMPING,
-                  config_echo: Optional[dict] = None) -> RunReport:
+                  damping: float = DEFAULT_DAMPING) -> RunReport:
     """Train on the task stream while maintaining the replay buffer.
 
     Each task is trained for ``epochs`` passes over its batches; each SGD
@@ -570,18 +578,18 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     last epoch of each task the selector updates the buffer after every
     batch; with an oracle configured, a parallel reservoir of
     ``buffer_multiplier * budget`` capacity ingests the same stream and a
-    Kendall-tau agreement point is logged per selection step. After each
-    task the model is evaluated on all seen tasks' test splits.
+    Kendall-tau agreement point is logged per selection step; each step
+    leaves one :class:`StepRecord` in ``RunReport.steps``. After each task
+    the model is evaluated on all seen tasks' test splits.
 
     ``refit_at_selection=True`` fits the candidate set to optimality by
     Newton's method before scoring (the regime the influence formulas
-    assume); the default scores at the current SGD parameters. The report
-    carries ``config_echo`` as its config. Arguments are checked before
-    step 0 and rejected with a ``RunArgumentError`` (a ``ValueError``)
-    naming the argument, and a sample that does not fit the model is
-    rejected with a ``ValueError`` naming the sample when the splits are
-    stacked; any later sub-operation failure is re-raised as a
-    ``RuntimeError`` with the task/epoch/batch position prepended.
+    assume); the default scores at the current SGD parameters. Arguments
+    are checked before step 0 and rejected with a ``RunArgumentError`` (a
+    ``ValueError``) naming the argument, and a sample that does not fit the
+    model is rejected with a ``ValueError`` naming the sample when the
+    splits are stacked; any later sub-operation failure is re-raised as a
+    ``RuntimeError`` with the step and task/epoch/batch position prepended.
     """
     if model.kind != "logistic":
         raise ValueError("the continual loop drives classification models only")
@@ -615,48 +623,64 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     params = Params(init_rng.normal(scale=0.01, size=model.param_dim))
     buffer = _NO_ROWS
     offered = 0       # samples offered so far, to both reservoirs alike
-    oracle_rows = None if oracle is None else _NO_ROWS
+    oracle_rows = _NO_ROWS
 
     num_tasks = len(stream.tasks)
     matrix = AccuracyMatrix.empty(num_tasks)
-    tau_series: list = []
-    buffer_trace: list = []
-    step = 0
+    steps: list = []
 
     for ti in range(num_tasks):
         # fixed consecutive slices of the task's train rows, the same every epoch
         batches = [np.arange(lo, min(lo + stream.batch_size, bounds[ti + 1]))
                    for lo in range(bounds[ti], bounds[ti + 1], stream.batch_size)]
         for epoch in range(1, epochs + 1):
-            last_epoch = epoch == epochs
             for bi, batch in enumerate(batches):
-                where = f"step {step} (task {ti}, epoch {epoch}, batch {bi})"
                 try:
                     replay = _draw_replay(buffer, stream.batch_size, replay_rng)
                     g = models.grad_sum(model, params,
                                         train.rows(np.concatenate([batch, replay])))
                     params = Params(params.theta - learning_rate * g)
-                    if last_epoch:
-                        buffer, oracle_rows, tau = _selection_step(
-                            stream, train, model, params, buffer, batch, selector,
-                            criterion, oracle, oracle_rows, method_res_rng,
-                            oracle_res_rng, reweight_constant, refit_at_selection,
-                            damping, offered)
-                        offered += len(batch)
-                        if len(buffer) > criterion.budget:
-                            raise RuntimeError("selector violated the buffer capacity")
-                        tau_series.append(TauPoint(step, ti, tau, len(buffer)))
-                        buffer_trace.append((step, tuple(sorted(train.ids[buffer].tolist()))))
-                        step += 1
+                    if epoch < epochs:
+                        continue
+                    # the last epoch: one selection step after every batch
+                    if oracle is not None:
+                        oracle_rows = _reservoir_rows(
+                            oracle_rows, oracle.buffer_multiplier * criterion.budget,
+                            batch, offered, oracle_res_rng)
+                    rows = np.concatenate([buffer, batch])
+                    tau = None
+                    if selector in GREEDY_KINDS or oracle is not None:
+                        ctx = _selection_context(model, params, train, rows, len(buffer),
+                                                 reweight_constant, refit_at_selection,
+                                                 damping)
+                        if oracle is not None:
+                            tau = _tau_checkpoint(ctx, train, rows, oracle_rows,
+                                                  oracle.min_overlap)
+                        if selector in GREEDY_KINDS:
+                            selected, _ = select_greedy(ctx, criterion, selector)
+                            buffer = rows[np.isin(ctx.batch.ids, selected.ids())]
+                        # release the context before the next SGD steps
+                        del ctx
+                    if selector is SelectorKind.RESERVOIR:
+                        buffer = _reservoir_rows(buffer, criterion.budget, batch, offered,
+                                                 method_res_rng)
+                    elif selector is SelectorKind.RING:
+                        buffer = rows[ring_slots(train.y[rows], criterion.budget,
+                                                 stream.num_classes)]
+                    offered += len(batch)
+                    if len(buffer) > criterion.budget:
+                        raise RuntimeError("selector violated the buffer capacity")
+                    steps.append(StepRecord(len(steps), ti, tau,
+                                            tuple(sorted(train.ids[buffer].tolist()))))
                 except Exception as exc:
-                    raise RuntimeError(f"{where}: {exc}") from exc
+                    raise RuntimeError(f"step {len(steps)} (task {ti}, epoch {epoch}, "
+                                       f"batch {bi}): {exc}") from exc
         for tj in range(ti + 1):
             matrix.set(ti, tj, models.accuracy(model, params, tests[tj]))
 
     acc, bwt = acc_bwt(matrix) if num_tasks >= 2 else (float(matrix.values[0, 0]), 0.0)
     return RunReport(seed=seed, selector=selector.value, acc_matrix=matrix,
-                     acc=acc, bwt=bwt, tau_series=tau_series,
-                     buffer_trace=buffer_trace, config=config_echo)
+                     acc=acc, bwt=bwt, steps=steps)
 
 
 def _draw_replay(buffer: np.ndarray, batch_size: int, rng: np.random.Generator) -> np.ndarray:
@@ -671,38 +695,3 @@ def _reservoir_rows(rows: np.ndarray, capacity: int, batch: np.ndarray, offered:
                     rng: np.random.Generator) -> np.ndarray:
     slots = reservoir_slots(len(rows), capacity, len(batch), offered, rng)
     return np.concatenate([rows, batch])[slots]
-
-
-def _selection_step(stream, train, model, params, buffer, batch, selector, criterion,
-                    oracle, oracle_rows, method_res_rng, oracle_res_rng,
-                    reweight_constant, refit_at_selection, damping, offered):
-    """One buffer refresh: update the oracle reservoir, log tau, select.
-
-    ``buffer``, ``batch`` and ``oracle_rows`` are rows of the stacked train
-    split ``train``; so are the returned buffer and oracle reservoir.
-    """
-    if oracle_rows is not None:
-        oracle_rows = _reservoir_rows(oracle_rows, oracle.buffer_multiplier * criterion.budget,
-                                      batch, offered, oracle_res_rng)
-
-    tau = None
-    rows = np.concatenate([buffer, batch])
-    if selector in GREEDY_KINDS or oracle_rows is not None:
-        stacked = _candidate_batch(train, rows, len(buffer), reweight_constant)
-        sel_params = params
-        if refit_at_selection:
-            sel_params = models.fit(model, stacked, FitConfig(), init=params)
-        ctx = build_context(model, sel_params, stacked, stacked, damping=damping)
-        if oracle_rows is not None and len(oracle_rows) > 0:
-            tau = _tau_checkpoint(ctx, train, rows, stacked.w, oracle_rows,
-                                  oracle.min_overlap)
-        if selector in GREEDY_KINDS:
-            selected, _ = select_greedy(ctx, criterion, selector)
-            buffer = rows[np.isin(stacked.ids, selected.ids())]
-
-    if selector is SelectorKind.RESERVOIR:
-        buffer = _reservoir_rows(buffer, criterion.budget, batch, offered, method_res_rng)
-    elif selector is SelectorKind.RING:
-        buffer = rows[ring_slots(train.y[rows], criterion.budget, stream.num_classes)]
-
-    return buffer, oracle_rows, tau

@@ -32,10 +32,6 @@ from .numkit import DEFAULT_DAMPING, CholeskySolver, SolveError, as_vector
 # back to raw influence scores.
 DEGENERATE_NORM_FACTOR = 1e-12
 
-# Internal mutation hook used by the validation suite's self-test; always 1.0
-# in normal operation.
-_JOINT_PERTURBATION_SIGN = 1.0
-
 
 class SecondOrderCase(Enum):
     """Whether the earlier sample is re-optimized jointly with the next round.
@@ -199,7 +195,7 @@ def second_order_influence(ctx: InfluenceContext, z: models.Sample,
         left = g_z
     elif case is SecondOrderCase.JOINT:
         hz_s = models.sample_hvp(ctx.model, ctx.params, z, ctx.ihvp)
-        left = g_z - _JOINT_PERTURBATION_SIGN * hz_s
+        left = g_z - hz_s
     else:
         raise ValueError(f"unknown second-order case: {case!r}")
     return float(-(left @ q))

@@ -105,7 +105,9 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     dropping row ``d`` moves ``a`` by ``+-e_d``, so ``v`` moves by
     ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``, one matrix-vector product
     per drop. ``reg_values`` are ``||v||`` of the running ``v``;
-    ``final_criterion`` is computed from scratch on the kept mask.
+    ``final_criterion`` is computed from scratch on the kept mask. A budget
+    that does not bind (``budget >= n``) gives no drops and the criterion
+    of keeping every candidate.
     Returns the resulting buffer plus a :class:`SelectionTrace`.
     """
     if kind not in GREEDY_KINDS:
@@ -113,8 +115,6 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     ids = ctx.batch.ids
     n = len(ids)
     trace = SelectionTrace()
-    if cfg.budget >= n:
-        return ReplayBuffer(ids, cfg.budget), trace
 
     # The term is ||a @ M|| on the discarded side (a = 1 - w, gradient
     # negated) or, for if_diversity, the kept side (a = w). vanilla_if's M

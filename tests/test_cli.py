@@ -342,7 +342,8 @@ class TestValidateCommand:
     def test_sign_flip_mutation_is_caught(self, capsys, monkeypatch):
         """Flipping the curvature-correction sign must fail the joint-case
         oracle and name it in the output."""
-        monkeypatch.setattr(influence, "_JOINT_PERTURBATION_SIGN", -1.0)
+        original = influence.models.sample_hvp
+        monkeypatch.setattr(influence.models, "sample_hvp", lambda *args: -original(*args))
         assert main(["validate", "--filter", "second_order"]) == 1
         out = capsys.readouterr().out
         assert "second_order_oracles" in out and "FAIL" in out

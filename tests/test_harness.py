@@ -1,6 +1,7 @@
 """Stream generation, metrics, oracles, and the continual loop."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -355,8 +356,8 @@ class TestRunContinual:
         assert np.isnan(R[0, 1]) and not np.isnan(R[1, 0])
         acc, bwt = acc_bwt(report.acc_matrix)
         assert report.acc == pytest.approx(acc) and report.bwt == pytest.approx(bwt)
-        assert all(len(ids) <= 20 for _, ids in report.buffer_trace)
-        assert len(report.buffer_trace) == 8  # 4 batches per task, last epoch only
+        assert all(len(s.kept_ids) <= 20 for s in report.steps)
+        assert len(report.steps) == 8  # 4 batches per task, last epoch only
 
     def test_deterministic_reports(self):
         a = small_run(seed=5)
@@ -380,8 +381,8 @@ class TestRunContinual:
 
     def test_tau_series_emitted_with_oracle(self):
         report = small_run()
-        assert len(report.tau_series) == 8
-        taus = [p.tau for p in report.tau_series if p.tau is not None]
+        assert len(report.steps) == 8
+        taus = [s.tau for s in report.steps if s.tau is not None]
         assert taus, "expected at least one checkpoint with enough overlap"
         assert all(-1.0 <= t <= 1.0 for t in taus)
 
@@ -396,6 +397,22 @@ class TestRunContinual:
         with pytest.raises(ValueError):
             run_continual(stream, model, SelectorKind.RESERVOIR,
                           CriterionConfig(budget=100), learning_rate=0.01, epochs=1)
+
+    def test_one_live_context_per_step(self, monkeypatch):
+        """Each selection step's context is released before the next one is
+        built, so the SGD steps between them hold no context."""
+        live = weakref.WeakSet()
+        alive_at_build = []
+        original = harness.build_context
+
+        def tracked(*args, **kwargs):
+            alive_at_build.append(len(live))
+            ctx = original(*args, **kwargs)
+            live.add(ctx)
+            return ctx
+        monkeypatch.setattr(harness, "build_context", tracked)
+        report = small_run()
+        assert alive_at_build == [0] * len(report.steps) == [0] * 8
 
     def test_errors_carry_step_context(self, monkeypatch):
         def failing_context(*args, **kwargs):

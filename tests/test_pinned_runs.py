@@ -3,7 +3,8 @@
 ``test_acceptance.py`` checks that one commit repeats its own report byte
 for byte. The digests below were recorded from an earlier commit, so a
 change that moves a kept id, an accuracy bit or a tau value anywhere in
-these runs fails here even when it repeats itself perfectly.
+these runs fails here even when it repeats itself perfectly; the example
+config's four artifact files are pinned byte for byte.
 """
 
 import hashlib
@@ -91,6 +92,22 @@ PINNED = {
 @pytest.mark.parametrize("assignments, expected", PINNED.values(), ids=PINNED.keys())
 def test_example_config_outputs_are_pinned(tmp_path, capsys, assignments, expected):
     assert run_digests(tmp_path, assignments) == expected
+
+
+# sha256 of each artifact file of `coresel run` on the example config
+# (regularized_if, oracle on)
+ARTIFACT_BYTES = {
+    "report.json": "f129196eaacc56ebd37ba0e414f321899fd7aadceefcb8ca86b1f93ce076a5e5",
+    "acc_matrix.csv": "707f1d9d7f8e1bd371c0974ea0d25f3fdda8ff799442b87e4b31359a669183c7",
+    "metrics.csv": "a2683dce87823336b9e971f5ce67df58d31827ca9eb50c0040fab73228c2db32",
+    "buffer_trace.csv": "3bcdd89b9ca9584b3417dc916f3380b576339e3fe518e041007e34667713076f",
+}
+
+
+def test_example_config_artifact_bytes_are_pinned(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ARTIFACT_BYTES} == ARTIFACT_BYTES
 
 
 # kept ids (sorted) of each greedy kind on one fitted blob pool at p = 200

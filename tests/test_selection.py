@@ -52,12 +52,8 @@ def greedy_term(ctx, cfg, kind):
 
 def scratch_greedy(ctx, cfg, kind):
     """Reference greedy: re-linearize ``||a @ M||`` from scratch before every
-    drop (two passes over ``M``) and stop once ``w.sum()`` reaches the budget.
-    Like ``select_greedy``, a budget that does not bind gives no drops and a
-    0.0 criterion."""
+    drop (two passes over ``M``) and stop once ``w.sum()`` reaches the budget."""
     ids = ctx.batch.ids
-    if cfg.budget >= len(ids):
-        return [], [], 0.0
     M, kept_side = greedy_term(ctx, cfg, kind)
     sign = 1.0 if kept_side else -1.0
     scores = ctx.scores()
@@ -317,6 +313,14 @@ class TestGreedy:
             buffer, trace = select_greedy(ctx, cfg, kind)
             kept_mask = np.isin(ctx.batch.ids, buffer.ids())
             assert trace.final_criterion == criterion_value(ctx, cfg, kept_mask)
+
+    @pytest.mark.parametrize("budget", [8, 11])
+    def test_budget_not_binding_gives_the_all_kept_criterion(self, budget):
+        ctx = off_optimum_ctx(np.random.default_rng(3), 8)
+        cfg = CriterionConfig(budget=budget)
+        buffer, trace = select_greedy(ctx, cfg)
+        assert len(buffer) == 8 and trace.drop_order == []
+        assert trace.final_criterion == criterion_value(ctx, cfg, np.ones(8))
 
     def test_diversity_gradient_matches_finite_differences(self):
         # if_diversity linearizes ||w @ grads|| on the kept side
