@@ -512,7 +512,7 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
                        rows: np.ndarray, buffer_size: int, constant: Optional[float],
-                       refit: bool, damping: float) -> InfluenceContext:
+                       damping: float) -> InfluenceContext:
     """The influence context of a selection round over the candidate rows,
     the buffer's ``buffer_size`` first, with the batch after them
     reweighted to balance cohort mass.
@@ -521,7 +521,7 @@ def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
     weight in the outer objective; with an empty buffer there is nothing to
     balance and the batch stays at weight 1. The reweighting exists only
     for the selection round; the buffer always stores original weights.
-    ``refit`` Newton-fits the reweighted candidates from ``params`` first.
+    It scores at ``params``, never at the candidates' own optimum, where scores are round-off.
     """
     if constant is None:
         constant = buffer_size / (len(rows) - buffer_size) if buffer_size else 1.0
@@ -529,8 +529,6 @@ def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
     w = candidates.w.copy()
     w[buffer_size:] *= constant
     candidates = candidates.with_weights(w)
-    if refit:
-        params = models.fit(model, candidates, FitConfig(), init=params)
     return build_context(model, params, candidates, candidates, damping=damping)
 
 
@@ -568,7 +566,6 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                   oracle: Optional[OracleConfig] = None, seed: int = 0, *,
                   learning_rate: float, epochs: int,
                   reweight_constant: Optional[float] = None,
-                  refit_at_selection: bool = False,
                   damping: float = DEFAULT_DAMPING) -> RunReport:
     """Train on the task stream while maintaining the replay buffer.
 
@@ -582,10 +579,8 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     leaves one :class:`StepRecord` in ``RunReport.steps``. After each task
     the model is evaluated on all seen tasks' test splits.
 
-    ``refit_at_selection=True`` fits the candidate set to optimality by
-    Newton's method before scoring (the regime the influence formulas
-    assume); the default scores at the current SGD parameters. Arguments
-    are checked before step 0 and rejected with a ``RunArgumentError`` (a
+    Selection scores at the current SGD parameters. Arguments are checked
+    before step 0 and rejected with a ``RunArgumentError`` (a
     ``ValueError``) naming the argument, and a sample that does not fit the
     model is rejected with a ``ValueError`` naming the sample when the
     splits are stacked; any later sub-operation failure is re-raised as a
@@ -651,8 +646,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                     tau = None
                     if selector in GREEDY_KINDS or oracle is not None:
                         ctx = _selection_context(model, params, train, rows, len(buffer),
-                                                 reweight_constant, refit_at_selection,
-                                                 damping)
+                                                 reweight_constant, damping)
                         if oracle is not None:
                             tau = _tau_checkpoint(ctx, train, rows, oracle_rows,
                                                   oracle.min_overlap)

@@ -73,6 +73,14 @@ def _blob_instance(rng, n, dim, num_classes, l2, id0=0, spread=1.5):
                      l2_strength=l2), out
 
 
+def _fitted_elsewhere_ctx(rng, n, dim, damping):
+    """A context over ``n`` two-class blob samples, scored by a model fitted on
+    ``n`` further draws: at the pool's own optimum every score would vanish."""
+    spec, drawn = _blob_instance(rng, 2 * n, dim, 2, 0.1)
+    params = fit(spec, drawn[n:], FitConfig(method="newton", grad_tolerance=1e-10))
+    return build_context(spec, params, drawn[:n], drawn[:n], damping=damping)
+
+
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
@@ -177,9 +185,7 @@ def suite_regularizer_identities():
     taylor_worst = 0.0
     rng = np.random.default_rng(40_000)
     for _ in range(10):
-        spec, samples = _blob_instance(rng, 12, 3, 2, 0.1)
-        params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = build_context(spec, params, samples, samples, damping=0.0)
+        ctx = _fitted_elsewhere_ctx(rng, 12, 3, damping=0.0)
         w = (rng.random(12) < 0.6).astype(float)
         if w.sum() in (0, 12):
             w[0] = 1.0 - w[0]
@@ -235,9 +241,7 @@ def suite_selector_equivalences():
     for seed in range(trials):
         rng = np.random.default_rng(50_000 + seed)
         n = int(rng.integers(10, 18))
-        spec, samples = _blob_instance(rng, n, 4, 2, 0.1)
-        params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = build_context(spec, params, samples, samples, damping=0.01)
+        ctx = _fitted_elsewhere_ctx(rng, n, 4, damping=0.01)
         m = n // 2
         a1, _ = select_greedy(ctx, CriterionConfig(budget=m, nu=0.0),
                               SelectorKind.REGULARIZED_IF)
@@ -259,9 +263,7 @@ def suite_greedy_quality():
     dominated = True
     for seed in range(100):
         rng = np.random.default_rng(60_000 + seed)
-        spec, samples = _blob_instance(rng, 12, 4, 2, 0.1)
-        params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = build_context(spec, params, samples, samples, damping=0.01)
+        ctx = _fitted_elsewhere_ctx(rng, 12, 4, damping=0.01)
         cfg = CriterionConfig(budget=6)
         greedy, _ = select_greedy(ctx, cfg)
         exhaustive = select_exhaustive(ctx, cfg)

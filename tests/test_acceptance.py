@@ -41,14 +41,20 @@ def test_criterion_5_regularizer_identities():
     _run("regularizer_identities")
 
 
-def test_criterion_6_selector_equivalences():
-    """nu=0 and mu=0 reductions produce id-exact buffers on 50 instances."""
+def test_criterion_6_selector_equivalences(off_optimum_guard):
+    """nu=0 and mu=0 reductions produce id-exact buffers on 50 instances,
+    none of them scored at its own optimum."""
+    checked = off_optimum_guard(validation)
     _run("selector_equivalences")
+    assert len(checked) == 4 * 50
 
 
-def test_criterion_7_greedy_quality():
-    """Greedy beats the random-subset median and never the exhaustive optimum."""
+def test_criterion_7_greedy_quality(off_optimum_guard):
+    """Greedy beats the random-subset median and never the exhaustive
+    optimum, on instances none of which is scored at its own optimum."""
+    checked = off_optimum_guard(validation)
     _run("greedy_quality")
+    assert len(checked) == 100
 
 
 def test_criterion_8_metrics():

@@ -1,9 +1,12 @@
 """Command-line contract tests: exit codes, artifacts, overrides, sweeps."""
 
 import csv
+import gc
 import json
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from coresel import cli, influence
@@ -92,7 +95,6 @@ KEY_CASES = [
     ("synthetic", ["fit.learning_rate=0.03"], [], 0),
     ("synthetic", ["fit.epochs=3"], [], 0),
     ("synthetic", ["harness.damping=1.0"], [], 0),
-    ("synthetic", ["harness.refit_at_selection=true"], [], 0),
     ("synthetic", ["harness.reweight_constant=0.5"], [], 0),
     ("synthetic", ["oracle.enabled=false"], [], 0),
     ("synthetic", ["oracle.buffer_multiplier=1"], [], 0),
@@ -271,6 +273,16 @@ class TestRunCommand:
         assert sorted(keys) == sorted(_SCHEMA)
 
 
+    def test_repeated_key_exits_2_and_names_both_lines(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(BASE_CONFIG + "criterion.m = 10\n")
+        lines = BASE_CONFIG.splitlines()
+        first, second = lines.index("criterion.m = 20") + 1, len(lines) + 1
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert (f"{config}:{second}: key 'criterion.m' is already set at line {first}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_csv_stream_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
         header = "id,task,label,f0,f1\n"
         train = tmp_path / "train.csv"
@@ -286,6 +298,15 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "train.csv: row 4: sample id 0 already used at row 2" in err
+
+
+def test_artifact_check_closes_every_file(tmp_path, config_file, capsys):
+    report = cli.execute_run(RunConfig.from_flat(parse_flat_file(config_file)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        cli.write_artifacts(tmp_path / "o", report)
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
 
 
 class TestShippedConfigs:
@@ -376,6 +397,16 @@ class TestSweepCommand:
         vanilla_acc = json.loads((run_out / "report.json").read_text())["acc"]
         assert sweep_acc == vanilla_acc
 
+    def test_repeated_grid_key_exits_2_and_names_both_lines(self, config_file, tmp_path,
+                                                             capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("grid.nu = 0, 0.1\n# the same key again\ngrid.nu = 1\n")
+        assert main(["sweep", "--config", str(config_file), "--grid", str(grid),
+                     "--out", str(tmp_path / "s")]) == 2
+        assert (f"{grid}:3: key 'grid.nu' is already set at line 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
+
     def test_oversized_grid_rejected(self, config_file, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
         grid.write_text("grid.mu = " + ",".join(str(i / 100) for i in range(11)) + "\n"
@@ -428,6 +459,33 @@ class TestSelectCommand:
         assert main(["select", "--data", str(data), "--m", "2", "--model", "quad1d",
                      "--l2", l2]) == 2
         assert "--l2: quad1d has no L2 term" in capsys.readouterr().err
+
+    def test_mu_changes_the_kept_ids(self, tmp_path, capsys, off_optimum_guard):
+        """Fitted on the file's first half, the pool is scored off its own
+        optimum, so at nu=1 each mu keeps a different buffer."""
+        rng = np.random.default_rng(5)
+        centers = rng.normal(size=(3, 4)) * 1.5
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0,f1,f2,f3\n" + "".join(
+            f"{i},0,{i % 3}," + ",".join(repr(float(v)) for v in rng.normal(size=4)
+                                         + centers[i % 3]) + "\n"
+            for i in range(60)))
+        checked = off_optimum_guard(cli)
+        kept = set()
+        for mu in ("0", "0.5", "1"):
+            assert main(["select", "--data", str(data), "--m", "20", "--mu", mu,
+                         "--nu", "1"]) == 0
+            kept.add(capsys.readouterr().out)
+        assert len(kept) == len(checked) == 3
+
+    @pytest.mark.parametrize("body", ["", "0,0,0,1.0\n"])
+    def test_fewer_than_two_rows_exit_2_and_name_the_file_before_fitting(
+            self, tmp_path, capsys, monkeypatch, body):
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0\n" + body)
+        monkeypatch.setattr(cli, "fit", None)
+        assert main(["select", "--data", str(data), "--m", "1"]) == 2
+        assert f"{data}: select needs at least 2 samples" in capsys.readouterr().err
 
     def test_repeated_id_exits_2_and_names_row(self, tmp_path, capsys):
         data = tmp_path / "pool.csv"

@@ -386,10 +386,6 @@ class TestRunContinual:
         assert taus, "expected at least one checkpoint with enough overlap"
         assert all(-1.0 <= t <= 1.0 for t in taus)
 
-    def test_refit_mode_runs(self):
-        report = small_run(refit_at_selection=True)
-        assert report.mean_tau is not None
-
     def test_oversized_budget_rejected(self):
         stream = make_stream(StreamSpec(num_tasks=2, classes_per_task=1,
                                         samples_per_class=5, seed=1))

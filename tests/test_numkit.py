@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coresel.numkit import (
+    _INVERSE_LEAF,
     SOLVE_REL_TOLERANCE,
     CholeskySolver,
     SolveError,
@@ -43,6 +46,24 @@ class TestCholeskySolver:
             for _ in range(3):
                 b = rng.normal(size=n)
                 np.testing.assert_allclose(solver.solve(b), inverse @ b, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+           damping=st.just(0.0) | st.floats(1e-3, 10))
+    def test_matches_dense_inverse_of_the_damped_matrix(self, n, seed, damping):
+        """Sizes span the blocked inverse's leaf size. A damped matrix may be
+        singular PSD; an undamped one is positive definite."""
+        assert 2 * _INVERSE_LEAF < 80
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        eigs = rng.uniform(0.1, 10.0, size=n)
+        if damping > 0:
+            eigs[rng.random(n) < 0.3] = 0.0
+        A = (Q * eigs) @ Q.T
+        b = rng.normal(size=n)
+        expected = np.linalg.inv(A + damping * np.eye(n)) @ b
+        x = CholeskySolver(A, damping).solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_solutions_meet_the_residual_tolerance(self):
         rng = np.random.default_rng(3)

@@ -66,11 +66,6 @@ PINNED = {
         "47d26769c9080b2f7b11770e66eb657da040462fcfe7a5e31b71f0018c9e05c2",
         "5c2263d76779d7114a69f7e7b96b98a06146a67c4d13e7ffbc6508004212abc0",
     )),
-    "refit": (["harness.refit_at_selection=true"], (
-        "668273cbbb72e864b001fed3b25111a4f2a06e172a39323b583191c226b8cbe8",
-        "2e36349c44ce28efaa87cb9463c0d9a64e3789578f6a61fc0f438fbfeb826eea",
-        "8b86f1884af45437596933e4b7faf49903381e4e9af8df27c2ab0eca5c622460",
-    )),
     "oracle_off": (["oracle.enabled=false"], (
         "4d50dafba02580c694a1be13d3e264cf0de7f731db57232e694bc6432b84c6fc",
         "2132d03dae2ab538a5c16cf2c7adc36bfc1f9dc6e1cda6f21db4badbe0fdb5d0",
@@ -97,17 +92,22 @@ def test_example_config_outputs_are_pinned(tmp_path, capsys, assignments, expect
 # sha256 of each artifact file of `coresel run` on the example config
 # (regularized_if, oracle on)
 ARTIFACT_BYTES = {
-    "report.json": "f129196eaacc56ebd37ba0e414f321899fd7aadceefcb8ca86b1f93ce076a5e5",
+    "report.json": "612f81369b626ffaa20ef847c053c8c0e82ce555e7251f0c83269e34adcdeaba",
     "acc_matrix.csv": "707f1d9d7f8e1bd371c0974ea0d25f3fdda8ff799442b87e4b31359a669183c7",
     "metrics.csv": "a2683dce87823336b9e971f5ce67df58d31827ca9eb50c0040fab73228c2db32",
     "buffer_trace.csv": "3bcdd89b9ca9584b3417dc916f3380b576339e3fe518e041007e34667713076f",
 }
 
 
-def test_example_config_artifact_bytes_are_pinned(tmp_path, capsys):
+def test_example_config_artifact_bytes_are_pinned(tmp_path, capsys, off_optimum_guard):
+    """The artifact bytes, from a run that scores no selection round at its
+    candidates' own optimum."""
+    checked = off_optimum_guard(harness)
     assert cli.main(["run", "--config", str(EXAMPLE), "--out", str(tmp_path)]) == 0
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in ARTIFACT_BYTES} == ARTIFACT_BYTES
+    steps = json.loads((tmp_path / "report.json").read_text())["buffer_trace"]
+    assert len(checked) == len(steps) > 0
 
 
 # kept ids (sorted) of each greedy kind on one fitted blob pool at p = 200
@@ -159,6 +159,6 @@ def test_run_stacks_each_split_once(monkeypatch, selector):
                         or original(spec, samples))
     run_continual(stream, model, selector, CriterionConfig(budget=12),
                   harness.OracleConfig(min_overlap=2), seed=1,
-                  learning_rate=0.05, epochs=2, refit_at_selection=True)
+                  learning_rate=0.05, epochs=2)
     assert len(rows) <= 2 * len(stream.tasks)
     assert sum(rows) == sum(len(t.train) + len(t.test) for t in stream.tasks)
