@@ -19,6 +19,13 @@ are vectorized equivalents that agree with per-sample summation to float64
 roundoff and exist because the leave-one-out oracles need thousands of
 refits and every selection round needs one set Hessian.
 
+``grad_sum`` is the sequential row sum of ``grad_matrix``, bit for bit, and
+the logistic kernels build their per-sample rows in place with the same
+float operations, in the same order, as the plain out-of-place formulas.
+A different summation order (say ``(w * R).T @ X``) is just as accurate
+but moves round-off bits of the SGD gradient, and the benchmark's kept-id
+references freeze those bits: one near-tie run flips a kept id under it.
+
 Every batch helper takes either a sample sequence or a :class:`Batch`.
 :func:`stack_samples` is the one place a sample set is validated against
 the model and stacked into a ``Batch`` of read-only arrays, sample ids
@@ -164,7 +171,8 @@ def _as_batch(spec: ModelSpec, samples: Samples) -> Batch:
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -245,11 +253,12 @@ def grad_matrix(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray
     if spec.kind == "quad1d":
         return (w * (params.theta[0] - X[:, 0]))[:, None]
     theta = _theta_matrix(spec, params)
-    P = _softmax(X @ theta.T)
-    resid = P.copy()
+    resid = _softmax(X @ theta.T)
     resid[np.arange(n), y] -= 1.0
-    G = resid[:, :, None] * X[:, None, :] + spec.l2_strength * theta[None, :, :]
-    return (w[:, None, None] * G).reshape(n, spec.param_dim)
+    G = resid[:, :, None] * X[:, None, :]
+    G += spec.l2_strength * theta
+    G *= w[:, None, None]
+    return G.reshape(n, spec.param_dim)
 
 
 def grad_sum(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
@@ -272,8 +281,10 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v) -> np.ndarr
     a = X @ V.T
     m = np.einsum("nc,nc->n", P, a)
     rows = P * (a - m[:, None])
-    out = rows[:, :, None] * X[:, None, :] + spec.l2_strength * V[None, :, :]
-    return (w[:, None, None] * out).reshape(n, spec.param_dim)
+    out = rows[:, :, None] * X[:, None, :]
+    out += spec.l2_strength * V
+    out *= w[:, None, None]
+    return out.reshape(n, spec.param_dim)
 
 
 def dense_hessian(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:

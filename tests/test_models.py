@@ -254,6 +254,76 @@ class TestDenseHessianBlockForm:
         np.testing.assert_array_equal(H, [[2.5]])
 
 
+def oracle_softmax(logits):
+    """Row softmax, dividing into a new array."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def oracle_grad_matrix(spec, params, batch):
+    """Per-sample gradient rows, each term its own full-size array."""
+    X, y, w, _ = batch
+    n = len(y)
+    theta = params.theta.reshape(spec.num_classes, spec.dim)
+    P = oracle_softmax(X @ theta.T)
+    resid = P.copy()
+    resid[np.arange(n), y] -= 1.0
+    G = resid[:, :, None] * X[:, None, :] + spec.l2_strength * theta[None, :, :]
+    return (w[:, None, None] * G).reshape(n, spec.param_dim)
+
+
+def oracle_hvp_matrix(spec, params, batch, v):
+    """Per-sample Hessian-vector rows, each term its own full-size array."""
+    X, _, w, _ = batch
+    n = len(w)
+    theta = params.theta.reshape(spec.num_classes, spec.dim)
+    P = oracle_softmax(X @ theta.T)
+    V = v.reshape(spec.num_classes, spec.dim)
+    a = X @ V.T
+    m = np.einsum("nc,nc->n", P, a)
+    rows = P * (a - m[:, None])
+    out = rows[:, :, None] * X[:, None, :] + spec.l2_strength * V[None, :, :]
+    return (w[:, None, None] * out).reshape(n, spec.param_dim)
+
+
+class TestInPlaceKernelsAreBitExact:
+    """The in-place logistic kernels give the out-of-place oracles' exact bits.
+
+    The benchmark's kept-id references freeze the SGD gradient's bits, so
+    ``np.array_equal`` here, not a tolerance. The inputs are writeable, so a
+    kernel that wrote into them would show.
+    """
+
+    @pytest.mark.parametrize("n", [1, 24, 212, 800])
+    @pytest.mark.parametrize("num_classes", [2, 10])
+    @pytest.mark.parametrize("l2", [0.0, 0.1])
+    def test_match_out_of_place_oracles(self, n, num_classes, l2):
+        rng = np.random.default_rng([n, num_classes])
+        dim = 20
+        spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=l2)
+        batch = Batch(rng.normal(size=(n, dim)), rng.integers(num_classes, size=n),
+                      rng.uniform(0.5, 2.0, size=n), np.arange(n))
+        params = Params(rng.normal(size=spec.param_dim))
+        v = rng.normal(size=spec.param_dim)
+        inputs = [*batch, params.theta, v]
+        before = [a.copy() for a in inputs]
+
+        logits = batch.X @ params.theta.reshape(num_classes, dim).T
+        assert np.array_equal(models._softmax(logits), oracle_softmax(logits))
+        G = grad_matrix(spec, params, batch)
+        assert np.array_equal(G, oracle_grad_matrix(spec, params, batch))
+        g = grad_sum(spec, params, batch)
+        assert np.array_equal(g, oracle_grad_matrix(spec, params, batch).sum(axis=0))
+        Hv = hvp_matrix(spec, params, batch, v)
+        assert np.array_equal(Hv, oracle_hvp_matrix(spec, params, batch, v))
+
+        for a, b in zip(inputs, before):
+            assert np.array_equal(a, b)
+            for out in (G, g, Hv):
+                assert not np.shares_memory(out, a)
+
+
 def count_stacks(monkeypatch):
     """Wrap ``models.stack_samples`` so each call is counted."""
     calls = []
