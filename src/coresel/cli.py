@@ -2,12 +2,17 @@
 
 Configs are flat ``key = value`` text files with dotted keys (see the README
 key table); ``#`` starts a comment. All randomness flows from the single
-``seed`` key, expanded into named sub-streams inside the harness. Exit
-codes: 0 success, 1 runtime or validation failure, 2 usage/config errors.
+``seed`` key, expanded into named sub-streams inside the harness.
+
+Exit codes: 0 success, 2 bad input, 1 any other failure. :func:`main` alone
+picks the code, by the library's contract that ``ValueError`` is bad input
+and ``RuntimeError`` a failed run; elsewhere this module re-raises an error
+only to name its key, flag or file.
 """
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -33,10 +38,6 @@ from .selection import SelectorKind, select_greedy
 SWEEP_POINT_LIMIT = 100
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------
@@ -44,18 +45,21 @@ class ConfigError(Exception):
 def parse_flat_file(path) -> dict:
     """Read a flat key=value config file into an ordered dict of strings.
     A key set twice is an error that names both lines."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     flat, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key in flat:
-            raise ConfigError(f"{path}:{lineno}: key '{key}' is already set at line "
-                              f"{first_line[key]}")
+            raise ValueError(f"{path}:{lineno}: key '{key}' is already set at line "
+                             f"{first_line[key]}")
         flat[key], first_line[key] = value, lineno
     return flat
 
@@ -120,7 +124,6 @@ _SCHEMA = {
     "stream.test_fraction": _Key(float, 0.2, "stream", "test_fraction", _SYNTHETIC),
     "stream.train_csv": _Key(str, None, "stream", "train_csv", "csv"),
     "stream.test_csv": _Key(str, None, "stream", "test_csv", "csv"),
-    "model.kind": _Key(str, "logistic", "model", "kind"),
     "model.dim": _Key(int, 2, "model", "dim"),
     "model.num_classes": _Key(int, 4, "model", "num_classes"),
     "model.l2_strength": _Key(float, 0.05, "model", "l2_strength"),
@@ -136,16 +139,18 @@ _SCHEMA = {
     "oracle.min_overlap": _Key(int, 10, "oracle", "min_overlap"),
 }
 
-# the parts a run config is built from, in build order
-_PARTS = (("stream", StreamSpec), ("model", ModelSpec), ("criterion", CriterionConfig),
-          ("oracle", OracleConfig))
+# the parts a run config is built from, in build order; the run loop drives
+# the logistic model only
+_PARTS = (("stream", StreamSpec), ("model", functools.partial(ModelSpec, kind="logistic")),
+          ("criterion", CriterionConfig), ("oracle", OracleConfig))
 
 
-def _argument_error(exc: RunArgumentError) -> ConfigError:
-    # no argument that run_continual or OracleConfig checks shares its name
-    # with another part's field
-    key = next(key for key, row in _SCHEMA.items() if row.field == exc.argument)
-    return ConfigError(f"config key '{key}': {exc}")
+def _argument_error(exc: RunArgumentError) -> ValueError:
+    # a run argument may share its name with another part's field (``seed``
+    # is also a stream field), so a key that fills the run itself comes first
+    keys = [key for key, row in _SCHEMA.items() if row.field == exc.argument]
+    key = min(keys, key=lambda k: _SCHEMA[k].part != "run")
+    return ValueError(f"config key '{key}': {exc}")
 
 
 def _build(factory, kwargs: dict, part: str):
@@ -154,7 +159,7 @@ def _build(factory, kwargs: dict, part: str):
     except RunArgumentError as exc:
         raise _argument_error(exc) from exc
     except ValueError as exc:
-        raise ConfigError(f"config section '{part}': {exc}") from exc
+        raise ValueError(f"config section '{part}': {exc}") from exc
 
 
 def _echo(value):
@@ -189,33 +194,30 @@ class RunConfig:
                 try:
                     kwargs[row.part][row.field] = row.convert(flat[key])
                 except (ValueError, TypeError) as exc:
-                    raise ConfigError(f"config key '{key}': {exc}") from exc
+                    raise ValueError(f"config key '{key}': {exc}") from exc
             elif row.default is _REQUIRED:
-                raise ConfigError(f"config key '{key}' is required")
+                raise ValueError(f"config key '{key}' is required")
             else:
                 kwargs[row.part][row.field] = row.default
         unknown = [key for key in flat if key not in _SCHEMA]
         if unknown:
-            raise ConfigError(f"unknown config key '{unknown[0]}'")
+            raise ValueError(f"unknown config key '{unknown[0]}'")
 
         parts = {part: _build(factory, kwargs[part], part) for part, factory in _PARTS}
-        stream, model = parts["stream"], parts["model"]
+        stream = parts["stream"]
         for key, row in _SCHEMA.items():
             if row.source is None:
                 continue
             value = getattr(stream, row.field)
             if row.source != stream.source:
                 if key in flat and value is not None:
-                    raise ConfigError(f"config key '{key}' does not apply to a "
-                                      f"{stream.source} stream")
+                    raise ValueError(f"config key '{key}' does not apply to a "
+                                     f"{stream.source} stream")
             elif row.source == "csv" and not Path(value).exists():
-                raise ConfigError(f"config key '{key}': file not found: {value}")
-        if model.kind != "logistic":
-            raise ConfigError("config key 'model.kind': the continual loop drives "
-                              "classification models; use the library directly for quad1d")
+                raise ValueError(f"config key '{key}': file not found: {value}")
         run = kwargs["run"]
         run["oracle"] = parts["oracle"] if run["oracle"] else None
-        return cls(stream=stream, model=model, criterion=parts["criterion"], **run)
+        return cls(stream=stream, model=parts["model"], criterion=parts["criterion"], **run)
 
     def to_flat(self) -> dict:
         """Echo as a flat dict that reparses to an equal RunConfig.
@@ -237,24 +239,15 @@ class RunConfig:
         return flat
 
 
-def _read_input(reader, source):
-    """Read a stream or sample file, reporting bad input as a config error
-    (exit code 2) instead of a failed run."""
-    try:
-        return reader(source)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def execute_run(cfg: RunConfig) -> RunReport:
     """Load the stream, check it against the model, run, and echo the config."""
-    stream = _read_input(make_stream, cfg.stream)
+    stream = make_stream(cfg.stream)
     model = cfg.model
     if model.dim != stream.dim:
-        raise ConfigError(
+        raise ValueError(
             f"config key 'model.dim': {model.dim} does not match stream.dim {stream.dim}")
     if model.num_classes < stream.num_classes:
-        raise ConfigError(
+        raise ValueError(
             f"config key 'model.num_classes': {model.num_classes} is below the "
             f"stream's {stream.num_classes} classes")
     try:
@@ -265,10 +258,6 @@ def execute_run(cfg: RunConfig) -> RunReport:
                                damping=cfg.damping)
     except RunArgumentError as exc:
         raise _argument_error(exc) from exc
-    except ValueError as exc:
-        # run_continual checks its arguments before step 0 and raises
-        # ValueError; failures during the run are wrapped as RuntimeError
-        raise ConfigError(str(exc)) from exc
     report.config = cfg.to_flat()
     return report
 
@@ -310,7 +299,10 @@ def _check_artifacts(out: Path, report: RunReport):
     parsed = json.loads((out / "report.json").read_text(encoding="utf-8"))
     if parsed.get("schema") != "coresel-report-v1":
         raise RuntimeError("report.json failed schema check")
-    reparsed = RunConfig.from_flat(parsed["config"])
+    try:
+        reparsed = RunConfig.from_flat(parsed["config"])
+    except ValueError as exc:  # this program wrote the echo: not an input error
+        raise RuntimeError(f"report.json config echo does not parse back: {exc}") from exc
     if reparsed.to_flat() != parsed["config"]:
         raise RuntimeError("report.json config echo does not round-trip")
     for name, expected_header in [("acc_matrix.csv", "after_task"),
@@ -332,7 +324,7 @@ def _load_config(args) -> RunConfig:
     flat = parse_flat_file(args.config)
     for assignment in args.set or []:
         if "=" not in assignment:
-            raise ConfigError(f"--set expects KEY=VALUE, got {assignment!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {assignment!r}")
         key, value = assignment.split("=", 1)
         flat[key.strip()] = value.strip()
     if getattr(args, "seed", None) is not None:
@@ -353,7 +345,7 @@ def cmd_validate(args) -> int:
     from . import validation
     names = validation.suite_names(args.filter)
     if not names:
-        raise ConfigError(f"--filter {args.filter!r} matches no validation suite")
+        raise ValueError(f"--filter {args.filter!r} matches no validation suite")
     results = validation.run_suites(names)
     width = max(len(r.name) for r in results)
     failed = [r for r in results if not r.passed]
@@ -367,26 +359,30 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     flat = parse_flat_file(args.config)
     grid = parse_flat_file(args.grid)
-    mu_text = grid.pop("grid.mu", "")
-    nu_text = grid.pop("grid.nu", "")
+    axes = {}
+    for key in ("grid.mu", "grid.nu"):
+        text = grid.pop(key, "")
+        if text:
+            try:
+                axes[key] = _conv_float_tuple(text)
+            except ValueError as exc:
+                raise ValueError(f"grid key '{key}': {exc}") from exc
     if grid:
-        raise ConfigError(f"unknown grid key '{next(iter(grid))}'")
-    if not mu_text and not nu_text:
-        raise ConfigError("grid file must set grid.mu and/or grid.nu")
+        raise ValueError(f"unknown grid key '{next(iter(grid))}'")
+    if not axes:
+        raise ValueError("grid file must set grid.mu and/or grid.nu")
     base = RunConfig.from_flat(dict(flat))
-    mu_values = _conv_float_tuple(mu_text) if mu_text else (base.criterion.mu,)
-    nu_values = _conv_float_tuple(nu_text) if nu_text else (base.criterion.nu,)
-    points = list(itertools.product(mu_values, nu_values))
+    points = list(itertools.product(axes.get("grid.mu", (base.criterion.mu,)),
+                                    axes.get("grid.nu", (base.criterion.nu,))))
     if len(points) > SWEEP_POINT_LIMIT:
-        raise ConfigError(f"grid has {len(points)} points, limit is {SWEEP_POINT_LIMIT}")
+        raise ValueError(f"grid has {len(points)} points, limit is {SWEEP_POINT_LIMIT}")
+    # every point's config is checked before the first point runs
+    configs = [RunConfig.from_flat({**flat, "criterion.mu": str(mu), "criterion.nu": str(nu)})
+               for mu, nu in points]
 
     out = Path(args.out)
     rows = []
-    for idx, (mu, nu) in enumerate(points):
-        point_flat = dict(flat)
-        point_flat["criterion.mu"] = str(mu)
-        point_flat["criterion.nu"] = str(nu)
-        cfg = RunConfig.from_flat(point_flat)
+    for idx, ((mu, nu), cfg) in enumerate(zip(points, configs)):
         report = execute_run(cfg)
         write_artifacts(out / f"point_{idx:03d}", report)
         mean_tau = report.mean_tau
@@ -407,17 +403,17 @@ _SELECT_FLAGS = {"budget": "--m", "mu": "--mu", "nu": "--nu", "l2_strength": "--
 def cmd_select(args) -> int:
     """Fit on the file's first half of rows, as an earlier round's buffer, and select
     over all rows: at the pool's own optimum every score would be round-off."""
-    samples, dim = _read_input(_parse_csv_samples, args.data)
+    samples, dim = _parse_csv_samples(args.data)
     if len(samples) < 2:
-        raise ConfigError(f"{args.data}: select needs at least 2 samples, got {len(samples)}")
+        raise ValueError(f"{args.data}: select needs at least 2 samples, got {len(samples)}")
     quad = args.model == "quad1d"
     if quad and dim != 1:
-        raise ConfigError("quad1d selection needs exactly one feature column")
+        raise ValueError("quad1d selection needs exactly one feature column")
     if not 0 <= args.damping < math.inf:
-        raise ConfigError(f"--damping: damping must be finite and nonnegative, "
-                          f"got {args.damping}")
+        raise ValueError(f"--damping: damping must be finite and nonnegative, "
+                         f"got {args.damping}")
     if quad and args.l2 is not None:
-        raise ConfigError("--l2: quad1d has no L2 term; drop the flag")
+        raise ValueError("--l2: quad1d has no L2 term; drop the flag")
     try:
         cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
         model = ModelSpec(kind="quad1d", dim=1) if quad else ModelSpec(
@@ -425,7 +421,7 @@ def cmd_select(args) -> int:
             l2_strength=0.1 if args.l2 is None else args.l2)
     except ValueError as exc:
         # each check of these fields raises a message that opens with the field
-        raise ConfigError(f"{_SELECT_FLAGS[str(exc).split()[0]]}: {exc}") from exc
+        raise ValueError(f"{_SELECT_FLAGS[str(exc).split()[0]]}: {exc}") from exc
     params = fit(model, samples[:len(samples) // 2],
                  FitConfig(method="closed_form" if quad else "newton"))
     ctx = build_context(model, params, samples, samples, damping=args.damping)
@@ -474,6 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code: 2 for a usage error, a
+    ``ValueError`` (bad input, by the library's contract) or a missing
+    file, 1 for any other exception (a ``RuntimeError`` is a failed run)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -481,12 +480,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ValueError, FileNotFoundError)) else 1
 
 
 if __name__ == "__main__":

@@ -102,10 +102,23 @@ class StreamSpec:
                 raise ValueError("classes_per_task, samples_per_class and dim must be positive")
             if not 0.0 < self.test_fraction < 1.0:
                 raise ValueError("test_fraction must lie in (0, 1)")
+            if self.seed < 0:
+                raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            if not math.isfinite(self.mean_scale):
+                raise ValueError(f"mean_scale must be finite, got {self.mean_scale}")
+            if not 0 <= self.within_std < math.inf:
+                raise ValueError(f"within_std must be finite and nonnegative, "
+                                 f"got {self.within_std}")
             for name, values in (("drift_offsets", self.drift_offsets),
                                  ("label_noise", self.label_noise)):
                 if values is not None and len(values) != self.num_tasks:
                     raise ValueError(f"{name} must list one value per task")
+            if self.drift_offsets is not None and not all(map(math.isfinite,
+                                                              self.drift_offsets)):
+                raise ValueError(f"drift_offsets must be finite, got {self.drift_offsets}")
+            if self.label_noise is not None and not all(0 <= v <= 1 for v in self.label_noise):
+                raise ValueError(f"label_noise entries must lie in [0, 1], "
+                                 f"got {self.label_noise}")
         else:
             if not self.train_csv or not self.test_csv:
                 raise ValueError("csv streams require train_csv and test_csv paths")
@@ -193,8 +206,9 @@ def _circle_templates(rng: np.random.Generator, total_classes: int, dim: int,
 
 
 def _parse_csv_samples(path: str):
-    """Read one sample file, reporting schema violations and repeated
-    sample ids by row (and column, where one is at fault)."""
+    """Read one sample file, reporting schema violations, non-finite
+    features, negative tasks or labels and repeated sample ids by row (and
+    column, where one is at fault)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -221,6 +235,12 @@ def _parse_csv_samples(path: str):
                     raise ValueError(
                         f"{path}: row {row_num}, column {col!r}: could not parse {cell!r}"
                     ) from None
+                if not math.isfinite(values[col]):
+                    raise ValueError(f"{path}: row {row_num}, column {col!r}: "
+                                     f"{cell!r} is not finite")
+                if col in ("task", "label") and values[col] < 0:
+                    raise ValueError(f"{path}: row {row_num}, column {col!r}: "
+                                     f"{col} must be nonnegative, got {values[col]}")
             first_row = id_rows.setdefault(values["id"], row_num)
             if first_row != row_num:
                 raise ValueError(f"{path}: row {row_num}: sample id {values['id']} "
@@ -239,6 +259,10 @@ def _load_csv_stream(spec: StreamSpec) -> Stream:
     task_ids = sorted({s.task_id for s in train})
     if len(task_ids) < 2:
         raise ValueError("a stream needs at least 2 tasks")
+    orphan = next((s for s in test if s.task_id not in task_ids), None)
+    if orphan is not None:
+        raise ValueError(f"{spec.test_csv}: sample id {orphan.id}: task {orphan.task_id} "
+                         f"has no rows in the train file")
     num_classes = max(s.label for s in train + test) + 1
     tasks = []
     for t in task_ids:
@@ -588,6 +612,8 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     """
     if model.kind != "logistic":
         raise ValueError("the continual loop drives classification models only")
+    if seed < 0:
+        raise RunArgumentError("seed", f"seed must be nonnegative, got {seed}")
     total = stream.total_train_size()
     if criterion.budget > total:
         raise RunArgumentError(

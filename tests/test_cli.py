@@ -2,7 +2,9 @@
 
 import csv
 import gc
+import itertools
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -10,9 +12,10 @@ import numpy as np
 import pytest
 
 from coresel import cli, influence
-from coresel.cli import _SCHEMA, ConfigError, RunConfig, main, parse_flat_file
+from coresel.cli import _SCHEMA, RunConfig, main, parse_flat_file
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 BASE_CONFIG = """
 # minimal smoke configuration
@@ -37,20 +40,25 @@ def config_file(tmp_path):
     return path
 
 
-@pytest.fixture
-def csv_config_file(tmp_path):
-    """A run config on a two-task csv stream."""
+def write_csv_config(tmp_path, train_extra="", test_extra=""):
+    """A run config on a two-task csv stream of 8 train rows (file rows 2-9)
+    and 2 test rows (rows 2-3), each file followed by its extra rows."""
     header = "id,task,label,f0,f1\n"
     train = tmp_path / "train.csv"
     train.write_text(header + "".join(
-        f"{i},{i // 4},{i % 4},{i % 3 - 1}.0,{i % 2}.0\n" for i in range(8)))
+        f"{i},{i // 4},{i % 4},{i % 3 - 1}.0,{i % 2}.0\n" for i in range(8)) + train_extra)
     test = tmp_path / "test.csv"
-    test.write_text(header + "10,0,0,1.0,0.0\n11,1,2,-1.0,0.0\n")
+    test.write_text(header + "10,0,0,1.0,0.0\n11,1,2,-1.0,0.0\n" + test_extra)
     path = tmp_path / "csv.cfg"
     path.write_text(f"selector.kind = regularized_if\ncriterion.m = 2\n"
                     f"stream.source = csv\nstream.train_csv = {train}\n"
                     f"stream.test_csv = {test}\nstream.batch_size = 2\n")
     return path
+
+
+@pytest.fixture
+def csv_config_file(tmp_path):
+    return write_csv_config(tmp_path)
 
 
 # the config key behind each run argument of test_bad_run_value_exits_2_before_step_0
@@ -85,7 +93,6 @@ KEY_CASES = [
     ("synthetic", ["stream.test_fraction=0.5"], [], 0),
     ("csv", ["stream.train_csv={dir}/test.csv"], [], 0),
     ("csv", ["stream.test_csv={dir}/train.csv"], [], 0),
-    ("synthetic", ["model.kind=quad1d"], [], 2),
     ("synthetic", ["model.dim=3", "stream.dim=3"], [], 0),
     ("synthetic", ["model.num_classes=5"], [], 0),
     ("synthetic", ["model.l2_strength=0.5"], [], 0),
@@ -235,7 +242,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("assignment", [
         "fit.method=newton", "fit.batch_size=3", "fit.grad_tolerance=0.5",
-        "fit.max_steps=1", "fit.seed=9", "oracle.epsilon=0.5",
+        "fit.max_steps=1", "fit.seed=9", "oracle.epsilon=0.5", "model.kind=logistic",
     ])
     def test_deleted_key_exits_2_and_names_it(self, config_file, tmp_path, capsys,
                                               assignment):
@@ -309,6 +316,116 @@ def test_artifact_check_closes_every_file(tmp_path, config_file, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+def input_argv(tmp_path, where, value):
+    """The argv of one bad-input case, with ``value`` put where ``where``
+    says: a --set assignment, extra flags, extra train or test rows of the
+    csv stream, extra rows of a select file, or a grid or run config file's
+    bytes. Commands that take ``--out`` write to ``tmp_path / "o"``."""
+    out = ["--out", str(tmp_path / "o")]
+    config = tmp_path / "run.cfg"
+    config.write_bytes(value if where == "config" else BASE_CONFIG.encode())
+    if where == "select":
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n" + value)
+        return ["select", "--data", str(data), "--m", "2"]
+    if where == "grid":
+        grid = tmp_path / "grid.cfg"
+        grid.write_bytes(value)
+        return ["sweep", "--config", str(config), "--grid", str(grid)] + out
+    if where in ("train", "test"):
+        config = write_csv_config(tmp_path, **{f"{where}_extra": value})
+    flags = {"set": ["--set", value], "flags": value}.get(where, [])
+    return ["run", "--config", str(config)] + flags + out
+
+
+LABEL_NOISE = "config section 'stream': label_noise entries must lie in [0, 1]"
+WITHIN_STD = "config section 'stream': within_std must be finite and nonnegative"
+MEAN_SCALE = "config section 'stream': mean_scale must be finite"
+NOT_UTF8 = "'utf-8' codec can't decode"
+
+# Every input error exits 2 naming its key, flag, or file and row:
+# (where the bad value goes, see input_argv; the value; what stderr must
+# hold, with "{dir}" the directory of the case's files)
+INPUT_ERRORS = [
+    pytest.param("set", "stream.label_noise=1.5,1.5", LABEL_NOISE, id="label_noise=1.5"),
+    pytest.param("set", "stream.label_noise=-0.5,0", LABEL_NOISE, id="label_noise=-0.5"),
+    pytest.param("set", "stream.label_noise=nan,nan", LABEL_NOISE, id="label_noise=nan"),
+    pytest.param("set", "stream.within_std=-1", WITHIN_STD, id="within_std=-1"),
+    pytest.param("set", "stream.within_std=nan", WITHIN_STD, id="within_std=nan"),
+    pytest.param("set", "stream.mean_scale=nan", MEAN_SCALE, id="mean_scale=nan"),
+    pytest.param("set", "stream.mean_scale=inf", MEAN_SCALE, id="mean_scale=inf"),
+    pytest.param("set", "stream.drift_offsets=nan,0",
+                 "config section 'stream': drift_offsets must be finite", id="drift_offsets=nan"),
+    pytest.param("set", "seed=-1", "config key 'seed': seed must be nonnegative, got -1",
+                 id="seed=-1"),
+    pytest.param("set", "stream.seed=-1",
+                 "config section 'stream': seed must be nonnegative, got -1", id="stream.seed=-1"),
+    pytest.param("flags", ["--seed", "-3"],
+                 "config key 'seed': seed must be nonnegative, got -3", id="--seed=-3"),
+    pytest.param("train", "8,1,2,nan,0.0\n",
+                 "{dir}/train.csv: row 10, column 'f0': 'nan' is not finite", id="train-nan"),
+    pytest.param("train", "8,1,2,0.0,-inf\n",
+                 "{dir}/train.csv: row 10, column 'f1': '-inf' is not finite", id="train-inf"),
+    pytest.param("train", "8,1,-1,0.0,0.0\n",
+                 "{dir}/train.csv: row 10, column 'label': label must be nonnegative, got -1",
+                 id="train-label=-1"),
+    pytest.param("train", "8,-1,0,0.0,0.0\n",
+                 "{dir}/train.csv: row 10, column 'task': task must be nonnegative, got -1",
+                 id="train-task=-1"),
+    pytest.param("test", "12,5,0,1.0,0.0\n",
+                 "{dir}/test.csv: sample id 12: task 5 has no rows in the train file",
+                 id="test-task-without-train-rows"),
+    pytest.param("select", "2,0,0,nan\n",
+                 "{dir}/pool.csv: row 4, column 'f0': 'nan' is not finite", id="select-nan"),
+    pytest.param("select", "2,0,-1,0.5\n",
+                 "{dir}/pool.csv: row 4, column 'label': label must be nonnegative, got -1",
+                 id="select-label=-1"),
+    pytest.param("grid", b"grid.mu = 0.5, x\n", "grid key 'grid.mu': could not convert",
+                 id="grid.mu=x"),
+    pytest.param("grid", b"grid.nu = 0.1,,0.2\n", "grid key 'grid.nu': could not convert",
+                 id="grid.nu-empty-entry"),
+    pytest.param("grid", b"grid.nu = 0.1  # \xff\n", "{dir}/grid.cfg: " + NOT_UTF8,
+                 id="grid-not-utf8"),
+    pytest.param("config", BASE_CONFIG.encode() + b"# caf\xe9\n", "{dir}/run.cfg: " + NOT_UTF8,
+                 id="config-not-utf8"),
+]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("where, value, message", INPUT_ERRORS)
+    def test_input_error_exits_2_names_it_and_writes_nothing(self, tmp_path, capsys,
+                                                             where, value, message):
+        assert main(input_argv(tmp_path, where, value)) == 2
+        assert message.format(dir=tmp_path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("run", "error: the run failed"),
+        ("echo", "report.json config echo does not parse back: "
+                 "unknown config key 'bogus.key'"),
+    ])
+    def test_program_fault_exits_1(self, config_file, tmp_path, capsys, monkeypatch,
+                                   fault, message):
+        if fault == "run":
+            def failed_run(*args, **kwargs):
+                raise RuntimeError("the run failed")
+            monkeypatch.setattr(cli, "run_continual", failed_run)
+        else:
+            to_flat = RunConfig.to_flat
+            monkeypatch.setattr(RunConfig, "to_flat",
+                                lambda self: {**to_flat(self), "bogus.key": "1"})
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_readme_key_table_matches_the_schema():
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert sorted(keys) == sorted(_SCHEMA)
+
+
 class TestShippedConfigs:
     def test_example_run_config_runs(self, tmp_path, capsys):
         assert main(["run", "--config", str(CONFIGS / "example_run.cfg"),
@@ -341,12 +458,12 @@ class TestConfigRoundTrip:
         assert recovered == cfg
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_flat({"selector.kind": "reservoir", "criterion.m": "5",
                                  "bogus.key": "1"})
 
     def test_required_key_enforced(self):
-        with pytest.raises(ConfigError, match="criterion.m"):
+        with pytest.raises(ValueError, match="criterion.m"):
             RunConfig.from_flat({"selector.kind": "reservoir"})
 
 

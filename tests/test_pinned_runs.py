@@ -101,7 +101,7 @@ def test_example_config_outputs_are_pinned(tmp_path, capsys, assignments, expect
 # sha256 of each artifact file of `coresel run` on the example config
 # (regularized_if, oracle on)
 ARTIFACT_BYTES = {
-    "report.json": "612f81369b626ffaa20ef847c053c8c0e82ce555e7251f0c83269e34adcdeaba",
+    "report.json": "ce178f41e9e69a34bafa734d061fbfe554ec08eaeab85febc73c47351ff6c098",
     "acc_matrix.csv": "707f1d9d7f8e1bd371c0974ea0d25f3fdda8ff799442b87e4b31359a669183c7",
     "metrics.csv": "a2683dce87823336b9e971f5ce67df58d31827ca9eb50c0040fab73228c2db32",
     "buffer_trace.csv": "3bcdd89b9ca9584b3417dc916f3380b576339e3fe518e041007e34667713076f",
