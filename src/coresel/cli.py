@@ -213,7 +213,7 @@ class RunConfig:
                 if key in flat and value is not None:
                     raise ValueError(f"config key '{key}' does not apply to a "
                                      f"{stream.source} stream")
-            elif row.source == "csv" and not Path(value).exists():
+            elif row.source == "csv" and not Path(value).is_file():
                 raise ValueError(f"config key '{key}': file not found: {value}")
         run = kwargs["run"]
         run["oracle"] = parts["oracle"] if run["oracle"] else None

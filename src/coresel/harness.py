@@ -210,7 +210,10 @@ def _parse_csv_samples(path: str):
     features, negative tasks or labels and repeated sample ids by row (and
     column, where one is at fault)."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         try:
             header = next(reader)
         except StopIteration:

@@ -26,6 +26,13 @@ A different summation order (say ``(w * R).T @ X``) is just as accurate
 but moves round-off bits of the SGD gradient, and the benchmark's kept-id
 references freeze those bits: one near-tie run flips a kept id under it.
 
+A Newton iterate computes the softmax at its parameters once and hands it
+to both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword), and
+it takes its base loss from the line-search trial it accepted; only the
+first iterate, and one after backtracking runs out, evaluates it afresh.
+Both reuse the very floats the kernels would have computed themselves, so
+the fitted parameters are bit-identical to computing everything anew.
+
 Every batch helper takes either a sample sequence or a :class:`Batch`.
 :func:`stack_samples` is the one place a sample set is validated against
 the model and stacked into a ``Batch`` of read-only arrays, sample ids
@@ -157,7 +164,9 @@ def stack_samples(spec: ModelSpec, samples: Sequence[Sample]) -> Batch:
     """Validate every sample against ``spec`` and stack the set into a Batch."""
     for s in samples:
         _check_sample(spec, s)
-    X = np.stack([s.features for s in samples]) if samples else np.zeros((0, spec.dim))
+    # the checks above leave equal-length 1-D float64 rows, which np.array
+    # copies to the same bits as np.stack at a fraction of the cost
+    X = np.array([s.features for s in samples]) if samples else np.zeros((0, spec.dim))
     y = np.array([s.label for s in samples], dtype=np.int64)
     w = np.array([s.weight for s in samples], dtype=np.float64)
     ids = np.array([s.id for s in samples], dtype=np.int64)
@@ -246,14 +255,25 @@ def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
     return float((w * (ce + l2)).sum())
 
 
-def grad_matrix(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
-    """Per-sample gradients stacked as rows of an (n, param_dim) array."""
+def _probs(spec: ModelSpec, params: Params, X: np.ndarray) -> np.ndarray:
+    """Class probabilities of each row of ``X`` under ``params``."""
+    return _softmax(X @ _theta_matrix(spec, params).T)
+
+
+def grad_matrix(spec: ModelSpec, params: Params, samples: Samples, *,
+                probs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-sample gradients stacked as rows of an (n, param_dim) array.
+
+    ``probs``, if given, must be the softmax at these ``params``, the class
+    probabilities ``softmax(X @ theta.T)`` of the samples; it is read,
+    never written, and spares recomputing them. quad1d ignores it.
+    """
     X, y, w, _ = _as_batch(spec, samples)
     n = len(y)
     if spec.kind == "quad1d":
         return (w * (params.theta[0] - X[:, 0]))[:, None]
     theta = _theta_matrix(spec, params)
-    resid = _softmax(X @ theta.T)
+    resid = _softmax(X @ theta.T) if probs is None else probs.copy()
     resid[np.arange(n), y] -= 1.0
     G = resid[:, :, None] * X[:, None, :]
     G += spec.l2_strength * theta
@@ -261,11 +281,14 @@ def grad_matrix(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray
     return G.reshape(n, spec.param_dim)
 
 
-def grad_sum(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
+def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,
+             probs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Summed gradient; ``probs`` as in :func:`grad_matrix`, the softmax at
+    these ``params``."""
     batch = _as_batch(spec, samples)
     if len(batch.y) == 0:
         return np.zeros(spec.param_dim)
-    return grad_matrix(spec, params, batch).sum(axis=0)
+    return grad_matrix(spec, params, batch, probs=probs).sum(axis=0)
 
 
 def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v) -> np.ndarray:
@@ -287,7 +310,8 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v) -> np.ndarr
     return out.reshape(n, spec.param_dim)
 
 
-def dense_hessian(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarray:
+def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,
+                  probs: Optional[np.ndarray] = None) -> np.ndarray:
     """Materialized summed Hessian; used by Newton steps and influence contexts.
 
     For ``logistic`` the set Hessian ``sum_n w_n (diag(P_n) - P_n P_n^T)
@@ -296,7 +320,8 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarr
     the ``diag(P)`` part, and the L2 term on the diagonal. Both products
     are Gram matrices ``Z^T Z`` of square-root-weighted rows, which numpy
     evaluates as symmetric rank-k updates, so the result is exactly
-    symmetric.
+    symmetric. ``probs``, if given, must be the softmax at these ``params``,
+    as in :func:`grad_matrix`; it is read, never written.
     """
     X, _, w, _ = _as_batch(spec, samples)
     n = len(w)
@@ -305,7 +330,7 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples) -> np.ndarr
     if spec.kind == "quad1d":
         return np.array([[w.sum()]])
     d, p = spec.dim, spec.param_dim
-    P = _softmax(X @ _theta_matrix(spec, params).T)
+    P = _probs(spec, params, X) if probs is None else probs
     Z = ((np.sqrt(w)[:, None] * P)[:, :, None] * X[:, None, :]).reshape(n, p)
     H = -(Z.T @ Z)
     for c in range(spec.num_classes):
@@ -339,14 +364,15 @@ def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
 
 def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
     theta = init.theta.copy() if init is not None else np.zeros(spec.param_dim)
-    g_norm = np.inf
+    base = None  # loss at theta, once a line search has evaluated it
     for _ in range(cfg.max_steps):
         params = Params(theta)
-        g = grad_sum(spec, params, batch)
+        probs = None if spec.kind == "quad1d" else _probs(spec, params, batch.X)
+        g = grad_sum(spec, params, batch, probs=probs)
         g_norm = float(np.linalg.norm(g))
         if g_norm <= cfg.grad_tolerance:
             return params
-        H = dense_hessian(spec, params, batch)
+        H = dense_hessian(spec, params, batch, probs=probs)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -354,15 +380,19 @@ def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
         # backtracking keeps the iteration safe far from the optimum; the
         # slack admits the full Newton step once the decrease is below
         # float roundoff of the loss value
-        base = loss_sum(spec, params, batch)
+        if base is None:
+            base = loss_sum(spec, params, batch)
         slack = 1e-12 * (1.0 + abs(base))
         t = 1.0
         while t > 1e-8:
-            candidate = Params(theta - t * step)
-            if loss_sum(spec, candidate, batch) <= base - 1e-4 * t * float(g @ step) + slack:
+            trial = loss_sum(spec, Params(theta - t * step), batch)
+            if trial <= base - 1e-4 * t * float(g @ step) + slack:
                 break
             t *= 0.5
+        else:
+            trial = None  # backtracking ran out: the loss at the new theta is unknown
         theta = theta - t * step
+        base = trial
     params = Params(theta)
     g_norm = float(np.linalg.norm(grad_sum(spec, params, batch)))
     if g_norm <= cfg.grad_tolerance:

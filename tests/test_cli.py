@@ -40,15 +40,21 @@ def config_file(tmp_path):
     return path
 
 
+def as_bytes(text):
+    return text if isinstance(text, bytes) else text.encode()
+
+
 def write_csv_config(tmp_path, train_extra="", test_extra=""):
     """A run config on a two-task csv stream of 8 train rows (file rows 2-9)
-    and 2 test rows (rows 2-3), each file followed by its extra rows."""
+    and 2 test rows (rows 2-3), each file followed by its extra rows (text
+    or bytes)."""
     header = "id,task,label,f0,f1\n"
     train = tmp_path / "train.csv"
-    train.write_text(header + "".join(
-        f"{i},{i // 4},{i % 4},{i % 3 - 1}.0,{i % 2}.0\n" for i in range(8)) + train_extra)
+    train.write_bytes((header + "".join(
+        f"{i},{i // 4},{i % 4},{i % 3 - 1}.0,{i % 2}.0\n" for i in range(8))).encode()
+        + as_bytes(train_extra))
     test = tmp_path / "test.csv"
-    test.write_text(header + "10,0,0,1.0,0.0\n11,1,2,-1.0,0.0\n" + test_extra)
+    test.write_bytes((header + "10,0,0,1.0,0.0\n11,1,2,-1.0,0.0\n").encode() + as_bytes(test_extra))
     path = tmp_path / "csv.cfg"
     path.write_text(f"selector.kind = regularized_if\ncriterion.m = 2\n"
                     f"stream.source = csv\nstream.train_csv = {train}\n"
@@ -318,15 +324,17 @@ def test_artifact_check_closes_every_file(tmp_path, config_file, capsys):
 
 def input_argv(tmp_path, where, value):
     """The argv of one bad-input case, with ``value`` put where ``where``
-    says: a --set assignment, extra flags, extra train or test rows of the
-    csv stream, extra rows of a select file, or a grid or run config file's
-    bytes. Commands that take ``--out`` write to ``tmp_path / "o"``."""
+    says: a --set assignment on the synthetic or (``csv-set``, with
+    ``{dir}`` the case's directory) the csv stream, extra flags, extra train
+    or test rows of the csv stream, extra rows of a select file, or a grid
+    or run config file's bytes. Commands that take ``--out`` write to
+    ``tmp_path / "o"``."""
     out = ["--out", str(tmp_path / "o")]
     config = tmp_path / "run.cfg"
     config.write_bytes(value if where == "config" else BASE_CONFIG.encode())
     if where == "select":
         data = tmp_path / "pool.csv"
-        data.write_text("id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n" + value)
+        data.write_bytes(b"id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n" + as_bytes(value))
         return ["select", "--data", str(data), "--m", "2"]
     if where == "grid":
         grid = tmp_path / "grid.cfg"
@@ -334,7 +342,9 @@ def input_argv(tmp_path, where, value):
         return ["sweep", "--config", str(config), "--grid", str(grid)] + out
     if where in ("train", "test"):
         config = write_csv_config(tmp_path, **{f"{where}_extra": value})
-    flags = {"set": ["--set", value], "flags": value}.get(where, [])
+    if where == "csv-set":
+        config, value = write_csv_config(tmp_path), value.format(dir=tmp_path)
+    flags = {"set": ["--set", value], "csv-set": ["--set", value], "flags": value}.get(where, [])
     return ["run", "--config", str(config)] + flags + out
 
 
@@ -372,6 +382,14 @@ INPUT_ERRORS = [
     pytest.param("train", "8,-1,0,0.0,0.0\n",
                  "{dir}/train.csv: row 10, column 'task': task must be nonnegative, got -1",
                  id="train-task=-1"),
+    pytest.param("train", b"8,1,2,caf\xe9,0.0\n", "{dir}/train.csv: " + NOT_UTF8,
+                 id="train-not-utf8"),
+    pytest.param("csv-set", "stream.train_csv={dir}",
+                 "config key 'stream.train_csv': file not found: {dir}",
+                 id="train_csv-is-a-directory"),
+    pytest.param("csv-set", "stream.test_csv={dir}",
+                 "config key 'stream.test_csv': file not found: {dir}",
+                 id="test_csv-is-a-directory"),
     pytest.param("test", "12,5,0,1.0,0.0\n",
                  "{dir}/test.csv: sample id 12: task 5 has no rows in the train file",
                  id="test-task-without-train-rows"),
@@ -380,6 +398,8 @@ INPUT_ERRORS = [
     pytest.param("select", "2,0,-1,0.5\n",
                  "{dir}/pool.csv: row 4, column 'label': label must be nonnegative, got -1",
                  id="select-label=-1"),
+    pytest.param("select", b"2,0,0,\xff0.5\n", "{dir}/pool.csv: " + NOT_UTF8,
+                 id="select-not-utf8"),
     pytest.param("grid", b"grid.mu = 0.5, x\n", "grid key 'grid.mu': could not convert",
                  id="grid.mu=x"),
     pytest.param("grid", b"grid.nu = 0.1,,0.2\n", "grid key 'grid.nu': could not convert",

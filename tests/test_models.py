@@ -306,34 +306,41 @@ class TestInPlaceKernelsAreBitExact:
                       rng.uniform(0.5, 2.0, size=n), np.arange(n))
         params = Params(rng.normal(size=spec.param_dim))
         v = rng.normal(size=spec.param_dim)
-        inputs = [*batch, params.theta, v]
+        logits = batch.X @ params.theta.reshape(num_classes, dim).T
+        probs = oracle_softmax(logits)
+        inputs = [*batch, params.theta, v, probs]
         before = [a.copy() for a in inputs]
 
-        logits = batch.X @ params.theta.reshape(num_classes, dim).T
-        assert np.array_equal(models._softmax(logits), oracle_softmax(logits))
+        assert np.array_equal(models._softmax(logits), probs)
         G = grad_matrix(spec, params, batch)
         assert np.array_equal(G, oracle_grad_matrix(spec, params, batch))
         g = grad_sum(spec, params, batch)
         assert np.array_equal(g, oracle_grad_matrix(spec, params, batch).sum(axis=0))
         Hv = hvp_matrix(spec, params, batch, v)
         assert np.array_equal(Hv, oracle_hvp_matrix(spec, params, batch, v))
+        H = dense_hessian(spec, params, batch)
+        shared = [grad_matrix(spec, params, batch, probs=probs),
+                  grad_sum(spec, params, batch, probs=probs),
+                  dense_hessian(spec, params, batch, probs=probs)]
+        for got, want in zip(shared, (G, g, H)):
+            assert np.array_equal(got, want)
 
         for a, b in zip(inputs, before):
             assert np.array_equal(a, b)
-            for out in (G, g, Hv):
+            for out in (G, g, Hv, H, *shared):
                 assert not np.shares_memory(out, a)
 
 
-def count_stacks(monkeypatch):
-    """Wrap ``models.stack_samples`` so each call is counted."""
+def count_calls(monkeypatch, name, record=lambda *args, **kwargs: None):
+    """Wrap ``models.<name>`` so each call appends ``record(*args, **kwargs)``."""
     calls = []
-    original = models.stack_samples
+    original = getattr(models, name)
 
-    def counting(spec, samples):
-        calls.append(len(samples))
-        return original(spec, samples)
+    def counting(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(models, "stack_samples", counting)
+    monkeypatch.setattr(models, name, counting)
     return calls
 
 
@@ -409,11 +416,136 @@ class TestBatch:
         rng = np.random.default_rng(43)
         spec, samples, _ = random_logistic_instance(rng, n=30)
         batch = stack_samples(spec, samples)
-        calls = count_stacks(monkeypatch)
+        calls = count_calls(monkeypatch, "stack_samples", lambda spec, samples: len(samples))
         fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
         assert calls == [30]
         fit(spec, batch, FitConfig(method="newton", grad_tolerance=1e-10))
         assert calls == [30]
+
+
+def oracle_fit_newton(spec, batch, cfg, init=None, evaluated=None):
+    """Newton fit with every quantity computed anew at every iterate: the
+    softmax inside both ``grad_sum`` and ``dense_hessian``, and the base
+    loss. Appends the theta of each loss evaluation to ``evaluated`` if
+    given, as ``("base", theta)`` or ``("trial", theta)``."""
+    record = evaluated.append if evaluated is not None else lambda entry: None
+    theta = init.theta.copy() if init is not None else np.zeros(spec.param_dim)
+    for _ in range(cfg.max_steps):
+        params = Params(theta)
+        g = models.grad_sum(spec, params, batch)
+        g_norm = float(np.linalg.norm(g))
+        if g_norm <= cfg.grad_tolerance:
+            return params
+        H = models.dense_hessian(spec, params, batch)
+        try:
+            step = np.linalg.solve(H, g)
+        except np.linalg.LinAlgError as exc:
+            raise FitError(f"singular Hessian during Newton fit: {exc}", g_norm) from exc
+        record(("base", theta))
+        base = models.loss_sum(spec, params, batch)
+        slack = 1e-12 * (1.0 + abs(base))
+        t = 1.0
+        while t > 1e-8:
+            candidate = Params(theta - t * step)
+            record(("trial", candidate.theta))
+            if models.loss_sum(spec, candidate, batch) <= base - 1e-4 * t * float(g @ step) + slack:
+                break
+            t *= 0.5
+        theta = theta - t * step
+    params = Params(theta)
+    g_norm = float(np.linalg.norm(models.grad_sum(spec, params, batch)))
+    if g_norm <= cfg.grad_tolerance:
+        return params
+    raise FitError(f"Newton did not converge in {cfg.max_steps} steps", g_norm)
+
+
+NEWTON_CASES = ["zero", "warm", "far", "runs-out"]
+
+
+def newton_case(monkeypatch, case, num_classes=3, l2=0.1):
+    """(spec, batch, init) of one Newton fit case: from zero, warm-started
+    near the optimum, from far off, where the line search backtracks
+    (except at 10 classes with l2 = 0.1, which takes every full step), or
+    from zero with the step at zero flipped uphill, so that the first
+    backtracking runs out; or the quad1d fit, from far off."""
+    rng = np.random.default_rng([num_classes, int(1 / l2)])
+    if case == "quad1d":
+        spec, samples, _ = quad_instance(rng, n=25)
+        return spec, stack_samples(spec, samples), Params([40.0])
+    spec, samples, _ = random_logistic_instance(rng, n=60, dim=4, num_classes=num_classes, l2=l2)
+    batch = stack_samples(spec, samples)
+    init = None
+    if case == "warm":
+        optimum = fit(spec, batch, FitConfig(method="newton"))
+        init = Params(optimum.theta + rng.normal(scale=0.05, size=spec.param_dim))
+    elif case == "far":
+        init = Params(rng.normal(scale=50.0, size=spec.param_dim))
+    elif case == "runs-out":
+        g0 = grad_sum(spec, Params(np.zeros(spec.param_dim)), batch)
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda H, g: -solve(H, g) if np.array_equal(g, g0) else solve(H, g))
+    return spec, batch, init
+
+
+class TestFusedNewtonIsBitExact:
+    """The fit shares one softmax per iterate and carries its accepted loss,
+    and still returns the unfused oracle's exact bits."""
+
+    @pytest.mark.parametrize("case", NEWTON_CASES)
+    @pytest.mark.parametrize("num_classes", [2, 3, 10])
+    @pytest.mark.parametrize("l2", [0.1, 1e-3])
+    def test_matches_unfused_oracle(self, monkeypatch, case, num_classes, l2):
+        spec, batch, init = newton_case(monkeypatch, case, num_classes, l2)
+        assert len(set(batch.w)) > 1
+        cfg = FitConfig(method="newton")
+        got = fit(spec, batch, cfg, init=init)
+        assert np.array_equal(got.theta, oracle_fit_newton(spec, batch, cfg, init).theta)
+
+    def test_quad1d_matches_unfused_oracle(self, monkeypatch):
+        spec, batch, init = newton_case(monkeypatch, "quad1d")
+        cfg = FitConfig(method="newton")
+        got = fit(spec, batch, cfg, init=init)
+        assert np.array_equal(got.theta, oracle_fit_newton(spec, batch, cfg, init).theta)
+
+    def test_non_convergence_reports_the_oracle_grad_norm(self):
+        spec = ModelSpec(kind="logistic", dim=1, num_classes=2, l2_strength=0.0)
+        batch = stack_samples(spec, [Sample(id=0, task_id=0, label=0, features=[-1.0]),
+                                     Sample(id=1, task_id=0, label=1, features=[1.0])])
+        cfg = FitConfig(method="newton", grad_tolerance=1e-14, max_steps=5)
+        with pytest.raises(FitError) as got:
+            fit(spec, batch, cfg)
+        with pytest.raises(FitError) as want:
+            oracle_fit_newton(spec, batch, cfg)
+        assert got.value.grad_norm == want.value.grad_norm
+
+
+@pytest.mark.parametrize("case", ["zero", "far", "runs-out"])
+def test_newton_iterate_takes_one_softmax_and_carries_its_loss(monkeypatch, case):
+    """One softmax per iterate, and one loss per line-search trial plus one
+    at each base that no accepted trial evaluated: the first iterate's, and
+    the one after backtracking runs out."""
+    spec, batch, init = newton_case(monkeypatch, case)
+    cfg = FitConfig(method="newton")
+    evaluated = []
+    oracle_fit_newton(spec, batch, cfg, init, evaluated)
+    expected = []
+    for role, theta in evaluated:
+        if not (role == "base" and expected and np.array_equal(theta, expected[-1])):
+            expected.append(theta)
+    trials = sum(role == "trial" for role, _ in evaluated)
+    assert (trials > len(evaluated) - trials) == (case != "zero")  # some step backtracks
+    assert len(expected) == trials + (2 if case == "runs-out" else 1)
+
+    softmaxes = count_calls(monkeypatch, "_softmax")
+    grads = count_calls(monkeypatch, "grad_sum")
+    hessians = count_calls(monkeypatch, "dense_hessian")
+    losses = count_calls(monkeypatch, "loss_sum", lambda spec, params, batch: params.theta)
+    fit(spec, batch, cfg, init=init)
+    assert len(softmaxes) == len(grads) == len(hessians) + 1
+    assert len(losses) == len(expected)
+    for got, want in zip(losses, expected):
+        assert np.array_equal(got, want)
 
 
 class TestFit:
