@@ -15,7 +15,6 @@ from coresel import (
     ModelSpec,
     Params,
     Sample,
-    SecondOrderCase,
     SelectionWeights,
     build_context,
     first_order_influence,
@@ -58,11 +57,12 @@ print(f"retraining delta after removing z=0: {delta} "
       f"(equals -score = {-first_order_influence(ctx, coreset[0])})")
 
 # Second-order influence: how upweighting z shifts the NEXT round's score
-# of z'. The joint case adds the curvature correction H_z * ihvp.
+# of z'. The curvature mix mu scales the correction H_z * ihvp: mu = 0 is
+# the excluded case, mu = 1 the joint case.
 z, zp = sample(20, 0.0), sample(21, 3.0)
-for case in SecondOrderCase:
-    value = second_order_influence(ctx, z, zp, case)
-    print(f"second-order ({case.value:8s}) of (z=0 -> z'=3): {value:+.2f}")
+for case, mu in (("excluded", 0.0), ("joint", 1.0)):
+    value = second_order_influence(ctx, z, zp, mu)
+    print(f"second-order ({case:8s}, mu={mu}) of (z=0 -> z'=3): {value:+.2f}")
 print(f"total interference of discarding {{z=0}} on z'=3 at mu=1: "
       f"{total_interference(ctx, [z], zp, 1.0):+.2f}")
 

@@ -11,7 +11,7 @@ error, which the table below makes visible.
 
 import numpy as np
 
-from coresel import FitConfig, ModelSpec, Sample, SecondOrderCase, build_context, fit
+from coresel import FitConfig, ModelSpec, Sample, build_context, fit
 from coresel.harness import finite_eps_second_order
 from coresel.influence import second_order_influence
 
@@ -25,12 +25,13 @@ params = fit(spec, pool, FitConfig(method="newton", grad_tolerance=1e-10))
 ctx = build_context(spec, params, pool[:25], pool[:25], damping=0.01)
 z, zp = pool[0], pool[-1]
 
-for case in SecondOrderCase:
-    exact = second_order_influence(ctx, z, zp, case)
-    print(f"\n{case.value} case: closed-form value = {exact:+.10f}")
+# mu mixes the curvature correction in: 0 is the excluded case, 1 the joint.
+for case, mu in (("excluded", 0.0), ("joint", 1.0)):
+    exact = second_order_influence(ctx, z, zp, mu)
+    print(f"\n{case} case (mu={mu}): closed-form value = {exact:+.10f}")
     print(f"  {'eps':>10s} {'quotient':>16s} {'abs error':>12s}")
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-        q = finite_eps_second_order(ctx, z, zp, case, eps)
+        q = finite_eps_second_order(ctx, z, zp, mu, eps)
         print(f"  {eps:10.0e} {q:16.10f} {abs(q - exact):12.2e}")
 
 print("\nexcluded-case errors sit at solver precision for every eps;")

@@ -25,7 +25,6 @@ from .models import (
 from .influence import (
     CriterionConfig,
     InfluenceContext,
-    SecondOrderCase,
     SelectionWeights,
     TaylorGradResult,
     build_context,

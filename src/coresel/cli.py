@@ -332,10 +332,21 @@ def _load_config(args) -> RunConfig:
     return RunConfig.from_flat(flat)
 
 
+def _out_dir(path) -> Path:
+    """``--out`` as a Path, checked before any run: its nearest existing
+    ancestor (itself included) must be a directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out: {existing} exists and is not a directory")
+    return out
+
+
 def cmd_run(args) -> int:
+    out = _out_dir(args.out)
     cfg = _load_config(args)
     report = execute_run(cfg)
-    write_artifacts(args.out, report)
+    write_artifacts(out, report)
     print(f"run complete: selector={report.selector} acc={report.acc:.4f} "
           f"bwt={report.bwt:.4f} artifacts in {args.out}")
     return 0
@@ -357,6 +368,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    out = _out_dir(args.out)
     flat = parse_flat_file(args.config)
     grid = parse_flat_file(args.grid)
     axes = {}
@@ -380,7 +392,6 @@ def cmd_sweep(args) -> int:
     configs = [RunConfig.from_flat({**flat, "criterion.mu": str(mu), "criterion.nu": str(nu)})
                for mu, nu in points]
 
-    out = Path(args.out)
     rows = []
     for idx, ((mu, nu), cfg) in enumerate(zip(points, configs)):
         report = execute_run(cfg)

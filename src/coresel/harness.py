@@ -33,7 +33,7 @@ from . import models
 from .influence import (
     CriterionConfig,
     InfluenceContext,
-    SecondOrderCase,
+    _check_mu,
     build_context,
 )
 from .models import FitConfig, ModelSpec, Params, Sample
@@ -439,15 +439,17 @@ def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[
 
 
 def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
-                            case: SecondOrderCase, eps: float) -> float:
+                            mu: float, eps: float) -> float:
     """Finite-perturbation probe of the second-order influence.
 
     Evaluates the perturbed score of ``zp`` after upweighting ``z`` by
-    ``eps``, with dense inverses throughout, and returns the difference
-    quotient against the unperturbed score. In the EXCLUDED case the
-    quotient is exactly linear in ``eps``; in the JOINT case the perturbed
-    Hessian makes it converge at rate O(eps).
+    ``eps`` in the outer gradient sum and by ``mu * eps`` in the Hessian,
+    with dense inverses throughout, and returns the difference quotient
+    against the unperturbed score. At ``mu = 0`` (the excluded case) the
+    quotient is exactly linear in ``eps``; otherwise the perturbed Hessian
+    makes it converge at rate O(eps).
     """
+    _check_mu(mu)
     if eps <= 0:
         raise ValueError("eps must be positive")
     p = ctx.dim
@@ -458,10 +460,7 @@ def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
     g_z = ctx.grad_of(z)
     g_zp = ctx.grad_of(zp)
     base = float(-(g_sum @ np.linalg.solve(H, g_zp)))
-    if case is SecondOrderCase.EXCLUDED:
-        H_pert = H
-    else:
-        H_pert = H + eps * models.dense_hessian(ctx.model, ctx.params, [z])
+    H_pert = H + (mu * eps) * models.dense_hessian(ctx.model, ctx.params, [z])
     try:
         q = np.linalg.solve(H_pert, g_zp)
     except np.linalg.LinAlgError as exc:

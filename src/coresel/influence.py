@@ -19,7 +19,6 @@ first-order influence of upweighting ``z`` on the summed candidate loss is
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,16 +32,9 @@ from .numkit import DEFAULT_DAMPING, CholeskySolver, SolveError, as_vector
 DEGENERATE_NORM_FACTOR = 1e-12
 
 
-class SecondOrderCase(Enum):
-    """Whether the earlier sample is re-optimized jointly with the next round.
-
-    ``EXCLUDED``: the earlier sample only perturbs the outer gradient sum.
-    ``JOINT``: it additionally perturbs the Hessian, contributing the
-    curvature correction term.
-    """
-
-    EXCLUDED = "excluded"
-    JOINT = "joint"
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +48,7 @@ class CriterionConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+        _check_mu(self.mu)
         if not 0 <= self.nu < math.inf:
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
 
@@ -86,8 +77,10 @@ class InfluenceContext:
 
     ``batch`` holds the candidates, stacked with their ids; ``grads``,
     ``grad_sum``, ``ihvp``, :meth:`scores` and :meth:`mu_terms` read its
-    weights. Immutable after construction; methods only fill internal
-    caches.
+    weights. ``grads``, ``grad_sum`` and ``ihvp`` are read-only arrays;
+    the only internal state filled later is the candidates' Hessian-vector
+    products against ``ihvp``, built on the first :meth:`mu_terms` call
+    with a nonzero ``mu``.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
@@ -98,9 +91,10 @@ class InfluenceContext:
         self._solver = solver
         self.grads = grads                      # (n, p) per-candidate gradients
         self.grad_sum = grads.sum(axis=0)
-        self._mu_terms: dict[float, np.ndarray] = {}
-        self._scores: Optional[np.ndarray] = None
         self.ihvp = solver.solve(self.grad_sum)
+        self._hvps: Optional[np.ndarray] = None
+        for a in (self.grads, self.grad_sum, self.ihvp):
+            a.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -124,20 +118,19 @@ class InfluenceContext:
 
     def scores(self) -> np.ndarray:
         """First-order influence of every candidate, in candidate order."""
-        if self._scores is None:
-            self._scores = -(self.grads @ self.ihvp)
-        return self._scores
+        return -(self.grads @ self.ihvp)
 
     def mu_terms(self, mu: float) -> np.ndarray:
-        """Rows ``grad(z_i) - mu * H_{z_i} ihvp`` for every candidate."""
-        if mu not in self._mu_terms:
-            if mu == 0.0:
-                U = self.grads.copy()
-            else:
-                hvps = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp)
-                U = self.grads - mu * hvps
-            self._mu_terms[mu] = U
-        return self._mu_terms[mu]
+        """Rows ``grad(z_i) - mu * H_{z_i} ihvp`` for every candidate.
+
+        At ``mu = 0`` this is ``grads`` itself (read-only, no copy).
+        """
+        _check_mu(mu)
+        if mu == 0.0:
+            return self.grads
+        if self._hvps is None:
+            self._hvps = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp)
+        return self.grads - mu * self._hvps
 
     def degenerate_threshold(self) -> float:
         return DEGENERATE_NORM_FACTOR * max(1, len(self.batch.ids))
@@ -182,41 +175,40 @@ def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:
     return float(-(ctx.ihvp @ ctx.grad_of(z)))
 
 
+def _interference_row(ctx: InfluenceContext, z: models.Sample, mu: float) -> np.ndarray:
+    """``grad(z) - mu * H_z ihvp``; raises ValueError unless ``0 <= mu <= 1``."""
+    _check_mu(mu)
+    row = ctx.grad_of(z)
+    if mu != 0.0:
+        row = row - mu * models.sample_hvp(ctx.model, ctx.params, z, ctx.ihvp)
+    return row
+
+
 def second_order_influence(ctx: InfluenceContext, z: models.Sample,
-                           zp: models.Sample, case: SecondOrderCase) -> float:
+                           zp: models.Sample, mu: float) -> float:
     """Effect of upweighting ``z`` in one round on ``zp``'s score in the next.
 
-    EXCLUDED: ``- grad(z) . Hinv grad(zp)``; JOINT additionally corrects for
-    the Hessian perturbation: ``- (grad(z) - H_z ihvp) . Hinv grad(zp)``.
+    ``- (grad(z) - mu * H_z ihvp) . Hinv grad(zp)``. ``mu = 0`` is the
+    excluded case, where ``z`` only perturbs the outer gradient sum;
+    ``mu = 1`` the joint case, where ``z`` is re-optimized with the next
+    round and also perturbs the Hessian.
     """
     q = ctx.solve(ctx.grad_of(zp))
-    g_z = ctx.grad_of(z)
-    if case is SecondOrderCase.EXCLUDED:
-        left = g_z
-    elif case is SecondOrderCase.JOINT:
-        hz_s = models.sample_hvp(ctx.model, ctx.params, z, ctx.ihvp)
-        left = g_z - hz_s
-    else:
-        raise ValueError(f"unknown second-order case: {case!r}")
-    return float(-(left @ q))
+    return float(-(_interference_row(ctx, z, mu) @ q))
 
 
 def total_interference(ctx: InfluenceContext, discarded: Sequence[models.Sample],
                        zp: models.Sample, mu: float) -> float:
     """Summed interference of a discarded set with a future sample's score.
 
-    Equals minus the sum of per-sample second-order influences with the two
-    cases mixed by ``mu`` (0 = excluded only, 1 = joint only).
+    Equals minus the sum of :func:`second_order_influence` over the set.
     """
     if not discarded:
         return 0.0
     q = ctx.solve(ctx.grad_of(zp))
     total = 0.0
     for z in discarded:
-        term = ctx.grad_of(z)
-        if mu != 0.0:
-            term = term - mu * models.sample_hvp(ctx.model, ctx.params, z, ctx.ihvp)
-        total += float(term @ q)
+        total += float(_interference_row(ctx, z, mu) @ q)
     return total
 
 
@@ -268,12 +260,10 @@ def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradRe
 def gradient_matching_distance(ctx: InfluenceContext, weights: SelectionWeights) -> float:
     """Distance between the full-pool gradient and the kept-subset gradient.
 
-    Computed literally as ``||sum_all - sum_kept||``; identical to the
-    regularizer at ``mu = 0``.
+    ``||sum_all - sum_kept||``, the closed form below at ``alpha*mu = 0``;
+    identical to the regularizer at ``mu = 0``.
     """
-    kept = ctx.grads[weights.w == 1.0]
-    kept_sum = kept.sum(axis=0) if len(kept) else np.zeros(ctx.dim)
-    return float(np.linalg.norm(ctx.grad_sum - kept_sum))
+    return identical_hessian_form(ctx, weights, 0.0, 0.0)
 
 
 def identical_hessian_form(ctx: InfluenceContext, weights: SelectionWeights,

@@ -29,7 +29,6 @@ from .harness import (
 )
 from .influence import (
     CriterionConfig,
-    SecondOrderCase,
     SelectionWeights,
     build_context,
     first_order_influence,
@@ -137,17 +136,16 @@ def suite_second_order():
         params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
         ctx = build_context(spec, params, samples[:25], samples[:25], damping=0.01)
         pairs = [(samples[i], samples[-1 - i]) for i in range(4)]
-        z, zp = max(pairs, key=lambda p: abs(
-            second_order_influence(ctx, p[0], p[1], SecondOrderCase.JOINT)))
+        z, zp = max(pairs, key=lambda p: abs(second_order_influence(ctx, p[0], p[1], 1.0)))
 
-        excl = second_order_influence(ctx, z, zp, SecondOrderCase.EXCLUDED)
+        excl = second_order_influence(ctx, z, zp, 0.0)
         for eps in (0.5, 1e-2, 1e-4):
-            quotient = finite_eps_second_order(ctx, z, zp, SecondOrderCase.EXCLUDED, eps)
+            quotient = finite_eps_second_order(ctx, z, zp, 0.0, eps)
             excl_worst = max(excl_worst, abs(quotient - excl) / max(1.0, abs(excl)))
 
-        joint = second_order_influence(ctx, z, zp, SecondOrderCase.JOINT)
-        q1 = finite_eps_second_order(ctx, z, zp, SecondOrderCase.JOINT, 1e-4)
-        q2 = finite_eps_second_order(ctx, z, zp, SecondOrderCase.JOINT, 5e-5)
+        joint = second_order_influence(ctx, z, zp, 1.0)
+        q1 = finite_eps_second_order(ctx, z, zp, 1.0, 1e-4)
+        q2 = finite_eps_second_order(ctx, z, zp, 1.0, 5e-5)
         joint_worst = max(joint_worst, abs(q1 - joint) / abs(joint))
         err1, err2 = abs(q1 - joint), abs(q2 - joint)
         if err2 > 0:

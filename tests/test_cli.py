@@ -419,6 +419,23 @@ class TestExitCodes:
         assert message.format(dir=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_exits_2_before_the_run(self, config_file, tmp_path, capsys,
+                                                     monkeypatch, command, below):
+        def no_run(*args, **kwargs):
+            raise AssertionError("run_continual called")
+        monkeypatch.setattr(cli, "run_continual", no_run)
+        blocker = tmp_path / "taken"
+        blocker.write_text("x\n")
+        argv = [command, "--config", str(config_file), "--out", str(blocker / below)]
+        if command == "sweep":
+            grid = tmp_path / "grid.cfg"
+            grid.write_text("grid.nu = 0, 0.1\n")
+            argv += ["--grid", str(grid)]
+        assert main(argv) == 2
+        assert f"--out: {blocker} exists and is not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault, message", [
         ("run", "error: the run failed"),
         ("echo", "report.json config echo does not parse back: "

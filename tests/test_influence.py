@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from coresel.influence import (
-    SecondOrderCase,
     SelectionWeights,
     build_context,
     first_order_influence,
@@ -62,14 +61,15 @@ def random_logistic_ctx(rng, n=15, dim=3, num_classes=2, l2=0.1, damping=0.0):
 
 
 def off_optimum_ctx(rng, n=12, dim=3):
-    """A logistic context at random parameters. At the pool's own optimum
-    ``ihvp`` is ~0, so ``mu_terms(mu)`` is ``grads`` for every ``mu``; here
-    ``mu`` changes the regularizer."""
+    """A logistic pool and its context at random parameters. At the pool's
+    own optimum ``ihvp`` is ~0, so ``mu_terms(mu)`` is ``grads`` for every
+    ``mu``; here ``mu`` changes the regularizer and the second-order
+    influence."""
     spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
     samples = [Sample(id=i, task_id=0, label=int(rng.integers(2)),
                       features=rng.normal(size=dim)) for i in range(n)]
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
-    return build_context(spec, params, samples, samples, damping=0.01)
+    return samples, build_context(spec, params, samples, samples, damping=0.01)
 
 
 class TestBuildContext:
@@ -145,6 +145,16 @@ class TestBuildContext:
         batch = original(spec, pool)
         build_context(spec, params, batch, batch)
         assert calls == [25, 10]
+
+    def test_context_arrays_are_read_only(self):
+        samples, ctx = off_optimum_ctx(np.random.default_rng(63))
+        assert ctx.mu_terms(0.0) is ctx.grads
+        for a in (ctx.grads, ctx.grad_sum, ctx.ihvp, ctx.mu_terms(0.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        hvps = hvp_matrix(ctx.model, ctx.params, samples, ctx.ihvp)
+        for mu in (0.3, 1.0, 0.3):
+            assert np.array_equal(ctx.mu_terms(mu), ctx.grads - mu * hvps)
 
     def test_stacked_candidates_match_list_context(self):
         rng = np.random.default_rng(61)
@@ -245,13 +255,13 @@ class TestFirstOrder:
 class TestSecondOrder:
     def test_canonical_cases(self, quad_ctx):
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
-        assert second_order_influence(quad_ctx, z, zp, SecondOrderCase.EXCLUDED) == pytest.approx(1.0)
-        assert second_order_influence(quad_ctx, z, zp, SecondOrderCase.JOINT) == pytest.approx(2.5)
+        assert second_order_influence(quad_ctx, z, zp, 0.0) == pytest.approx(1.0)
+        assert second_order_influence(quad_ctx, z, zp, 1.0) == pytest.approx(2.5)
 
     def test_zero_gradient_target_scores_zero(self, quad_ctx):
         z, zp = qsample(20, 0.0), qsample(21, 1.0)  # grad at zp is 0
-        for case in SecondOrderCase:
-            assert second_order_influence(quad_ctx, z, zp, case) == pytest.approx(0.0, abs=1e-12)
+        for mu in (0.0, 1.0):
+            assert second_order_influence(quad_ctx, z, zp, mu) == pytest.approx(0.0, abs=1e-12)
 
     def test_same_id_samples_score_as_in_fresh_contexts(self):
         # two future samples that share an id are still different samples:
@@ -265,13 +275,12 @@ class TestSecondOrder:
         shared = fresh()
         z = candidates[0]
         for zp in [qsample(7, 2.0), qsample(7, -5.0)]:
-            for case in SecondOrderCase:
-                assert (second_order_influence(shared, z, zp, case)
-                        == second_order_influence(fresh(), z, zp, case))
+            for mu in (0.0, 1.0):
+                assert (second_order_influence(shared, z, zp, mu)
+                        == second_order_influence(fresh(), z, zp, mu))
             assert (total_interference(shared, [z], zp, 0.5)
                     == total_interference(fresh(), [z], zp, 0.5))
-        assert second_order_influence(shared, z, qsample(7, -5.0),
-                                      SecondOrderCase.EXCLUDED) == pytest.approx(-11 / 12)
+        assert second_order_influence(shared, z, qsample(7, -5.0), 0.0) == pytest.approx(-11 / 12)
 
     def test_total_interference_mixes_cases(self, quad_ctx):
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
@@ -281,13 +290,29 @@ class TestSecondOrder:
 
     def test_total_interference_negates_summed_second_order(self):
         rng = np.random.default_rng(55)
-        _, samples, _, ctx = random_logistic_ctx(rng)
+        samples, ctx = off_optimum_ctx(rng)
         discarded = samples[:4]
         zp = samples[-1]
-        for mu, case in [(0.0, SecondOrderCase.EXCLUDED), (1.0, SecondOrderCase.JOINT)]:
+        totals = []
+        for mu in (0.0, 0.5, 1.0):
             total = total_interference(ctx, discarded, zp, mu)
-            per_sample = sum(second_order_influence(ctx, z, zp, case) for z in discarded)
+            per_sample = sum(second_order_influence(ctx, z, zp, mu) for z in discarded)
             assert total == pytest.approx(-per_sample, rel=1e-9, abs=1e-12)
+            totals.append(total)
+        # off the optimum the curvature term is visible: mu = 0 and 1 differ
+        assert abs(totals[0] - totals[2]) > 1e-6 * max(abs(totals[0]), abs(totals[2]))
+
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, np.nan])
+    def test_mu_outside_unit_interval_rejected(self, quad_ctx, mu):
+        from coresel.harness import finite_eps_second_order
+        z, zp = qsample(20, 0.0), qsample(21, 3.0)
+        calls = [lambda: second_order_influence(quad_ctx, z, zp, mu),
+                 lambda: total_interference(quad_ctx, [z], zp, mu),
+                 lambda: finite_eps_second_order(quad_ctx, z, zp, mu, 0.01),
+                 lambda: quad_ctx.mu_terms(mu)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\]"):
+                call()
 
 
 class TestRegularizer:
@@ -311,7 +336,7 @@ class TestRegularizer:
     def test_taylor_grad_matches_finite_differences(self):
         rng = np.random.default_rng(77)
         for _ in range(5):
-            ctx = off_optimum_ctx(rng)
+            _, ctx = off_optimum_ctx(rng)
             w = (rng.random(12) < 0.6).astype(float)
             if w.sum() in (0, 12):
                 w[0] = 1.0 - w[0]
@@ -393,11 +418,13 @@ class TestFiniteEpsOracles:
     def test_excluded_quotient_is_linear_in_eps(self):
         from coresel.harness import finite_eps_second_order
         rng = np.random.default_rng(123)
-        _, samples, _, ctx = random_logistic_ctx(rng, n=14)
+        samples, ctx = off_optimum_ctx(rng, n=14)
         z, zp = samples[0], samples[-1]
-        exact = second_order_influence(ctx, z, zp, SecondOrderCase.EXCLUDED)
+        exact = second_order_influence(ctx, z, zp, 0.0)
+        joint = second_order_influence(ctx, z, zp, 1.0)
+        assert abs(exact - joint) > 1e-6 * max(abs(exact), abs(joint))
         for eps in [0.5, 1e-2, 1e-5]:
-            quotient = finite_eps_second_order(ctx, z, zp, SecondOrderCase.EXCLUDED, eps)
+            quotient = finite_eps_second_order(ctx, z, zp, 0.0, eps)
             assert quotient == pytest.approx(exact, abs=1e-9 * max(1.0, abs(exact)))
 
     def test_joint_quotient_converges_linearly(self):
@@ -406,8 +433,18 @@ class TestFiniteEpsOracles:
         hessian_set = [qsample(10, 0.0), qsample(11, 2.0)]
         ctx = build_context(QUAD, Params([1.0]), quad_candidates, hessian_set, damping=0.0)
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
-        q = finite_eps_second_order(ctx, z, zp, SecondOrderCase.JOINT, 0.01)
+        q = finite_eps_second_order(ctx, z, zp, 1.0, 0.01)
         assert q == pytest.approx(2.5, rel=0.02)
-        err1 = abs(finite_eps_second_order(ctx, z, zp, SecondOrderCase.JOINT, 0.01) - 2.5)
-        err2 = abs(finite_eps_second_order(ctx, z, zp, SecondOrderCase.JOINT, 0.005) - 2.5)
+        err1 = abs(finite_eps_second_order(ctx, z, zp, 1.0, 0.01) - 2.5)
+        err2 = abs(finite_eps_second_order(ctx, z, zp, 1.0, 0.005) - 2.5)
+        assert err2 == pytest.approx(err1 / 2, rel=0.1)
+
+    def test_mixed_quotient_converges_linearly_off_optimum(self):
+        from coresel.harness import finite_eps_second_order
+        samples, ctx = off_optimum_ctx(np.random.default_rng(124))
+        z, zp = samples[0], samples[-1]
+        exact = second_order_influence(ctx, z, zp, 0.5)
+        err1 = abs(finite_eps_second_order(ctx, z, zp, 0.5, 1e-3) - exact)
+        err2 = abs(finite_eps_second_order(ctx, z, zp, 0.5, 5e-4) - exact)
+        assert err1 < 1e-2 * abs(exact)
         assert err2 == pytest.approx(err1 / 2, rel=0.1)
