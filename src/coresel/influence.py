@@ -80,21 +80,25 @@ class InfluenceContext:
     weights. ``grads``, ``grad_sum`` and ``ihvp`` are read-only arrays;
     the only internal state filled later is the candidates' Hessian-vector
     products against ``ihvp``, built on the first :meth:`mu_terms` call
-    with a nonzero ``mu``.
+    with a nonzero ``mu`` from the candidates' class probabilities
+    ``probs`` (None for ``quad1d``), which :func:`build_context` computed.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
-                 batch: models.Batch, solver: CholeskySolver, grads: np.ndarray):
+                 batch: models.Batch, solver: CholeskySolver, grads: np.ndarray,
+                 probs: Optional[np.ndarray]):
         self.model = model
         self.params = params
         self.batch = batch
         self._solver = solver
+        self._probs = probs
         self.grads = grads                      # (n, p) per-candidate gradients
         self.grad_sum = grads.sum(axis=0)
         self.ihvp = solver.solve(self.grad_sum)
         self._hvps: Optional[np.ndarray] = None
-        for a in (self.grads, self.grad_sum, self.ihvp):
-            a.flags.writeable = False
+        for a in (self.grads, self.grad_sum, self.ihvp, probs):
+            if a is not None:
+                a.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -129,7 +133,8 @@ class InfluenceContext:
         if mu == 0.0:
             return self.grads
         if self._hvps is None:
-            self._hvps = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp)
+            self._hvps = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp,
+                                           probs=self._probs)
         return self.grads - mu * self._hvps
 
     def degenerate_threshold(self) -> float:
@@ -143,28 +148,34 @@ def build_context(model: models.ModelSpec, params: models.Params,
 
     ``candidates`` and ``hessian_set`` are each a sample sequence or a
     :class:`~coresel.models.Batch`; a sequence is stacked once. Materializes
-    the damped Hessian of ``hessian_set`` (reusing the candidates' stack when
-    ``hessian_set is candidates``), Cholesky-factors it once, and solves it
-    against the candidate gradients summed in candidate order. Raises
+    the damped Hessian of ``hessian_set`` (reusing the candidates' stack and
+    softmax when ``hessian_set is candidates``), Cholesky-factors it once,
+    and solves it against the candidate gradients summed in candidate
+    order. The candidates' softmax is computed once, here, for their
+    gradients, their Hessian-vector products and, if it is theirs, the
+    Hessian. Raises
     :class:`SolveError` if the damped Hessian is not positive definite or
     the solve's true residual exceeds the tolerance.
     """
     batch = models._as_batch(model, candidates)
     if len(batch.ids) == 0:
         raise ValueError("candidate list must be nonempty")
-    hessian_batch = batch if hessian_set is candidates else models._as_batch(model, hessian_set)
+    shared = hessian_set is candidates
+    hessian_batch = batch if shared else models._as_batch(model, hessian_set)
     if len(hessian_batch.ids) == 0:
         raise ValueError("hessian_set must be nonempty")
+    probs = None if model.kind == "quad1d" else models._probs(model, params, batch.X)
     try:
-        solver = CholeskySolver(models.dense_hessian(model, params, hessian_batch),
-                                damping=damping)
+        solver = CholeskySolver(
+            models.dense_hessian(model, params, hessian_batch, probs=probs if shared else None),
+            damping=damping)
     except SolveError:
         raise SolveError(
             f"damped Hessian of the {len(hessian_batch.ids)}-sample Hessian set is not "
             f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
             f"raise either") from None
-    grads = models.grad_matrix(model, params, batch)
-    return InfluenceContext(model, params, batch, solver, grads)
+    grads = models.grad_matrix(model, params, batch, probs=probs)
+    return InfluenceContext(model, params, batch, solver, grads, probs)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:

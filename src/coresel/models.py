@@ -30,8 +30,11 @@ A Newton iterate computes the softmax at its parameters once and hands it
 to both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword), and
 it takes its base loss from the line-search trial it accepted; only the
 first iterate, and one after backtracking runs out, evaluates it afresh.
-Both reuse the very floats the kernels would have computed themselves, so
-the fitted parameters are bit-identical to computing everything anew.
+An influence context likewise shares one softmax of its candidates among
+``grad_matrix``, ``hvp_matrix`` and, when they are its Hessian set,
+``dense_hessian``. Both reuse the very floats the kernels would have
+computed themselves, so the results are bit-identical to computing
+everything anew.
 
 Every batch helper takes either a sample sequence or a :class:`Batch`.
 :func:`stack_samples` is the one place a sample set is validated against
@@ -291,15 +294,17 @@ def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,
     return grad_matrix(spec, params, batch, probs=probs).sum(axis=0)
 
 
-def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v) -> np.ndarray:
-    """Rows ``H_i v`` of each sample's Hessian applied to a fixed vector."""
+def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
+               probs: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows ``H_i v`` of each sample's Hessian applied to a fixed vector;
+    ``probs`` as in :func:`dense_hessian`, the softmax at these ``params``,
+    only read."""
     v = as_vector(v, dim=spec.param_dim)
     X, _, w, _ = _as_batch(spec, samples)
     n = len(w)
     if spec.kind == "quad1d":
         return w[:, None] * v[None, :]
-    theta = _theta_matrix(spec, params)
-    P = _softmax(X @ theta.T)
+    P = _probs(spec, params, X) if probs is None else probs
     V = v.reshape(spec.num_classes, spec.dim)
     a = X @ V.T
     m = np.einsum("nc,nc->n", P, a)

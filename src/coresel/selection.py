@@ -6,13 +6,15 @@ repeatedly drops the sample whose removal most improves the criterion
 every drop (the influence scores and the shared inverse-Hessian solve stay
 fixed for the round). The regularizer ``||a @ M||`` and its gradient come
 from running sums ``v = a @ M`` and ``M @ v``, so each drop costs one
-matrix-vector product. Baselines cover pure influence ranking, the two
+matrix-vector product and a fixed handful of O(n) vector calls, with the
+kept rows held in id order. Baselines cover pure influence ranking, the two
 single-term regularizer ablations, the reservoir-sampling update, and a
 class-balanced ring buffer; an exhaustive enumerator, scoring every subset
 in one batched criterion call, serves as the small-instance oracle.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -81,13 +83,15 @@ class SelectionTrace:
     final_criterion: float = 0.0
 
 
-def _drop_index(totals: np.ndarray, ids: np.ndarray, w: np.ndarray) -> int:
-    """Row of the kept sample (``w == 1``) with the largest total; among
-    equal totals (``-0.0 == 0.0``), the one with the lowest id."""
-    kept_idx = np.flatnonzero(w == 1.0)
-    kept_totals = totals[kept_idx]
-    top = kept_idx[kept_totals == kept_totals.max()]
-    return int(top[np.argmin(ids[top])])
+def _drop_index(totals: np.ndarray, kept: np.ndarray) -> int:
+    """Position in ``kept`` of the row to drop: the largest total, and among
+    equal totals (``-0.0 == 0.0``) the first, which is the lowest id because
+    ``kept`` holds the kept rows in id order. Raises ValueError on a NaN
+    total, which ``argmax`` would otherwise pick."""
+    j = int(totals[kept].argmax())
+    if math.isnan(totals[kept[j]]):
+        raise ValueError(f"greedy total of row {kept[j]} is NaN")
+    return j
 
 
 def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
@@ -103,11 +107,14 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     The regularizer is ``||a @ M||`` and its gradient ``sign * M @ v /
     ||v||`` with ``v = a @ M``. Both ``v`` and ``M @ v`` are running sums:
     dropping row ``d`` moves ``a`` by ``+-e_d``, so ``v`` moves by
-    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``, one matrix-vector product
-    per drop. ``reg_values`` are ``||v||`` of the running ``v``;
-    ``final_criterion`` is computed from scratch on the kept mask. A budget
-    that does not bind (``budget >= n``) gives no drops and the criterion
-    of keeping every candidate.
+    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``. A drop costs that one
+    matrix-vector product plus a fixed handful of O(n) calls: the totals
+    are written into one preallocated buffer, and the kept rows are held
+    in id order, so the drop is the first maximum among them.
+    ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
+    is computed from scratch on the kept mask. A budget that does not bind
+    (``budget >= n``) gives no drops and the criterion of keeping every
+    candidate. A NaN total raises ValueError.
     Returns the resulting buffer plus a :class:`SelectionTrace`.
     """
     if kind not in GREEDY_KINDS:
@@ -127,24 +134,36 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         M = ctx.grads
     else:
         M = ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu)
-    sign, step = (1.0, -1.0) if kept_side else (-1.0, 1.0)
+    # The gradient's sign folds into add or subtract, and a drop's step of
+    # +-1 into the running sums' update: IEEE negation commutes with
+    # rounding, so these give the bits of multiplying by +-1.
+    add_grad, move = (np.add, np.subtract) if kept_side else (np.subtract, np.add)
     scores = ctx.scores()
     threshold = ctx.degenerate_threshold()
-    w = np.ones(n)
-    v = (w if kept_side else 1.0 - w) @ M
+    v = (np.ones(n) if kept_side else np.zeros(n)) @ M
     Mv = M @ v
+    kept = np.argsort(ids, kind="stable")
+    totals, column = np.empty(n), np.empty(n)
 
     for _ in range(n - cfg.budget):
-        reg_value = float(np.linalg.norm(v))
-        grad = sign * Mv / reg_value if reg_value > threshold else np.zeros(n)
-        totals = scores + cfg.nu * grad
-        drop = _drop_index(totals, ids, w)
+        reg_value = math.sqrt(v @ v)   # np.linalg.norm(v)'s own formula
+        if reg_value > threshold:
+            np.divide(Mv, reg_value, out=totals)
+            totals *= cfg.nu
+            add_grad(scores, totals, out=totals)
+        else:
+            np.add(scores, 0.0, out=totals)
+        j = _drop_index(totals, kept)
+        drop = kept[j]
+        kept[j:-1] = kept[j + 1:]      # shift it out in place, ids stay in order
+        kept = kept[:-1]
         trace.drop_order.append((int(ids[drop]), float(totals[drop])))
         trace.reg_values.append(reg_value)
-        w[drop] = 0.0
-        v += step * M[drop]
-        Mv += step * (M @ M[drop])
+        move(v, M[drop], out=v)
+        move(Mv, np.matmul(M, M[drop], out=column), out=Mv)
 
+    w = np.zeros(n)
+    w[kept] = 1.0
     final_reg, _ = _linearized_norm(ctx, w if kept_side else 1.0 - w, M)
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
     return ReplayBuffer(ids[w == 1.0], cfg.budget), trace

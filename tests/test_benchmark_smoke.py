@@ -1,9 +1,9 @@
 """Smoke test of the library API that the benchmark workloads call.
 
 Builds each workload of ``perfbench/workloads.py`` at seed 0, runs one op
-(four for ``select_pool``, one per greedy kind), and checks the output
-against the recorded seed-0 reference, so a renamed argument or a moved
-kept id fails here before a benchmark run finds it.
+(eight for ``select_pool``, one per greedy kind and budget), and checks
+the output against the recorded seed-0 reference, so a renamed argument or
+a moved kept id fails here before a benchmark run finds it.
 """
 
 import importlib.util
@@ -37,7 +37,8 @@ def test_workload_ops_match_the_seed_0_reference(workloads, tmp_path, name):
         keys = ["0"]
     elif name == "select_pool":
         workload = workloads.SelectPool(0, pools=1)
-        keys = [f"0/{kind.value}/200" for kind in selection.GREEDY_KINDS]
+        keys = [f"0/{kind.value}/{budget}" for kind in selection.GREEDY_KINDS
+                for budget in (200, 500)]
     else:
         workload = workloads.LooOracle(0, instances=1)
         keys = ["0/0"]

@@ -146,6 +146,30 @@ class TestBuildContext:
         build_context(spec, params, batch, batch)
         assert calls == [25, 10]
 
+    def test_one_softmax_per_context(self, monkeypatch):
+        # the candidates' softmax feeds their gradients, their Hessian and
+        # mu_terms' Hessian-vector products; a separate Hessian set takes
+        # one more. The shared floats are the ones each kernel computes.
+        rng = np.random.default_rng(61)
+        spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
+        pool = [Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=3))
+                for i in range(25)]
+        params = Params(rng.normal(scale=0.3, size=spec.param_dim))
+        calls = []
+        original = models._softmax
+        monkeypatch.setattr(models, "_softmax",
+                            lambda logits: calls.append(len(logits)) or original(logits))
+        for hessian_set, expected in ((pool, [25]), (pool[:10], [25, 10])):
+            calls.clear()
+            ctx = build_context(spec, params, pool, hessian_set, damping=0.01)
+            U = ctx.mu_terms(0.5)
+            assert calls == expected
+            H = dense_hessian(spec, params, hessian_set)
+            H[np.diag_indices(spec.param_dim)] += 0.01
+            assert np.array_equal(ctx.damped_hessian, H)
+            assert np.array_equal(ctx.grads, grad_matrix(spec, params, pool))
+            assert np.array_equal(U, ctx.grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
+
     def test_context_arrays_are_read_only(self):
         samples, ctx = off_optimum_ctx(np.random.default_rng(63))
         assert ctx.mu_terms(0.0) is ctx.grads

@@ -321,8 +321,9 @@ class TestInPlaceKernelsAreBitExact:
         H = dense_hessian(spec, params, batch)
         shared = [grad_matrix(spec, params, batch, probs=probs),
                   grad_sum(spec, params, batch, probs=probs),
+                  hvp_matrix(spec, params, batch, v, probs=probs),
                   dense_hessian(spec, params, batch, probs=probs)]
-        for got, want in zip(shared, (G, g, H)):
+        for got, want in zip(shared, (G, g, Hv, H)):
             assert np.array_equal(got, want)
 
         for a, b in zip(inputs, before):

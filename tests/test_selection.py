@@ -34,10 +34,29 @@ def csample(i, label, dim=1):
     return Sample(id=i, task_id=0, label=label, features=np.zeros(dim))
 
 
-def sorted_drop_index(totals, ids, w):
+def parent_drop_index(totals, ids, w):
+    """The drop rule before kept rows were held in id order: among the kept
+    rows (``w == 1``) with the largest total, the one with the lowest id."""
+    kept_idx = np.flatnonzero(w == 1.0)
+    kept_totals = totals[kept_idx]
+    top = kept_idx[kept_totals == kept_totals.max()]
+    return int(top[np.argmin(ids[top])])
+
+
+def sorted_drop_row(totals, ids, w):
     """Reference drop rule: sort the kept rows by (-total, id), take the first."""
     kept_idx = np.flatnonzero(w == 1.0)
     return int(sorted(kept_idx, key=lambda i: (-totals[i], ids[i]))[0])
+
+
+def sorted_drop_index(ids):
+    """``selection._drop_index`` through :func:`sorted_drop_row`: the
+    position in ``kept`` of the row the reference rule drops."""
+    def drop_index(totals, kept):
+        w = np.zeros(len(totals))
+        w[kept] = 1.0
+        return int(np.flatnonzero(kept == sorted_drop_row(totals, ids, w))[0])
+    return drop_index
 
 
 def greedy_term(ctx, cfg, kind):
@@ -63,12 +82,57 @@ def scratch_greedy(ctx, cfg, kind):
         reg_value, grad_term = influence._linearized_norm(ctx, w if kept_side else 1.0 - w,
                                                           M, sign)
         totals = scores + cfg.nu * grad_term
-        drop = selection._drop_index(totals, ids, w)
+        drop = parent_drop_index(totals, ids, w)
         drop_order.append((int(ids[drop]), float(totals[drop])))
         reg_values.append(reg_value)
         w[drop] = 0.0
     final_reg, _ = influence._linearized_norm(ctx, w if kept_side else 1.0 - w, M)
     return drop_order, reg_values, float(scores[w == 1.0].sum()) + cfg.nu * final_reg
+
+
+def parent_select_greedy(ctx, cfg, kind):
+    """The greedy loop before kept rows were held in id order: a kept mask,
+    out-of-place totals and running-sum updates, and
+    :func:`parent_drop_index`. Returns the kept ids and the trace."""
+    ids = ctx.batch.ids
+    n = len(ids)
+    trace = selection.SelectionTrace()
+    M, kept_side = greedy_term(ctx, cfg, kind)
+    sign, step = (1.0, -1.0) if kept_side else (-1.0, 1.0)
+    scores = ctx.scores()
+    threshold = ctx.degenerate_threshold()
+    w = np.ones(n)
+    v = (w if kept_side else 1.0 - w) @ M
+    Mv = M @ v
+
+    for _ in range(n - cfg.budget):
+        reg_value = float(np.linalg.norm(v))
+        grad = sign * Mv / reg_value if reg_value > threshold else np.zeros(n)
+        totals = scores + cfg.nu * grad
+        drop = parent_drop_index(totals, ids, w)
+        trace.drop_order.append((int(ids[drop]), float(totals[drop])))
+        trace.reg_values.append(reg_value)
+        w[drop] = 0.0
+        v += step * M[drop]
+        Mv += step * (M @ M[drop])
+
+    final_reg, _ = influence._linearized_norm(ctx, w if kept_side else 1.0 - w, M)
+    trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
+    return tuple(ids[w == 1.0].tolist()), trace
+
+
+def assert_greedy_matches_parent_loop(ctx, cfg, kind):
+    """Same kept ids, drops, totals, norms and criterion, to the bit (signed
+    zeros included)."""
+    buffer, trace = select_greedy(ctx, cfg, kind)
+    kept, oracle = parent_select_greedy(ctx, cfg, kind)
+    assert buffer.ids() == kept
+    assert [i for i, _ in trace.drop_order] == [i for i, _ in oracle.drop_order]
+    for got, want in ((trace.drop_order, oracle.drop_order),
+                      (trace.reg_values, oracle.reg_values),
+                      ([trace.final_criterion], [oracle.final_criterion])):
+        assert got == want
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 def scratch_exhaustive(ctx, cfg):
@@ -116,24 +180,25 @@ def exact_greedy_instances(draw):
     return ctx, cfg, draw(st.sampled_from(GREEDY_KINDS))
 
 
-TIED_TOTALS = np.array([0.0, -0.0, 1.0, -1.5])
+TIED_TOTALS = np.array([0.0, -0.0, 1.0, -1.5, np.inf, -np.inf, 5e-324, -5e-324])
 
 
 @st.composite
 def drop_instances(draw):
     """Kept masks over totals drawn half from a few values, so rows tie,
-    0.0 and -0.0 among them, and half from all finite floats; ids are unique
-    but out of row order. One byte per row picks its source, its tied value
-    and its kept flag, so all rows cost one draw: hypothesis's per-draw
-    overhead, not the check, dominates this test."""
+    0.0 and -0.0 and both infinities among them, and half from all
+    non-NaN floats; ids are unique but out of row order. One byte per row
+    picks its source, its tied value and its kept flag, so all rows cost
+    one draw: hypothesis's per-draw overhead, not the check, dominates
+    this test."""
     n = draw(st.integers(1, 40))
     row_bytes = np.frombuffer(draw(st.binary(min_size=n, max_size=n)), dtype=np.uint8)
     free = (row_bytes & 1) == 1
-    totals = TIED_TOTALS[(row_bytes >> 1) & 3]
-    totals[free] = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+    totals = TIED_TOTALS[(row_bytes >> 1) & 7]
+    totals[free] = draw(st.lists(st.floats(allow_nan=False),
                                  min_size=int(free.sum()), max_size=int(free.sum())))
     ids = 3 * np.array(draw(st.permutations(range(n)))) - 40
-    w = ((row_bytes >> 3) & 1).astype(float)
+    w = ((row_bytes >> 4) & 1).astype(float)
     w[draw(st.integers(0, n - 1))] = 1.0
     return totals, ids, w
 
@@ -168,6 +233,18 @@ def off_optimum_ctx(rng, n, dim=4):
     spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
     pool = [Sample(id=i, task_id=0, label=int(rng.integers(2)), features=rng.normal(size=dim))
             for i in range(n)]
+    params = Params(rng.normal(scale=0.5, size=spec.param_dim))
+    return build_context(spec, params, pool, pool, damping=0.01)
+
+
+def duplicated_ctx(rng, n, dim=4):
+    """A logistic context at random parameters over ``n // 2`` samples, each
+    twice under two ids in shuffled order: the copies' totals tie exactly."""
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
+    drawn = [(int(rng.integers(2)), rng.normal(size=dim)) for _ in range(n // 2)]
+    ids = rng.permutation(2 * len(drawn))
+    pool = [Sample(id=int(ids[2 * i + c]), task_id=0, label=label, features=x)
+            for i, (label, x) in enumerate(drawn) for c in (0, 1)]
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
     return build_context(spec, params, pool, pool, damping=0.01)
 
@@ -256,21 +333,28 @@ class TestGreedy:
     @settings(max_examples=400, deadline=None)
     @given(drop_instances())
     def test_drop_rule_matches_sorted_oracle(self, instance):
+        # the first maximum among kept rows in id order is the sorted
+        # oracle's row, and the row the parent's max/argmin rule picked
         totals, ids, w = instance
-        assert selection._drop_index(totals, ids, w) == sorted_drop_index(totals, ids, w)
+        kept = np.flatnonzero(w == 1.0)
+        kept = kept[np.argsort(ids[kept], kind="stable")]
+        row = kept[selection._drop_index(totals, kept)]
+        assert row == sorted_drop_row(totals, ids, w) == parent_drop_index(totals, ids, w)
 
     @pytest.mark.parametrize("kind", [SelectorKind.REGULARIZED_IF, SelectorKind.VANILLA_IF,
                                       SelectorKind.IF_GRAD_MATCH, SelectorKind.IF_DIVERSITY])
     def test_drop_order_matches_sorted_oracle(self, kind, monkeypatch):
         # at the pool's optimum the scores are round-off, so totals nearly
-        # tie; off it, mu changes the regularizer term
+        # tie; off it, mu changes the regularizer term; in a pool of
+        # duplicated samples, totals tie exactly
         rng = np.random.default_rng(15)
         contexts = [make(rng, int(rng.integers(10, 30)))
-                    for make in (random_logistic_ctx, off_optimum_ctx) for _ in range(4)]
+                    for make in (random_logistic_ctx, off_optimum_ctx, duplicated_ctx)
+                    for _ in range(4)]
         cfg = CriterionConfig(budget=4, nu=0.5)
         fast = [select_greedy(ctx, cfg, kind)[1] for ctx in contexts]
-        monkeypatch.setattr(selection, "_drop_index", sorted_drop_index)
         for ctx, trace in zip(contexts, fast):
+            monkeypatch.setattr(selection, "_drop_index", sorted_drop_index(ctx.batch.ids))
             oracle = select_greedy(ctx, cfg, kind)[1]
             assert trace.drop_order == oracle.drop_order
             assert trace.final_criterion == oracle.final_criterion
@@ -381,6 +465,44 @@ class TestGreedy:
         ctx = random_logistic_ctx(rng, 6)
         with pytest.raises(ValueError):
             select_greedy(ctx, CriterionConfig(budget=3), SelectorKind.RESERVOIR)
+
+
+class TestGreedyMatchesParentLoop:
+    """One matrix-vector product and O(1) vector calls per drop give the
+    parent loop's every bit: picks, totals, norms and criterion."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(greedy_instances())
+    def test_tied_quad_pools(self, instance):
+        assert_greedy_matches_parent_loop(*instance)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exact_greedy_instances())
+    def test_exact_instances(self, instance):
+        assert_greedy_matches_parent_loop(*instance)
+
+    @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
+    def test_logistic_contexts_at_and_off_the_optimum(self, kind):
+        rng = np.random.default_rng(23)
+        for n in (10, 45, 300):
+            for make in (random_logistic_ctx, fitted_elsewhere_ctx, off_optimum_ctx):
+                ctx = make(rng, n)
+                for budget in (n // 4, n // 2):
+                    cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
+                    assert_greedy_matches_parent_loop(ctx, cfg, kind)
+
+    @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
+    def test_nan_score_raises_in_both_loops(self, kind):
+        scores = np.array([0.5, np.nan, -1.0, 0.25])
+        rows = np.outer([1.0, 2.0, -1.0, 0.0], [1.0, 1.0])
+        ctx = SimpleNamespace(batch=SimpleNamespace(ids=np.array([7, 3, 5, 1])), grads=rows,
+                              mu_terms=lambda mu: rows, scores=lambda: scores,
+                              degenerate_threshold=lambda: influence.DEGENERATE_NORM_FACTOR * 4)
+        cfg = CriterionConfig(budget=2, nu=0.5)
+        with pytest.raises(ValueError, match="NaN"):
+            select_greedy(ctx, cfg, kind)
+        with pytest.raises(ValueError):
+            parent_select_greedy(ctx, cfg, kind)
 
 
 class TestExhaustive:
