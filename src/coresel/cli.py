@@ -482,8 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code: 2 for a usage error, a
-    ``ValueError`` (bad input, by the library's contract) or a missing
-    file, 1 for any other exception (a ``RuntimeError`` is a failed run)."""
+    ``ValueError`` (bad input, by the library's contract) or an input path
+    that is missing, is a directory or runs through a file, 1 for any other
+    exception (a ``RuntimeError`` is a failed run)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -493,7 +494,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (ValueError, FileNotFoundError)) else 1
+        bad_input = (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError)
+        return 2 if isinstance(exc, bad_input) else 1
 
 
 if __name__ == "__main__":

@@ -268,6 +268,13 @@ def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradRe
     return TaylorGradResult(grad_w, value)
 
 
+def _check_keep_length(ctx: InfluenceContext, k: int) -> None:
+    """Reject keep flags whose length is not the context's candidate count."""
+    n = len(ctx.batch.ids)
+    if k != n:
+        raise ValueError(f"keep mask has {k} entries but the context has {n} candidates")
+
+
 def gradient_matching_distance(ctx: InfluenceContext, weights: SelectionWeights) -> float:
     """Distance between the full-pool gradient and the kept-subset gradient.
 
@@ -286,6 +293,7 @@ def identical_hessian_form(ctx: InfluenceContext, weights: SelectionWeights,
     kept set. Shifting the matched target against the total gradient is what
     rewards gradient diversity.
     """
+    _check_keep_length(ctx, len(weights.w))
     kept = ctx.grads[weights.w == 1.0]
     kept_sum = kept.sum(axis=0) if len(kept) else np.zeros(ctx.dim)
     return float(np.linalg.norm((1.0 - alpha * mu) * ctx.grad_sum - kept_sum))

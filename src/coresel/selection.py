@@ -24,6 +24,7 @@ from .influence import (
     CriterionConfig,
     InfluenceContext,
     SelectionWeights,
+    _check_keep_length,
     _linearized_norm,
     regularizer,
 )
@@ -173,6 +174,7 @@ def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
                     keep_mask: np.ndarray) -> float:
     """Criterion ``sum_kept(score) + nu * regularizer`` for a 0/1 keep mask."""
     w = SelectionWeights(keep_mask).w
+    _check_keep_length(ctx, len(w))
     return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * regularizer(ctx, w, cfg.mu)
 
 
@@ -183,6 +185,7 @@ def criterion_values(ctx: InfluenceContext, cfg: CriterionConfig,
     masks = np.asarray(masks, dtype=np.float64)
     if masks.ndim != 2 or not np.all((masks == 0.0) | (masks == 1.0)):
         raise ValueError("keep masks must be a 2-D array of 0/1 flags")
+    _check_keep_length(ctx, masks.shape[1])
     regs = np.linalg.norm((1.0 - masks) @ ctx.mu_terms(cfg.mu), axis=1)
     return masks @ ctx.scores() + cfg.nu * regs
 

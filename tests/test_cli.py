@@ -419,6 +419,25 @@ class TestExitCodes:
         assert message.format(dir=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case", ["config-is-a-directory", "grid-is-a-directory",
+                                      "data-is-a-directory", "config-under-a-file"])
+    def test_input_path_not_a_file_exits_2_names_it_and_writes_nothing(
+            self, config_file, tmp_path, capsys, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = ["--out", str(tmp_path / "o")]
+        argv, path = {
+            "config-is-a-directory": (["run", "--config", str(folder)] + out, folder),
+            "grid-is-a-directory": (["sweep", "--config", str(config_file), "--grid",
+                                     str(folder)] + out, folder),
+            "data-is-a-directory": (["select", "--data", str(folder), "--m", "2"], folder),
+            "config-under-a-file": (["run", "--config", str(config_file / "x")] + out,
+                                    config_file / "x"),
+        }[case]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("below", ["", "sub"])
     def test_out_naming_a_file_exits_2_before_the_run(self, config_file, tmp_path, capsys,

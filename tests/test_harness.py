@@ -1,6 +1,7 @@
 """Stream generation, metrics, oracles, and the continual loop."""
 
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -227,17 +228,38 @@ class TestKendallTau:
     @pytest.mark.parametrize("levels", [None, 2, 5])
     def test_bit_identical_to_all_pairs_oracle(self, levels):
         # levels=None draws continuous scores (no ties); small integer
-        # levels force ties in a, in b and in both
+        # levels force ties in a, in b and in both. Five draws per small
+        # size, one each at the benchmark's pool overlap (212) and the
+        # oracle reservoir's capacity (800)
         rng = np.random.default_rng(7 if levels is None else levels)
-        for n in (2, 3, 4, 7, 16, 33, 100, 257):
-            for _ in range(5):
-                if levels is None:
-                    a = rng.normal(size=n)
-                    b = a + rng.normal(size=n)
-                else:
-                    a = rng.integers(levels, size=n).astype(float)
-                    b = rng.integers(levels, size=n).astype(float)
-                assert kendall_tau(a, b) == all_pairs_kendall_tau(a, b)
+        sizes = [n for n in (2, 3, 4, 7, 16, 33, 100, 257) for _ in range(5)] + [212, 800]
+        for n in sizes:
+            if levels is None:
+                a = rng.normal(size=n)
+                b = a + rng.normal(size=n)
+            else:
+                a = rng.integers(levels, size=n).astype(float)
+                b = rng.integers(levels, size=n).astype(float)
+            assert kendall_tau(a, b) == all_pairs_kendall_tau(a, b)
+
+    @pytest.mark.parametrize("a, b", [(3.0, 3.0), ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
+                                      ([1.0, 2.0], [[1.0, 2.0]])])
+    def test_scores_must_be_1d(self, a, b):
+        with pytest.raises(ValueError, match="1-D"):
+            kendall_tau(a, b)
+
+    def test_memory_is_linear(self):
+        # an all-pairs count would need ~3 GB at this size
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=20_000)
+        b = a + rng.normal(size=20_000)
+        tracemalloc.start()
+        try:
+            kendall_tau(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @settings(max_examples=200, deadline=None)
     @given(tied_score_pairs())

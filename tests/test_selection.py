@@ -550,6 +550,19 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="2-D"):
             criterion_values(ctx, CriterionConfig(budget=2), np.array([1.0, 0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("evaluate", [
+        lambda ctx, m: criterion_value(ctx, CriterionConfig(budget=2), m),
+        lambda ctx, m: criterion_values(ctx, CriterionConfig(budget=2), m[None, :]),
+        lambda ctx, m: influence.gradient_matching_distance(ctx, influence.SelectionWeights(m)),
+        lambda ctx, m: influence.identical_hessian_form(ctx, influence.SelectionWeights(m),
+                                                        0.5, 1.0),
+    ], ids=["criterion_value", "criterion_values", "gradient_matching_distance",
+            "identical_hessian_form"])
+    def test_keep_mask_of_wrong_length_names_both_lengths(self, evaluate):
+        ctx = random_logistic_ctx(np.random.default_rng(18), 4)
+        with pytest.raises(ValueError, match="keep mask has 3 entries but the context has 4"):
+            evaluate(ctx, np.array([1.0, 0.0, 1.0]))
+
     def test_batched_criterion_matches_per_mask(self):
         rng = np.random.default_rng(21)
         for make in (random_logistic_ctx, off_optimum_ctx):
