@@ -15,7 +15,6 @@ from coresel import (
     ModelSpec,
     Params,
     Sample,
-    SelectionWeights,
     build_context,
     first_order_influence,
     fit,
@@ -74,4 +73,4 @@ for mu in (0.0, 1.0):
 tg = regularizer_taylor_grad(ctx, w, 0.0)
 print(f"taylor gradient across candidates: {tg.grad_w}")
 print(f"gradient-matching distance (must equal mu=0 regularizer): "
-      f"{gradient_matching_distance(ctx, SelectionWeights(w))}")
+      f"{gradient_matching_distance(ctx, w)}")

@@ -25,7 +25,6 @@ from .models import (
 from .influence import (
     CriterionConfig,
     InfluenceContext,
-    SelectionWeights,
     TaylorGradResult,
     build_context,
     first_order_influence,

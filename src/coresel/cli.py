@@ -425,6 +425,9 @@ def cmd_select(args) -> int:
                          f"got {args.damping}")
     if quad and args.l2 is not None:
         raise ValueError("--l2: quad1d has no L2 term; drop the flag")
+    if not quad and args.l2 == 0 and args.damping == 0:
+        raise ValueError("--damping: damping and --l2 are both 0, so the logistic Hessian "
+                         "is singular; raise either")
     try:
         cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
         model = ModelSpec(kind="quad1d", dim=1) if quad else ModelSpec(

@@ -611,6 +611,12 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     if not 0 <= damping < math.inf:
         raise RunArgumentError("damping",
                                f"damping must be finite and nonnegative, got {damping}")
+    if damping == 0 and model.l2_strength == 0 and (selector in GREEDY_KINDS
+                                                    or oracle is not None):
+        # softmax logits are unchanged by a shift shared by every class, so
+        # the Hessian maps each such shift to zero whatever the data
+        raise RunArgumentError("damping", "damping and model.l2_strength are both 0, so "
+                                          "the logistic Hessian is singular; raise either")
     if reweight_constant is not None and not 0 < reweight_constant < math.inf:
         raise RunArgumentError("reweight_constant", f"reweight_constant must be finite "
                                                     f"and positive, got {reweight_constant}")

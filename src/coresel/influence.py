@@ -54,19 +54,6 @@ class CriterionConfig:
 
 
 @dataclass(frozen=True)
-class SelectionWeights:
-    """Binary keep/drop flags aligned with a context's candidate list."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.ndim != 1 or not np.all((w == 0.0) | (w == 1.0)):
-            raise ValueError("selection weights must be a 1-D array of 0/1 flags")
-        object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
 class TaylorGradResult:
     grad_w: np.ndarray
     reg_value: float
@@ -77,11 +64,8 @@ class InfluenceContext:
 
     ``batch`` holds the candidates, stacked with their ids; ``grads``,
     ``grad_sum``, ``ihvp``, :meth:`scores` and :meth:`mu_terms` read its
-    weights. ``grads``, ``grad_sum`` and ``ihvp`` are read-only arrays;
-    the only internal state filled later is the candidates' Hessian-vector
-    products against ``ihvp``, built on the first :meth:`mu_terms` call
-    with a nonzero ``mu`` from the candidates' class probabilities
-    ``probs`` (None for ``quad1d``), which :func:`build_context` computed.
+    weights. ``grads``, ``grad_sum`` and ``ihvp`` are read-only arrays, and
+    nothing is written to the context after :func:`build_context`.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
@@ -95,7 +79,6 @@ class InfluenceContext:
         self.grads = grads                      # (n, p) per-candidate gradients
         self.grad_sum = grads.sum(axis=0)
         self.ihvp = solver.solve(self.grad_sum)
-        self._hvps: Optional[np.ndarray] = None
         for a in (self.grads, self.grad_sum, self.ihvp, probs):
             if a is not None:
                 a.flags.writeable = False
@@ -127,15 +110,14 @@ class InfluenceContext:
     def mu_terms(self, mu: float) -> np.ndarray:
         """Rows ``grad(z_i) - mu * H_{z_i} ihvp`` for every candidate.
 
-        At ``mu = 0`` this is ``grads`` itself (read-only, no copy).
+        At ``mu = 0`` this is ``grads`` itself (read-only, no copy); any
+        other ``mu`` computes the Hessian-vector products on each call.
         """
         _check_mu(mu)
         if mu == 0.0:
             return self.grads
-        if self._hvps is None:
-            self._hvps = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp,
-                                           probs=self._probs)
-        return self.grads - mu * self._hvps
+        return self.grads - mu * models.hvp_matrix(self.model, self.params, self.batch,
+                                                   self.ihvp, probs=self._probs)
 
     def degenerate_threshold(self) -> float:
         return DEGENERATE_NORM_FACTOR * max(1, len(self.batch.ids))
@@ -213,7 +195,9 @@ def total_interference(ctx: InfluenceContext, discarded: Sequence[models.Sample]
     """Summed interference of a discarded set with a future sample's score.
 
     Equals minus the sum of :func:`second_order_influence` over the set.
+    Raises ValueError unless ``0 <= mu <= 1``, the set empty or not.
     """
+    _check_mu(mu)
     if not discarded:
         return 0.0
     q = ctx.solve(ctx.grad_of(zp))
@@ -221,26 +205,6 @@ def total_interference(ctx: InfluenceContext, discarded: Sequence[models.Sample]
     for z in discarded:
         total += float(_interference_row(ctx, z, mu) @ q)
     return total
-
-
-def _linearized_norm(ctx: InfluenceContext, a: np.ndarray, M: np.ndarray,
-                     sign: Optional[float] = None):
-    """``||a @ M||`` and, given ``sign``, its gradient in ``a`` times ``sign``.
-
-    The gradient is ``sign * M @ (a @ M) / ||a @ M||``, defined as zero where
-    the norm is at or below the context's degenerate threshold (there the
-    direction is arbitrary, so selection falls back to the scores). Without
-    ``sign`` no gradient is computed and None is returned in its place.
-    Greedy selection calls it once per round, for ``final_criterion``; its
-    drops read running sums of the same quantities.
-    """
-    v = a @ M
-    value = float(np.linalg.norm(v))
-    if sign is None:
-        return value, None
-    if value <= ctx.degenerate_threshold():
-        return value, np.zeros(len(a))
-    return value, sign * (M @ (v / value))
 
 
 def regularizer(ctx: InfluenceContext, w, mu: float) -> float:
@@ -251,7 +215,7 @@ def regularizer(ctx: InfluenceContext, w, mu: float) -> float:
     gradient is checked against by finite differences).
     """
     w = as_vector(w, dim=len(ctx.batch.ids))
-    return _linearized_norm(ctx, 1.0 - w, ctx.mu_terms(mu))[0]
+    return float(np.linalg.norm((1.0 - w) @ ctx.mu_terms(mu)))
 
 
 def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradResult:
@@ -259,41 +223,54 @@ def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradRe
 
     Returns the exact gradient ``grad_w[i] = -beta . (grad(z_i) - mu *
     H_{z_i} ihvp)``, with ``beta`` the unit direction of the discarded-term
-    sum, and the regularizer value. Where the value is degenerate (below
-    the zero-norm threshold) the direction is arbitrary, so the gradient is
-    defined as zero.
+    sum, and the regularizer value. Where the value is degenerate (at or
+    below ``ctx.degenerate_threshold()``) the direction is arbitrary, so the
+    gradient is defined as zero.
     """
     w = as_vector(w, dim=len(ctx.batch.ids))
-    value, grad_w = _linearized_norm(ctx, 1.0 - w, ctx.mu_terms(mu), -1.0)
-    return TaylorGradResult(grad_w, value)
+    M = ctx.mu_terms(mu)
+    v = (1.0 - w) @ M
+    value = float(np.linalg.norm(v))
+    if value <= ctx.degenerate_threshold():
+        return TaylorGradResult(np.zeros(len(w)), value)
+    return TaylorGradResult(-(M @ (v / value)), value)
 
 
-def _check_keep_length(ctx: InfluenceContext, k: int) -> None:
-    """Reject keep flags whose length is not the context's candidate count."""
+def _keep_masks(ctx: InfluenceContext, masks, ndim: int) -> np.ndarray:
+    """``masks`` as a float ``ndim``-D array of 0/1 keep flags, one per
+    candidate along the last axis; raises ValueError otherwise."""
+    masks = np.asarray(masks, dtype=np.float64)
+    if masks.ndim != ndim or not np.all((masks == 0.0) | (masks == 1.0)):
+        raise ValueError(f"keep masks must be a {ndim}-D array of 0/1 flags")
     n = len(ctx.batch.ids)
-    if k != n:
-        raise ValueError(f"keep mask has {k} entries but the context has {n} candidates")
+    if masks.shape[-1] != n:
+        raise ValueError(f"keep mask has {masks.shape[-1]} entries but the context "
+                         f"has {n} candidates")
+    return masks
 
 
-def gradient_matching_distance(ctx: InfluenceContext, weights: SelectionWeights) -> float:
+def gradient_matching_distance(ctx: InfluenceContext, keep) -> float:
     """Distance between the full-pool gradient and the kept-subset gradient.
 
-    ``||sum_all - sum_kept||``, the closed form below at ``alpha*mu = 0``;
-    identical to the regularizer at ``mu = 0``.
+    ``||sum_all - sum_kept||`` for the 0/1 keep mask ``keep``, the closed
+    form below at ``alpha*mu = 0``; identical to the regularizer at
+    ``mu = 0``.
     """
-    return identical_hessian_form(ctx, weights, 0.0, 0.0)
+    return identical_hessian_form(ctx, keep, 0.0, 0.0)
 
 
-def identical_hessian_form(ctx: InfluenceContext, weights: SelectionWeights,
-                           mu: float, alpha: float) -> float:
+def identical_hessian_form(ctx: InfluenceContext, keep, mu: float, alpha: float) -> float:
     """Closed form of the regularizer when per-sample Hessians coincide.
 
-    ``||(1 - alpha*mu) * sum_all - sum_kept||`` with
-    ``alpha = discarded/kept`` when the context Hessian is built over the
-    kept set. Shifting the matched target against the total gradient is what
-    rewards gradient diversity.
+    ``||(1 - alpha*mu) * sum_all - sum_kept||`` for the 0/1 keep mask
+    ``keep``, with ``alpha = discarded/kept`` when the context Hessian is
+    built over the kept set. Shifting the matched target against the total
+    gradient is what rewards gradient diversity. Raises ValueError unless
+    ``0 <= mu <= 1`` and ``alpha`` is finite and nonnegative.
     """
-    _check_keep_length(ctx, len(weights.w))
-    kept = ctx.grads[weights.w == 1.0]
+    _check_mu(mu)
+    if not 0.0 <= alpha < math.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    kept = ctx.grads[_keep_masks(ctx, keep, 1) == 1.0]
     kept_sum = kept.sum(axis=0) if len(kept) else np.zeros(ctx.dim)
     return float(np.linalg.norm((1.0 - alpha * mu) * ctx.grad_sum - kept_sum))

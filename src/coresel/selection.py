@@ -20,14 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .influence import (
-    CriterionConfig,
-    InfluenceContext,
-    SelectionWeights,
-    _check_keep_length,
-    _linearized_norm,
-    regularizer,
-)
+from .influence import CriterionConfig, InfluenceContext, _keep_masks, regularizer
 
 EXHAUSTIVE_GUARD = 20
 
@@ -165,7 +158,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
 
     w = np.zeros(n)
     w[kept] = 1.0
-    final_reg, _ = _linearized_norm(ctx, w if kept_side else 1.0 - w, M)
+    final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
     return ReplayBuffer(ids[w == 1.0], cfg.budget), trace
 
@@ -173,8 +166,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
 def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
                     keep_mask: np.ndarray) -> float:
     """Criterion ``sum_kept(score) + nu * regularizer`` for a 0/1 keep mask."""
-    w = SelectionWeights(keep_mask).w
-    _check_keep_length(ctx, len(w))
+    w = _keep_masks(ctx, keep_mask, 1)
     return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * regularizer(ctx, w, cfg.mu)
 
 
@@ -182,10 +174,7 @@ def criterion_values(ctx: InfluenceContext, cfg: CriterionConfig,
                      masks: np.ndarray) -> np.ndarray:
     """:func:`criterion_value` of every row of a ``(K, n)`` 0/1 keep matrix,
     from one product with the scores and one row-norm of the discarded sums."""
-    masks = np.asarray(masks, dtype=np.float64)
-    if masks.ndim != 2 or not np.all((masks == 0.0) | (masks == 1.0)):
-        raise ValueError("keep masks must be a 2-D array of 0/1 flags")
-    _check_keep_length(ctx, masks.shape[1])
+    masks = _keep_masks(ctx, masks, 2)
     regs = np.linalg.norm((1.0 - masks) @ ctx.mu_terms(cfg.mu), axis=1)
     return masks @ ctx.scores() + cfg.nu * regs
 

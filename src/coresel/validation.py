@@ -29,7 +29,6 @@ from .harness import (
 )
 from .influence import (
     CriterionConfig,
-    SelectionWeights,
     build_context,
     first_order_influence,
     gradient_matching_distance,
@@ -188,7 +187,7 @@ def suite_regularizer_identities():
         if w.sum() in (0, 12):
             w[0] = 1.0 - w[0]
         mu0_worst = max(mu0_worst, abs(
-            regularizer(ctx, w, 0.0) - gradient_matching_distance(ctx, SelectionWeights(w))))
+            regularizer(ctx, w, 0.0) - gradient_matching_distance(ctx, w)))
         mu = float(rng.uniform(0, 1))
         tg = regularizer_taylor_grad(ctx, w, mu)
         h = 1e-6
@@ -211,13 +210,12 @@ def suite_regularizer_identities():
         ctx = build_context(QUAD, Params([float(rng.normal())]), candidates, kept,
                             damping=0.0)
         alpha = (len(candidates) - len(kept)) / len(kept)
-        sw = SelectionWeights(w)
         for mu in (0.0, 0.3, 0.7, 1.0):
             hessian_worst = max(hessian_worst, abs(
-                identical_hessian_form(ctx, sw, mu, alpha) - regularizer(ctx, w, mu)))
+                identical_hessian_form(ctx, w, mu, alpha) - regularizer(ctx, w, mu)))
         mu = float(rng.uniform(0, 1))
-        r_shift = identical_hessian_form(ctx, sw, mu, alpha)
-        r_plain = gradient_matching_distance(ctx, sw)
+        r_shift = identical_hessian_form(ctx, w, mu, alpha)
+        r_plain = gradient_matching_distance(ctx, w)
         g_all = float(ctx.grad_sum[0])
         g_kept = float(ctx.grads[w == 1.0].sum())
         expected = (-2 * alpha * mu + (alpha * mu) ** 2) * g_all ** 2 \

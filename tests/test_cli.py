@@ -155,6 +155,14 @@ class TestRunCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["selector"] == "reservoir"
 
+    @pytest.mark.parametrize("kind", ["reservoir", "ring"])
+    def test_zero_l2_and_damping_run_without_a_context(self, config_file, tmp_path, capsys,
+                                                       kind):
+        # with the oracle off these selectors invert no Hessian
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o"),
+                     "--set", f"selector.kind={kind}", "--set", "oracle.enabled=false",
+                     "--set", "model.l2_strength=0", "--set", "harness.damping=0"]) == 0
+
     def test_disabled_oracle_leaves_tau_blank(self, config_file, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["run", "--config", str(config_file), "--out", str(out),
@@ -326,16 +334,17 @@ def input_argv(tmp_path, where, value):
     """The argv of one bad-input case, with ``value`` put where ``where``
     says: a --set assignment on the synthetic or (``csv-set``, with
     ``{dir}`` the case's directory) the csv stream, extra flags, extra train
-    or test rows of the csv stream, extra rows of a select file, or a grid
-    or run config file's bytes. Commands that take ``--out`` write to
+    or test rows of the csv stream, extra rows or flags of a select run, or
+    a grid or run config file's bytes. Commands that take ``--out`` write to
     ``tmp_path / "o"``."""
     out = ["--out", str(tmp_path / "o")]
     config = tmp_path / "run.cfg"
     config.write_bytes(value if where == "config" else BASE_CONFIG.encode())
-    if where == "select":
+    if where in ("select", "select-flags"):
+        rows, flags = (as_bytes(value), []) if where == "select" else (b"", value)
         data = tmp_path / "pool.csv"
-        data.write_bytes(b"id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n" + as_bytes(value))
-        return ["select", "--data", str(data), "--m", "2"]
+        data.write_bytes(b"id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n" + rows)
+        return ["select", "--data", str(data), "--m", "2"] + flags
     if where == "grid":
         grid = tmp_path / "grid.cfg"
         grid.write_bytes(value)
@@ -372,6 +381,9 @@ INPUT_ERRORS = [
                  "config section 'stream': seed must be nonnegative, got -1", id="stream.seed=-1"),
     pytest.param("flags", ["--seed", "-3"],
                  "config key 'seed': seed must be nonnegative, got -3", id="--seed=-3"),
+    pytest.param("flags", ["--set", "model.l2_strength=0", "--set", "harness.damping=0"],
+                 "config key 'harness.damping': damping and model.l2_strength are both 0",
+                 id="l2_strength=0-damping=0"),
     pytest.param("train", "8,1,2,nan,0.0\n",
                  "{dir}/train.csv: row 10, column 'f0': 'nan' is not finite", id="train-nan"),
     pytest.param("train", "8,1,2,0.0,-inf\n",
@@ -400,6 +412,8 @@ INPUT_ERRORS = [
                  id="select-label=-1"),
     pytest.param("select", b"2,0,0,\xff0.5\n", "{dir}/pool.csv: " + NOT_UTF8,
                  id="select-not-utf8"),
+    pytest.param("select-flags", ["--l2", "0", "--damping", "0"],
+                 "--damping: damping and --l2 are both 0", id="select-l2=0-damping=0"),
     pytest.param("grid", b"grid.mu = 0.5, x\n", "grid key 'grid.mu': could not convert",
                  id="grid.mu=x"),
     pytest.param("grid", b"grid.nu = 0.1,,0.2\n", "grid key 'grid.nu': could not convert",

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from coresel.influence import (
-    SelectionWeights,
     build_context,
     first_order_influence,
     gradient_matching_distance,
@@ -326,17 +325,24 @@ class TestSecondOrder:
         # off the optimum the curvature term is visible: mu = 0 and 1 differ
         assert abs(totals[0] - totals[2]) > 1e-6 * max(abs(totals[0]), abs(totals[2]))
 
-    @pytest.mark.parametrize("mu", [-0.1, 1.5, np.nan])
+    @pytest.mark.parametrize("mu", [-0.1, 1.5, 5.0, np.nan])
     def test_mu_outside_unit_interval_rejected(self, quad_ctx, mu):
         from coresel.harness import finite_eps_second_order
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
         calls = [lambda: second_order_influence(quad_ctx, z, zp, mu),
                  lambda: total_interference(quad_ctx, [z], zp, mu),
+                 lambda: total_interference(quad_ctx, [], zp, mu),
                  lambda: finite_eps_second_order(quad_ctx, z, zp, mu, 0.01),
-                 lambda: quad_ctx.mu_terms(mu)]
+                 lambda: quad_ctx.mu_terms(mu),
+                 lambda: identical_hessian_form(quad_ctx, np.ones(3), mu, 0.5)]
         for call in calls:
             with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\]"):
                 call()
+
+    @pytest.mark.parametrize("alpha", [-0.5, np.inf, np.nan])
+    def test_identical_hessian_alpha_must_be_finite_and_nonnegative(self, quad_ctx, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and nonnegative"):
+            identical_hessian_form(quad_ctx, np.ones(3), 0.5, alpha)
 
 
 class TestRegularizer:
@@ -381,16 +387,16 @@ class TestEquivalences:
         for _ in range(5):
             _, _, _, ctx = random_logistic_ctx(rng, n=10)
             w = (rng.random(10) < 0.5).astype(float)
-            assert gradient_matching_distance(ctx, SelectionWeights(w)) == pytest.approx(
+            assert gradient_matching_distance(ctx, w) == pytest.approx(
                 regularizer(ctx, w, 0.0), abs=1e-12)
 
     def test_gradient_matching_canonical(self, quad_ctx):
-        keep_middle = SelectionWeights(np.array([0.0, 1.0, 0.0]))
+        keep_middle = np.array([0.0, 1.0, 0.0])
         assert gradient_matching_distance(quad_ctx, keep_middle) == pytest.approx(2.0)
-        assert gradient_matching_distance(quad_ctx, SelectionWeights(np.ones(3))) == 0.0
+        assert gradient_matching_distance(quad_ctx, np.ones(3)) == 0.0
 
     def test_identical_hessian_collapses_at_mu_zero(self, quad_ctx):
-        w = SelectionWeights(np.array([0.0, 1.0, 1.0]))
+        w = np.array([0.0, 1.0, 1.0])
         assert identical_hessian_form(quad_ctx, w, 0.0, 0.5) == pytest.approx(
             gradient_matching_distance(quad_ctx, w), abs=1e-12)
 
@@ -410,7 +416,7 @@ class TestEquivalences:
             ctx = build_context(QUAD, Params([theta]), candidates, kept, damping=0.0)
             alpha = (len(candidates) - len(kept)) / len(kept)
             for mu in [0.0, 0.3, 0.7, 1.0]:
-                lhs = identical_hessian_form(ctx, SelectionWeights(w), mu, alpha)
+                lhs = identical_hessian_form(ctx, w, mu, alpha)
                 rhs = regularizer(ctx, w, mu)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
@@ -428,9 +434,8 @@ class TestEquivalences:
             ctx = build_context(QUAD, Params([0.3]), candidates, kept, damping=0.0)
             alpha = (len(candidates) - len(kept)) / len(kept)
             mu = float(rng.uniform(0, 1))
-            sw = SelectionWeights(w)
-            r_shifted = identical_hessian_form(ctx, sw, mu, alpha)
-            r_plain = gradient_matching_distance(ctx, sw)
+            r_shifted = identical_hessian_form(ctx, w, mu, alpha)
+            r_plain = gradient_matching_distance(ctx, w)
             g_all = float(ctx.grad_sum[0])
             g_kept = float(ctx.grads[w == 1.0].sum())
             constant = (-2 * alpha * mu + alpha**2 * mu**2) * g_all**2

@@ -69,6 +69,17 @@ def greedy_term(ctx, cfg, kind):
     return ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu), False
 
 
+def linearized_norm(ctx, a, M, sign):
+    """``||a @ M||`` and its gradient in ``a`` times ``sign``,
+    ``sign * M @ (a @ M) / ||a @ M||``, zero at or below the context's
+    degenerate threshold."""
+    v = a @ M
+    value = float(np.linalg.norm(v))
+    if value <= ctx.degenerate_threshold():
+        return value, np.zeros(len(a))
+    return value, sign * (M @ (v / value))
+
+
 def scratch_greedy(ctx, cfg, kind):
     """Reference greedy: re-linearize ``||a @ M||`` from scratch before every
     drop (two passes over ``M``) and stop once ``w.sum()`` reaches the budget."""
@@ -79,14 +90,13 @@ def scratch_greedy(ctx, cfg, kind):
     w = np.ones(len(ids))
     drop_order, reg_values = [], []
     while int(w.sum()) > cfg.budget:
-        reg_value, grad_term = influence._linearized_norm(ctx, w if kept_side else 1.0 - w,
-                                                          M, sign)
+        reg_value, grad_term = linearized_norm(ctx, w if kept_side else 1.0 - w, M, sign)
         totals = scores + cfg.nu * grad_term
         drop = parent_drop_index(totals, ids, w)
         drop_order.append((int(ids[drop]), float(totals[drop])))
         reg_values.append(reg_value)
         w[drop] = 0.0
-    final_reg, _ = influence._linearized_norm(ctx, w if kept_side else 1.0 - w, M)
+    final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
     return drop_order, reg_values, float(scores[w == 1.0].sum()) + cfg.nu * final_reg
 
 
@@ -116,7 +126,7 @@ def parent_select_greedy(ctx, cfg, kind):
         v += step * M[drop]
         Mv += step * (M @ M[drop])
 
-    final_reg, _ = influence._linearized_norm(ctx, w if kept_side else 1.0 - w, M)
+    final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
     return tuple(ids[w == 1.0].tolist()), trace
 
@@ -133,6 +143,19 @@ def assert_greedy_matches_parent_loop(ctx, cfg, kind):
                       ([trace.final_criterion], [oracle.final_criterion])):
         assert got == want
         assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+
+
+def context_state(value):
+    """A comparable copy of ``value``'s state: the bytes of every array it
+    holds, nested in tuples (a Batch) or in attributes (the parameters, the
+    solver), and every other attribute as it is."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(context_state(v) for v in value)
+    if hasattr(value, "__dict__"):
+        return {key: context_state(v) for key, v in vars(value).items()}
+    return value
 
 
 def scratch_exhaustive(ctx, cfg):
@@ -429,21 +452,25 @@ class TestGreedy:
         assert trace.final_criterion == criterion_value(ctx, cfg, np.ones(8))
 
     def test_diversity_gradient_matches_finite_differences(self):
-        # if_diversity linearizes ||w @ grads|| on the kept side
+        # if_diversity linearizes ||w @ grads|| on the kept side: its first
+        # drop is the argmax of score + nu * d||w @ grads||/dw_i at w = 1,
+        # off the optimum, where the summed gradient is not ~0
         rng = np.random.default_rng(17)
         h = 1e-6
         for _ in range(5):
-            ctx = random_logistic_ctx(rng, 12)
-            w = (rng.random(12) < 0.6).astype(float)
-            w[0] = 1.0
-            value, grad = influence._linearized_norm(ctx, w, ctx.grads, 1.0)
-            assert value == np.linalg.norm(w @ ctx.grads)
+            ctx = off_optimum_ctx(rng, 12)
+            cfg = CriterionConfig(budget=11, nu=1.0)
+            _, trace = select_greedy(ctx, cfg, SelectorKind.IF_DIVERSITY)
+            fd = np.empty(12)
             for i in range(12):
-                wp, wm = w.copy(), w.copy()
+                wp, wm = np.ones(12), np.ones(12)
                 wp[i] += h
                 wm[i] -= h
-                fd = (np.linalg.norm(wp @ ctx.grads) - np.linalg.norm(wm @ ctx.grads)) / (2 * h)
-                assert grad[i] == pytest.approx(fd, abs=1e-8)
+                fd[i] = (np.linalg.norm(wp @ ctx.grads) - np.linalg.norm(wm @ ctx.grads)) / (2 * h)
+            totals = ctx.scores() + cfg.nu * fd
+            first = int(np.argmax(totals))
+            assert trace.drop_order[0][0] == ctx.batch.ids[first]
+            assert trace.drop_order[0][1] == pytest.approx(totals[first], abs=1e-6)
 
     @settings(max_examples=100, deadline=None)
     @given(greedy_instances())
@@ -465,6 +492,20 @@ class TestGreedy:
         ctx = random_logistic_ctx(rng, 6)
         with pytest.raises(ValueError):
             select_greedy(ctx, CriterionConfig(budget=3), SelectorKind.RESERVOIR)
+
+    def test_selection_leaves_the_context_unchanged(self):
+        ctx = off_optimum_ctx(np.random.default_rng(23), 15)
+        cfg = CriterionConfig(budget=5, mu=0.5, nu=1.0)
+        attributes, state = dict(vars(ctx)), context_state(ctx)
+        first = ctx.mu_terms(0.5)
+        influence.regularizer(ctx, np.arange(15) % 2, 0.5)
+        criterion_values(ctx, cfg, np.eye(15))
+        for kind in GREEDY_KINDS:
+            select_greedy(ctx, cfg, kind)
+        assert vars(ctx).keys() == attributes.keys()
+        assert all(vars(ctx)[key] is value for key, value in attributes.items())
+        assert context_state(ctx) == state
+        assert np.array_equal(ctx.mu_terms(0.5), first)
 
 
 class TestGreedyMatchesParentLoop:
@@ -553,9 +594,8 @@ class TestExhaustive:
     @pytest.mark.parametrize("evaluate", [
         lambda ctx, m: criterion_value(ctx, CriterionConfig(budget=2), m),
         lambda ctx, m: criterion_values(ctx, CriterionConfig(budget=2), m[None, :]),
-        lambda ctx, m: influence.gradient_matching_distance(ctx, influence.SelectionWeights(m)),
-        lambda ctx, m: influence.identical_hessian_form(ctx, influence.SelectionWeights(m),
-                                                        0.5, 1.0),
+        lambda ctx, m: influence.gradient_matching_distance(ctx, m),
+        lambda ctx, m: influence.identical_hessian_form(ctx, m, 0.5, 1.0),
     ], ids=["criterion_value", "criterion_values", "gradient_matching_distance",
             "identical_hessian_form"])
     def test_keep_mask_of_wrong_length_names_both_lengths(self, evaluate):
