@@ -21,9 +21,7 @@ from coresel import (
     gradient_matching_distance,
     loo_retrain_delta,
     regularizer,
-    regularizer_taylor_grad,
     second_order_influence,
-    total_interference,
 )
 
 quad = ModelSpec(kind="quad1d", dim=1)
@@ -62,15 +60,15 @@ z, zp = sample(20, 0.0), sample(21, 3.0)
 for case, mu in (("excluded", 0.0), ("joint", 1.0)):
     value = second_order_influence(ctx, z, zp, mu)
     print(f"second-order ({case:8s}, mu={mu}) of (z=0 -> z'=3): {value:+.2f}")
+# The total interference of a discarded set is minus its summed
+# second-order influence; here the set is {z=0}.
 print(f"total interference of discarding {{z=0}} on z'=3 at mu=1: "
-      f"{total_interference(ctx, [z], zp, 1.0):+.2f}")
+      f"{-second_order_influence(ctx, z, zp, 1.0):+.2f}")
 
-# The regularizer is the norm of the summed discarded terms; its Taylor
-# gradient is what the greedy selector adds to the scores.
+# The regularizer is the norm of the summed discarded terms; the greedy
+# selector adds its Taylor gradient to the scores before every drop.
 w = np.array([0.0, 1.0, 1.0])  # keep weights: discard the z=0 candidate
 for mu in (0.0, 1.0):
     print(f"regularizer with z=0 discarded, mu={mu}: {regularizer(ctx, w, mu)}")
-tg = regularizer_taylor_grad(ctx, w, 0.0)
-print(f"taylor gradient across candidates: {tg.grad_w}")
 print(f"gradient-matching distance (must equal mu=0 regularizer): "
       f"{gradient_matching_distance(ctx, w)}")

@@ -25,15 +25,12 @@ from .models import (
 from .influence import (
     CriterionConfig,
     InfluenceContext,
-    TaylorGradResult,
     build_context,
     first_order_influence,
     gradient_matching_distance,
     identical_hessian_form,
     regularizer,
-    regularizer_taylor_grad,
     second_order_influence,
-    total_interference,
 )
 from .selection import (
     ReplayBuffer,

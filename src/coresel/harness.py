@@ -433,8 +433,8 @@ def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
     makes it converge at rate O(eps).
     """
     _check_mu(mu)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     p = ctx.dim
     if p > DENSE_ORACLE_GUARD:
         raise ValueError(f"dense oracle is guarded to {DENSE_ORACLE_GUARD} parameters, got {p}")

@@ -19,17 +19,12 @@ first-order influence of upweighting ``z`` on the summed candidate loss is
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import models
 from .numkit import DEFAULT_DAMPING, CholeskySolver, SolveError, as_vector
-
-# When the regularizer norm is this close to zero its gradient direction is
-# arbitrary; we define the Taylor gradient as zero there so selection falls
-# back to raw influence scores.
-DEGENERATE_NORM_FACTOR = 1e-12
 
 
 def _check_mu(mu: float) -> None:
@@ -51,12 +46,6 @@ class CriterionConfig:
         _check_mu(self.mu)
         if not 0 <= self.nu < math.inf:
             raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
-
-
-@dataclass(frozen=True)
-class TaylorGradResult:
-    grad_w: np.ndarray
-    reg_value: float
 
 
 class InfluenceContext:
@@ -119,9 +108,6 @@ class InfluenceContext:
         return self.grads - mu * models.hvp_matrix(self.model, self.params, self.batch,
                                                    self.ihvp, probs=self._probs)
 
-    def degenerate_threshold(self) -> float:
-        return DEGENERATE_NORM_FACTOR * max(1, len(self.batch.ids))
-
 
 def build_context(model: models.ModelSpec, params: models.Params,
                   candidates: models.Samples, hessian_set: models.Samples,
@@ -168,15 +154,6 @@ def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:
     return float(-(ctx.ihvp @ ctx.grad_of(z)))
 
 
-def _interference_row(ctx: InfluenceContext, z: models.Sample, mu: float) -> np.ndarray:
-    """``grad(z) - mu * H_z ihvp``; raises ValueError unless ``0 <= mu <= 1``."""
-    _check_mu(mu)
-    row = ctx.grad_of(z)
-    if mu != 0.0:
-        row = row - mu * models.sample_hvp(ctx.model, ctx.params, z, ctx.ihvp)
-    return row
-
-
 def second_order_influence(ctx: InfluenceContext, z: models.Sample,
                            zp: models.Sample, mu: float) -> float:
     """Effect of upweighting ``z`` in one round on ``zp``'s score in the next.
@@ -186,54 +163,22 @@ def second_order_influence(ctx: InfluenceContext, z: models.Sample,
     ``mu = 1`` the joint case, where ``z`` is re-optimized with the next
     round and also perturbs the Hessian.
     """
-    q = ctx.solve(ctx.grad_of(zp))
-    return float(-(_interference_row(ctx, z, mu) @ q))
-
-
-def total_interference(ctx: InfluenceContext, discarded: Sequence[models.Sample],
-                       zp: models.Sample, mu: float) -> float:
-    """Summed interference of a discarded set with a future sample's score.
-
-    Equals minus the sum of :func:`second_order_influence` over the set.
-    Raises ValueError unless ``0 <= mu <= 1``, the set empty or not.
-    """
     _check_mu(mu)
-    if not discarded:
-        return 0.0
-    q = ctx.solve(ctx.grad_of(zp))
-    total = 0.0
-    for z in discarded:
-        total += float(_interference_row(ctx, z, mu) @ q)
-    return total
+    row = ctx.grad_of(z)
+    if mu != 0.0:
+        row = row - mu * models.sample_hvp(ctx.model, ctx.params, z, ctx.ihvp)
+    return float(-(row @ ctx.solve(ctx.grad_of(zp))))
 
 
 def regularizer(ctx: InfluenceContext, w, mu: float) -> float:
     """Norm of the summed discarded-sample terms; small means low interference.
 
     ``||sum_i (1 - w_i) (grad(z_i) - mu * H_{z_i} ihvp)||`` at keep weights
-    ``w``, binary flags or any real values (the relaxation the Taylor
+    ``w``, binary flags or any real values (the relaxation greedy's Taylor
     gradient is checked against by finite differences).
     """
     w = as_vector(w, dim=len(ctx.batch.ids))
     return float(np.linalg.norm((1.0 - w) @ ctx.mu_terms(mu)))
-
-
-def regularizer_taylor_grad(ctx: InfluenceContext, w, mu: float) -> TaylorGradResult:
-    """First-order expansion of the regularizer around keep weights ``w``.
-
-    Returns the exact gradient ``grad_w[i] = -beta . (grad(z_i) - mu *
-    H_{z_i} ihvp)``, with ``beta`` the unit direction of the discarded-term
-    sum, and the regularizer value. Where the value is degenerate (at or
-    below ``ctx.degenerate_threshold()``) the direction is arbitrary, so the
-    gradient is defined as zero.
-    """
-    w = as_vector(w, dim=len(ctx.batch.ids))
-    M = ctx.mu_terms(mu)
-    v = (1.0 - w) @ M
-    value = float(np.linalg.norm(v))
-    if value <= ctx.degenerate_threshold():
-        return TaylorGradResult(np.zeros(len(w)), value)
-    return TaylorGradResult(-(M @ (v / value)), value)
 
 
 def _keep_masks(ctx: InfluenceContext, masks, ndim: int) -> np.ndarray:

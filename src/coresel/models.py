@@ -77,8 +77,9 @@ class Sample:
 
     def __post_init__(self):
         object.__setattr__(self, "features", as_vector(self.features))
-        if self.weight <= 0:
-            raise ValueError(f"sample {self.id}: weight must be positive")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"sample {self.id}: weight must be finite and positive, "
+                             f"got {self.weight}")
         if self.task_id < 0:
             raise ValueError(f"sample {self.id}: task_id must be nonnegative")
         if self.label < 0:
@@ -124,8 +125,11 @@ class FitConfig:
     def __post_init__(self):
         if self.method not in FIT_METHODS:
             raise ValueError(f"unknown fit method {self.method!r}; expected one of {FIT_METHODS}")
-        if self.grad_tolerance <= 0:
-            raise ValueError("grad_tolerance must be positive")
+        if not 0 < self.grad_tolerance < math.inf:
+            raise ValueError(f"grad_tolerance must be finite and positive, "
+                             f"got {self.grad_tolerance}")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
 
 
 def _check_sample(spec: ModelSpec, sample: Sample):

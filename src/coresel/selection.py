@@ -23,6 +23,10 @@ import numpy as np
 from .influence import CriterionConfig, InfluenceContext, _keep_masks, regularizer
 
 EXHAUSTIVE_GUARD = 20
+# When the regularizer norm is at or below this factor times the pool size,
+# its gradient direction is arbitrary; greedy takes the gradient as zero
+# there, so the drop falls back to the raw influence scores.
+DEGENERATE_NORM_FACTOR = 1e-12
 
 
 class SelectorKind(Enum):
@@ -105,6 +109,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     matrix-vector product plus a fixed handful of O(n) calls: the totals
     are written into one preallocated buffer, and the kept rows are held
     in id order, so the drop is the first maximum among them.
+    At or below ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
     ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
     is computed from scratch on the kept mask. A budget that does not bind
     (``budget >= n``) gives no drops and the criterion of keeping every
@@ -133,7 +138,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     # rounding, so these give the bits of multiplying by +-1.
     add_grad, move = (np.add, np.subtract) if kept_side else (np.subtract, np.add)
     scores = ctx.scores()
-    threshold = ctx.degenerate_threshold()
+    threshold = DEGENERATE_NORM_FACTOR * max(1, n)
     v = (np.ones(n) if kept_side else np.zeros(n)) @ M
     Mv = M @ v
     kept = np.argsort(ids, kind="stable")

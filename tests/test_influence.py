@@ -11,14 +11,13 @@ import numpy as np
 import pytest
 
 from coresel.influence import (
+    CriterionConfig,
     build_context,
     first_order_influence,
     gradient_matching_distance,
     identical_hessian_form,
     regularizer,
-    regularizer_taylor_grad,
     second_order_influence,
-    total_interference,
 )
 from coresel import models
 from coresel.models import (
@@ -33,6 +32,7 @@ from coresel.models import (
     stack_samples,
 )
 from coresel.numkit import SolveError
+from coresel.selection import select_greedy
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
@@ -298,40 +298,23 @@ class TestSecondOrder:
         shared = fresh()
         z = candidates[0]
         for zp in [qsample(7, 2.0), qsample(7, -5.0)]:
-            for mu in (0.0, 1.0):
+            for mu in (0.0, 0.5, 1.0):
                 assert (second_order_influence(shared, z, zp, mu)
                         == second_order_influence(fresh(), z, zp, mu))
-            assert (total_interference(shared, [z], zp, 0.5)
-                    == total_interference(fresh(), [z], zp, 0.5))
         assert second_order_influence(shared, z, qsample(7, -5.0), 0.0) == pytest.approx(-11 / 12)
 
     def test_total_interference_mixes_cases(self, quad_ctx):
+        # the total interference of discarding {z} is minus its second-order
+        # influence
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
-        assert total_interference(quad_ctx, [z], zp, 1.0) == pytest.approx(-2.5)
-        assert total_interference(quad_ctx, [z], zp, 0.0) == pytest.approx(-1.0)
-        assert total_interference(quad_ctx, [], zp, 0.5) == 0.0
-
-    def test_total_interference_negates_summed_second_order(self):
-        rng = np.random.default_rng(55)
-        samples, ctx = off_optimum_ctx(rng)
-        discarded = samples[:4]
-        zp = samples[-1]
-        totals = []
-        for mu in (0.0, 0.5, 1.0):
-            total = total_interference(ctx, discarded, zp, mu)
-            per_sample = sum(second_order_influence(ctx, z, zp, mu) for z in discarded)
-            assert total == pytest.approx(-per_sample, rel=1e-9, abs=1e-12)
-            totals.append(total)
-        # off the optimum the curvature term is visible: mu = 0 and 1 differ
-        assert abs(totals[0] - totals[2]) > 1e-6 * max(abs(totals[0]), abs(totals[2]))
+        assert -second_order_influence(quad_ctx, z, zp, 1.0) == pytest.approx(-2.5)
+        assert -second_order_influence(quad_ctx, z, zp, 0.0) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("mu", [-0.1, 1.5, 5.0, np.nan])
     def test_mu_outside_unit_interval_rejected(self, quad_ctx, mu):
         from coresel.harness import finite_eps_second_order
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
         calls = [lambda: second_order_influence(quad_ctx, z, zp, mu),
-                 lambda: total_interference(quad_ctx, [z], zp, mu),
-                 lambda: total_interference(quad_ctx, [], zp, mu),
                  lambda: finite_eps_second_order(quad_ctx, z, zp, mu, 0.01),
                  lambda: quad_ctx.mu_terms(mu),
                  lambda: identical_hessian_form(quad_ctx, np.ones(3), mu, 0.5)]
@@ -353,32 +336,40 @@ class TestRegularizer:
         assert regularizer(quad_ctx, np.ones(3), 0.7) == 0.0
 
     def test_taylor_grad_canonical(self, quad_ctx):
-        w = np.array([0.0, 1.0, 1.0])
-        tg = regularizer_taylor_grad(quad_ctx, w, 0.0)
-        assert tg.grad_w[1] == pytest.approx(1.0)   # candidate z=2
-        assert tg.grad_w[0] == pytest.approx(-1.0)  # candidate z=0
-        assert tg.reg_value == pytest.approx(1.0)
+        # scores (1.5, -1.5, -4.5), rows (1, -1, -3) at mu = 0: z=0 goes
+        # first at a zero regularizer, then at keep weights (0, 1, 1) the
+        # Taylor gradient -rows / 1 adds +1 to z=2 (id 1) and +3 to z=4
+        _, trace = select_greedy(quad_ctx, CriterionConfig(budget=1, mu=0.0, nu=1.0))
+        assert [i for i, _ in trace.drop_order] == [0, 1]
+        assert [t for _, t in trace.drop_order] == pytest.approx([1.5, -0.5])
+        assert trace.reg_values == pytest.approx([0.0, 1.0])
 
     def test_degenerate_weights_give_zero_grad(self, quad_ctx):
-        tg = regularizer_taylor_grad(quad_ctx, np.ones(3), 0.5)
-        np.testing.assert_array_equal(tg.grad_w, 0.0)
+        # nothing is discarded before the first drop, so the regularizer is
+        # zero and its gradient is taken as zero whatever nu
+        scores = quad_ctx.scores()
+        for nu in (0.5, 100.0):
+            _, trace = select_greedy(quad_ctx, CriterionConfig(budget=2, mu=0.5, nu=nu))
+            assert trace.reg_values == [0.0]
+            assert trace.drop_order == [(0, scores[0])]
 
     def test_taylor_grad_matches_finite_differences(self):
+        # greedy's drop total is score + nu * (the regularizer's gradient at
+        # the keep weights before the drop), here with nu = 1
         rng = np.random.default_rng(77)
         for _ in range(5):
             _, ctx = off_optimum_ctx(rng)
-            w = (rng.random(12) < 0.6).astype(float)
-            if w.sum() in (0, 12):
-                w[0] = 1.0 - w[0]
             mu = float(rng.uniform(0, 1))
-            tg = regularizer_taylor_grad(ctx, w, mu)
-            h = 1e-6
-            for i in range(12):
-                wp, wm = w.astype(float).copy(), w.astype(float).copy()
+            _, trace = select_greedy(ctx, CriterionConfig(budget=1, mu=mu, nu=1.0))
+            scores, keep, h = ctx.scores(), np.ones(12), 1e-6
+            for sample_id, total in trace.drop_order:
+                i = int(np.flatnonzero(ctx.batch.ids == sample_id)[0])
+                wp, wm = keep.copy(), keep.copy()
                 wp[i] += h
                 wm[i] -= h
                 fd = (regularizer(ctx, wp, mu) - regularizer(ctx, wm, mu)) / (2 * h)
-                assert tg.grad_w[i] == pytest.approx(fd, abs=1e-8)
+                assert total - scores[i] == pytest.approx(fd, abs=1e-8)
+                keep[i] = 0.0
 
 
 class TestEquivalences:
@@ -467,6 +458,12 @@ class TestFiniteEpsOracles:
         err1 = abs(finite_eps_second_order(ctx, z, zp, 1.0, 0.01) - 2.5)
         err2 = abs(finite_eps_second_order(ctx, z, zp, 1.0, 0.005) - 2.5)
         assert err2 == pytest.approx(err1 / 2, rel=0.1)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
+    def test_eps_must_be_finite_and_positive(self, quad_ctx, eps):
+        from coresel.harness import finite_eps_second_order
+        with pytest.raises(ValueError, match="eps must be finite and positive"):
+            finite_eps_second_order(quad_ctx, qsample(20, 0.0), qsample(21, 3.0), 0.5, eps)
 
     def test_mixed_quotient_converges_linearly_off_optimum(self):
         from coresel.harness import finite_eps_second_order

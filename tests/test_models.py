@@ -404,6 +404,11 @@ class TestBatch:
         for got, want in zip(stack_samples(spec, samples).rows(mask), subset):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0, -1.0])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        with pytest.raises(ValueError, match="sample 4: weight must be finite and positive"):
+            Sample(id=4, task_id=0, label=0, features=[1.0], weight=weight)
+
     def test_invalid_sample_rejected_when_stacked(self):
         spec = ModelSpec(kind="logistic", dim=1, num_classes=2)
         bad = [Sample(id=0, task_id=0, label=0, features=[1.0]),
@@ -584,6 +589,17 @@ class TestFit:
         with pytest.raises(FitError) as err:
             fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-14, max_steps=5))
         assert err.value.grad_norm > 0
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"grad_tolerance": np.nan}, "grad_tolerance must be finite and positive"),
+        ({"grad_tolerance": np.inf}, "grad_tolerance must be finite and positive"),
+        ({"grad_tolerance": 0.0}, "grad_tolerance must be finite and positive"),
+        ({"max_steps": 0}, "max_steps must be at least 1"),
+        ({"max_steps": -3}, "max_steps must be at least 1"),
+    ])
+    def test_config_rejects_bad_tolerance_and_step_count(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FitConfig(method="newton", **kwargs)
 
     def test_empty_fit_raises(self):
         with pytest.raises(ValueError):

@@ -69,13 +69,17 @@ def greedy_term(ctx, cfg, kind):
     return ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu), False
 
 
+def degenerate_threshold(ctx):
+    return selection.DEGENERATE_NORM_FACTOR * max(1, len(ctx.batch.ids))
+
+
 def linearized_norm(ctx, a, M, sign):
     """``||a @ M||`` and its gradient in ``a`` times ``sign``,
-    ``sign * M @ (a @ M) / ||a @ M||``, zero at or below the context's
+    ``sign * M @ (a @ M) / ||a @ M||``, zero at or below greedy's
     degenerate threshold."""
     v = a @ M
     value = float(np.linalg.norm(v))
-    if value <= ctx.degenerate_threshold():
+    if value <= degenerate_threshold(ctx):
         return value, np.zeros(len(a))
     return value, sign * (M @ (v / value))
 
@@ -110,7 +114,7 @@ def parent_select_greedy(ctx, cfg, kind):
     M, kept_side = greedy_term(ctx, cfg, kind)
     sign, step = (1.0, -1.0) if kept_side else (-1.0, 1.0)
     scores = ctx.scores()
-    threshold = ctx.degenerate_threshold()
+    threshold = degenerate_threshold(ctx)
     w = np.ones(n)
     v = (w if kept_side else 1.0 - w) @ M
     Mv = M @ v
@@ -196,8 +200,7 @@ def exact_greedy_instances(draw):
     ids = 3 * np.array(draw(st.permutations(range(n)))) - 20
     ctx = SimpleNamespace(batch=SimpleNamespace(ids=ids), grads=grads,
                           mu_terms=lambda mu: at_zero if mu == 0.0 else at_mu,
-                          scores=lambda: scores,
-                          degenerate_threshold=lambda: influence.DEGENERATE_NORM_FACTOR * n)
+                          scores=lambda: scores)
     cfg = CriterionConfig(budget=draw(st.integers(1, n + 1)), mu=0.5,
                           nu=draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])))
     return ctx, cfg, draw(st.sampled_from(GREEDY_KINDS))
@@ -537,8 +540,7 @@ class TestGreedyMatchesParentLoop:
         scores = np.array([0.5, np.nan, -1.0, 0.25])
         rows = np.outer([1.0, 2.0, -1.0, 0.0], [1.0, 1.0])
         ctx = SimpleNamespace(batch=SimpleNamespace(ids=np.array([7, 3, 5, 1])), grads=rows,
-                              mu_terms=lambda mu: rows, scores=lambda: scores,
-                              degenerate_threshold=lambda: influence.DEGENERATE_NORM_FACTOR * 4)
+                              mu_terms=lambda mu: rows, scores=lambda: scores)
         cfg = CriterionConfig(budget=2, nu=0.5)
         with pytest.raises(ValueError, match="NaN"):
             select_greedy(ctx, cfg, kind)
