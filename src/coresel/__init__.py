@@ -9,7 +9,7 @@ continual-learning harness with retraining and rank-agreement validation
 built in.
 """
 
-from .numkit import DEFAULT_DAMPING, SolveError
+from .numkit import DEFAULT_DAMPING, ArgumentError, SolveError
 from .models import (
     FitConfig,
     FitError,

@@ -15,7 +15,6 @@ import csv
 import functools
 import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,6 @@ from typing import Callable, NamedTuple, Optional
 
 from .harness import (
     OracleConfig,
-    RunArgumentError,
     RunReport,
     StreamSpec,
     _parse_csv_samples,
@@ -32,7 +30,7 @@ from .harness import (
 )
 from .influence import CriterionConfig, build_context
 from .models import FitConfig, ModelSpec, fit
-from .numkit import DEFAULT_DAMPING
+from .numkit import DEFAULT_DAMPING, ArgumentError, check_real
 from .selection import SelectorKind, select_greedy
 
 SWEEP_POINT_LIMIT = 100
@@ -106,37 +104,44 @@ class _Key(NamedTuple):
 _REQUIRED = object()
 _SYNTHETIC = "synthetic_gaussian"
 
+# the stream, criterion and oracle defaults are their dataclasses'; the model
+# keys keep defaults of their own, sized for the example run
 _SCHEMA = {
     "seed": _Key(int, 0, "run", "seed"),
     "selector.kind": _Key(_conv_selector, _REQUIRED, "run", "selector"),
-    "stream.source": _Key(str, _SYNTHETIC, "stream", "source"),
-    "stream.num_tasks": _Key(int, 2, "stream", "num_tasks", _SYNTHETIC),
-    "stream.classes_per_task": _Key(int, 2, "stream", "classes_per_task", _SYNTHETIC),
-    "stream.samples_per_class": _Key(int, 50, "stream", "samples_per_class", _SYNTHETIC),
-    "stream.dim": _Key(int, 2, "stream", "dim", _SYNTHETIC),
-    "stream.batch_size": _Key(int, 10, "stream", "batch_size"),
-    "stream.seed": _Key(int, 0, "stream", "seed", _SYNTHETIC),
-    "stream.mean_scale": _Key(float, 3.0, "stream", "mean_scale", _SYNTHETIC),
-    "stream.within_std": _Key(float, 1.0, "stream", "within_std", _SYNTHETIC),
-    "stream.drift_offsets": _Key(_conv_float_tuple, None, "stream", "drift_offsets",
+    "stream.source": _Key(str, StreamSpec.source, "stream", "source"),
+    "stream.num_tasks": _Key(int, StreamSpec.num_tasks, "stream", "num_tasks", _SYNTHETIC),
+    "stream.classes_per_task": _Key(int, StreamSpec.classes_per_task, "stream",
+                                    "classes_per_task", _SYNTHETIC),
+    "stream.samples_per_class": _Key(int, StreamSpec.samples_per_class, "stream",
+                                     "samples_per_class", _SYNTHETIC),
+    "stream.dim": _Key(int, StreamSpec.dim, "stream", "dim", _SYNTHETIC),
+    "stream.batch_size": _Key(int, StreamSpec.batch_size, "stream", "batch_size"),
+    "stream.seed": _Key(int, StreamSpec.seed, "stream", "seed", _SYNTHETIC),
+    "stream.mean_scale": _Key(float, StreamSpec.mean_scale, "stream", "mean_scale", _SYNTHETIC),
+    "stream.within_std": _Key(float, StreamSpec.within_std, "stream", "within_std", _SYNTHETIC),
+    "stream.drift_offsets": _Key(_conv_float_tuple, StreamSpec.drift_offsets, "stream",
+                                 "drift_offsets", _SYNTHETIC),
+    "stream.label_noise": _Key(_conv_float_tuple, StreamSpec.label_noise, "stream",
+                               "label_noise", _SYNTHETIC),
+    "stream.test_fraction": _Key(float, StreamSpec.test_fraction, "stream", "test_fraction",
                                  _SYNTHETIC),
-    "stream.label_noise": _Key(_conv_float_tuple, None, "stream", "label_noise", _SYNTHETIC),
-    "stream.test_fraction": _Key(float, 0.2, "stream", "test_fraction", _SYNTHETIC),
-    "stream.train_csv": _Key(str, None, "stream", "train_csv", "csv"),
-    "stream.test_csv": _Key(str, None, "stream", "test_csv", "csv"),
+    "stream.train_csv": _Key(str, StreamSpec.train_csv, "stream", "train_csv", "csv"),
+    "stream.test_csv": _Key(str, StreamSpec.test_csv, "stream", "test_csv", "csv"),
     "model.dim": _Key(int, 2, "model", "dim"),
     "model.num_classes": _Key(int, 4, "model", "num_classes"),
     "model.l2_strength": _Key(float, 0.05, "model", "l2_strength"),
     "criterion.m": _Key(int, _REQUIRED, "criterion", "budget"),
-    "criterion.mu": _Key(float, 0.5, "criterion", "mu"),
-    "criterion.nu": _Key(float, 0.01, "criterion", "nu"),
+    "criterion.mu": _Key(float, CriterionConfig.mu, "criterion", "mu"),
+    "criterion.nu": _Key(float, CriterionConfig.nu, "criterion", "nu"),
     "fit.learning_rate": _Key(float, 0.01, "run", "learning_rate"),
     "fit.epochs": _Key(int, 2, "run", "epochs"),
     "harness.damping": _Key(float, DEFAULT_DAMPING, "run", "damping"),
     "harness.reweight_constant": _Key(float, None, "run", "reweight_constant"),
     "oracle.enabled": _Key(_conv_bool, True, "run", "oracle"),
-    "oracle.buffer_multiplier": _Key(int, 4, "oracle", "buffer_multiplier"),
-    "oracle.min_overlap": _Key(int, 10, "oracle", "min_overlap"),
+    "oracle.buffer_multiplier": _Key(int, OracleConfig.buffer_multiplier, "oracle",
+                                     "buffer_multiplier"),
+    "oracle.min_overlap": _Key(int, OracleConfig.min_overlap, "oracle", "min_overlap"),
 }
 
 # the parts a run config is built from, in build order; the run loop drives
@@ -145,21 +150,20 @@ _PARTS = (("stream", StreamSpec), ("model", functools.partial(ModelSpec, kind="l
           ("criterion", CriterionConfig), ("oracle", OracleConfig))
 
 
-def _argument_error(exc: RunArgumentError) -> ValueError:
-    # a run argument may share its name with another part's field (``seed``
-    # is also a stream field), so a key that fills the run itself comes first
+def _argument_error(exc: ArgumentError, part: str) -> ValueError:
+    """``exc`` raised while building ``part``, prefixed with its config key."""
+    # a field name may recur in another part (``seed`` fills the run and the
+    # stream, ``dim`` the stream and the model), so a key of ``part`` comes first
     keys = [key for key, row in _SCHEMA.items() if row.field == exc.argument]
-    key = min(keys, key=lambda k: _SCHEMA[k].part != "run")
+    key = min(keys, key=lambda k: _SCHEMA[k].part != part)
     return ValueError(f"config key '{key}': {exc}")
 
 
 def _build(factory, kwargs: dict, part: str):
     try:
         return factory(**kwargs)
-    except RunArgumentError as exc:
-        raise _argument_error(exc) from exc
-    except ValueError as exc:
-        raise ValueError(f"config section '{part}': {exc}") from exc
+    except ArgumentError as exc:
+        raise _argument_error(exc, part) from exc
 
 
 def _echo(value):
@@ -256,8 +260,8 @@ def execute_run(cfg: RunConfig) -> RunReport:
                                learning_rate=cfg.learning_rate, epochs=cfg.epochs,
                                reweight_constant=cfg.reweight_constant,
                                damping=cfg.damping)
-    except RunArgumentError as exc:
-        raise _argument_error(exc) from exc
+    except ArgumentError as exc:
+        raise _argument_error(exc, "run") from exc
     report.config = cfg.to_flat()
     return report
 
@@ -407,8 +411,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-# the `coresel select` flag behind each checked dataclass field
-_SELECT_FLAGS = {"budget": "--m", "mu": "--mu", "nu": "--nu", "l2_strength": "--l2"}
+# the `coresel select` flag behind each checked argument
+_SELECT_FLAGS = {"budget": "--m", "mu": "--mu", "nu": "--nu", "l2_strength": "--l2",
+                 "damping": "--damping"}
 
 
 def cmd_select(args) -> int:
@@ -420,9 +425,6 @@ def cmd_select(args) -> int:
     quad = args.model == "quad1d"
     if quad and dim != 1:
         raise ValueError("quad1d selection needs exactly one feature column")
-    if not 0 <= args.damping < math.inf:
-        raise ValueError(f"--damping: damping must be finite and nonnegative, "
-                         f"got {args.damping}")
     if quad and args.l2 is not None:
         raise ValueError("--l2: quad1d has no L2 term; drop the flag")
     if not quad and args.l2 == 0 and args.damping == 0:
@@ -430,12 +432,12 @@ def cmd_select(args) -> int:
                          "is singular; raise either")
     try:
         cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
+        check_real("damping", args.damping)
         model = ModelSpec(kind="quad1d", dim=1) if quad else ModelSpec(
             kind="logistic", dim=dim, num_classes=max(max(s.label for s in samples) + 1, 2),
             l2_strength=0.1 if args.l2 is None else args.l2)
-    except ValueError as exc:
-        # each check of these fields raises a message that opens with the field
-        raise ValueError(f"{_SELECT_FLAGS[str(exc).split()[0]]}: {exc}") from exc
+    except ArgumentError as exc:
+        raise ValueError(f"{_SELECT_FLAGS[exc.argument]}: {exc}") from exc
     params = fit(model, samples[:len(samples) // 2],
                  FitConfig(method="closed_form" if quad else "newton"))
     ctx = build_context(model, params, samples, samples, damping=args.damping)
@@ -473,8 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     select = sub.add_parser("select", help=about, description=about)
     select.add_argument("--data", required=True)
     select.add_argument("--m", type=int, required=True)
-    select.add_argument("--mu", type=float, default=0.5)
-    select.add_argument("--nu", type=float, default=0.01)
+    select.add_argument("--mu", type=float, default=CriterionConfig.mu)
+    select.add_argument("--nu", type=float, default=CriterionConfig.nu)
     select.add_argument("--model", choices=["logistic", "quad1d"], default="logistic")
     select.add_argument("--l2", type=float, default=None,
                         help="L2 strength of the logistic model (default 0.1)")

@@ -38,7 +38,7 @@ from .influence import (
     build_context,
 )
 from .models import FitConfig, ModelSpec, Params, Sample
-from .numkit import DEFAULT_DAMPING
+from .numkit import DEFAULT_DAMPING, ArgumentError, check_int, check_real
 from .selection import (
     GREEDY_KINDS,
     SelectorKind,
@@ -48,21 +48,12 @@ from .selection import (
 )
 
 DENSE_ORACLE_GUARD = 200
-TAU_MIN_OVERLAP = 10
 
 # Fixed tags for the independent named RNG streams of a run.
 _RNG_TAGS = {"model_init": 0, "replay": 1, "method_reservoir": 2, "oracle_reservoir": 3}
 
 STREAM_SOURCES = ("synthetic_gaussian", "csv")
 CSV_BASE_COLUMNS = ("id", "task", "label")
-
-
-class RunArgumentError(ValueError):
-    """A run argument out of range; ``argument`` is the parameter's name."""
-
-    def __init__(self, argument: str, message: str):
-        super().__init__(message)
-        self.argument = argument
 
 
 def named_rng(seed: int, name: str) -> np.random.Generator:
@@ -93,36 +84,34 @@ class StreamSpec:
 
     def __post_init__(self):
         if self.source not in STREAM_SOURCES:
-            raise ValueError(f"unknown stream source {self.source!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+            raise ArgumentError("source", f"unknown stream source {self.source!r}")
+        check_int("batch_size", self.batch_size, 1)
         if self.source == "synthetic_gaussian":
-            if self.num_tasks < 2:
-                raise ValueError("a stream needs at least 2 tasks")
-            if self.classes_per_task < 1 or self.samples_per_class < 1 or self.dim < 1:
-                raise ValueError("classes_per_task, samples_per_class and dim must be positive")
+            check_int("num_tasks", self.num_tasks, 2)
+            check_int("classes_per_task", self.classes_per_task, 1)
+            check_int("samples_per_class", self.samples_per_class, 1)
+            check_int("dim", self.dim, 1)
             if not 0.0 < self.test_fraction < 1.0:
-                raise ValueError("test_fraction must lie in (0, 1)")
-            if self.seed < 0:
-                raise ValueError(f"seed must be nonnegative, got {self.seed}")
+                raise ArgumentError("test_fraction", "test_fraction must lie in (0, 1)")
+            check_int("seed", self.seed, 0)
             if not math.isfinite(self.mean_scale):
-                raise ValueError(f"mean_scale must be finite, got {self.mean_scale}")
-            if not 0 <= self.within_std < math.inf:
-                raise ValueError(f"within_std must be finite and nonnegative, "
-                                 f"got {self.within_std}")
+                raise ArgumentError("mean_scale",
+                                    f"mean_scale must be finite, got {self.mean_scale}")
+            check_real("within_std", self.within_std)
             for name, values in (("drift_offsets", self.drift_offsets),
                                  ("label_noise", self.label_noise)):
                 if values is not None and len(values) != self.num_tasks:
-                    raise ValueError(f"{name} must list one value per task")
+                    raise ArgumentError(name, f"{name} must list one value per task")
             if self.drift_offsets is not None and not all(map(math.isfinite,
                                                               self.drift_offsets)):
-                raise ValueError(f"drift_offsets must be finite, got {self.drift_offsets}")
+                raise ArgumentError("drift_offsets",
+                                    f"drift_offsets must be finite, got {self.drift_offsets}")
             if self.label_noise is not None and not all(0 <= v <= 1 for v in self.label_noise):
-                raise ValueError(f"label_noise entries must lie in [0, 1], "
-                                 f"got {self.label_noise}")
-        else:
-            if not self.train_csv or not self.test_csv:
-                raise ValueError("csv streams require train_csv and test_csv paths")
+                raise ArgumentError("label_noise", f"label_noise entries must lie in [0, 1], "
+                                                   f"got {self.label_noise}")
+        elif not self.train_csv or not self.test_csv:
+            raise ArgumentError("test_csv" if self.train_csv else "train_csv",
+                                "csv streams require train_csv and test_csv paths")
 
 
 @dataclass(frozen=True)
@@ -433,8 +422,7 @@ def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
     makes it converge at rate O(eps).
     """
     _check_mu(mu)
-    if not 0 < eps < math.inf:
-        raise ValueError(f"eps must be finite and positive, got {eps}")
+    check_real("eps", eps, positive=True)
     p = ctx.dim
     if p > DENSE_ORACLE_GUARD:
         raise ValueError(f"dense oracle is guarded to {DENSE_ORACLE_GUARD} parameters, got {p}")
@@ -459,14 +447,11 @@ def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
 @dataclass(frozen=True)
 class OracleConfig:
     buffer_multiplier: int = 4
-    min_overlap: int = TAU_MIN_OVERLAP
+    min_overlap: int = 10
 
     def __post_init__(self):
-        if self.buffer_multiplier < 1:
-            raise RunArgumentError("buffer_multiplier", "buffer_multiplier must be at least 1")
-        if self.min_overlap < 2:
-            raise RunArgumentError(
-                "min_overlap", f"min_overlap must be at least 2 to rank, got {self.min_overlap}")
+        check_int("buffer_multiplier", self.buffer_multiplier, 1)
+        check_int("min_overlap", self.min_overlap, 2)
 
 
 @dataclass(frozen=True)
@@ -589,37 +574,30 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     the model is evaluated on all seen tasks' test splits.
 
     Selection scores at the current SGD parameters. Arguments are checked
-    before step 0 and rejected with a ``RunArgumentError`` (a
-    ``ValueError``) naming the argument, and a sample that does not fit the
+    before step 0 and rejected with a :class:`~coresel.numkit.ArgumentError`
+    (a ``ValueError``) naming the argument, and a sample that does not fit the
     model is rejected with a ``ValueError`` naming the sample when the
     splits are stacked; any later sub-operation failure is re-raised as a
     ``RuntimeError`` with the step and task/epoch/batch position prepended.
     """
     if model.kind != "logistic":
-        raise ValueError("the continual loop drives classification models only")
-    if seed < 0:
-        raise RunArgumentError("seed", f"seed must be nonnegative, got {seed}")
+        raise ArgumentError("model", "the continual loop drives classification models only")
+    check_int("seed", seed, 0)
     total = stream.total_train_size()
     if criterion.budget > total:
-        raise RunArgumentError(
+        raise ArgumentError(
             "budget", f"budget {criterion.budget} exceeds the stream's {total} training samples")
-    if not 0 < learning_rate < math.inf:
-        raise RunArgumentError("learning_rate",
-                               f"learning_rate must be finite and positive, got {learning_rate}")
-    if epochs < 1:
-        raise RunArgumentError("epochs", f"epochs must be at least 1, got {epochs}")
-    if not 0 <= damping < math.inf:
-        raise RunArgumentError("damping",
-                               f"damping must be finite and nonnegative, got {damping}")
+    check_real("learning_rate", learning_rate, positive=True)
+    check_int("epochs", epochs, 1)
+    check_real("damping", damping)
     if damping == 0 and model.l2_strength == 0 and (selector in GREEDY_KINDS
                                                     or oracle is not None):
         # softmax logits are unchanged by a shift shared by every class, so
         # the Hessian maps each such shift to zero whatever the data
-        raise RunArgumentError("damping", "damping and model.l2_strength are both 0, so "
-                                          "the logistic Hessian is singular; raise either")
-    if reweight_constant is not None and not 0 < reweight_constant < math.inf:
-        raise RunArgumentError("reweight_constant", f"reweight_constant must be finite "
-                                                    f"and positive, got {reweight_constant}")
+        raise ArgumentError("damping", "damping and model.l2_strength are both 0, so "
+                                       "the logistic Hessian is singular; raise either")
+    if reweight_constant is not None:
+        check_real("reweight_constant", reweight_constant, positive=True)
 
     # the stream's train rows in task order; the run state refers to samples
     # by row into this batch

@@ -17,19 +17,26 @@ first-order influence of upweighting ``z`` on the summed candidate loss is
 ``-ihvp . grad(z)``, and a coreset should retain the lowest-scoring samples.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import models
-from .numkit import DEFAULT_DAMPING, CholeskySolver, SolveError, as_vector
+from .numkit import (
+    DEFAULT_DAMPING,
+    ArgumentError,
+    CholeskySolver,
+    SolveError,
+    as_vector,
+    check_int,
+    check_real,
+)
 
 
 def _check_mu(mu: float) -> None:
     if not 0.0 <= mu <= 1.0:
-        raise ValueError(f"mu must lie in [0, 1], got {mu}")
+        raise ArgumentError("mu", f"mu must lie in [0, 1], got {mu}")
 
 
 @dataclass(frozen=True)
@@ -41,11 +48,9 @@ class CriterionConfig:
     nu: float = 0.01
 
     def __post_init__(self):
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
+        check_int("budget", self.budget, 1)
         _check_mu(self.mu)
-        if not 0 <= self.nu < math.inf:
-            raise ValueError(f"nu must be finite and nonnegative, got {self.nu}")
+        check_real("nu", self.nu)
 
 
 class InfluenceContext:
@@ -214,8 +219,6 @@ def identical_hessian_form(ctx: InfluenceContext, keep, mu: float, alpha: float)
     ``0 <= mu <= 1`` and ``alpha`` is finite and nonnegative.
     """
     _check_mu(mu)
-    if not 0.0 <= alpha < math.inf:
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
-    kept = ctx.grads[_keep_masks(ctx, keep, 1) == 1.0]
-    kept_sum = kept.sum(axis=0) if len(kept) else np.zeros(ctx.dim)
+    check_real("alpha", alpha)
+    kept_sum = ctx.grads[_keep_masks(ctx, keep, 1) == 1.0].sum(axis=0)
     return float(np.linalg.norm((1.0 - alpha * mu) * ctx.grad_sum - kept_sum))

@@ -45,13 +45,12 @@ context) stack it once and pass the ``Batch``; the array math is the same
 either way, so the results are bit-identical.
 """
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .numkit import as_vector
+from .numkit import ArgumentError, as_vector, check_int, check_real
 
 MODEL_KINDS = ("quad1d", "logistic")
 FIT_METHODS = ("closed_form", "newton")
@@ -77,13 +76,13 @@ class Sample:
 
     def __post_init__(self):
         object.__setattr__(self, "features", as_vector(self.features))
-        if not 0 < self.weight < math.inf:
-            raise ValueError(f"sample {self.id}: weight must be finite and positive, "
-                             f"got {self.weight}")
-        if self.task_id < 0:
-            raise ValueError(f"sample {self.id}: task_id must be nonnegative")
-        if self.label < 0:
-            raise ValueError(f"sample {self.id}: label must be nonnegative")
+        try:
+            check_int("id", self.id)
+            check_int("task_id", self.task_id, 0)
+            check_int("label", self.label, 0)
+            check_real("weight", self.weight, positive=True)
+        except ArgumentError as exc:
+            raise ArgumentError(exc.argument, f"sample {self.id}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -95,13 +94,13 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+            raise ArgumentError(
+                "kind", f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        check_int("dim", self.dim, 1)
         if self.kind == "quad1d" and self.dim != 1:
-            raise ValueError("quad1d requires dim=1")
-        if self.dim < 1 or self.num_classes < 1:
-            raise ValueError("dim and num_classes must be positive")
-        if not 0 <= self.l2_strength < math.inf:
-            raise ValueError(f"l2_strength must be finite and nonnegative, got {self.l2_strength}")
+            raise ArgumentError("dim", "quad1d requires dim=1")
+        check_int("num_classes", self.num_classes, 1)
+        check_real("l2_strength", self.l2_strength)
 
     @property
     def param_dim(self) -> int:
@@ -124,12 +123,10 @@ class FitConfig:
 
     def __post_init__(self):
         if self.method not in FIT_METHODS:
-            raise ValueError(f"unknown fit method {self.method!r}; expected one of {FIT_METHODS}")
-        if not 0 < self.grad_tolerance < math.inf:
-            raise ValueError(f"grad_tolerance must be finite and positive, "
-                             f"got {self.grad_tolerance}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be at least 1, got {self.max_steps}")
+            raise ArgumentError(
+                "method", f"unknown fit method {self.method!r}; expected one of {FIT_METHODS}")
+        check_real("grad_tolerance", self.grad_tolerance, positive=True)
+        check_int("max_steps", self.max_steps, 1)
 
 
 def _check_sample(spec: ModelSpec, sample: Sample):

@@ -1,4 +1,4 @@
-"""Vector validation and factored solves against one SPD matrix.
+"""Argument and vector validation, and factored solves against one SPD matrix.
 
 Every model here has at most a few hundred parameters, so the damped
 Hessian of a selection round is materialized once and Cholesky-factored
@@ -7,6 +7,7 @@ check of the true residual.
 """
 
 import math
+import operator
 from typing import Optional
 
 import numpy as np
@@ -25,6 +26,35 @@ _INVERSE_LEAF = 32
 class SolveError(RuntimeError):
     """A solve failed: the matrix is not positive definite, or the true
     residual of a solution exceeds ``SOLVE_REL_TOLERANCE * ||b||``."""
+
+
+class ArgumentError(ValueError):
+    """An argument out of range; ``argument`` names the field or parameter."""
+
+    def __init__(self, argument: str, message: str):
+        super().__init__(message)
+        self.argument = argument
+
+
+def check_int(name: str, value, least: Optional[int] = None) -> None:
+    """Raise :class:`ArgumentError` naming ``name`` unless ``value`` is an
+    integer (anything ``operator.index`` accepts) of at least ``least``;
+    with ``least`` None any integer passes."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ArgumentError(name, f"{name} must be an integer, got {value}") from None
+    if least is not None and value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ArgumentError(name, f"{name} must be {bound}, got {value}")
+
+
+def check_real(name: str, value, positive: bool = False) -> None:
+    """Raise :class:`ArgumentError` naming ``name`` unless ``value`` is finite
+    and nonnegative, or with ``positive`` finite and positive; NaN fails."""
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        sign = "positive" if positive else "nonnegative"
+        raise ArgumentError(name, f"{name} must be finite and {sign}, got {value}")
 
 
 def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
@@ -71,8 +101,7 @@ class CholeskySolver:
     """
 
     def __init__(self, matrix: np.ndarray, damping: float = 0.0):
-        if not 0 <= damping < math.inf:
-            raise ValueError(f"damping must be finite and nonnegative, got {damping}")
+        check_real("damping", damping)
         matrix = np.array(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
             raise ValueError(f"expected a nonempty square matrix, got shape {matrix.shape}")

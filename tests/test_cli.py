@@ -67,15 +67,46 @@ def csv_config_file(tmp_path):
     return write_csv_config(tmp_path)
 
 
-# the config key behind each run argument of test_bad_run_value_exits_2_before_step_0
-RUN_VALUE_KEYS = {
-    "damping": "harness.damping",
-    "reweight_constant": "harness.reweight_constant",
-    "min_overlap": "oracle.min_overlap",
-    "budget": "criterion.m",
-    "epochs": "fit.epochs",
-    "learning_rate": "fit.learning_rate",
-}
+# The cases of test_bad_run_value_exits_2_before_step_0: (assignments, the
+# field the error names). The assignment to that field's key is the bad
+# one; the cases from "stream.num_tasks=1" on give each numeric stream,
+# model, criterion and oracle key an out-of-range value.
+RUN_VALUE_CASES = [
+    (["harness.damping=-1"], "damping"),
+    (["harness.reweight_constant=-1"], "reweight_constant"),
+    (["stream.batch_size=1", "oracle.min_overlap=1"], "min_overlap"),
+    (["criterion.m=100000"], "budget"),
+    (["fit.epochs=0"], "epochs"),
+    (["fit.learning_rate=-1"], "learning_rate"),
+    (["oracle.enabled=false", "oracle.min_overlap=1"], "min_overlap"),
+    (["harness.damping=inf"], "damping"),
+    (["fit.learning_rate=inf"], "learning_rate"),
+    (["harness.reweight_constant=inf"], "reweight_constant"),
+    (["stream.num_tasks=1"], "num_tasks"),
+    (["stream.classes_per_task=0"], "classes_per_task"),
+    (["stream.samples_per_class=0"], "samples_per_class"),
+    (["stream.dim=0"], "dim"),
+    (["stream.batch_size=0"], "batch_size"),
+    (["stream.seed=-5"], "seed"),
+    (["stream.mean_scale=-inf"], "mean_scale"),
+    (["stream.within_std=inf"], "within_std"),
+    (["stream.drift_offsets=0"], "drift_offsets"),
+    (["stream.label_noise=0.1"], "label_noise"),
+    (["stream.test_fraction=1"], "test_fraction"),
+    (["model.dim=0"], "dim"),
+    (["model.num_classes=0"], "num_classes"),
+    (["model.l2_strength=-1"], "l2_strength"),
+    (["criterion.m=0"], "budget"),
+    (["criterion.mu=-0.5"], "mu"),
+    (["criterion.nu=-1"], "nu"),
+    (["oracle.buffer_multiplier=0"], "buffer_multiplier"),
+]
+
+
+def bad_value_key(assignments, named):
+    """The config key of the assignment to the field ``named``."""
+    keys = [assignment.split("=")[0] for assignment in assignments]
+    return next(key for key in keys if _SCHEMA[key].field == named)
 
 # One case per config key for test_schedule_keys_change_the_report:
 # (config, assignments of the changed run only, assignments of both runs,
@@ -192,18 +223,7 @@ class TestRunCommand:
         assert message in err and "step" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("overrides, named", [
-        (["harness.damping=-1"], "damping"),
-        (["harness.reweight_constant=-1"], "reweight_constant"),
-        (["stream.batch_size=1", "oracle.min_overlap=1"], "min_overlap"),
-        (["criterion.m=100000"], "budget"),
-        (["fit.epochs=0"], "epochs"),
-        (["fit.learning_rate=-1"], "learning_rate"),
-        (["oracle.enabled=false", "oracle.min_overlap=1"], "min_overlap"),
-        (["harness.damping=inf"], "damping"),
-        (["fit.learning_rate=inf"], "learning_rate"),
-        (["harness.reweight_constant=inf"], "reweight_constant"),
-    ])
+    @pytest.mark.parametrize("overrides, named", RUN_VALUE_CASES)
     def test_bad_run_value_exits_2_before_step_0(self, config_file, tmp_path, capsys,
                                                  overrides, named):
         out = tmp_path / "o"
@@ -213,8 +233,14 @@ class TestRunCommand:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert named in err and "step" not in err
-        assert f"config key '{RUN_VALUE_KEYS[named]}'" in err
+        assert f"config key '{bad_value_key(overrides, named)}': {named}" in err
         assert not out.exists()
+
+    def test_bad_run_value_cases_cover_every_numeric_part_key(self):
+        numeric = [key for key, row in _SCHEMA.items()
+                   if row.part in ("stream", "model", "criterion", "oracle")
+                   and row.convert in (int, float, cli._conv_float_tuple)]
+        assert set(numeric) <= {bad_value_key(*case) for case in RUN_VALUE_CASES}
 
     @pytest.mark.parametrize("assignment, section", [
         ("criterion.nu=nan", "criterion"),
@@ -229,7 +255,7 @@ class TestRunCommand:
                      "--set", assignment]) == 2
         err = capsys.readouterr().err
         field = assignment.split(".")[1].split("=")[0]
-        assert f"config section '{section}': {field} must be finite" in err
+        assert f"config key '{section}.{field}': {field} must be finite" in err
         assert "step" not in err
         assert not out.exists()
 
@@ -357,9 +383,9 @@ def input_argv(tmp_path, where, value):
     return ["run", "--config", str(config)] + flags + out
 
 
-LABEL_NOISE = "config section 'stream': label_noise entries must lie in [0, 1]"
-WITHIN_STD = "config section 'stream': within_std must be finite and nonnegative"
-MEAN_SCALE = "config section 'stream': mean_scale must be finite"
+LABEL_NOISE = "config key 'stream.label_noise': label_noise entries must lie in [0, 1]"
+WITHIN_STD = "config key 'stream.within_std': within_std must be finite and nonnegative"
+MEAN_SCALE = "config key 'stream.mean_scale': mean_scale must be finite"
 NOT_UTF8 = "'utf-8' codec can't decode"
 
 # Every input error exits 2 naming its key, flag, or file and row:
@@ -374,11 +400,13 @@ INPUT_ERRORS = [
     pytest.param("set", "stream.mean_scale=nan", MEAN_SCALE, id="mean_scale=nan"),
     pytest.param("set", "stream.mean_scale=inf", MEAN_SCALE, id="mean_scale=inf"),
     pytest.param("set", "stream.drift_offsets=nan,0",
-                 "config section 'stream': drift_offsets must be finite", id="drift_offsets=nan"),
+                 "config key 'stream.drift_offsets': drift_offsets must be finite",
+                 id="drift_offsets=nan"),
     pytest.param("set", "seed=-1", "config key 'seed': seed must be nonnegative, got -1",
                  id="seed=-1"),
     pytest.param("set", "stream.seed=-1",
-                 "config section 'stream': seed must be nonnegative, got -1", id="stream.seed=-1"),
+                 "config key 'stream.seed': seed must be nonnegative, got -1",
+                 id="stream.seed=-1"),
     pytest.param("flags", ["--seed", "-3"],
                  "config key 'seed': seed must be nonnegative, got -3", id="--seed=-3"),
     pytest.param("flags", ["--set", "model.l2_strength=0", "--set", "harness.damping=0"],

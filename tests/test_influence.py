@@ -385,6 +385,9 @@ class TestEquivalences:
         keep_middle = np.array([0.0, 1.0, 0.0])
         assert gradient_matching_distance(quad_ctx, keep_middle) == pytest.approx(2.0)
         assert gradient_matching_distance(quad_ctx, np.ones(3)) == 0.0
+        # an all-zero mask keeps nothing: the kept sum is the zero vector
+        assert gradient_matching_distance(quad_ctx, np.zeros(3)) == np.linalg.norm(
+            quad_ctx.grad_sum)
 
     def test_identical_hessian_collapses_at_mu_zero(self, quad_ctx):
         w = np.array([0.0, 1.0, 1.0])

@@ -1,5 +1,7 @@
 """Model derivative tests: analytic formulas against finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from coresel.models import (
     sample_hvp,
     stack_samples,
 )
+from coresel.numkit import ArgumentError
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
@@ -408,6 +411,20 @@ class TestBatch:
     def test_weight_must_be_finite_and_positive(self, weight):
         with pytest.raises(ValueError, match="sample 4: weight must be finite and positive"):
             Sample(id=4, task_id=0, label=0, features=[1.0], weight=weight)
+
+    @pytest.mark.parametrize("field, value", [
+        ("label", 0.5), ("label", np.nan), ("task_id", 0.5), ("task_id", np.nan), ("id", 2.5)])
+    def test_integer_fields_must_hold_integers(self, field, value):
+        kwargs = {"id": 4, "task_id": 0, "label": 0, field: value}
+        message = f"sample {kwargs['id']}: {field} must be an integer, got {value}"
+        with pytest.raises(ArgumentError, match=re.escape(message)) as err:
+            Sample(features=[1.0], **kwargs)
+        assert err.value.argument == field
+
+    def test_numpy_integers_and_negative_ids_are_valid(self):
+        s = Sample(id=np.int64(-3), task_id=np.int32(1), label=np.int64(2), features=[1.0])
+        batch = stack_samples(ModelSpec(kind="logistic", dim=1, num_classes=3), [s])
+        assert batch.ids.tolist() == [-3] and batch.y.tolist() == [2]
 
     def test_invalid_sample_rejected_when_stacked(self):
         spec = ModelSpec(kind="logistic", dim=1, num_classes=2)

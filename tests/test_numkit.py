@@ -1,16 +1,25 @@
-"""Factored SPD solver, vector validation and Neumann-expansion tests."""
+"""Factored SPD solver, argument and vector validation and Neumann-expansion tests."""
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coresel.harness import OracleConfig, StreamSpec
+from coresel.influence import CriterionConfig
+from coresel.models import FitConfig, ModelSpec
 from coresel.numkit import (
     _INVERSE_LEAF,
     SOLVE_REL_TOLERANCE,
+    ArgumentError,
     CholeskySolver,
     SolveError,
     as_vector,
+    check_int,
+    check_real,
 )
 
 
@@ -22,6 +31,47 @@ def random_spd(rng, n, eig_range=(0.5, 2.0)):
 
 def hilbert(n):
     return 1.0 / (np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0)
+
+
+# the arguments each checked config class needs besides the one under test
+CONFIG_BASE = {CriterionConfig: {"budget": 1}, OracleConfig: {}, FitConfig: {},
+               ModelSpec: {"kind": "logistic"}, StreamSpec: {}}
+INTEGER_FIELDS = [(cls, f.name) for cls in CONFIG_BASE for f in dataclasses.fields(cls)
+                  if f.type is int]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, argument, message", [
+        (lambda: check_int("budget", 2.5, 1), "budget", "budget must be an integer, got 2.5"),
+        (lambda: check_int("label", np.nan, 0), "label", "label must be an integer, got nan"),
+        (lambda: check_int("seed", -1, 0), "seed", "seed must be nonnegative, got -1"),
+        (lambda: check_int("num_tasks", 1, 2), "num_tasks", "num_tasks must be at least 2, got 1"),
+        (lambda: check_real("nu", -1.0), "nu", "nu must be finite and nonnegative, got -1.0"),
+        (lambda: check_real("nu", np.inf), "nu", "nu must be finite and nonnegative, got inf"),
+        (lambda: check_real("eps", 0.0, positive=True), "eps",
+         "eps must be finite and positive, got 0.0"),
+        (lambda: check_real("eps", np.nan, positive=True), "eps",
+         "eps must be finite and positive, got nan"),
+    ])
+    def test_bad_value_names_its_argument(self, call, argument, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)) as err:
+            call()
+        assert err.value.argument == argument and isinstance(err.value, ValueError)
+
+    def test_valid_values_pass(self):
+        check_int("seed", np.int64(0), 0)
+        check_int("num_tasks", 2, 2)
+        check_int("id", -3)
+        check_real("damping", 0.0)
+        check_real("eps", np.float64(1e-300), positive=True)
+
+    @pytest.mark.parametrize("cls, field", INTEGER_FIELDS,
+                             ids=[f"{cls.__name__}.{field}" for cls, field in INTEGER_FIELDS])
+    @pytest.mark.parametrize("value", [2.5, np.nan])
+    def test_integer_config_field_rejects_a_non_integer(self, cls, field, value):
+        with pytest.raises(ArgumentError, match=f"{field} must be an integer") as err:
+            cls(**{**CONFIG_BASE[cls], field: value})
+        assert err.value.argument == field
 
 
 class TestCholeskySolver:
