@@ -432,6 +432,9 @@ def cmd_select(args) -> int:
                          "is singular; raise either")
     try:
         cfg = CriterionConfig(budget=args.m, mu=args.mu, nu=args.nu)
+        if cfg.budget > len(samples):
+            raise ArgumentError("budget", f"budget {cfg.budget} exceeds the file's "
+                                          f"{len(samples)} samples")
         check_real("damping", args.damping)
         model = ModelSpec(kind="quad1d", dim=1) if quad else ModelSpec(
             kind="logistic", dim=dim, num_classes=max(max(s.label for s in samples) + 1, 2),

@@ -109,6 +109,9 @@ class StreamSpec:
             if self.label_noise is not None and not all(0 <= v <= 1 for v in self.label_noise):
                 raise ArgumentError("label_noise", f"label_noise entries must lie in [0, 1], "
                                                    f"got {self.label_noise}")
+            if self.classes_per_task == 1 and any(v > 0 for v in self.label_noise or ()):
+                raise ArgumentError("label_noise", "label_noise needs classes_per_task >= 2 "
+                                                   "to flip a label within its task")
         elif not self.train_csv or not self.test_csv:
             raise ArgumentError("test_csv" if self.train_csv else "train_csv",
                                 "csv streams require train_csv and test_csv paths")
@@ -118,7 +121,6 @@ class StreamSpec:
 class TaskData:
     train: tuple
     test: tuple
-    classes: tuple
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def make_stream(spec: StreamSpec) -> Stream:
                 for row in X:
                     dest.append(Sample(id=next_id, task_id=t, label=c, features=row))
                     next_id += 1
-        if noise[t] > 0 and len(classes) > 1:
+        if noise[t] > 0:
             noisy = []
             for s in train:
                 if rng.random() < noise[t]:
@@ -177,7 +179,7 @@ def make_stream(spec: StreamSpec) -> Stream:
             train = noisy
         order = rng.permutation(len(train))
         train = [train[i] for i in order]
-        tasks.append(TaskData(tuple(train), tuple(test), classes))
+        tasks.append(TaskData(tuple(train), tuple(test)))
     return Stream(tuple(tasks), spec.batch_size, spec.dim, total_classes)
 
 
@@ -262,8 +264,7 @@ def _load_csv_stream(spec: StreamSpec) -> Stream:
         t_test = tuple(s for s in test if s.task_id == t)
         if not t_test:
             raise ValueError(f"test file has no rows for task {t}")
-        classes = tuple(sorted({s.label for s in t_train}))
-        tasks.append(TaskData(t_train, t_test, classes))
+        tasks.append(TaskData(t_train, t_test))
     return Stream(tuple(tasks), spec.batch_size, dim, num_classes)
 
 
@@ -513,8 +514,8 @@ def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
 
     The default constant |buffer| / |batch| gives both cohorts equal total
     weight in the outer objective; with an empty buffer there is nothing to
-    balance and the batch stays at weight 1. The reweighting exists only
-    for the selection round; the buffer always stores original weights.
+    balance and the batch stays at weight 1. The weights live on the
+    round's candidate batch alone; the pool's rows keep weight 1.
     It scores at ``params``, never at the candidates' own optimum, where scores are round-off.
     """
     if constant is None:

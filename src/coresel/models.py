@@ -2,15 +2,19 @@
 
 Two model families are provided:
 
-* ``quad1d`` -- scalar quadratic fit, loss ``0.5 * weight * (theta - z)**2``
-  where ``z`` is the sample's single feature. Labels are ignored. Everything
+* ``quad1d`` -- scalar quadratic fit, loss ``0.5 * (theta - z)**2`` where
+  ``z`` is the sample's single feature. Labels are ignored. Everything
   about it (optimum, Hessian, influence) has a closed form, which makes it
   the reference model for exact oracles.
 * ``logistic`` -- multinomial logistic regression with cross-entropy loss
   and an L2 term attributed per sample: each sample contributes
-  ``weight * (cross_entropy + l2_strength/2 * ||theta||^2)`` so that sums
-  over sample sets equal the regularized empirical risk of the set. With
+  ``cross_entropy + l2_strength/2 * ||theta||^2`` so that sums over sample
+  sets equal the regularized empirical risk of the set. With
   ``l2_strength > 0`` the set Hessian is strictly positive definite.
+
+A sample carries no weight. Row weights live on the :class:`Batch`: the
+batch helpers scale row ``i`` by ``w[i]``, which :func:`stack_samples`
+sets to 1 and :meth:`Batch.with_weights` replaces.
 
 Parameters for ``logistic`` are flattened class-major: ``theta.reshape(
 num_classes, dim)`` has one row per class. Per-sample operations are exact
@@ -54,25 +58,22 @@ from .numkit import ArgumentError, as_vector, check_int, check_real
 
 MODEL_KINDS = ("quad1d", "logistic")
 FIT_METHODS = ("closed_form", "newton")
+# Newton steps a fit takes before it gives up with a FitError
+NEWTON_MAX_STEPS = 100
 
 
 class FitError(RuntimeError):
     """Optimizer failed to reach the requested gradient tolerance."""
 
-    def __init__(self, message: str, grad_norm: float):
-        super().__init__(message)
-        self.grad_norm = grad_norm
-
 
 @dataclass(frozen=True, eq=False)
 class Sample:
-    """One training point: features, class label, task of origin, weight."""
+    """One training point: features, class label and task of origin."""
 
     id: int
     task_id: int
     label: int
     features: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "features", as_vector(self.features))
@@ -80,7 +81,6 @@ class Sample:
             check_int("id", self.id)
             check_int("task_id", self.task_id, 0)
             check_int("label", self.label, 0)
-            check_real("weight", self.weight, positive=True)
         except ArgumentError as exc:
             raise ArgumentError(exc.argument, f"sample {self.id}: {exc}") from None
 
@@ -119,14 +119,12 @@ class Params:
 class FitConfig:
     method: str = "newton"
     grad_tolerance: float = 1e-10
-    max_steps: int = 100
 
     def __post_init__(self):
         if self.method not in FIT_METHODS:
             raise ArgumentError(
                 "method", f"unknown fit method {self.method!r}; expected one of {FIT_METHODS}")
         check_real("grad_tolerance", self.grad_tolerance, positive=True)
-        check_int("max_steps", self.max_steps, 1)
 
 
 def _check_sample(spec: ModelSpec, sample: Sample):
@@ -138,8 +136,9 @@ def _check_sample(spec: ModelSpec, sample: Sample):
 
 class Batch(NamedTuple):
     """A validated sample set as read-only arrays: features ``X`` (n, dim),
-    labels ``y``, weights ``w`` and sample ids ``ids``. Build one with
-    :func:`stack_samples`; every quantity computed from a Batch reads its
+    labels ``y``, row weights ``w`` and sample ids ``ids``. Build one with
+    :func:`stack_samples`, which sets every weight to 1, and reweight it with
+    :meth:`with_weights`; every quantity computed from a Batch reads its
     ``w``."""
 
     X: np.ndarray
@@ -172,7 +171,7 @@ def stack_samples(spec: ModelSpec, samples: Sequence[Sample]) -> Batch:
     # copies to the same bits as np.stack at a fraction of the cost
     X = np.array([s.features for s in samples]) if samples else np.zeros((0, spec.dim))
     y = np.array([s.label for s in samples], dtype=np.int64)
-    w = np.array([s.weight for s in samples], dtype=np.float64)
+    w = np.ones(len(samples))
     ids = np.array([s.id for s in samples], dtype=np.int64)
     return Batch(_read_only(X), _read_only(y), _read_only(w), _read_only(ids))
 
@@ -206,24 +205,24 @@ def loss(spec: ModelSpec, params: Params, sample: Sample) -> float:
     _check_sample(spec, sample)
     if spec.kind == "quad1d":
         t = params.theta[0]
-        return 0.5 * sample.weight * (t - sample.features[0]) ** 2
+        return 0.5 * (t - sample.features[0]) ** 2
     theta = _theta_matrix(spec, params)
     logits = (theta @ sample.features)[None, :]
     ce = -_log_softmax(logits)[0, sample.label]
     l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
-    return sample.weight * (ce + l2)
+    return ce + l2
 
 
 def grad(spec: ModelSpec, params: Params, sample: Sample) -> np.ndarray:
     _check_sample(spec, sample)
     if spec.kind == "quad1d":
-        return np.array([sample.weight * (params.theta[0] - sample.features[0])])
+        return np.array([params.theta[0] - sample.features[0]])
     theta = _theta_matrix(spec, params)
     p = _softmax((theta @ sample.features)[None, :])[0]
     resid = p.copy()
     resid[sample.label] -= 1.0
     g = np.outer(resid, sample.features) + spec.l2_strength * theta
-    return sample.weight * g.ravel()
+    return g.ravel()
 
 
 def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray:
@@ -231,14 +230,14 @@ def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray
     _check_sample(spec, sample)
     v = as_vector(v, dim=spec.param_dim)
     if spec.kind == "quad1d":
-        return sample.weight * v
+        return v.copy()
     theta = _theta_matrix(spec, params)
     p = _softmax((theta @ sample.features)[None, :])[0]
     V = v.reshape(spec.num_classes, spec.dim)
     a = V @ sample.features
     row = p * (a - float(p @ a))
     out = np.outer(row, sample.features) + spec.l2_strength * V
-    return sample.weight * out.ravel()
+    return out.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +354,7 @@ def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
     """Fit parameters on ``samples`` to optimality.
 
     ``closed_form`` (quad1d only) is exact; ``newton`` drives the summed
-    gradient below ``grad_tolerance`` within ``max_steps`` steps.
+    gradient below ``grad_tolerance`` within ``NEWTON_MAX_STEPS`` steps.
     """
     batch = _as_batch(spec, samples)
     if len(batch.y) == 0:
@@ -371,7 +370,7 @@ def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
 def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
     theta = init.theta.copy() if init is not None else np.zeros(spec.param_dim)
     base = None  # loss at theta, once a line search has evaluated it
-    for _ in range(cfg.max_steps):
+    for _ in range(NEWTON_MAX_STEPS):
         params = Params(theta)
         probs = None if spec.kind == "quad1d" else _probs(spec, params, batch.X)
         g = grad_sum(spec, params, batch, probs=probs)
@@ -382,7 +381,7 @@ def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
-            raise FitError(f"singular Hessian during Newton fit: {exc}", g_norm) from exc
+            raise FitError(f"singular Hessian during Newton fit: {exc}") from exc
         # backtracking keeps the iteration safe far from the optimum; the
         # slack admits the full Newton step once the decrease is below
         # float roundoff of the loss value
@@ -403,10 +402,8 @@ def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
     g_norm = float(np.linalg.norm(grad_sum(spec, params, batch)))
     if g_norm <= cfg.grad_tolerance:
         return params
-    raise FitError(
-        f"Newton did not converge in {cfg.max_steps} steps (|grad| = {g_norm:.3e})",
-        g_norm,
-    )
+    raise FitError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps "
+                   f"(|grad| = {g_norm:.3e})")
 
 
 def accuracy(spec: ModelSpec, params: Params, samples: Samples) -> float:

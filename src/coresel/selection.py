@@ -48,17 +48,12 @@ GREEDY_KINDS = (
 
 @dataclass(frozen=True)
 class ReplayBuffer:
-    """The ids a selector kept, in candidate order, and the buffer capacity."""
+    """The ids a selector kept, in candidate order."""
 
     kept: tuple
-    capacity: int
 
     def __post_init__(self):
         object.__setattr__(self, "kept", tuple(map(int, self.kept)))
-        if self.capacity < 1:
-            raise ValueError("buffer capacity must be at least 1")
-        if len(self.kept) > self.capacity:
-            raise ValueError(f"buffer holds {len(self.kept)} samples, capacity {self.capacity}")
         if len(set(self.kept)) != len(self.kept):
             raise ValueError("buffer contains duplicate sample ids")
 
@@ -67,9 +62,6 @@ class ReplayBuffer:
 
     def id_set(self) -> frozenset:
         return frozenset(self.kept)
-
-    def __len__(self) -> int:
-        return len(self.kept)
 
 
 @dataclass
@@ -165,7 +157,7 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     w[kept] = 1.0
     final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
-    return ReplayBuffer(ids[w == 1.0], cfg.budget), trace
+    return ReplayBuffer(ids[w == 1.0]), trace
 
 
 def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
@@ -204,7 +196,7 @@ def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuff
     values = criterion_values(ctx, cfg, masks)
     tied = np.flatnonzero(values == values.min())
     best = min(tied, key=lambda c: sorted(ids[i] for i in combos[c]))
-    return ReplayBuffer([ids[i] for i in combos[best]], cfg.budget)
+    return ReplayBuffer([ids[i] for i in combos[best]])
 
 
 def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,

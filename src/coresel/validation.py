@@ -55,8 +55,8 @@ class SuiteResult:
     seconds: float
 
 
-def _qsample(i, z, weight=1.0):
-    return Sample(id=i, task_id=0, label=0, features=[z], weight=weight)
+def _qsample(i, z):
+    return Sample(id=i, task_id=0, label=0, features=[z])
 
 
 def _blob_instance(rng, n, dim, num_classes, l2, id0=0, spread=1.5):

@@ -395,6 +395,10 @@ INPUT_ERRORS = [
     pytest.param("set", "stream.label_noise=1.5,1.5", LABEL_NOISE, id="label_noise=1.5"),
     pytest.param("set", "stream.label_noise=-0.5,0", LABEL_NOISE, id="label_noise=-0.5"),
     pytest.param("set", "stream.label_noise=nan,nan", LABEL_NOISE, id="label_noise=nan"),
+    pytest.param("flags", ["--set", "stream.classes_per_task=1",
+                           "--set", "stream.label_noise=0.5,0.5"],
+                 "config key 'stream.label_noise': label_noise needs classes_per_task >= 2",
+                 id="label_noise-one-class-per-task"),
     pytest.param("set", "stream.within_std=-1", WITHIN_STD, id="within_std=-1"),
     pytest.param("set", "stream.within_std=nan", WITHIN_STD, id="within_std=nan"),
     pytest.param("set", "stream.mean_scale=nan", MEAN_SCALE, id="mean_scale=nan"),
@@ -442,6 +446,8 @@ INPUT_ERRORS = [
                  id="select-not-utf8"),
     pytest.param("select-flags", ["--l2", "0", "--damping", "0"],
                  "--damping: damping and --l2 are both 0", id="select-l2=0-damping=0"),
+    pytest.param("select-flags", ["--m", "3"], "--m: budget 3 exceeds the file's 2 samples",
+                 id="select-m-above-rows"),
     pytest.param("grid", b"grid.mu = 0.5, x\n", "grid key 'grid.mu': could not convert",
                  id="grid.mu=x"),
     pytest.param("grid", b"grid.nu = 0.1,,0.2\n", "grid key 'grid.nu': could not convert",
@@ -644,6 +650,9 @@ class TestSelectCommand:
         printed = capsys.readouterr().out.strip().split()
         assert len(printed) == 4
         assert set(printed) <= {str(i) for i in range(6)}
+        # a budget of every row binds nothing and keeps them all
+        assert main(["select", "--data", str(data), "--m", "6"]) == 0
+        assert capsys.readouterr().out.split() == [str(i) for i in range(6)]
 
     @pytest.mark.parametrize("flags, message", [
         (["--m", "0"], "--m: budget must be at least 1"),

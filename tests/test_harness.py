@@ -63,7 +63,7 @@ class TestMakeStream:
 
     def test_disjoint_class_sets(self):
         stream = make_stream(StreamSpec(num_tasks=3, classes_per_task=2, seed=1))
-        sets = [set(t.classes) for t in stream.tasks]
+        sets = [{s.label for s in t.train + t.test} for t in stream.tasks]
         assert sets[0].isdisjoint(sets[1]) and sets[1].isdisjoint(sets[2])
 
     def test_drift_shifts_class_means(self):
@@ -90,7 +90,8 @@ class TestMakeStream:
         task1_ids = [s.id for s in clean.tasks[1].train]
         flipped = sum(noisy_labels[i] != clean_labels[i] for i in task1_ids)
         assert 0.2 <= flipped / len(task1_ids) <= 0.4
-        assert all(s.label in stream.tasks[1].classes for s in stream.tasks[1].train)
+        task1_classes = {s.label for s in clean.tasks[1].train}
+        assert {s.label for s in stream.tasks[1].train} == task1_classes
         task0_ids = [s.id for s in clean.tasks[0].train]
         assert all(noisy_labels[i] == clean_labels[i] for i in task0_ids)
 
@@ -294,8 +295,7 @@ class TestLooRetrainDelta:
         rng = np.random.default_rng(seed)
         spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
         samples = [Sample(id=i, task_id=0, label=i % 3,
-                          features=rng.normal(size=3) + (i % 3),
-                          weight=float(rng.uniform(0.5, 2.0)))
+                          features=rng.normal(size=3) + (i % 3))
                    for i in range(2 * n)]
         return spec, samples[:n], samples[n:]
 

@@ -5,8 +5,6 @@ curvature 2 gives a shared solve of -1.5 against the outer gradient sum -3,
 so every score below has a closed form checked by hand.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -37,8 +35,8 @@ from coresel.selection import select_greedy
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
 
-def qsample(i, z, weight=1.0):
-    return Sample(id=i, task_id=0, label=0, features=[z], weight=weight)
+def qsample(i, z):
+    return Sample(id=i, task_id=0, label=0, features=[z])
 
 
 QUAD_CANDIDATES = (qsample(0, 0.0), qsample(1, 2.0), qsample(2, 4.0))
@@ -193,7 +191,8 @@ class TestBuildContext:
         assert plain.batch.ids.tolist() == given.batch.ids.tolist() == [s.id for s in pool]
 
     def test_batch_weights_are_the_context_weights(self):
-        # a reweighted Batch scores exactly like samples carrying those weights
+        # candidate i enters the gradients, the Hessian and so every score
+        # with its row weight w_i
         rng = np.random.default_rng(62)
         spec = ModelSpec(kind="logistic", dim=2, num_classes=3, l2_strength=0.1)
         pool = [Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=2))
@@ -201,14 +200,17 @@ class TestBuildContext:
         w = rng.uniform(0.5, 2.0, size=9)
         params = Params(rng.normal(scale=0.3, size=spec.param_dim))
         batch = stack_samples(spec, pool).with_weights(w)
-        ctx = build_context(spec, params, batch, batch)
-        weighted = [replace(s, weight=float(wi)) for s, wi in zip(pool, w)]
-        expected = build_context(spec, params, weighted, weighted)
+        ctx = build_context(spec, params, batch, batch, damping=0.0)
         assert ctx.batch.ids.tolist() == list(range(9))
-        assert np.array_equal(ctx.scores(), expected.scores())
-        assert np.array_equal(ctx.damped_hessian, expected.damped_hessian)
+        np.testing.assert_allclose(ctx.grads, [wi * ctx.grad_of(z) for z, wi in zip(pool, w)],
+                                   rtol=1e-12, atol=1e-13)
+        v = rng.normal(size=spec.param_dim)
+        np.testing.assert_allclose(
+            ctx.damped_hessian @ v,
+            sum(wi * models.sample_hvp(spec, params, z, v) for z, wi in zip(pool, w)),
+            rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(ctx.scores(),
-                                   [first_order_influence(ctx, z) for z in weighted],
+                                   [wi * first_order_influence(ctx, z) for z, wi in zip(pool, w)],
                                    rtol=1e-12, atol=1e-13)
 
     def test_negative_damping_rejected(self):
