@@ -14,7 +14,8 @@ Two model families are provided:
 
 A sample carries no weight. Row weights live on the :class:`Batch`: the
 batch helpers scale row ``i`` by ``w[i]``, which :func:`stack_samples`
-sets to 1 and :meth:`Batch.with_weights` replaces.
+sets to 1 and :meth:`Batch.with_weights` replaces with checked finite,
+positive weights.
 
 Parameters for ``logistic`` are flattened class-major: ``theta.reshape(
 num_classes, dim)`` has one row per class. Per-sample operations are exact
@@ -151,7 +152,16 @@ class Batch(NamedTuple):
         return Batch(*(_read_only(a[index]) for a in self))
 
     def with_weights(self, w: np.ndarray) -> "Batch":
-        """The same rows under the weights ``w``."""
+        """The same rows under the weights ``w``: one finite, positive
+        weight per row."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != self.ids.shape:
+            raise ArgumentError("w", f"{w.size} weights for {self.ids.size} rows")
+        bad = np.flatnonzero(~(np.isfinite(w) & (w > 0)))
+        if bad.size:
+            i = bad[0]
+            raise ArgumentError(
+                "w", f"sample {self.ids[i]}: weight must be finite and positive, got {w[i]}")
         return Batch(self.X, self.y, _read_only(w), self.ids)
 
 

@@ -25,7 +25,7 @@ from coresel.harness import (
 from coresel.influence import CriterionConfig
 from coresel.models import FitConfig, ModelSpec, Sample
 from coresel.numkit import SolveError
-from coresel.selection import SelectorKind
+from coresel.selection import ReplayBuffer, SelectorKind
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
@@ -415,6 +415,23 @@ class TestRunContinual:
         with pytest.raises(ValueError):
             run_continual(stream, model, SelectorKind.RESERVOIR,
                           CriterionConfig(budget=100), learning_rate=0.01, epochs=1)
+
+    @pytest.mark.parametrize("selector, target, keep_all", [
+        (SelectorKind.REGULARIZED_IF, "select_greedy",
+         lambda ctx, criterion, kind: (ReplayBuffer(ctx.batch.ids), None)),
+        (SelectorKind.RESERVOIR, "_reservoir_rows",
+         lambda rows, capacity, batch, offered, rng: np.concatenate([rows, batch])),
+        (SelectorKind.RING, "ring_slots",
+         lambda labels, capacity, num_classes: np.arange(len(labels))),
+    ], ids=["greedy", "reservoir", "ring"])
+    def test_selector_overflowing_the_budget_is_rejected(self, monkeypatch, selector, target,
+                                                         keep_all):
+        """A selector that keeps every candidate overflows the 20-sample
+        budget at the third batch of 10, and the loop stops there."""
+        monkeypatch.setattr(harness, target, keep_all)
+        with pytest.raises(RuntimeError,
+                           match=r"step 2 .*selector violated the buffer capacity"):
+            small_run(selector=selector, oracle=False)
 
     def test_one_live_context_per_step(self, monkeypatch):
         """Each selection step's context is released before the next one is

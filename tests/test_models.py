@@ -425,6 +425,19 @@ class TestBatch:
         for got, want in zip(stack_samples(spec, samples).rows(mask), subset):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, 0.0, -1.0])
+    def test_weight_must_be_finite_and_positive(self, weight):
+        batch = stack_samples(QUAD, [qsample(3, 0.0), qsample(4, 1.0)])
+        message = f"sample 4: weight must be finite and positive, got {weight}"
+        with pytest.raises(ArgumentError, match=re.escape(message)) as err:
+            batch.with_weights(np.array([1.0, weight]))
+        assert err.value.argument == "w"
+
+    def test_weights_need_one_per_row(self):
+        batch = stack_samples(QUAD, [qsample(3, 0.0), qsample(4, 1.0)])
+        with pytest.raises(ArgumentError, match="3 weights for 2 rows"):
+            batch.with_weights(np.ones(3))
+
     @pytest.mark.parametrize("field, value", [
         ("label", 0.5), ("label", np.nan), ("task_id", 0.5), ("task_id", np.nan), ("id", 2.5)])
     def test_integer_fields_must_hold_integers(self, field, value):
