@@ -198,8 +198,8 @@ def _circle_templates(rng: np.random.Generator, total_classes: int, dim: int,
 
 def _parse_csv_samples(path: str):
     """Read one sample file, reporting schema violations, non-finite
-    features, negative tasks or labels and repeated sample ids by row (and
-    column, where one is at fault)."""
+    features, negative tasks or labels, ids or labels outside int64 and
+    repeated sample ids by row (and column, where one is at fault)."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             reader = csv.reader(fh.readlines())
@@ -235,6 +235,10 @@ def _parse_csv_samples(path: str):
                 if col in ("task", "label") and values[col] < 0:
                     raise ValueError(f"{path}: row {row_num}, column {col!r}: "
                                      f"{col} must be nonnegative, got {values[col]}")
+                if col in ("id", "label") and not (models._INT64.min <= values[col]
+                                                   <= models._INT64.max):
+                    raise ValueError(f"{path}: row {row_num}, column {col!r}: "
+                                     f"{col} must fit in int64, got {values[col]}")
             first_row = id_rows.setdefault(values["id"], row_num)
             if first_row != row_num:
                 raise ValueError(f"{path}: row {row_num}: sample id {values['id']} "

@@ -32,9 +32,10 @@ but moves round-off bits of the SGD gradient, and the benchmark's kept-id
 references freeze those bits: one near-tie run flips a kept id under it.
 
 A Newton iterate computes the softmax at its parameters once and hands it
-to both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword), and
-it takes its base loss from the line-search trial it accepted; only the
-first iterate, and one after backtracking runs out, evaluates it afresh.
+to both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). A
+line-search trial computes its loss and its softmax from one ``exp``, and
+the iterate after an accepted trial takes both from it; only the first
+iterate, and one after backtracking runs out, evaluates them afresh.
 An influence context likewise shares one softmax of its candidates among
 ``grad_matrix``, ``hvp_matrix`` and, when they are its Hessian set,
 ``dense_hessian``. Both reuse the very floats the kernels would have
@@ -43,13 +44,16 @@ everything anew.
 
 Every batch helper takes either a sample sequence or a :class:`Batch`.
 :func:`stack_samples` is the one place a sample set is validated against
-the model and stacked into a ``Batch`` of read-only arrays, sample ids
-included; a helper given a sequence stacks it on entry. Callers that visit
-one set many times (a Newton fit, a leave-one-out refit, an influence
-context) stack it once and pass the ``Batch``; the array math is the same
-either way, so the results are bit-identical.
+the model, by array comparisons over the whole set, and stacked into a
+``Batch`` of read-only arrays, sample ids included; a helper given a
+sequence stacks it on entry. Callers that visit one set many times (a
+Newton fit, a leave-one-out refit, an influence context) stack it once
+and pass the ``Batch``; the array math is the same either way, so the
+results are bit-identical. :class:`Params` likewise holds a checked,
+read-only copy of its vector, so the kernels check only its length.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -58,6 +62,8 @@ import numpy as np
 from .numkit import ArgumentError, as_vector, check_int, check_real
 
 MODEL_KINDS = ("quad1d", "logistic")
+# sample ids and labels are stacked into int64 arrays
+_INT64 = np.iinfo(np.int64)
 FIT_METHODS = ("closed_form", "newton")
 # Newton steps a fit takes before it gives up with a FitError
 NEWTON_MAX_STEPS = 100
@@ -82,6 +88,10 @@ class Sample:
             check_int("id", self.id)
             check_int("task_id", self.task_id, 0)
             check_int("label", self.label, 0)
+            for name in ("id", "label"):
+                value = operator.index(getattr(self, name))
+                if not _INT64.min <= value <= _INT64.max:
+                    raise ArgumentError(name, f"{name} must fit in int64, got {value}")
         except ArgumentError as exc:
             raise ArgumentError(exc.argument, f"sample {self.id}: {exc}") from None
 
@@ -110,10 +120,13 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class Params:
+    """Model parameters: a finite 1-D float64 vector, checked and copied
+    once, and read-only from then on."""
+
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", as_vector(self.theta))
+        object.__setattr__(self, "theta", _read_only(as_vector(self.theta).copy()))
 
 
 @dataclass(frozen=True)
@@ -174,16 +187,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def stack_samples(spec: ModelSpec, samples: Sequence[Sample]) -> Batch:
-    """Validate every sample against ``spec`` and stack the set into a Batch."""
-    for s in samples:
-        _check_sample(spec, s)
-    # the checks above leave equal-length 1-D float64 rows, which np.array
-    # copies to the same bits as np.stack at a fraction of the cost
-    X = np.array([s.features for s in samples]) if samples else np.zeros((0, spec.dim))
-    y = np.array([s.label for s in samples], dtype=np.int64)
-    w = np.ones(len(samples))
-    ids = np.array([s.id for s in samples], dtype=np.int64)
-    return Batch(_read_only(X), _read_only(y), _read_only(w), _read_only(ids))
+    """Validate every sample against ``spec`` and stack the set into a Batch.
+
+    The whole set is checked by array comparisons; a failing set raises
+    :func:`_check_sample`'s error for its first failing sample."""
+    n = len(samples)
+    features = [s.features for s in samples]
+    # a Sample's id and label fit in int64, so these conversions cannot fail
+    y = np.fromiter([s.label for s in samples], np.int64, n)
+    ids = np.fromiter([s.id for s in samples], np.int64, n)
+    bad = np.fromiter(map(len, features), np.int64, n) != spec.dim
+    if spec.kind == "logistic":
+        bad |= (y < 0) | (y >= spec.num_classes)
+    if bad.any():
+        _check_sample(spec, samples[int(bad.argmax())])
+    # equal-length 1-D float64 rows, which np.array copies to the same bits
+    # as np.stack at a fraction of the cost
+    X = np.array(features) if n else np.zeros((0, spec.dim))
+    return Batch(_read_only(X), _read_only(y), _read_only(np.ones(n)), _read_only(ids))
 
 
 def _as_batch(spec: ModelSpec, samples: Samples) -> Batch:
@@ -197,13 +218,22 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
+def _log_softmax(logits: np.ndarray):
+    """``(log_softmax, softmax)`` of each row, from one ``exp`` and one row
+    sum; each has the bits of computing it on its own."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    e /= total
+    return shifted - np.log(total), e
 
 
 def _theta_matrix(spec: ModelSpec, params: Params) -> np.ndarray:
-    theta = as_vector(params.theta, dim=spec.param_dim)
+    """The class-major matrix view of ``params``, whose vector its
+    constructor already checked; only the length is left to check."""
+    theta = params.theta
+    if theta.shape[0] != spec.param_dim:
+        raise ValueError(f"dimension mismatch: expected {spec.param_dim}, got {theta.shape[0]}")
     return theta.reshape(spec.num_classes, spec.dim)
 
 
@@ -218,7 +248,7 @@ def loss(spec: ModelSpec, params: Params, sample: Sample) -> float:
         return 0.5 * (t - sample.features[0]) ** 2
     theta = _theta_matrix(spec, params)
     logits = (theta @ sample.features)[None, :]
-    ce = -_log_softmax(logits)[0, sample.label]
+    ce = -_log_softmax(logits)[0][0, sample.label]
     l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
     return ce + l2
 
@@ -255,17 +285,23 @@ def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
-    X, y, w, _ = _as_batch(spec, samples)
+    return _loss_and_probs(spec, params, _as_batch(spec, samples))[0]
+
+
+def _loss_and_probs(spec: ModelSpec, params: Params, batch: Batch):
+    """:func:`loss_sum` and the softmax at ``params`` it was computed from
+    (None for quad1d or an empty batch)."""
+    X, y, w, _ = batch
     n = len(y)
     if n == 0:
-        return 0.0
+        return 0.0, None
     if spec.kind == "quad1d":
-        return float(0.5 * (w * (params.theta[0] - X[:, 0]) ** 2).sum())
+        return float(0.5 * (w * (params.theta[0] - X[:, 0]) ** 2).sum()), None
     theta = _theta_matrix(spec, params)
-    logp = _log_softmax(X @ theta.T)
+    logp, probs = _log_softmax(X @ theta.T)
     ce = -logp[np.arange(n), y]
     l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
-    return float((w * (ce + l2)).sum())
+    return float((w * (ce + l2)).sum()), probs
 
 
 def _probs(spec: ModelSpec, params: Params, X: np.ndarray) -> np.ndarray:
@@ -378,11 +414,13 @@ def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
 
 
 def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
-    theta = init.theta.copy() if init is not None else np.zeros(spec.param_dim)
-    base = None  # loss at theta, once a line search has evaluated it
+    params = init if init is not None else Params(np.zeros(spec.param_dim))
+    # loss and softmax at params, once an accepted line-search trial has
+    # computed them
+    base = probs = None
     for _ in range(NEWTON_MAX_STEPS):
-        params = Params(theta)
-        probs = None if spec.kind == "quad1d" else _probs(spec, params, batch.X)
+        if probs is None and spec.kind != "quad1d":
+            probs = _probs(spec, params, batch.X)
         g = grad_sum(spec, params, batch, probs=probs)
         g_norm = float(np.linalg.norm(g))
         if g_norm <= cfg.grad_tolerance:
@@ -396,20 +434,20 @@ def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
         # slack admits the full Newton step once the decrease is below
         # float roundoff of the loss value
         if base is None:
-            base = loss_sum(spec, params, batch)
+            base = _loss_and_probs(spec, params, batch)[0]
         slack = 1e-12 * (1.0 + abs(base))
         t = 1.0
         while t > 1e-8:
-            trial = loss_sum(spec, Params(theta - t * step), batch)
-            if trial <= base - 1e-4 * t * float(g @ step) + slack:
+            trial = Params(params.theta - t * step)
+            loss, trial_probs = _loss_and_probs(spec, trial, batch)
+            if loss <= base - 1e-4 * t * float(g @ step) + slack:
+                params, base, probs = trial, loss, trial_probs
                 break
             t *= 0.5
         else:
-            trial = None  # backtracking ran out: the loss at the new theta is unknown
-        theta = theta - t * step
-        base = trial
-    params = Params(theta)
-    g_norm = float(np.linalg.norm(grad_sum(spec, params, batch)))
+            # backtracking ran out: the loss and softmax at the new theta are unknown
+            params, base, probs = Params(params.theta - t * step), None, None
+    g_norm = float(np.linalg.norm(grad_sum(spec, params, batch, probs=probs)))
     if g_norm <= cfg.grad_tolerance:
         return params
     raise FitError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps "

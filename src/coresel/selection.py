@@ -103,25 +103,25 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     in id order, so the drop is the first maximum among them.
     At or below ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
     ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
-    is computed from scratch on the kept mask. A budget that does not bind
+    is computed from scratch on the kept mask. ``vanilla_if`` has no
+    regularizer, so its drops are one sort of the scores (see
+    :func:`_select_by_score`). A budget that does not bind
     (``budget >= n``) gives no drops and the criterion of keeping every
     candidate. A NaN total raises ValueError.
     Returns the resulting buffer plus a :class:`SelectionTrace`.
     """
     if kind not in GREEDY_KINDS:
         raise ValueError(f"{kind} is not a greedy influence selector")
+    if kind is SelectorKind.VANILLA_IF:
+        return _select_by_score(ctx, cfg)
     ids = ctx.batch.ids
     n = len(ids)
     trace = SelectionTrace()
 
     # The term is ||a @ M|| on the discarded side (a = 1 - w, gradient
-    # negated) or, for if_diversity, the kept side (a = w). vanilla_if's M
-    # has no columns, so its term and gradient are +0.0 whatever the
-    # (finite) nu.
+    # negated) or, for if_diversity, the kept side (a = w).
     kept_side = kind is SelectorKind.IF_DIVERSITY
-    if kind is SelectorKind.VANILLA_IF:
-        M = np.zeros((n, 0))
-    elif kept_side:
+    if kept_side:
         M = ctx.grads
     else:
         M = ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu)
@@ -158,6 +158,28 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
     return ReplayBuffer(ids[w == 1.0]), trace
+
+
+def _select_by_score(ctx: InfluenceContext, cfg: CriterionConfig):
+    """:func:`select_greedy` for ``vanilla_if``, where every total is its
+    score: the drops are the ``n - budget`` largest scores, ties toward
+    the lowest id, in one sort. The trace holds what the greedy loop would
+    record: totals ``score + 0.0``, regularizer values ``0.0`` and the
+    kept scores' sum plus ``nu * 0.0``. A NaN score raises ValueError
+    naming the lowest-id NaN row, which the loop's first drop meets."""
+    ids = ctx.batch.ids
+    scores = ctx.scores()
+    drops = np.lexsort((ids, -scores))[:max(0, len(ids) - cfg.budget)]
+    nan_rows = np.flatnonzero(np.isnan(scores))
+    if drops.size and nan_rows.size:
+        raise ValueError(f"greedy total of row {nan_rows[ids[nan_rows].argmin()]} is NaN")
+    totals = scores + 0.0
+    kept = np.ones(len(ids), dtype=bool)
+    kept[drops] = False
+    trace = SelectionTrace(drop_order=[(int(ids[d]), float(totals[d])) for d in drops],
+                           reg_values=[0.0] * drops.size,
+                           final_criterion=float(scores[kept].sum()) + cfg.nu * 0.0)
+    return ReplayBuffer(ids[kept]), trace
 
 
 def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,

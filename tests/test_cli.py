@@ -444,6 +444,12 @@ INPUT_ERRORS = [
                  id="select-label=-1"),
     pytest.param("select", b"2,0,0,\xff0.5\n", "{dir}/pool.csv: " + NOT_UTF8,
                  id="select-not-utf8"),
+    pytest.param("select", f"2,0,{2**70},0.5\n",
+                 "{dir}/pool.csv: row 4, column 'label': label must fit in int64, "
+                 f"got {2**70}", id="select-label=2**70"),
+    pytest.param("select", f"{10**23 - 1},0,0,0.5\n",
+                 "{dir}/pool.csv: row 4, column 'id': id must fit in int64, "
+                 f"got {10**23 - 1}", id="select-id=10**23-1"),
     pytest.param("select-flags", ["--l2", "0", "--damping", "0"],
                  "--damping: damping and --l2 are both 0", id="select-l2=0-damping=0"),
     pytest.param("select-flags", ["--m", "3"], "--m: budget 3 exceeds the file's 2 samples",

@@ -452,6 +452,20 @@ class TestBatch:
         batch = stack_samples(ModelSpec(kind="logistic", dim=1, num_classes=3), [s])
         assert batch.ids.tolist() == [-3] and batch.y.tolist() == [2]
 
+    @pytest.mark.parametrize("field, value", [
+        ("id", 2**63), ("id", -2**63 - 1), ("id", 10**23 - 1), ("label", 2**70)])
+    def test_id_and_label_must_fit_in_int64(self, field, value):
+        kwargs = {"id": 4, "task_id": 0, "label": 0, field: value}
+        message = f"sample {kwargs['id']}: {field} must fit in int64, got {value}"
+        with pytest.raises(ArgumentError, match=re.escape(message)) as err:
+            Sample(features=[1.0], **kwargs)
+        assert err.value.argument == field
+
+    def test_int64_extremes_are_valid(self):
+        samples = [Sample(id=-2**63, task_id=0, label=0, features=[1.0]),
+                   Sample(id=2**63 - 1, task_id=0, label=0, features=[1.0])]
+        assert stack_samples(QUAD, samples).ids.tolist() == [-2**63, 2**63 - 1]
+
     def test_invalid_sample_rejected_when_stacked(self):
         spec = ModelSpec(kind="logistic", dim=1, num_classes=2)
         bad = [Sample(id=0, task_id=0, label=0, features=[1.0]),
@@ -460,6 +474,16 @@ class TestBatch:
             stack_samples(spec, bad)
         with pytest.raises(ValueError, match="sample 1: label 5"):
             grad_sum(spec, Params([0.0, 0.0]), bad)
+
+    def test_first_failing_sample_is_named(self):
+        spec = ModelSpec(kind="logistic", dim=2, num_classes=2)
+        rows = [(0, [1.0, 0.0]), (7, [1.0, 0.0]), (0, [1.0, 0.0]), (1, [1.0]), (9, [1.0])]
+        samples = [Sample(id=i, task_id=0, label=label, features=x)
+                   for i, (label, x) in enumerate(rows)]
+        with pytest.raises(ValueError, match=re.escape("sample 1: label 7 outside [0, 2)")):
+            stack_samples(spec, samples)
+        with pytest.raises(ValueError, match=re.escape("sample 3: feature dim 1 != 2")):
+            stack_samples(spec, samples[2:])
 
     def test_newton_fit_stacks_its_samples_once(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -583,11 +607,27 @@ class TestFusedNewtonIsBitExact:
         assert str(got.value) == str(want.value)
 
 
+class ExpCounter:
+    """``numpy`` with its ``exp`` calls counted."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, *args, **kwargs):
+        self.calls += 1
+        return np.exp(*args, **kwargs)
+
+
 @pytest.mark.parametrize("case", ["zero", "far", "runs-out"])
-def test_newton_iterate_takes_one_softmax_and_carries_its_loss(monkeypatch, case):
-    """One softmax per iterate, and one loss per line-search trial plus one
-    at each base that no accepted trial evaluated: the first iterate's, and
-    the one after backtracking runs out."""
+def test_newton_takes_one_exp_per_iterate_or_trial_and_carries_its_softmax(monkeypatch, case):
+    """One ``exp`` per loss evaluation and one per iterate that follows no
+    accepted trial (the first, and the one after backtracking runs out); an
+    iterate after an accepted trial reads that trial's softmax, bit for bit;
+    and one loss per line-search trial plus one at each base that no
+    accepted trial evaluated."""
     spec, batch, init = newton_case(monkeypatch, case)
     cfg = FitConfig(method="newton")
     evaluated = []
@@ -600,15 +640,67 @@ def test_newton_iterate_takes_one_softmax_and_carries_its_loss(monkeypatch, case
     assert (trials > len(evaluated) - trials) == (case != "zero")  # some step backtracks
     assert len(expected) == trials + (2 if case == "runs-out" else 1)
 
-    softmaxes = count_calls(monkeypatch, "_softmax")
-    grads = count_calls(monkeypatch, "grad_sum")
+    numpy = ExpCounter()
+    monkeypatch.setattr(models, "np", numpy)
+    events = []  # ("loss" | "iterate", theta, softmax)
+    count_calls(monkeypatch, "grad_sum", lambda spec, params, batch, probs=None:
+                events.append(("iterate", params.theta, probs)))
     hessians = count_calls(monkeypatch, "dense_hessian")
-    losses = count_calls(monkeypatch, "loss_sum", lambda spec, params, batch: params.theta)
+    loss_and_probs = models._loss_and_probs
+
+    def recording(spec, params, batch):
+        loss, probs = loss_and_probs(spec, params, batch)
+        events.append(("loss", params.theta, probs))
+        return loss, probs
+
+    monkeypatch.setattr(models, "_loss_and_probs", recording)
     fit(spec, batch, cfg, init=init)
-    assert len(softmaxes) == len(grads) == len(hessians) + 1
+
+    iterates = [i for i, (role, _, _) in enumerate(events) if role == "iterate"]
+    losses = [theta for role, theta, _ in events if role == "loss"]
+    assert len(iterates) == len(hessians) + 1
     assert len(losses) == len(expected)
     for got, want in zip(losses, expected):
         assert np.array_equal(got, want)
+    fresh = 0
+    for i in iterates:
+        _, theta, probs = events[i]
+        assert np.array_equal(probs, oracle_softmax(batch.X @ theta.reshape(spec.num_classes,
+                                                                            spec.dim).T))
+        role, trial_theta, trial_probs = events[i - 1] if i else (None, None, None)
+        if role == "loss" and np.array_equal(trial_theta, theta):
+            assert probs is trial_probs
+        else:
+            fresh += 1
+    assert fresh == (2 if case == "runs-out" else 1)
+    assert numpy.calls == len(losses) + fresh
+
+
+class TestParams:
+    def test_theta_is_read_only(self):
+        params = Params([1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            params.theta[0] = 0.0
+
+    def test_callers_array_stays_writable_and_is_not_shared(self):
+        theta = np.array([1.0, 2.0])
+        params = Params(theta)
+        theta[0] = 5.0
+        assert theta.flags.writeable
+        assert params.theta.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_theta_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            Params([0.0, bad])
+
+    def test_wrong_length_gets_the_dimension_message(self):
+        spec = ModelSpec(kind="logistic", dim=2, num_classes=2)
+        samples = [Sample(id=0, task_id=0, label=1, features=[1.0, 0.5])]
+        for kernel in (loss_sum, grad_sum, dense_hessian, accuracy):
+            with pytest.raises(ValueError, match=re.escape("dimension mismatch: expected 4, "
+                                                           "got 3")):
+                kernel(spec, Params([0.0, 0.0, 0.0]), samples)
 
 
 class TestFit:

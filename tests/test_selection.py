@@ -1,6 +1,7 @@
 """Selector tests: greedy drops, brute-force oracle, reservoir, ring."""
 
 import itertools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -542,10 +543,20 @@ class TestGreedyMatchesParentLoop:
         ctx = SimpleNamespace(batch=SimpleNamespace(ids=np.array([7, 3, 5, 1])), grads=rows,
                               mu_terms=lambda mu: rows, scores=lambda: scores)
         cfg = CriterionConfig(budget=2, nu=0.5)
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="greedy total of row 1 is NaN"):
             select_greedy(ctx, cfg, kind)
         with pytest.raises(ValueError):
             parent_select_greedy(ctx, cfg, kind)
+
+    def test_vanilla_nan_names_the_lowest_id_nan_row_once_a_drop_happens(self):
+        scores = np.array([np.nan, 0.5, np.nan, -1.0])
+        ctx = SimpleNamespace(batch=SimpleNamespace(ids=np.array([7, 3, 5, 1])),
+                              scores=lambda: scores)
+        with pytest.raises(ValueError, match="greedy total of row 2 is NaN"):
+            select_greedy(ctx, CriterionConfig(budget=3), SelectorKind.VANILLA_IF)
+        buffer, trace = select_greedy(ctx, CriterionConfig(budget=4), SelectorKind.VANILLA_IF)
+        assert buffer.ids() == (7, 3, 5, 1) and trace.drop_order == trace.reg_values == []
+        assert math.isnan(trace.final_criterion)
 
 
 class TestExhaustive:
