@@ -400,6 +400,7 @@ def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[
     if len(coreset) < 2:
         raise ValueError("leave-one-out needs a coreset of at least 2 samples")
     ids = np.array([s.id for s in coreset])
+    models.check_unique_ids(ids, "coreset")
     kept = [ids != z_id for z_id in drop_ids]
     for z_id, mask in zip(drop_ids, kept):
         if mask.all():

@@ -133,6 +133,7 @@ def build_context(model: models.ModelSpec, params: models.Params,
     batch = models._as_batch(model, candidates)
     if len(batch.ids) == 0:
         raise ValueError("candidate list must be nonempty")
+    models.check_unique_ids(batch.ids, "candidates")
     shared = hessian_set is candidates
     hessian_batch = batch if shared else models._as_batch(model, hessian_set)
     if len(hessian_batch.ids) == 0:

@@ -181,6 +181,19 @@ class Batch(NamedTuple):
 Samples = Union[Batch, Sequence[Sample]]
 
 
+def check_unique_ids(ids, what: str) -> None:
+    """Raise ValueError if a sample id repeats in ``ids``, naming ``what``,
+    the first id met a second time and the positions of both copies."""
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    pairs = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if pairs.size:
+        k = pairs[order[pairs + 1].argmin()]
+        raise ValueError(f"{what}: sample id {ranked[k]} appears at positions "
+                         f"{order[k]} and {order[k + 1]}")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

@@ -6,11 +6,17 @@ repeatedly drops the sample whose removal most improves the criterion
 every drop (the influence scores and the shared inverse-Hessian solve stay
 fixed for the round). The regularizer ``||a @ M||`` and its gradient come
 from running sums ``v = a @ M`` and ``M @ v``, so each drop costs one
-matrix-vector product and a fixed handful of O(n) vector calls, with the
-kept rows held in id order. Baselines cover pure influence ranking, the two
-single-term regularizer ablations, the reservoir-sampling update, and a
-class-balanced ring buffer; an exhaustive enumerator, scoring every subset
-in one batched criterion call, serves as the small-instance oracle.
+matrix-vector product and a fixed handful of O(n) vector calls. The kept
+rows are held in id order, so the drop is the first maximum among them; a
+dropped row is marked dead in place, and once dead rows reach
+1/``SQUEEZE_RATIO`` of the rows held, one copy squeezes them out, so each
+product spans little more than the kept rows. The rows held are padded to
+a multiple of 4, where OpenBLAS rounds a row's dot product alike wherever
+the row sits, so copies of one sample tie exactly. Baselines cover pure
+influence ranking, the two single-term regularizer ablations, the
+reservoir-sampling update, and a class-balanced ring buffer; an
+exhaustive enumerator, scoring every subset in one batched criterion
+call, serves as the small-instance oracle.
 """
 
 import itertools
@@ -21,12 +27,16 @@ from enum import Enum
 import numpy as np
 
 from .influence import CriterionConfig, InfluenceContext, _keep_masks, regularizer
+from .models import check_unique_ids
 
 EXHAUSTIVE_GUARD = 20
 # When the regularizer norm is at or below this factor times the pool size,
 # its gradient direction is arbitrary; greedy takes the gradient as zero
 # there, so the drop falls back to the raw influence scores.
 DEGENERATE_NORM_FACTOR = 1e-12
+# Greedy's drop loop squeezes dropped rows out of the rows it holds once
+# they make up 1/SQUEEZE_RATIO of them.
+SQUEEZE_RATIO = 16
 
 
 class SelectorKind(Enum):
@@ -54,8 +64,7 @@ class ReplayBuffer:
 
     def __post_init__(self):
         object.__setattr__(self, "kept", tuple(map(int, self.kept)))
-        if len(set(self.kept)) != len(self.kept):
-            raise ValueError("buffer contains duplicate sample ids")
+        check_unique_ids(self.kept, "buffer contains duplicate sample ids")
 
     def ids(self) -> tuple:
         return self.kept
@@ -73,17 +82,6 @@ class SelectionTrace:
     final_criterion: float = 0.0
 
 
-def _drop_index(totals: np.ndarray, kept: np.ndarray) -> int:
-    """Position in ``kept`` of the row to drop: the largest total, and among
-    equal totals (``-0.0 == 0.0``) the first, which is the lowest id because
-    ``kept`` holds the kept rows in id order. Raises ValueError on a NaN
-    total, which ``argmax`` would otherwise pick."""
-    j = int(totals[kept].argmax())
-    if math.isnan(totals[kept[j]]):
-        raise ValueError(f"greedy total of row {kept[j]} is NaN")
-    return j
-
-
 def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
                   kind: SelectorKind = SelectorKind.REGULARIZED_IF):
     """Greedily shrink the candidate pool to the budget.
@@ -98,16 +96,24 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     ||v||`` with ``v = a @ M``. Both ``v`` and ``M @ v`` are running sums:
     dropping row ``d`` moves ``a`` by ``+-e_d``, so ``v`` moves by
     ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``. A drop costs that one
-    matrix-vector product plus a fixed handful of O(n) calls: the totals
-    are written into one preallocated buffer, and the kept rows are held
-    in id order, so the drop is the first maximum among them.
-    At or below ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
-    ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
-    is computed from scratch on the kept mask. ``vanilla_if`` has no
-    regularizer, so its drops are one sort of the scores (see
-    :func:`_select_by_score`). A budget that does not bind
+    matrix-vector product plus a fixed handful of O(n) calls. The rows of
+    ``M``, ``M @ v`` and the scores are held in id order, so the drop is the
+    first maximum among them; a dropped row stays in place with score
+    ``-inf`` until dropped rows make up ``1 / SQUEEZE_RATIO`` of the rows
+    held; then one copy squeezes them out, so each product spans little
+    more than the kept rows. The rows held are padded with dead rows to a
+    multiple of 4, where OpenBLAS rounds a row's dot product alike wherever
+    the row sits (it rounds the last ``rows % 4`` rows of other matrices
+    its own way). So copies of one sample tie exactly, and only the totals
+    of the context's last ``n % 4`` rows can differ in their last bits from
+    those of a product over all ``n`` rows; ``v``, the norms and the
+    criterion do not depend on it. At or below ``DEGENERATE_NORM_FACTOR *
+    n`` the gradient is zero. ``reg_values`` are ``||v||`` of the running
+    ``v``; ``final_criterion`` is computed from scratch on the kept mask.
+    ``vanilla_if`` has no regularizer, so its drops are one sort of the
+    scores (see :func:`_select_by_score`). A budget that does not bind
     (``budget >= n``) gives no drops and the criterion of keeping every
-    candidate. A NaN total raises ValueError.
+    candidate. A NaN total raises ValueError naming the lowest-id NaN row.
     Returns the resulting buffer plus a :class:`SelectionTrace`.
     """
     if kind not in GREEDY_KINDS:
@@ -129,14 +135,27 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     # +-1 into the running sums' update: IEEE negation commutes with
     # rounding, so these give the bits of multiplying by +-1.
     add_grad, move = (np.add, np.subtract) if kept_side else (np.subtract, np.add)
-    scores = ctx.scores()
     threshold = DEGENERATE_NORM_FACTOR * max(1, n)
+    all_scores = ctx.scores()
     v = (np.ones(n) if kept_side else np.zeros(n)) @ M
-    Mv = M @ v
-    kept = np.argsort(ids, kind="stable")
-    totals, column = np.empty(n), np.empty(n)
+    # Held rows, in id order: rows[i] is the context row that position i
+    # holds. np.resize pads them to a multiple of 4 with repeats, held dead.
+    rows = np.resize(np.argsort(ids, kind="stable"), n + -n % 4)
+    held_M, Mv, scores = M[rows], (M @ v)[rows], all_scores[rows]
+    alive = np.arange(len(rows)) < n
+    scores[~alive] = -math.inf
+    dead = 0
+    totals, column = np.empty(len(rows)), np.empty(len(rows))
 
     for _ in range(n - cfg.budget):
+        if SQUEEZE_RATIO * dead >= len(rows):
+            # the live rows, and the first dead ones to pad to a multiple of 4
+            pad = -np.count_nonzero(alive) % 4
+            keep = alive.copy()
+            keep[np.flatnonzero(~alive)[:pad]] = True
+            held_M, Mv, scores, rows = held_M[keep], Mv[keep], scores[keep], rows[keep]
+            alive, dead = alive[keep], 0
+            totals, column = totals[:len(rows)], column[:len(rows)]
         reg_value = math.sqrt(v @ v)   # np.linalg.norm(v)'s own formula
         if reg_value > threshold:
             np.divide(Mv, reg_value, out=totals)
@@ -144,19 +163,23 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
             add_grad(scores, totals, out=totals)
         else:
             np.add(scores, 0.0, out=totals)
-        j = _drop_index(totals, kept)
-        drop = kept[j]
-        kept[j:-1] = kept[j + 1:]      # shift it out in place, ids stay in order
-        kept = kept[:-1]
-        trace.drop_order.append((int(ids[drop]), float(totals[drop])))
+        j = int(totals.argmax())
+        if not alive[j]:   # a dead row's -inf tied the kept rows or made a NaN
+            live = np.flatnonzero(alive)
+            j = int(live[totals[live].argmax()])
+        if math.isnan(totals[j]):
+            raise ValueError(f"greedy total of row {rows[j]} is NaN")
+        trace.drop_order.append((int(ids[rows[j]]), float(totals[j])))
         trace.reg_values.append(reg_value)
-        move(v, M[drop], out=v)
-        move(Mv, np.matmul(M, M[drop], out=column), out=Mv)
+        scores[j], alive[j] = -math.inf, False
+        dead += 1
+        move(v, held_M[j], out=v)
+        move(Mv, np.matmul(held_M, held_M[j], out=column), out=Mv)
 
     w = np.zeros(n)
-    w[kept] = 1.0
+    w[rows[alive]] = 1.0
     final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
-    trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
+    trace.final_criterion = float(all_scores[w == 1.0].sum()) + cfg.nu * final_reg
     return ReplayBuffer(ids[w == 1.0]), trace
 
 

@@ -284,6 +284,14 @@ class TestLooRetrainDelta:
                                   FitConfig(method="closed_form"))
         assert delta == pytest.approx(0.0, abs=1e-12)
 
+    def test_repeated_coreset_id_rejected_before_any_fit(self, monkeypatch):
+        # leaving id 3 out would drop both copies
+        coreset = [qsample(0, 0.0), qsample(3, 2.0), qsample(1, 1.0), qsample(3, 4.0)]
+        monkeypatch.setattr(models, "fit", None)
+        with pytest.raises(ValueError, match="coreset: sample id 3 appears at positions 1 and 3"):
+            loo_retrain_delta(QUAD, coreset, coreset[:2], coreset[1],
+                              FitConfig(method="closed_form"))
+
     def test_sample_must_be_in_coreset(self):
         coreset = [qsample(0, 0.0), qsample(1, 2.0)]
         with pytest.raises(ValueError):

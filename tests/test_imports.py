@@ -1,8 +1,10 @@
-"""Every top-level import of a ``coresel`` module is used in that module.
+"""Every top-level import of a ``coresel`` module is used in that module,
+and every module-level private name is read somewhere in the package.
 
-No linter ships with the package's test dependencies, so this stdlib
-``ast`` check stands in for the unused-import rule. ``__init__.py`` is
-exempt: its imports are the package's public names.
+No linter ships with the package's test dependencies, so these stdlib
+``ast`` checks stand in for the unused-import and dead-code rules.
+``__init__.py`` is exempt from the import check: its imports are the
+package's public names.
 """
 
 import ast
@@ -28,6 +30,32 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in used]
 
 
+def unread_private_names(sources: list) -> list:
+    """Module-level private names (``_x``, not dunders) that the functions,
+    classes and assignments at the top of ``sources`` define and that no
+    ``Name`` or attribute of any source reads outside the statement that
+    defines them, in definition order. Names are matched by spelling across
+    all sources, as ``models._as_batch`` is read outside ``models``."""
+    defined, reads = [], []
+    for tree in map(ast.parse, sources):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(name, node) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+            reads.append((node, {n.id if isinstance(n, ast.Name) else n.attr
+                                 for n in ast.walk(node)
+                                 if isinstance(n, ast.Attribute)
+                                 or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}))
+    return [name for name, home in defined
+            if not any(name in names for node, names in reads if node is not home)]
+
+
 def test_all_modules_are_collected():
     assert {p.stem for p in MODULES} >= {"influence", "models", "selection"}
 
@@ -41,3 +69,17 @@ def test_check_flags_an_unused_name():
     source = ("import os, numpy as np\nfrom typing import Optional, Sequence\n"
               "def f(x: Optional[int]) -> None:\n    np.zeros(1)\n")
     assert unused_imports(source) == ["os", "Sequence"]
+
+
+def test_every_private_name_is_read():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert unread_private_names(sources) == []
+
+
+def test_private_name_check_flags_names_read_only_by_themselves():
+    source = ("import numpy as np\n_LIMIT = 3\n_unused = 4\n"
+              "def _recurse(k):\n    return _recurse(k - 1) if k else 0\n"
+              "def _helper():\n    return np.zeros(_LIMIT)\n"
+              "class _Dead:\n    pass\n")
+    other = "from . import mod\nx = mod._helper()\n"
+    assert unread_private_names([source, other]) == ["_unused", "_recurse", "_Dead"]

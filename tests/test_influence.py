@@ -91,6 +91,11 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             build_context(QUAD, Params([1.0]), [], [qsample(0, 0.0)])
 
+    def test_repeated_candidate_id_rejected(self):
+        candidates = [qsample(i, float(i)) for i in (0, 2, 1, 2, 4)]
+        with pytest.raises(ValueError, match="candidates: sample id 2 appears at positions 1 and 3"):
+            build_context(QUAD, Params([1.0]), candidates, candidates)
+
     def test_model_built_operator_is_symmetric(self):
         # the factored damped set Hessian is exactly symmetric
         rng = np.random.default_rng(31)

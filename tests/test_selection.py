@@ -50,16 +50,6 @@ def sorted_drop_row(totals, ids, w):
     return int(sorted(kept_idx, key=lambda i: (-totals[i], ids[i]))[0])
 
 
-def sorted_drop_index(ids):
-    """``selection._drop_index`` through :func:`sorted_drop_row`: the
-    position in ``kept`` of the row the reference rule drops."""
-    def drop_index(totals, kept):
-        w = np.zeros(len(totals))
-        w[kept] = 1.0
-        return int(np.flatnonzero(kept == sorted_drop_row(totals, ids, w))[0])
-    return drop_index
-
-
 def greedy_term(ctx, cfg, kind):
     """The regularizer rows greedy linearizes and whether they are kept-side."""
     n = len(ctx.batch.ids)
@@ -87,7 +77,8 @@ def linearized_norm(ctx, a, M, sign):
 
 def scratch_greedy(ctx, cfg, kind):
     """Reference greedy: re-linearize ``||a @ M||`` from scratch before every
-    drop (two passes over ``M``) and stop once ``w.sum()`` reaches the budget."""
+    drop (two passes over ``M``), drop by :func:`sorted_drop_row`, and stop
+    once ``w.sum()`` reaches the budget."""
     ids = ctx.batch.ids
     M, kept_side = greedy_term(ctx, cfg, kind)
     sign = 1.0 if kept_side else -1.0
@@ -97,7 +88,7 @@ def scratch_greedy(ctx, cfg, kind):
     while int(w.sum()) > cfg.budget:
         reg_value, grad_term = linearized_norm(ctx, w if kept_side else 1.0 - w, M, sign)
         totals = scores + cfg.nu * grad_term
-        drop = parent_drop_index(totals, ids, w)
+        drop = sorted_drop_row(totals, ids, w)
         drop_order.append((int(ids[drop]), float(totals[drop])))
         reg_values.append(reg_value)
         w[drop] = 0.0
@@ -105,10 +96,11 @@ def scratch_greedy(ctx, cfg, kind):
     return drop_order, reg_values, float(scores[w == 1.0].sum()) + cfg.nu * final_reg
 
 
-def parent_select_greedy(ctx, cfg, kind):
+def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
     """The greedy loop before kept rows were held in id order: a kept mask,
-    out-of-place totals and running-sum updates, and
-    :func:`parent_drop_index`. Returns the kept ids and the trace."""
+    out-of-place totals, running-sum updates with one product over all
+    ``n`` rows, and ``drop_row`` (:func:`parent_drop_index` by default).
+    Returns the kept ids and the trace."""
     ids = ctx.batch.ids
     n = len(ids)
     trace = selection.SelectionTrace()
@@ -124,7 +116,7 @@ def parent_select_greedy(ctx, cfg, kind):
         reg_value = float(np.linalg.norm(v))
         grad = sign * Mv / reg_value if reg_value > threshold else np.zeros(n)
         totals = scores + cfg.nu * grad
-        drop = parent_drop_index(totals, ids, w)
+        drop = drop_row(totals, ids, w)
         trace.drop_order.append((int(ids[drop]), float(totals[drop])))
         trace.reg_values.append(reg_value)
         w[drop] = 0.0
@@ -136,18 +128,23 @@ def parent_select_greedy(ctx, cfg, kind):
     return tuple(ids[w == 1.0].tolist()), trace
 
 
-def assert_greedy_matches_parent_loop(ctx, cfg, kind):
-    """Same kept ids, drops, totals, norms and criterion, to the bit (signed
-    zeros included)."""
+def assert_greedy_matches_parent_loop(ctx, cfg, kind, drop_row=parent_drop_index):
+    """Same kept ids, drop ids, norms and criterion, to the bit (signed zeros
+    included), and the same drop totals within ``1e-13 * max(1, max |total|)``:
+    greedy's products span only the rows it holds, padded to a multiple of
+    4, and BLAS rounds the last ``n % 4`` rows of the parent's product over
+    all ``n`` rows its own way."""
     buffer, trace = select_greedy(ctx, cfg, kind)
-    kept, oracle = parent_select_greedy(ctx, cfg, kind)
+    kept, oracle = parent_select_greedy(ctx, cfg, kind, drop_row)
     assert buffer.ids() == kept
     assert [i for i, _ in trace.drop_order] == [i for i, _ in oracle.drop_order]
-    for got, want in ((trace.drop_order, oracle.drop_order),
-                      (trace.reg_values, oracle.reg_values),
+    for got, want in ((trace.reg_values, oracle.reg_values),
                       ([trace.final_criterion], [oracle.final_criterion])):
         assert got == want
         assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+    totals = np.array([t for _, t in oracle.drop_order])
+    bound = 1e-13 * max(1.0, np.abs(totals).max(initial=0.0))
+    assert [t for _, t in trace.drop_order] == pytest.approx(totals.tolist(), rel=0, abs=bound)
 
 
 def context_state(value):
@@ -207,27 +204,36 @@ def exact_greedy_instances(draw):
     return ctx, cfg, draw(st.sampled_from(GREEDY_KINDS))
 
 
+# The kinds whose drops run greedy's loop; vanilla_if's are one sort.
+LOOP_KINDS = tuple(k for k in GREEDY_KINDS if k is not SelectorKind.VANILLA_IF)
 TIED_TOTALS = np.array([0.0, -0.0, 1.0, -1.5, np.inf, -np.inf, 5e-324, -5e-324])
 
 
+def static_ctx(ids, scores):
+    """A stand-in context whose regularizer rows have no columns, so every
+    greedy total is its score plus 0.0."""
+    rows = np.zeros((len(ids), 0))
+    return SimpleNamespace(batch=SimpleNamespace(ids=ids), grads=rows,
+                           mu_terms=lambda mu: rows, scores=lambda: scores)
+
+
 @st.composite
-def drop_instances(draw):
-    """Kept masks over totals drawn half from a few values, so rows tie,
-    0.0 and -0.0 and both infinities among them, and half from all
-    non-NaN floats; ids are unique but out of row order. One byte per row
-    picks its source, its tied value and its kept flag, so all rows cost
-    one draw: hypothesis's per-draw overhead, not the check, dominates
-    this test."""
+def static_total_instances(draw):
+    """A :func:`static_ctx` with scores drawn half from a few values, so
+    rows tie, 0.0 and -0.0 and both infinities among them, and half from
+    all non-NaN floats; ids are unique but out of row order; plus a budget
+    and a greedy kind that runs the drop loop. One byte per row
+    picks its source and its tied value, so all rows cost one draw:
+    hypothesis's per-draw overhead, not the check, dominates this test."""
     n = draw(st.integers(1, 40))
     row_bytes = np.frombuffer(draw(st.binary(min_size=n, max_size=n)), dtype=np.uint8)
     free = (row_bytes & 1) == 1
-    totals = TIED_TOTALS[(row_bytes >> 1) & 7]
-    totals[free] = draw(st.lists(st.floats(allow_nan=False),
+    scores = TIED_TOTALS[(row_bytes >> 1) & 7]
+    scores[free] = draw(st.lists(st.floats(allow_nan=False),
                                  min_size=int(free.sum()), max_size=int(free.sum())))
     ids = 3 * np.array(draw(st.permutations(range(n)))) - 40
-    w = ((row_bytes >> 4) & 1).astype(float)
-    w[draw(st.integers(0, n - 1))] = 1.0
-    return totals, ids, w
+    cfg = CriterionConfig(budget=draw(st.integers(1, n)))
+    return static_ctx(ids, scores), cfg, draw(st.sampled_from(LOOP_KINDS))
 
 
 def random_logistic_pool(rng, n, dim=4, num_classes=2, l2=0.1):
@@ -253,13 +259,13 @@ def fitted_elsewhere_ctx(rng, n):
     return build_context(spec, params, drawn[:n], drawn[:n], damping=0.01)
 
 
-def off_optimum_ctx(rng, n, dim=4):
+def off_optimum_ctx(rng, n, dim=4, ids=None):
     """A logistic context at random parameters. At the pool's own optimum
     ``ihvp`` is ~0, so ``mu_terms(mu)`` is ``grads`` for every ``mu``; here
-    ``mu`` changes the regularizer."""
+    ``mu`` changes the regularizer. ``ids`` default to ``range(n)``."""
     spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
-    pool = [Sample(id=i, task_id=0, label=int(rng.integers(2)), features=rng.normal(size=dim))
-            for i in range(n)]
+    pool = [Sample(id=int(i), task_id=0, label=int(rng.integers(2)), features=rng.normal(size=dim))
+            for i in (range(n) if ids is None else ids)]
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
     return build_context(spec, params, pool, pool, damping=0.01)
 
@@ -274,6 +280,12 @@ def duplicated_ctx(rng, n, dim=4):
             for i, (label, x) in enumerate(drawn) for c in (0, 1)]
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
     return build_context(spec, params, pool, pool, damping=0.01)
+
+
+def shuffled_ids_ctx(rng, n):
+    """:func:`off_optimum_ctx` with the ids a shuffled, gapped range, so id
+    order is not row order."""
+    return off_optimum_ctx(rng, n, ids=5 * rng.permutation(n) - 100)
 
 
 @st.composite
@@ -358,33 +370,51 @@ class TestGreedy:
         assert len(trace.drop_order) == 7
 
     @settings(max_examples=400, deadline=None)
-    @given(drop_instances())
+    @given(static_total_instances())
     def test_drop_rule_matches_sorted_oracle(self, instance):
-        # the first maximum among kept rows in id order is the sorted
-        # oracle's row, and the row the parent's max/argmin rule picked
-        totals, ids, w = instance
-        kept = np.flatnonzero(w == 1.0)
-        kept = kept[np.argsort(ids[kept], kind="stable")]
-        row = kept[selection._drop_index(totals, kept)]
-        assert row == sorted_drop_row(totals, ids, w) == parent_drop_index(totals, ids, w)
+        # with totals fixed, every drop of the loop, squeezes included, is
+        # the sorted oracle's row among the rows still kept, and the row
+        # the parent's max/argmin rule picks
+        ctx, cfg, kind = instance
+        ids, totals = ctx.batch.ids, ctx.scores() + 0.0
+        w = np.ones(len(ids))
+        drops = []
+        while w.sum() > cfg.budget:
+            row = sorted_drop_row(totals, ids, w)
+            assert row == parent_drop_index(totals, ids, w)
+            drops.append((int(ids[row]), float(totals[row])))
+            w[row] = 0.0
+        with np.errstate(invalid="ignore", over="ignore"):   # the kept sum may be inf - inf
+            buffer, trace = select_greedy(ctx, cfg, kind)
+        assert trace.drop_order == drops
+        assert buffer.ids() == tuple(ids[w == 1.0].tolist())
 
-    @pytest.mark.parametrize("kind", [SelectorKind.REGULARIZED_IF, SelectorKind.VANILLA_IF,
-                                      SelectorKind.IF_GRAD_MATCH, SelectorKind.IF_DIVERSITY])
-    def test_drop_order_matches_sorted_oracle(self, kind, monkeypatch):
+    @pytest.mark.parametrize("kind", LOOP_KINDS, ids=lambda k: k.value)
+    def test_a_dropped_row_is_not_dropped_again_among_infinite_totals(self, kind):
+        # every kept total is -inf, and the first drop (id 0) stays held,
+        # at -inf ahead of them, until a second drop makes 2 of 20 rows
+        # dead and the squeeze runs: at the second drop the first maximum
+        # of the held rows is a dropped row
+        ids = np.array([0, 9, 4, 7, 2, 5, 8, 3, 6, 1, 10, 19, 14, 17, 12, 15, 18, 13, 16, 11])
+        scores = np.full(20, -np.inf)
+        scores[0] = 1.0
+        buffer, trace = select_greedy(static_ctx(ids, scores), CriterionConfig(budget=1), kind)
+        assert trace.drop_order == [(0, 1.0)] + [(i, -np.inf) for i in range(1, 19)]
+        assert buffer.ids() == (19,)
+
+    @pytest.mark.parametrize("kind", GREEDY_KINDS)
+    def test_drop_order_matches_sorted_oracle(self, kind):
         # at the pool's optimum the scores are round-off, so totals nearly
         # tie; off it, mu changes the regularizer term; in a pool of
         # duplicated samples, totals tie exactly
         rng = np.random.default_rng(15)
         contexts = [make(rng, int(rng.integers(10, 30)))
-                    for make in (random_logistic_ctx, off_optimum_ctx, duplicated_ctx)
+                    for make in (random_logistic_ctx, off_optimum_ctx, shuffled_ids_ctx,
+                                 duplicated_ctx)
                     for _ in range(4)]
-        cfg = CriterionConfig(budget=4, nu=0.5)
-        fast = [select_greedy(ctx, cfg, kind)[1] for ctx in contexts]
-        for ctx, trace in zip(contexts, fast):
-            monkeypatch.setattr(selection, "_drop_index", sorted_drop_index(ctx.batch.ids))
-            oracle = select_greedy(ctx, cfg, kind)[1]
-            assert trace.drop_order == oracle.drop_order
-            assert trace.final_criterion == oracle.final_criterion
+        for ctx in contexts:
+            assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=0.5), kind,
+                                              drop_row=sorted_drop_row)
 
     @settings(max_examples=200, deadline=None)
     @given(exact_greedy_instances())
@@ -513,8 +543,9 @@ class TestGreedy:
 
 
 class TestGreedyMatchesParentLoop:
-    """One matrix-vector product and O(1) vector calls per drop give the
-    parent loop's every bit: picks, totals, norms and criterion."""
+    """One matrix-vector product over the rows still held and O(1) vector
+    calls per drop give the parent loop's picks, norms and criterion to the
+    bit, and its drop totals to the last bits."""
 
     @settings(max_examples=100, deadline=None)
     @given(greedy_instances())
@@ -528,11 +559,14 @@ class TestGreedyMatchesParentLoop:
 
     @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
     def test_logistic_contexts_at_and_off_the_optimum(self, kind):
+        # at n = 300 and 301 the drop loop squeezes its held rows dozens of
+        # times; at 301 (not a multiple of 4) it pads them
         rng = np.random.default_rng(23)
-        for n in (10, 45, 300):
-            for make in (random_logistic_ctx, fitted_elsewhere_ctx, off_optimum_ctx):
+        for n in (10, 45, 300, 301):
+            for make in (random_logistic_ctx, fitted_elsewhere_ctx, off_optimum_ctx,
+                         shuffled_ids_ctx):
                 ctx = make(rng, n)
-                for budget in (n // 4, n // 2):
+                for budget in (n // 10, n // 4, n // 2):
                     cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
                     assert_greedy_matches_parent_loop(ctx, cfg, kind)
 
@@ -808,6 +842,9 @@ class TestRing:
 
 
 class TestReplayBuffer:
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            ReplayBuffer([0, 0])
+    # in the second, id 4 repeats too, but id 1 is met a second time first
+    @pytest.mark.parametrize("kept, first, second", [([0, 0], 0, 1), ([4, 1, 7, 1, 4, 1], 1, 3)])
+    def test_rejects_duplicate_ids_naming_the_first_repeat(self, kept, first, second):
+        with pytest.raises(ValueError, match=f"duplicate sample ids: sample id {kept[first]} "
+                                             f"appears at positions {first} and {second}"):
+            ReplayBuffer(kept)
