@@ -57,9 +57,10 @@ class InfluenceContext:
     """Frozen selection-time state; build via :func:`build_context`.
 
     ``batch`` holds the candidates, stacked with their ids; ``grads``,
-    ``grad_sum``, ``ihvp``, :meth:`scores` and :meth:`mu_terms` read its
-    weights. ``grads``, ``grad_sum`` and ``ihvp`` are read-only arrays, and
-    nothing is written to the context after :func:`build_context`.
+    ``grad_sum``, ``ihvp``, :meth:`scores`, :meth:`mu_terms` and
+    :meth:`mu_factors` read its weights. ``grads``, ``grad_sum`` and
+    ``ihvp`` are read-only arrays, and nothing is written to the context
+    after :func:`build_context`.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
@@ -110,8 +111,18 @@ class InfluenceContext:
         _check_mu(mu)
         if mu == 0.0:
             return self.grads
-        return self.grads - mu * models.hvp_matrix(self.model, self.params, self.batch,
-                                                   self.ihvp, probs=self._probs)
+        out = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp,
+                                probs=self._probs)
+        out *= mu
+        return np.subtract(self.grads, out, out=out)
+
+    def mu_factors(self, mu: float):
+        """The rows of :meth:`mu_terms` in factored form, ``(U, X, a, c2)``
+        as :func:`~coresel.models.mu_factors` returns them, computed from
+        the stored softmax of the candidates."""
+        _check_mu(mu)
+        return models.mu_factors(self.model, self.params, self.batch, self.ihvp, mu,
+                                 probs=self._probs)
 
 
 def build_context(model: models.ModelSpec, params: models.Params,

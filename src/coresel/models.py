@@ -42,6 +42,12 @@ An influence context likewise shares one softmax of its candidates among
 computed themselves, so the results are bit-identical to computing
 everything anew.
 
+:func:`mu_factors` gives the rows of ``grad_matrix - mu * hvp_matrix`` in
+factored form, ``w_i (u_i (x) x_i + c)``: each logistic gradient and
+Hessian-vector row is a class residual times the sample's features, plus
+the L2 term shared by all rows. The dot product of two rows then reads
+``num_classes + dim + 2`` numbers per row instead of ``param_dim``.
+
 Every batch helper takes either a sample sequence or a :class:`Batch`.
 :func:`stack_samples` is the one place a sample set is validated against
 the model, by array comparisons over the whole set, and stacked into a
@@ -372,6 +378,44 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
     out += spec.l2_strength * V
     out *= w[:, None, None]
     return out.reshape(n, spec.param_dim)
+
+
+def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, *,
+               probs: Optional[np.ndarray] = None):
+    """The rows ``grad_matrix - mu * hvp_matrix(v)`` in factored form.
+
+    Every such row is ``w_i (u_i (x) x_i + c)``: a class factor ``u_i``
+    times the features ``x_i``, plus one shared ``c``. For ``logistic``,
+    ``u_i = (P_i - onehot(y_i)) - mu * P_i * (V x_i - P_i . V x_i)`` and
+    ``c = l2_strength * (theta - mu * V)``, with ``V = v`` class-major;
+    ``quad1d``'s row is its own factor, with ``x_i = 1`` and ``c = 0``.
+    Returns ``(U, X, a, c2)``: ``U[i] = w_i u_i``, the features,
+    ``a[i] = U[i] . (C x_i)`` with ``C`` the class-major ``c``, and
+    ``c2 = ||c||^2``, from which ``row_i . row_d`` is
+    ``(U[i] . U[d]) (x_i . x_d) + a[i] w_d + w_i (a[d] + w_d c2)``, at
+    ``num_classes + dim + 2`` numbers per row where the row has
+    ``param_dim``. ``probs`` as in :func:`hvp_matrix`, only read.
+    """
+    v = as_vector(v, dim=spec.param_dim)
+    batch = _as_batch(spec, samples)
+    X, y, w, _ = batch
+    n = len(w)
+    if spec.kind == "quad1d":
+        rows = grad_matrix(spec, params, batch)
+        if mu != 0.0:
+            rows = rows - mu * hvp_matrix(spec, params, batch, v)
+        return rows, np.ones((n, 1)), np.zeros(n), 0.0
+    theta = _theta_matrix(spec, params)
+    V = v.reshape(spec.num_classes, spec.dim)
+    P = _probs(spec, params, X) if probs is None else probs
+    U = P.copy()
+    if mu != 0.0:
+        Vx = X @ V.T
+        U -= mu * (P * (Vx - np.einsum("nc,nc->n", P, Vx)[:, None]))
+    U[np.arange(n), y] -= 1.0
+    U *= w[:, None]
+    c = spec.l2_strength * (theta - mu * V)
+    return U, X, np.einsum("nc,nc->n", U, X @ c.T), float((c * c).sum())
 
 
 def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,

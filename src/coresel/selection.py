@@ -5,18 +5,21 @@ repeatedly drops the sample whose removal most improves the criterion
 ``sum_kept(score) + nu * regularizer``, re-linearizing the regularizer after
 every drop (the influence scores and the shared inverse-Hessian solve stay
 fixed for the round). The regularizer ``||a @ M||`` and its gradient come
-from running sums ``v = a @ M`` and ``M @ v``, so each drop costs one
-matrix-vector product and a fixed handful of O(n) vector calls. The kept
-rows are held in id order, so the drop is the first maximum among them; a
-dropped row is marked dead in place, and once dead rows reach
-1/``SQUEEZE_RATIO`` of the rows held, one copy squeezes them out, so each
-product spans little more than the kept rows. The rows held are padded to
-a multiple of 4, where OpenBLAS rounds a row's dot product alike wherever
-the row sits, so copies of one sample tie exactly. Baselines cover pure
-influence ranking, the two single-term regularizer ablations, the
-reservoir-sampling update, and a class-balanced ring buffer; an
-exhaustive enumerator, scoring every subset in one batched criterion
-call, serves as the small-instance oracle.
+from running sums ``v = a @ M`` and ``M @ v``. A drop moves ``M @ v`` by a
+Gram column of ``M``, built from the factored rows ``w_i (u_i (x) x_i +
+c)`` of :meth:`~coresel.influence.InfluenceContext.mu_factors`: three
+small matrix-vector products over ``num_classes + dim + 2`` numbers per
+row, where a row of ``M`` has ``num_classes * dim``, and a fixed handful
+of O(n) vector calls. The kept rows are held in id order, so the drop is
+the first maximum among them; a dropped row is marked dead in place, and
+once dead rows reach 1/``SQUEEZE_RATIO`` of the rows held, one copy
+squeezes them out, so each product spans little more than the kept rows.
+The rows held are padded to a multiple of 4, where OpenBLAS rounds a
+row's dot product alike wherever the row sits, so copies of one sample tie
+exactly. Baselines cover pure influence ranking, the two single-term
+regularizer ablations, the reservoir-sampling update, and a class-balanced
+ring buffer; an exhaustive enumerator, scoring every subset in one batched
+criterion call, serves as the small-instance oracle.
 """
 
 import itertools
@@ -95,19 +98,23 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     The regularizer is ``||a @ M||`` and its gradient ``sign * M @ v /
     ||v||`` with ``v = a @ M``. Both ``v`` and ``M @ v`` are running sums:
     dropping row ``d`` moves ``a`` by ``+-e_d``, so ``v`` moves by
-    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``. A drop costs that one
-    matrix-vector product plus a fixed handful of O(n) calls. The rows of
-    ``M``, ``M @ v`` and the scores are held in id order, so the drop is the
-    first maximum among them; a dropped row stays in place with score
-    ``-inf`` until dropped rows make up ``1 / SQUEEZE_RATIO`` of the rows
-    held; then one copy squeezes them out, so each product spans little
-    more than the kept rows. The rows held are padded with dead rows to a
-    multiple of 4, where OpenBLAS rounds a row's dot product alike wherever
-    the row sits (it rounds the last ``rows % 4`` rows of other matrices
-    its own way). So copies of one sample tie exactly, and only the totals
-    of the context's last ``n % 4`` rows can differ in their last bits from
-    those of a product over all ``n`` rows; ``v``, the norms and the
-    criterion do not depend on it. At or below ``DEGENERATE_NORM_FACTOR *
+    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``. That column comes from the
+    factors ``(U, X, a, c2)`` of ``M`` (see :meth:`~coresel.influence.
+    InfluenceContext.mu_factors`) as ``(U @ U[d]) * (X @ X[d]) + (a, w) @
+    (w[d], a[d] + w[d] c2)``, with ``w`` the batch weights: a drop costs
+    three matrix-vector products over ``num_classes + dim + 2`` numbers per
+    row, not one over ``M``'s ``num_classes * dim``, plus a fixed handful
+    of O(n) calls. The factor rows, ``M @ v`` and the scores are held in
+    id order, so the drop is the first maximum among them; a dropped row
+    stays in place with score ``-inf`` until dropped rows make up ``1 /
+    SQUEEZE_RATIO`` of the rows held; then one copy squeezes them out, so
+    each product spans little more than the kept rows. The rows held are
+    padded with dead rows to a multiple of 4, where OpenBLAS rounds a row's
+    dot product alike wherever the row sits (it rounds the last ``rows %
+    4`` rows of other matrices its own way), so copies of one sample tie
+    exactly. The totals can differ in their last bits from those of the
+    product ``M @ M[d]``; ``v``, moved by the rows of ``M`` themselves, the
+    norms and the criterion do not. At or below ``DEGENERATE_NORM_FACTOR *
     n`` the gradient is zero. ``reg_values`` are ``||v||`` of the running
     ``v``; ``final_criterion`` is computed from scratch on the kept mask.
     ``vanilla_if`` has no regularizer, so its drops are one sort of the
@@ -124,13 +131,14 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     n = len(ids)
     trace = SelectionTrace()
 
-    # The term is ||a @ M|| on the discarded side (a = 1 - w, gradient
-    # negated) or, for if_diversity, the kept side (a = w).
+    # The term is ||a @ M|| on the discarded side (a = 1 - kept, gradient
+    # negated) or, for if_diversity, the kept side (a = kept), where M is
+    # the gradients themselves, the terms at mu = 0.
     kept_side = kind is SelectorKind.IF_DIVERSITY
-    if kept_side:
-        M = ctx.grads
-    else:
-        M = ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu)
+    mu = cfg.mu if kind is SelectorKind.REGULARIZED_IF else 0.0
+    M = ctx.mu_terms(mu)
+    U, X, a, c2 = ctx.mu_factors(mu)
+    w = ctx.batch.w
     # The gradient's sign folds into add or subtract, and a drop's step of
     # +-1 into the running sums' update: IEEE negation commutes with
     # rounding, so these give the bits of multiplying by +-1.
@@ -140,12 +148,15 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     v = (np.ones(n) if kept_side else np.zeros(n)) @ M
     # Held rows, in id order: rows[i] is the context row that position i
     # holds. np.resize pads them to a multiple of 4 with repeats, held dead.
+    # M[i] . M[d] is (U[i] . U[d]) (X[i] . X[d]) + pairs[i] . mates[d].
     rows = np.resize(np.argsort(ids, kind="stable"), n + -n % 4)
-    held_M, Mv, scores = M[rows], (M @ v)[rows], all_scores[rows]
+    held_U, held_X, pairs, mates, Mv, scores = (
+        U[rows], X[rows], np.column_stack((a, w))[rows],
+        np.column_stack((w, a + w * c2))[rows], (M @ v)[rows], all_scores[rows])
     alive = np.arange(len(rows)) < n
     scores[~alive] = -math.inf
     dead = 0
-    totals, column = np.empty(len(rows)), np.empty(len(rows))
+    totals, column, class_dots, feature_dots = (np.empty(len(rows)) for _ in range(4))
 
     for _ in range(n - cfg.budget):
         if SQUEEZE_RATIO * dead >= len(rows):
@@ -153,9 +164,11 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
             pad = -np.count_nonzero(alive) % 4
             keep = alive.copy()
             keep[np.flatnonzero(~alive)[:pad]] = True
-            held_M, Mv, scores, rows = held_M[keep], Mv[keep], scores[keep], rows[keep]
+            held_U, held_X, pairs, mates, Mv, scores, rows = (
+                h[keep] for h in (held_U, held_X, pairs, mates, Mv, scores, rows))
             alive, dead = alive[keep], 0
-            totals, column = totals[:len(rows)], column[:len(rows)]
+            totals, column, class_dots, feature_dots = (
+                b[:len(rows)] for b in (totals, column, class_dots, feature_dots))
         reg_value = math.sqrt(v @ v)   # np.linalg.norm(v)'s own formula
         if reg_value > threshold:
             np.divide(Mv, reg_value, out=totals)
@@ -173,14 +186,19 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         trace.reg_values.append(reg_value)
         scores[j], alive[j] = -math.inf, False
         dead += 1
-        move(v, held_M[j], out=v)
-        move(Mv, np.matmul(held_M, held_M[j], out=column), out=Mv)
+        move(v, M[rows[j]], out=v)
+        np.matmul(held_U, held_U[j], out=class_dots)
+        np.matmul(held_X, held_X[j], out=feature_dots)
+        np.matmul(pairs, mates[j], out=column)
+        class_dots *= feature_dots
+        column += class_dots
+        move(Mv, column, out=Mv)
 
-    w = np.zeros(n)
-    w[rows[alive]] = 1.0
-    final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
-    trace.final_criterion = float(all_scores[w == 1.0].sum()) + cfg.nu * final_reg
-    return ReplayBuffer(ids[w == 1.0]), trace
+    kept = np.zeros(n)
+    kept[rows[alive]] = 1.0
+    final_reg = float(np.linalg.norm((kept if kept_side else 1.0 - kept) @ M))
+    trace.final_criterion = float(all_scores[kept == 1.0].sum()) + cfg.nu * final_reg
+    return ReplayBuffer(ids[kept == 1.0]), trace
 
 
 def _select_by_score(ctx: InfluenceContext, cfg: CriterionConfig):

@@ -165,6 +165,7 @@ class TestBuildContext:
             calls.clear()
             ctx = build_context(spec, params, pool, hessian_set, damping=0.01)
             U = ctx.mu_terms(0.5)
+            ctx.mu_factors(0.5)
             assert calls == expected
             H = dense_hessian(spec, params, hessian_set)
             H[np.diag_indices(spec.param_dim)] += 0.01
@@ -230,6 +231,72 @@ class TestBuildContext:
         with pytest.raises(ValueError, match=f"damping must be finite and nonnegative, "
                                              f"got {damping}"):
             build_context(QUAD, Params([1.0]), pool, pool, damping=damping)
+
+
+def weighted_logistic_ctx(rng, at_optimum, n=40, dim=4, num_classes=3):
+    """A logistic context over ``n`` samples under random row weights, at
+    the weighted pool's own optimum or at random parameters."""
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=0.1)
+    pool = [Sample(id=i, task_id=0, label=int(rng.integers(num_classes)),
+                   features=rng.normal(size=dim)) for i in range(n)]
+    batch = stack_samples(spec, pool).with_weights(rng.uniform(0.5, 2.0, size=n))
+    params = (fit(spec, batch, FitConfig(method="newton")) if at_optimum
+              else Params(rng.normal(scale=0.5, size=spec.param_dim)))
+    return build_context(spec, params, batch, batch, damping=0.01)
+
+
+def weighted_quad_ctx(rng, n=20):
+    pool = [qsample(i, z) for i, z in enumerate(rng.normal(size=n))]
+    batch = stack_samples(QUAD, pool).with_weights(rng.uniform(0.5, 2.0, size=n))
+    return build_context(QUAD, Params([0.7]), batch, batch, damping=0.01)
+
+
+FACTOR_CONTEXTS = {
+    "logistic_at_optimum": lambda rng: weighted_logistic_ctx(rng, True),
+    "logistic_off_optimum": lambda rng: weighted_logistic_ctx(rng, False),
+    "logistic_10_classes_dim_20": lambda rng: weighted_logistic_ctx(rng, False, 60, 20, 10),
+    "quad1d": weighted_quad_ctx,
+}
+
+
+class TestMuFactors:
+    """``mu_factors(mu)`` is ``mu_terms(mu)`` in the form ``w_i (u_i (x)
+    x_i + c)``: the factors rebuild the rows with one shared ``c``, and
+    their Gram columns are the rows' own, both within 1e-13 of the
+    largest entry."""
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("make", FACTOR_CONTEXTS.values(), ids=FACTOR_CONTEXTS)
+    def test_factors_rebuild_the_rows_and_their_gram_columns(self, make, mu):
+        ctx = make(np.random.default_rng(64))
+        M, w = ctx.mu_terms(mu), ctx.batch.w
+        U, X, a, c2 = ctx.mu_factors(mu)
+        n = len(w)
+        outer = (U[:, :, None] * X[:, None, :]).reshape(n, -1)
+        # what the outer products leave of each row is w_i c
+        c = ((M - outer) / w[:, None]).mean(axis=0)
+        np.testing.assert_allclose(outer + w[:, None] * c, M,
+                                   rtol=0, atol=1e-13 * np.abs(M).max())
+        gram = M @ M.T
+        atol = 1e-13 * np.abs(gram).max()
+        C = c.reshape(U.shape[1], X.shape[1])
+        np.testing.assert_allclose(a, np.einsum("nc,nc->n", U, X @ C.T), rtol=0, atol=atol)
+        assert c2 == pytest.approx(float(c @ c), rel=0, abs=atol)
+        for d in range(n):
+            column = (U @ U[d]) * (X @ X[d]) + a * w[d] + w * (a[d] + w[d] * c2)
+            np.testing.assert_allclose(column, gram[:, d], rtol=0, atol=atol)
+
+    def test_quad_factors_are_the_rows_themselves(self):
+        ctx = weighted_quad_ctx(np.random.default_rng(65))
+        U, X, a, c2 = ctx.mu_factors(0.5)
+        assert np.array_equal(U, ctx.mu_terms(0.5))
+        assert np.array_equal(X, np.ones((20, 1))) and np.array_equal(a, np.zeros(20))
+        assert c2 == 0.0
+
+    def test_mu_outside_the_unit_interval_rejected(self):
+        _, ctx = off_optimum_ctx(np.random.default_rng(66))
+        with pytest.raises(ValueError, match="mu must lie in"):
+            ctx.mu_factors(1.5)
 
 
 class TestFirstOrder:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from coresel import influence, selection
 from coresel.influence import CriterionConfig, build_context
-from coresel.models import FitConfig, ModelSpec, Params, Sample, fit
+from coresel.models import FitConfig, ModelSpec, Params, Sample, fit, stack_samples
 from coresel.selection import (
     GREEDY_KINDS,
     ReplayBuffer,
@@ -175,6 +175,22 @@ def scratch_exhaustive(ctx, cfg):
     return best[1]
 
 
+def stand_in_ctx(ids, scores, at_zero, at_mu=None):
+    """A stand-in context with unit weights whose regularizer rows are
+    ``at_zero`` at ``mu = 0`` (the gradients) and ``at_mu`` (default
+    ``at_zero``) at any other ``mu``. Its factors are the trivial ones, the
+    rows themselves with ``X = 1``, ``a = 0`` and ``c2 = 0``, whose Gram
+    column is ``rows @ rows[d]``."""
+    n = len(ids)
+
+    def terms(mu):
+        return at_zero if mu == 0.0 or at_mu is None else at_mu
+
+    return SimpleNamespace(batch=SimpleNamespace(ids=ids, w=np.ones(n)), grads=at_zero,
+                           mu_terms=terms, scores=lambda: scores,
+                           mu_factors=lambda mu: (terms(mu), np.ones((n, 1)), np.zeros(n), 0.0))
+
+
 # Directions whose norm is a power of two: with rows that are integer
 # multiples of one of them, ||v|| is |c| * 2^k for an integer c, so every
 # sum, norm and quotient greedy takes is exact in both loops.
@@ -193,12 +209,10 @@ def exact_greedy_instances(draw):
     def rows():
         return np.outer(draw(small), draw(st.sampled_from(EXACT_DIRECTIONS)))
 
-    grads, at_zero, at_mu = rows(), rows(), rows()
+    at_zero, at_mu = rows(), rows()
     scores = np.array(draw(small), dtype=float) / 4
     ids = 3 * np.array(draw(st.permutations(range(n)))) - 20
-    ctx = SimpleNamespace(batch=SimpleNamespace(ids=ids), grads=grads,
-                          mu_terms=lambda mu: at_zero if mu == 0.0 else at_mu,
-                          scores=lambda: scores)
+    ctx = stand_in_ctx(ids, scores, at_zero, at_mu)
     cfg = CriterionConfig(budget=draw(st.integers(1, n + 1)), mu=0.5,
                           nu=draw(st.sampled_from([0.0, 0.25, 1.0, 2.0])))
     return ctx, cfg, draw(st.sampled_from(GREEDY_KINDS))
@@ -212,9 +226,7 @@ TIED_TOTALS = np.array([0.0, -0.0, 1.0, -1.5, np.inf, -np.inf, 5e-324, -5e-324])
 def static_ctx(ids, scores):
     """A stand-in context whose regularizer rows have no columns, so every
     greedy total is its score plus 0.0."""
-    rows = np.zeros((len(ids), 0))
-    return SimpleNamespace(batch=SimpleNamespace(ids=ids), grads=rows,
-                           mu_terms=lambda mu: rows, scores=lambda: scores)
+    return stand_in_ctx(ids, scores, np.zeros((len(ids), 0)))
 
 
 @st.composite
@@ -251,35 +263,43 @@ def random_logistic_ctx(rng, n, dim=4, num_classes=2, l2=0.1):
     return build_context(spec, params, samples, samples, damping=0.01)
 
 
-def fitted_elsewhere_ctx(rng, n):
+def fitted_elsewhere_ctx(rng, n, dim=4, num_classes=2):
     """A logistic context over ``n`` samples, scored by a model fitted on
     ``n`` further draws, as the previous round's model would score them."""
-    spec, drawn = random_logistic_pool(rng, 2 * n)
+    spec, drawn = random_logistic_pool(rng, 2 * n, dim, num_classes)
     params = fit(spec, drawn[n:], FitConfig(method="newton", grad_tolerance=1e-10))
     return build_context(spec, params, drawn[:n], drawn[:n], damping=0.01)
 
 
-def off_optimum_ctx(rng, n, dim=4, ids=None):
+def off_optimum_ctx(rng, n, dim=4, ids=None, weights=None):
     """A logistic context at random parameters. At the pool's own optimum
     ``ihvp`` is ~0, so ``mu_terms(mu)`` is ``grads`` for every ``mu``; here
-    ``mu`` changes the regularizer. ``ids`` default to ``range(n)``."""
+    ``mu`` changes the regularizer. ``ids`` default to ``range(n)``, the
+    row weights to 1."""
     spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
     pool = [Sample(id=int(i), task_id=0, label=int(rng.integers(2)), features=rng.normal(size=dim))
             for i in (range(n) if ids is None else ids)]
+    if weights is not None:
+        pool = stack_samples(spec, pool).with_weights(weights)
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
     return build_context(spec, params, pool, pool, damping=0.01)
 
 
-def duplicated_ctx(rng, n, dim=4):
+def duplicated_ctx(rng, n, dim=4, num_classes=2):
     """A logistic context at random parameters over ``n // 2`` samples, each
     twice under two ids in shuffled order: the copies' totals tie exactly."""
-    spec = ModelSpec(kind="logistic", dim=dim, num_classes=2, l2_strength=0.1)
-    drawn = [(int(rng.integers(2)), rng.normal(size=dim)) for _ in range(n // 2)]
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=0.1)
+    drawn = [(int(rng.integers(num_classes)), rng.normal(size=dim)) for _ in range(n // 2)]
     ids = rng.permutation(2 * len(drawn))
     pool = [Sample(id=int(ids[2 * i + c]), task_id=0, label=label, features=x)
             for i, (label, x) in enumerate(drawn) for c in (0, 1)]
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
     return build_context(spec, params, pool, pool, damping=0.01)
+
+
+def weighted_ctx(rng, n):
+    """:func:`off_optimum_ctx` with random row weights in [0.5, 2]."""
+    return off_optimum_ctx(rng, n, weights=rng.uniform(0.5, 2.0, size=n))
 
 
 def shuffled_ids_ctx(rng, n):
@@ -415,6 +435,16 @@ class TestGreedy:
         for ctx in contexts:
             assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=0.5), kind,
                                               drop_row=sorted_drop_row)
+        # copies tie at odd factor widths (3 classes, dim 5) and at the
+        # benchmark's (10 classes, dim 20), where BLAS rounds the last
+        # rows % 4 rows of a product its own way; a large nu lets the last
+        # bits of the regularizer's gradient decide between copies
+        for num_classes, dim in ((3, 5), (10, 20)):
+            for _ in range(6):
+                ctx = duplicated_ctx(rng, int(rng.integers(30, 60)), dim, num_classes)
+                for nu in (0.5, 50.0):
+                    assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=nu),
+                                                      kind, drop_row=sorted_drop_row)
 
     @settings(max_examples=200, deadline=None)
     @given(exact_greedy_instances())
@@ -560,22 +590,30 @@ class TestGreedyMatchesParentLoop:
     @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
     def test_logistic_contexts_at_and_off_the_optimum(self, kind):
         # at n = 300 and 301 the drop loop squeezes its held rows dozens of
-        # times; at 301 (not a multiple of 4) it pads them
+        # times; at 301 (not a multiple of 4) it pads them; row weights
+        # enter the factored Gram column apart from the class factors
         rng = np.random.default_rng(23)
         for n in (10, 45, 300, 301):
             for make in (random_logistic_ctx, fitted_elsewhere_ctx, off_optimum_ctx,
-                         shuffled_ids_ctx):
+                         shuffled_ids_ctx, weighted_ctx):
                 ctx = make(rng, n)
                 for budget in (n // 10, n // 4, n // 2):
                     cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
                     assert_greedy_matches_parent_loop(ctx, cfg, kind)
 
+    def test_benchmark_scale_context(self):
+        # select_pool's shape: n = 1000, 10 classes, dim 20 (p = 200),
+        # scored by a model fitted on a second draw, half the pool dropped
+        ctx = fitted_elsewhere_ctx(np.random.default_rng(24), 1000, dim=20, num_classes=10)
+        for kind in LOOP_KINDS:
+            assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=500, mu=0.5, nu=1.0),
+                                              kind)
+
     @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
     def test_nan_score_raises_in_both_loops(self, kind):
         scores = np.array([0.5, np.nan, -1.0, 0.25])
         rows = np.outer([1.0, 2.0, -1.0, 0.0], [1.0, 1.0])
-        ctx = SimpleNamespace(batch=SimpleNamespace(ids=np.array([7, 3, 5, 1])), grads=rows,
-                              mu_terms=lambda mu: rows, scores=lambda: scores)
+        ctx = stand_in_ctx(np.array([7, 3, 5, 1]), scores, rows)
         cfg = CriterionConfig(budget=2, nu=0.5)
         with pytest.raises(ValueError, match="greedy total of row 1 is NaN"):
             select_greedy(ctx, cfg, kind)
