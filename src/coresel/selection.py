@@ -10,16 +10,18 @@ Gram column of ``M``, built from the factored rows ``w_i (u_i (x) x_i +
 c)`` of :meth:`~coresel.influence.InfluenceContext.mu_factors`: three
 small matrix-vector products over ``num_classes + dim + 2`` numbers per
 row, where a row of ``M`` has ``num_classes * dim``, and a fixed handful
-of O(n) vector calls. The kept rows are held in id order, so the drop is
-the first maximum among them; a dropped row is marked dead in place, and
-once dead rows reach 1/``SQUEEZE_RATIO`` of the rows held, one copy
-squeezes them out, so each product spans little more than the kept rows.
-The rows held are padded to a multiple of 4, where OpenBLAS rounds a
-row's dot product alike wherever the row sits, so copies of one sample tie
-exactly. Baselines cover pure influence ranking, the two single-term
-regularizer ablations, the reservoir-sampling update, and a class-balanced
-ring buffer; an exhaustive enumerator, scoring every subset in one batched
-criterion call, serves as the small-instance oracle.
+of O(n) vector calls. Each kept row's factors, ``M @ v`` and score are
+one column of a single C-contiguous block, in id order, so the drop is
+the first maximum among them and the products run transposed over the
+block's row slices; a dropped column is marked dead in place, and once
+dead columns reach 1/``SQUEEZE_RATIO`` of those held, one copy of the
+block squeezes them out, so each product spans little more than the kept
+rows. The columns held are padded to a multiple of 4, where OpenBLAS
+rounds a column's product alike wherever the column sits, so copies of
+one sample tie exactly. Baselines cover pure influence ranking, the two
+single-term regularizer ablations, the reservoir-sampling update, and a
+class-balanced ring buffer; an exhaustive enumerator, scoring every subset
+in one batched criterion call, serves as the small-instance oracle.
 """
 
 import itertools
@@ -104,19 +106,24 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     (w[d], a[d] + w[d] c2)``, with ``w`` the batch weights: a drop costs
     three matrix-vector products over ``num_classes + dim + 2`` numbers per
     row, not one over ``M``'s ``num_classes * dim``, plus a fixed handful
-    of O(n) calls. The factor rows, ``M @ v`` and the scores are held in
-    id order, so the drop is the first maximum among them; a dropped row
-    stays in place with score ``-inf`` until dropped rows make up ``1 /
-    SQUEEZE_RATIO`` of the rows held; then one copy squeezes them out, so
-    each product spans little more than the kept rows. The rows held are
-    padded with dead rows to a multiple of 4, where OpenBLAS rounds a row's
-    dot product alike wherever the row sits (it rounds the last ``rows %
-    4`` rows of other matrices its own way), so copies of one sample tie
-    exactly. The totals can differ in their last bits from those of the
-    product ``M @ M[d]``; ``v``, moved by the rows of ``M`` themselves, the
-    norms and the criterion do not. At or below ``DEGENERATE_NORM_FACTOR *
-    n`` the gradient is zero. ``reg_values`` are ``||v||`` of the running
-    ``v``; ``final_criterion`` is computed from scratch on the kept mask.
+    of O(n) calls. Greedy holds one C-contiguous ``(num_classes + dim + 6,
+    columns)`` block whose rows are ``U^T``, ``X^T``, ``(a, w)^T``, ``(w,
+    a + w c2)^T``, ``M @ v`` and the scores, and whose columns are the rows
+    held, in id order, so the drop is the first maximum among them and
+    each product is a transposed one, e.g. ``U^T[:, d] @ U^T``, over
+    contiguous block rows. A dropped column stays in place with score
+    ``-inf`` until dropped columns make up ``1 / SQUEEZE_RATIO`` of those
+    held; then one ``take`` of the block (plus the row map and the alive
+    flags) squeezes them out, so each product spans little more than the
+    kept rows. The columns held are padded with dead ones to a multiple of
+    4, where OpenBLAS rounds a column's product alike wherever the column
+    sits (it rounds the last ``columns % 4`` of other blocks its own way),
+    so copies of one sample tie exactly. The totals can differ in their
+    last bits from those of the product ``M @ M[d]``; ``v``, moved by the
+    rows of ``M`` themselves, the norms and the criterion do not. At or
+    below ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
+    ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
+    is computed from scratch on the kept mask.
     ``vanilla_if`` has no regularizer, so its drops are one sort of the
     scores (see :func:`_select_by_score`). A budget that does not bind
     (``budget >= n``) gives no drops and the criterion of keeping every
@@ -146,30 +153,36 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     threshold = DEGENERATE_NORM_FACTOR * max(1, n)
     all_scores = ctx.scores()
     v = (np.ones(n) if kept_side else np.zeros(n)) @ M
-    # Held rows, in id order: rows[i] is the context row that position i
-    # holds. np.resize pads them to a multiple of 4 with repeats, held dead.
-    # M[i] . M[d] is (U[i] . U[d]) (X[i] . X[d]) + pairs[i] . mates[d].
+    # Held rows, in id order: rows[i] is the context row that column i of
+    # the block holds. np.resize pads them to a multiple of 4 with repeats,
+    # held dead. The block's rows are U^T, X^T, the pairs (a, w), their
+    # mates (w, a + w c2), M @ v and the scores, so M[i] . M[d] is
+    # (U[i] . U[d]) (X[i] . X[d]) + pairs[i] . mates[d].
     rows = np.resize(np.argsort(ids, kind="stable"), n + -n % 4)
-    held_U, held_X, pairs, mates, Mv, scores = (
-        U[rows], X[rows], np.column_stack((a, w))[rows],
-        np.column_stack((w, a + w * c2))[rows], (M @ v)[rows], all_scores[rows])
+    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, M @ v, all_scores)).take(rows, axis=1)
+    bounds = np.cumsum((U.shape[1], X.shape[1], 2, 2))
+    held_U, held_X, pairs, mates, (Mv, scores) = np.split(held, bounds)
     alive = np.arange(len(rows)) < n
     scores[~alive] = -math.inf
     dead = 0
     totals, column, class_dots, feature_dots = (np.empty(len(rows)) for _ in range(4))
+    drops = max(0, n - cfg.budget)
+    # the trace, filled drop by drop: context rows, totals and norms
+    dropped, drop_totals, reg_values = (np.empty(drops, dtype=np.intp), np.empty(drops),
+                                        np.empty(drops))
 
-    for _ in range(n - cfg.budget):
+    for k in range(drops):
         if SQUEEZE_RATIO * dead >= len(rows):
             # the live rows, and the first dead ones to pad to a multiple of 4
             pad = -np.count_nonzero(alive) % 4
             keep = alive.copy()
             keep[np.flatnonzero(~alive)[:pad]] = True
-            held_U, held_X, pairs, mates, Mv, scores, rows = (
-                h[keep] for h in (held_U, held_X, pairs, mates, Mv, scores, rows))
-            alive, dead = alive[keep], 0
+            at = np.flatnonzero(keep)
+            held, rows, alive, dead = held.take(at, axis=1), rows[at], alive[at], 0
+            held_U, held_X, pairs, mates, (Mv, scores) = np.split(held, bounds)
             totals, column, class_dots, feature_dots = (
                 b[:len(rows)] for b in (totals, column, class_dots, feature_dots))
-        reg_value = math.sqrt(v @ v)   # np.linalg.norm(v)'s own formula
+        reg_value = math.sqrt(np.dot(v, v))   # np.linalg.norm(v)'s own formula
         if reg_value > threshold:
             np.divide(Mv, reg_value, out=totals)
             totals *= cfg.nu
@@ -182,18 +195,20 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
             j = int(live[totals[live].argmax()])
         if math.isnan(totals[j]):
             raise ValueError(f"greedy total of row {rows[j]} is NaN")
-        trace.drop_order.append((int(ids[rows[j]]), float(totals[j])))
-        trace.reg_values.append(reg_value)
+        row = rows[j]
+        dropped[k], drop_totals[k], reg_values[k] = row, totals[j], reg_value
         scores[j], alive[j] = -math.inf, False
         dead += 1
-        move(v, M[rows[j]], out=v)
-        np.matmul(held_U, held_U[j], out=class_dots)
-        np.matmul(held_X, held_X[j], out=feature_dots)
-        np.matmul(pairs, mates[j], out=column)
+        move(v, M[row], out=v)
+        np.dot(held_U[:, j], held_U, out=class_dots)
+        np.dot(held_X[:, j], held_X, out=feature_dots)
+        np.dot(mates[:, j], pairs, out=column)
         class_dots *= feature_dots
         column += class_dots
         move(Mv, column, out=Mv)
 
+    trace.drop_order = list(zip(ids[dropped].tolist(), drop_totals.tolist()))
+    trace.reg_values = reg_values.tolist()
     kept = np.zeros(n)
     kept[rows[alive]] = 1.0
     final_reg = float(np.linalg.norm((kept if kept_side else 1.0 - kept) @ M))

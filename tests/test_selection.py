@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -131,9 +135,10 @@ def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
 def assert_greedy_matches_parent_loop(ctx, cfg, kind, drop_row=parent_drop_index):
     """Same kept ids, drop ids, norms and criterion, to the bit (signed zeros
     included), and the same drop totals within ``1e-13 * max(1, max |total|)``:
-    greedy's products span only the rows it holds, padded to a multiple of
-    4, and BLAS rounds the last ``n % 4`` rows of the parent's product over
-    all ``n`` rows its own way."""
+    greedy builds each Gram column from transposed products over the
+    factors of the columns it holds, padded to a multiple of 4, in another
+    order of operations than the parent's product ``M @ M[d]``, whose last
+    ``n % 4`` rows BLAS also rounds its own way."""
     buffer, trace = select_greedy(ctx, cfg, kind)
     kept, oracle = parent_select_greedy(ctx, cfg, kind, drop_row)
     assert buffer.ids() == kept
@@ -142,6 +147,12 @@ def assert_greedy_matches_parent_loop(ctx, cfg, kind, drop_row=parent_drop_index
                       ([trace.final_criterion], [oracle.final_criterion])):
         assert got == want
         assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes()
+    assert_totals_close(trace, oracle)
+
+
+def assert_totals_close(trace, oracle):
+    """The trace's drop totals within ``1e-13 * max(1, max |total|)`` of the
+    oracle trace's."""
     totals = np.array([t for _, t in oracle.drop_order])
     bound = 1e-13 * max(1.0, np.abs(totals).max(initial=0.0))
     assert [t for _, t in trace.drop_order] == pytest.approx(totals.tolist(), rel=0, abs=bound)
@@ -285,16 +296,41 @@ def off_optimum_ctx(rng, n, dim=4, ids=None, weights=None):
     return build_context(spec, params, pool, pool, damping=0.01)
 
 
-def duplicated_ctx(rng, n, dim=4, num_classes=2):
+def duplicated_ctx(rng, n, dim=4, num_classes=2, scattered=False):
     """A logistic context at random parameters over ``n // 2`` samples, each
-    twice under two ids in shuffled order: the copies' totals tie exactly."""
+    twice under two ids in shuffled order: the copies' totals tie exactly.
+    The copies sit in adjacent rows or, if ``scattered``, in random rows,
+    never next to each other."""
     spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=0.1)
     drawn = [(int(rng.integers(num_classes)), rng.normal(size=dim)) for _ in range(n // 2)]
     ids = rng.permutation(2 * len(drawn))
     pool = [Sample(id=int(ids[2 * i + c]), task_id=0, label=label, features=x)
             for i, (label, x) in enumerate(drawn) for c in (0, 1)]
+    if scattered:
+        # the copies of sample i are pool rows 2i and 2i + 1
+        order = rng.permutation(len(pool))
+        while np.any(order[1:] // 2 == order[:-1] // 2):
+            order = rng.permutation(len(pool))
+        pool = [pool[i] for i in order]
     params = Params(rng.normal(scale=0.5, size=spec.param_dim))
     return build_context(spec, params, pool, pool, damping=0.01)
+
+
+def assert_copies_tie(rng, kind, count, scattered=False):
+    """:func:`assert_greedy_matches_parent_loop`, by the sorted drop rule, on
+    ``count`` :func:`duplicated_ctx` pools at an odd factor width (3 classes,
+    dim 5) and at the benchmark's (10 classes, dim 20), where BLAS rounds
+    the last rows % 4 rows of a product its own way, each at a nu where the
+    last bits of the regularizer's gradient barely count and one where they
+    decide between copies. Scattered pools have a multiple of 4 rows: at
+    others, ``scores()`` rounds the tail rows of its product apart."""
+    for num_classes, dim in ((3, 5), (10, 20)):
+        for _ in range(count):
+            n = 4 * int(rng.integers(8, 15)) if scattered else int(rng.integers(30, 60))
+            ctx = duplicated_ctx(rng, n, dim, num_classes, scattered)
+            for nu in (0.5, 50.0):
+                assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=nu), kind,
+                                                  drop_row=sorted_drop_row)
 
 
 def weighted_ctx(rng, n):
@@ -435,16 +471,19 @@ class TestGreedy:
         for ctx in contexts:
             assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=0.5), kind,
                                               drop_row=sorted_drop_row)
-        # copies tie at odd factor widths (3 classes, dim 5) and at the
-        # benchmark's (10 classes, dim 20), where BLAS rounds the last
-        # rows % 4 rows of a product its own way; a large nu lets the last
-        # bits of the regularizer's gradient decide between copies
-        for num_classes, dim in ((3, 5), (10, 20)):
-            for _ in range(6):
-                ctx = duplicated_ctx(rng, int(rng.integers(30, 60)), dim, num_classes)
-                for nu in (0.5, 50.0):
-                    assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=nu),
-                                                      kind, drop_row=sorted_drop_row)
+        assert_copies_tie(rng, kind, 6)
+        assert_copies_tie(rng, kind, 6, scattered=True)
+
+    def test_copies_tie_under_one_blas_thread(self):
+        # the benchmark pins BLAS to one thread; tier-1 runs under the default pool
+        code = ("import numpy as np, test_selection as t\n"
+                "for scattered in (False, True):\n"
+                "    for kind in t.LOOP_KINDS:\n"
+                "        t.assert_copies_tie(np.random.default_rng(26), kind, 1, scattered)\n")
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
     @settings(max_examples=200, deadline=None)
     @given(exact_greedy_instances())
@@ -571,9 +610,27 @@ class TestGreedy:
         assert context_state(ctx) == state
         assert np.array_equal(ctx.mu_terms(0.5), first)
 
+    def test_permuted_candidates_keep_the_drops(self):
+        # the drops are the pool's, not its order's: a permuted order moves
+        # the Hessian's and the gradients' sums, and so the scores and the
+        # shared solve, by rounding only
+        rng = np.random.default_rng(25)
+        for _ in range(3):
+            spec, drawn = random_logistic_pool(rng, 600)
+            params = fit(spec, drawn[300:], FitConfig(method="newton", grad_tolerance=1e-10))
+            pool = drawn[:300]
+            permuted = [pool[i] for i in rng.permutation(300)]
+            contexts = [build_context(spec, params, c, c, damping=0.01) for c in (pool, permuted)]
+            for kind, budget in itertools.product(GREEDY_KINDS, (30, 150)):
+                cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
+                (buffer, trace), (other, oracle) = (select_greedy(c, cfg, kind) for c in contexts)
+                assert buffer.id_set() == other.id_set()
+                assert [i for i, _ in trace.drop_order] == [i for i, _ in oracle.drop_order]
+                assert_totals_close(trace, oracle)
+
 
 class TestGreedyMatchesParentLoop:
-    """One matrix-vector product over the rows still held and O(1) vector
+    """Three factor products over the columns still held and O(1) vector
     calls per drop give the parent loop's picks, norms and criterion to the
     bit, and its drop totals to the last bits."""
 
