@@ -633,8 +633,11 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
             for bi, batch in enumerate(batches):
                 try:
                     replay = _draw_replay(buffer, stream.batch_size, replay_rng)
-                    g = models.grad_sum(model, params,
-                                        train.rows(np.concatenate([batch, replay])))
+                    # the row sum, not grad_sum's product: the pinned run
+                    # p200_seed126 amplifies the last bits of this gradient
+                    # into a different kept id
+                    g = models.grad_matrix(model, params,
+                                           train.rows(np.concatenate([batch, replay]))).sum(axis=0)
                     params = Params(params.theta - learning_rate * g)
                     if epoch < epochs:
                         continue

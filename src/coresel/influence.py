@@ -31,6 +31,7 @@ from .numkit import (
     as_vector,
     check_int,
     check_real,
+    matvec_by_fours,
 )
 
 
@@ -72,7 +73,7 @@ class InfluenceContext:
         self._solver = solver
         self._probs = probs
         self.grads = grads                      # (n, p) per-candidate gradients
-        self.grad_sum = grads.sum(axis=0)
+        self.grad_sum = models.grad_sum(model, params, batch, probs=probs)
         self.ihvp = solver.solve(self.grad_sum)
         for a in (self.grads, self.grad_sum, self.ihvp, probs):
             if a is not None:
@@ -99,8 +100,12 @@ class InfluenceContext:
         return self._solver.solve(rhs)
 
     def scores(self) -> np.ndarray:
-        """First-order influence of every candidate, in candidate order."""
-        return -(self.grads @ self.ihvp)
+        """First-order influence of every candidate, in candidate order.
+
+        The product runs over the rows padded to a multiple of 4
+        (:func:`~coresel.numkit.matvec_by_fours`), so two copies of one
+        sample score alike wherever they sit among the candidates."""
+        return -matvec_by_fours(self.grads, self.ihvp)
 
     def mu_terms(self, mu: float) -> np.ndarray:
         """Rows ``grad(z_i) - mu * H_{z_i} ihvp`` for every candidate.
@@ -134,10 +139,10 @@ def build_context(model: models.ModelSpec, params: models.Params,
     :class:`~coresel.models.Batch`; a sequence is stacked once. Materializes
     the damped Hessian of ``hessian_set`` (reusing the candidates' stack and
     softmax when ``hessian_set is candidates``), Cholesky-factors it once,
-    and solves it against the candidate gradients summed in candidate
-    order. The candidates' softmax is computed once, here, for their
-    gradients, their Hessian-vector products and, if it is theirs, the
-    Hessian. Raises
+    and solves it against the candidates' summed gradient
+    (:func:`~coresel.models.grad_sum`). The candidates' softmax is
+    computed once, here, for their gradients, their gradient sum, their
+    Hessian-vector products and, if it is theirs, the Hessian. Raises
     :class:`SolveError` if the damped Hessian is not positive definite or
     the solve's true residual exceeds the tolerance.
     """

@@ -24,12 +24,16 @@ are vectorized equivalents that agree with per-sample summation to float64
 roundoff and exist because the leave-one-out oracles need thousands of
 refits and every selection round needs one set Hessian.
 
-``grad_sum`` is the sequential row sum of ``grad_matrix``, bit for bit, and
-the logistic kernels build their per-sample rows in place with the same
+The logistic kernels build their per-sample rows in place with the same
 float operations, in the same order, as the plain out-of-place formulas.
-A different summation order (say ``(w * R).T @ X``) is just as accurate
-but moves round-off bits of the SGD gradient, and the benchmark's kept-id
-references freeze those bits: one near-tie run flips a kept id under it.
+``grad_sum`` builds no rows: for ``logistic`` it is the one product
+``((P - onehot) * w)^T X`` plus ``l2_strength * sum(w) * theta``, which
+agrees with the row sum of ``grad_matrix`` to float64 round-off but not
+bit for bit. The SGD step of :func:`~coresel.harness.run_continual` is the
+one gradient sum that does not use it: it sums ``grad_matrix`` rows
+itself, because the pinned scaled run ``p200_seed126`` (see
+``tests/test_pinned_runs.py``) amplifies the last bits of that gradient
+into a different kept id.
 
 A Newton iterate computes the softmax at its parameters once and hands it
 to both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). A
@@ -352,11 +356,27 @@ def grad_matrix(spec: ModelSpec, params: Params, samples: Samples, *,
 def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,
              probs: Optional[np.ndarray] = None) -> np.ndarray:
     """Summed gradient; ``probs`` as in :func:`grad_matrix`, the softmax at
-    these ``params``."""
+    these ``params``.
+
+    For ``logistic`` this is one product, ``((P - onehot) * w)^T X + l2 *
+    sum(w) * theta`` flattened class-major, which builds no per-sample row;
+    it agrees with ``grad_matrix(...).sum(axis=0)`` to float64 round-off,
+    not bit for bit. quad1d sums its one-column rows.
+    """
     batch = _as_batch(spec, samples)
-    if len(batch.y) == 0:
+    X, y, w, _ = batch
+    n = len(y)
+    if n == 0:
         return np.zeros(spec.param_dim)
-    return grad_matrix(spec, params, batch, probs=probs).sum(axis=0)
+    if spec.kind == "quad1d":
+        return grad_matrix(spec, params, batch).sum(axis=0)
+    theta = _theta_matrix(spec, params)
+    resid = _softmax(X @ theta.T) if probs is None else probs.copy()
+    resid[np.arange(n), y] -= 1.0
+    resid *= w[:, None]
+    g = resid.T @ X
+    g += (spec.l2_strength * w.sum()) * theta
+    return g.ravel()
 
 
 def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
@@ -423,13 +443,17 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,
     """Materialized summed Hessian; used by Newton steps and influence contexts.
 
     For ``logistic`` the set Hessian ``sum_n w_n (diag(P_n) - P_n P_n^T)
-    (x) x_n x_n^T`` is built in block form: one ``(n, p)`` product for the
-    ``-P P^T`` part, one ``(n, dim)`` product per diagonal class block for
-    the ``diag(P)`` part, and the L2 term on the diagonal. Both products
-    are Gram matrices ``Z^T Z`` of square-root-weighted rows, which numpy
-    evaluates as symmetric rank-k updates, so the result is exactly
-    symmetric. ``probs``, if given, must be the softmax at these ``params``,
-    as in :func:`grad_matrix`; it is read, never written.
+    (x) x_n x_n^T`` is built in block form from two products of the
+    square-root-weighted rows ``Z = sqrt(w) P (x) X``. The ``-P P^T`` part
+    is the Gram matrix ``Z^T Z``, which numpy evaluates as a symmetric
+    rank-k update, so it is exactly symmetric. The ``diag(P)`` part's
+    diagonal class blocks ``sum_n w_n P_nc x_n x_n^T`` all come from one
+    ``(p, n) @ (n, dim)`` product ``Z^T (sqrt(w) X)``, reshaped to
+    ``(num_classes, dim, dim)``; that is no Gram matrix, so each block is
+    symmetrized as ``(B + B^T) / 2`` and the result stays exactly
+    symmetric. The L2 term goes on the diagonal. ``probs``, if given, must
+    be the softmax at these ``params``, as in :func:`grad_matrix`; it is
+    read, never written.
     """
     X, _, w, _ = _as_batch(spec, samples)
     n = len(w)
@@ -437,15 +461,21 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,
         raise ValueError("set Hessian is undefined for an empty sample list")
     if spec.kind == "quad1d":
         return np.array([[w.sum()]])
-    d, p = spec.dim, spec.param_dim
+    C, d, p = spec.num_classes, spec.dim, spec.param_dim
     P = _probs(spec, params, X) if probs is None else probs
-    Z = ((np.sqrt(w)[:, None] * P)[:, :, None] * X[:, None, :]).reshape(n, p)
+    root_w = np.sqrt(w)[:, None]
+    # the products of a broadcast multiply (a zero product may lose its
+    # sign, which no sum below can see), in about half its time
+    Z = np.einsum("nc,nd->ncd", root_w * P, X).reshape(n, p)
     H = Z.T @ Z
     np.negative(H, out=H)
-    for c in range(spec.num_classes):
-        Xc = np.sqrt(w * P[:, c])[:, None] * X
-        H[c * d:(c + 1) * d, c * d:(c + 1) * d] += Xc.T @ Xc
-    H[np.diag_indices(p)] += spec.l2_strength * w.sum()
+    B = (Z.T @ (root_w * X)).reshape(C, d, d)
+    B += B.transpose(0, 2, 1)
+    B *= 0.5
+    # the diagonal class blocks of H, as a writeable (C, d, d) view
+    blocks = np.einsum("cjck->cjk", H.reshape(C, d, C, d))
+    blocks += B
+    H.flat[::p + 1] += spec.l2_strength * w.sum()
     return H
 
 

@@ -69,6 +69,22 @@ def as_vector(x, dim: Optional[int] = None) -> np.ndarray:
     return v
 
 
+def matvec_by_fours(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x``, multiplied over the rows of ``A`` zero-padded to a
+    multiple of 4.
+
+    OpenBLAS rounds a row's dot product alike wherever the row sits in a
+    matrix whose row count is a multiple of 4, and the last ``rows % 4``
+    rows of any other matrix its own way. Padded, two equal rows get equal
+    products wherever they sit; a row count that is already a multiple of
+    4 gives the bits of ``A @ x``.
+    """
+    n = len(A)
+    if n % 4:
+        A = np.concatenate((A, np.zeros((-n % 4, A.shape[1]))))
+    return (A @ x)[:n]
+
+
 def _inverse_lower(lower: np.ndarray) -> np.ndarray:
     """Inverse of a lower-triangular matrix, by recursive 2x2 blocking.
 

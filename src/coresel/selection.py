@@ -33,6 +33,7 @@ import numpy as np
 
 from .influence import CriterionConfig, InfluenceContext, _keep_masks, regularizer
 from .models import check_unique_ids
+from .numkit import matvec_by_fours
 
 EXHAUSTIVE_GUARD = 20
 # When the regularizer norm is at or below this factor times the pool size,
@@ -118,10 +119,13 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     kept rows. The columns held are padded with dead ones to a multiple of
     4, where OpenBLAS rounds a column's product alike wherever the column
     sits (it rounds the last ``columns % 4`` of other blocks its own way),
-    so copies of one sample tie exactly. The totals can differ in their
-    last bits from those of the product ``M @ M[d]``; ``v``, moved by the
-    rows of ``M`` themselves, the norms and the criterion do not. At or
-    below ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
+    and the scores and the initial ``M @ v`` come from products padded the
+    same way (:func:`~coresel.numkit.matvec_by_fours`), so copies of one
+    sample tie exactly wherever they sit among the candidates. The totals
+    can differ in their last bits from those of the product ``M @ M[d]``;
+    ``v``, moved by the rows of ``M`` themselves, the norms and the
+    criterion do not. At or below ``DEGENERATE_NORM_FACTOR * n`` the
+    gradient is zero.
     ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
     is computed from scratch on the kept mask.
     ``vanilla_if`` has no regularizer, so its drops are one sort of the
@@ -159,7 +163,8 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     # mates (w, a + w c2), M @ v and the scores, so M[i] . M[d] is
     # (U[i] . U[d]) (X[i] . X[d]) + pairs[i] . mates[d].
     rows = np.resize(np.argsort(ids, kind="stable"), n + -n % 4)
-    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, M @ v, all_scores)).take(rows, axis=1)
+    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, matvec_by_fours(M, v),
+                      all_scores)).take(rows, axis=1)
     bounds = np.cumsum((U.shape[1], X.shape[1], 2, 2))
     held_U, held_X, pairs, mates, (Mv, scores) = np.split(held, bounds)
     alive = np.arange(len(rows)) < n

@@ -309,6 +309,26 @@ class TestFirstOrder:
         expected = [first_order_influence(quad_ctx, c) for c in QUAD_CANDIDATES]
         np.testing.assert_allclose(quad_ctx.scores(), expected, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [4 * k + r for k in (10, 53) for r in range(4)])
+    def test_a_copy_scores_as_its_original_in_the_last_row(self, n):
+        """BLAS rounds the last ``n % 4`` rows of a product its own way; a
+        copy of row 0 placed there still ties it, at the benchmark's model
+        width, over several pools. A multiple of 4 rows keeps the plain
+        product's bits."""
+        rng = np.random.default_rng(n)
+        spec = ModelSpec(kind="logistic", dim=20, num_classes=10, l2_strength=0.1)
+        for _ in range(6):
+            samples = [Sample(id=i, task_id=0, label=int(rng.integers(10)),
+                              features=rng.normal(size=20)) for i in range(n - 1)]
+            samples.append(Sample(id=n - 1, task_id=0, label=samples[0].label,
+                                  features=samples[0].features))
+            params = Params(rng.normal(scale=0.5, size=spec.param_dim))
+            ctx = build_context(spec, params, samples, samples, damping=0.01)
+            scores = ctx.scores()
+            assert scores[0] == scores[-1]
+            if n % 4 == 0:
+                assert np.array_equal(scores, -(ctx.grads @ ctx.ihvp))
+
     def test_quad_loo_exactness_on_worked_family(self):
         """Finite removal matches the linearized score exactly on this
         family (the curvature terms cancel): pool {a, a+2h, a+4h}, coreset

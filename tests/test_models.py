@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coresel import models
+from coresel import harness, models
 from coresel.models import (
     Batch,
     FitConfig,
@@ -246,13 +246,20 @@ class TestBatchHelpers:
             np.testing.assert_allclose(H @ v, manual, atol=1e-10)
 
 
+# (dim, num_classes) of the benchmark's models: continual_scaled and
+# select_pool, and loo_oracle
+BENCHMARK_SHAPES = [(20, 10), (10, 2)]
+
+
 class TestDenseHessianBlockForm:
-    @pytest.mark.parametrize("num_classes", [2, 3, 10])
+    @pytest.mark.parametrize("num_classes, dim", [
+        pytest.param(2, 4, id="2"), pytest.param(3, 4, id="3"), pytest.param(10, 4, id="10"),
+        *(pytest.param(c, d, id=f"{c}-dim{d}") for d, c in BENCHMARK_SHAPES)])
     @pytest.mark.parametrize("l2", [0.0, 0.1])
-    def test_matches_einsum_oracle(self, num_classes, l2):
+    def test_matches_einsum_oracle(self, num_classes, dim, l2):
         rng = np.random.default_rng(100 + num_classes)
         spec, samples, w, params = random_logistic_instance(
-            rng, n=40, dim=4, num_classes=num_classes, l2=l2)
+            rng, n=40, dim=dim, num_classes=num_classes, l2=l2)
         batch = weighted(spec, samples, w)
         assert len(set(batch.w)) > 1
         H = dense_hessian(spec, params, batch)
@@ -261,9 +268,13 @@ class TestDenseHessianBlockForm:
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(31)
-        spec, samples, w, params = random_logistic_instance(rng, n=50, dim=5, num_classes=4)
-        H = dense_hessian(spec, params, weighted(spec, samples, w))
-        assert np.array_equal(H, H.T)
+        for dim, num_classes in [(5, 4), *BENCHMARK_SHAPES]:
+            spec, samples, w, params = random_logistic_instance(
+                rng, n=50, dim=dim, num_classes=num_classes)
+            batch = weighted(spec, samples, w)
+            assert len(set(batch.w)) > 1
+            H = dense_hessian(spec, params, batch)
+            assert np.array_equal(H, H.T)
 
     def test_quad1d_is_total_weight(self):
         batch = weighted(QUAD, [qsample(0, 0.0), qsample(1, 2.0)], [0.5, 2.0])
@@ -308,9 +319,14 @@ def oracle_hvp_matrix(spec, params, batch, v):
 class TestInPlaceKernelsAreBitExact:
     """The in-place logistic kernels give the out-of-place oracles' exact bits.
 
-    The benchmark's kept-id references freeze the SGD gradient's bits, so
-    ``np.array_equal`` here, not a tolerance. The inputs are writeable, so a
-    kernel that wrote into them would show.
+    The SGD step sums ``grad_matrix`` rows, and the pinned run
+    ``p200_seed126`` amplifies their last bits into a kept id, so
+    ``grad_matrix`` is held to its oracle by ``np.array_equal``, as are
+    ``hvp_matrix`` and every ``probs=`` variant to its own kernel.
+    ``grad_sum`` is one product in another summation order than the row
+    sum, so it is held to that sum within ``1e-13 * max(1, max_j sum_i
+    |G_ij|)``. The inputs are writeable, so a kernel that wrote into them
+    would show.
     """
 
     @pytest.mark.parametrize("n", [1, 24, 212, 800])
@@ -333,7 +349,9 @@ class TestInPlaceKernelsAreBitExact:
         G = grad_matrix(spec, params, batch)
         assert np.array_equal(G, oracle_grad_matrix(spec, params, batch))
         g = grad_sum(spec, params, batch)
-        assert np.array_equal(g, oracle_grad_matrix(spec, params, batch).sum(axis=0))
+        rows = oracle_grad_matrix(spec, params, batch)
+        bound = 1e-13 * max(1.0, np.abs(rows).sum(axis=0).max())
+        np.testing.assert_allclose(g, rows.sum(axis=0), rtol=0, atol=bound)
         Hv = hvp_matrix(spec, params, batch, v)
         assert np.array_equal(Hv, oracle_hvp_matrix(spec, params, batch, v))
         H = dense_hessian(spec, params, batch)
@@ -494,6 +512,33 @@ class TestBatch:
         assert calls == [30]
         fit(spec, batch, FitConfig(method="newton", grad_tolerance=1e-10))
         assert calls == [30]
+
+
+class TestGradientSumsBuildNoRows:
+    """Every logistic gradient sum but the SGD step's is ``grad_sum``'s one
+    product, so no per-sample gradient row is built for it."""
+
+    def test_newton_fit_and_leave_one_out_build_no_rows(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        spec, samples, _, _ = random_logistic_instance(rng, n=40)
+        cfg = FitConfig(method="newton", grad_tolerance=1e-10)
+        calls = count_calls(monkeypatch, "grad_matrix")
+        fit(spec, samples[:30], cfg)
+        harness.loo_retrain_delta(spec, samples[:30], samples[30:], samples[3], cfg)
+        assert calls == []
+
+    def test_tau_checkpoint_recomputes_only_the_reweighted_rows(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        spec, samples, _, params = random_logistic_instance(rng, n=20)
+        train = stack_samples(spec, samples)
+        # six buffer rows at weight 1, then four batch rows at weight 6 / 4
+        rows = np.array([0, 2, 4, 6, 8, 10, 12, 13, 14, 15])
+        ctx = harness._selection_context(spec, params, train, rows, 6, None, 0.01)
+        oracle_rows = np.array([2, 6, 13, 15, 16, 17, 18, 19])
+        calls = count_calls(monkeypatch, "grad_matrix",
+                            lambda spec, params, samples, **kwargs: samples.ids.tolist())
+        assert harness._tau_checkpoint(ctx, train, rows, oracle_rows, 2) is not None
+        assert calls == [[13, 15]]
 
 
 def oracle_fit_newton(spec, batch, cfg, init=None, evaluated=None):

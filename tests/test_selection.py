@@ -100,11 +100,18 @@ def scratch_greedy(ctx, cfg, kind):
     return drop_order, reg_values, float(scores[w == 1.0].sum()) + cfg.nu * final_reg
 
 
+def padded_matvec(A, x):
+    """``A @ x`` over the rows of ``A`` and zero rows up to a multiple of 4,
+    where BLAS rounds every row's product alike."""
+    return (np.vstack((A, np.zeros((-len(A) % 4, A.shape[1])))) @ x)[:len(A)]
+
+
 def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
     """The greedy loop before kept rows were held in id order: a kept mask,
     out-of-place totals, running-sum updates with one product over all
-    ``n`` rows, and ``drop_row`` (:func:`parent_drop_index` by default).
-    Returns the kept ids and the trace."""
+    ``n`` rows, padded to a multiple of 4 so that copies of one sample tie
+    wherever they sit, and ``drop_row`` (:func:`parent_drop_index` by
+    default). Returns the kept ids and the trace."""
     ids = ctx.batch.ids
     n = len(ids)
     trace = selection.SelectionTrace()
@@ -114,7 +121,7 @@ def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
     threshold = degenerate_threshold(ctx)
     w = np.ones(n)
     v = (w if kept_side else 1.0 - w) @ M
-    Mv = M @ v
+    Mv = padded_matvec(M, v)
 
     for _ in range(n - cfg.budget):
         reg_value = float(np.linalg.norm(v))
@@ -125,7 +132,7 @@ def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
         trace.reg_values.append(reg_value)
         w[drop] = 0.0
         v += step * M[drop]
-        Mv += step * (M @ M[drop])
+        Mv += step * padded_matvec(M, M[drop])
 
     final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
     trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
@@ -137,8 +144,7 @@ def assert_greedy_matches_parent_loop(ctx, cfg, kind, drop_row=parent_drop_index
     included), and the same drop totals within ``1e-13 * max(1, max |total|)``:
     greedy builds each Gram column from transposed products over the
     factors of the columns it holds, padded to a multiple of 4, in another
-    order of operations than the parent's product ``M @ M[d]``, whose last
-    ``n % 4`` rows BLAS also rounds its own way."""
+    order of operations than the parent's product ``M @ M[d]``."""
     buffer, trace = select_greedy(ctx, cfg, kind)
     kept, oracle = parent_select_greedy(ctx, cfg, kind, drop_row)
     assert buffer.ids() == kept
@@ -300,12 +306,16 @@ def duplicated_ctx(rng, n, dim=4, num_classes=2, scattered=False):
     """A logistic context at random parameters over ``n // 2`` samples, each
     twice under two ids in shuffled order: the copies' totals tie exactly.
     The copies sit in adjacent rows or, if ``scattered``, in random rows,
-    never next to each other."""
+    never next to each other; a scattered pool of odd ``n`` also holds one
+    sample without a copy, so that it has ``n`` rows."""
     spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=0.1)
     drawn = [(int(rng.integers(num_classes)), rng.normal(size=dim)) for _ in range(n // 2)]
     ids = rng.permutation(2 * len(drawn))
     pool = [Sample(id=int(ids[2 * i + c]), task_id=0, label=label, features=x)
             for i, (label, x) in enumerate(drawn) for c in (0, 1)]
+    if scattered and n % 2:
+        pool.append(Sample(id=len(pool), task_id=0, label=int(rng.integers(num_classes)),
+                           features=rng.normal(size=dim)))
     if scattered:
         # the copies of sample i are pool rows 2i and 2i + 1
         order = rng.permutation(len(pool))
@@ -322,11 +332,12 @@ def assert_copies_tie(rng, kind, count, scattered=False):
     dim 5) and at the benchmark's (10 classes, dim 20), where BLAS rounds
     the last rows % 4 rows of a product its own way, each at a nu where the
     last bits of the regularizer's gradient barely count and one where they
-    decide between copies. Scattered pools have a multiple of 4 rows: at
-    others, ``scores()`` rounds the tail rows of its product apart."""
+    decide between copies. Scattered pools take each row count modulo 4 in
+    turn, so a copy can sit among the last rows % 4."""
     for num_classes, dim in ((3, 5), (10, 20)):
-        for _ in range(count):
-            n = 4 * int(rng.integers(8, 15)) if scattered else int(rng.integers(30, 60))
+        for i in range(count):
+            n = (4 * int(rng.integers(8, 15)) + i % 4 if scattered
+                 else int(rng.integers(30, 60)))
             ctx = duplicated_ctx(rng, n, dim, num_classes, scattered)
             for nu in (0.5, 50.0):
                 assert_greedy_matches_parent_loop(ctx, CriterionConfig(budget=4, nu=nu), kind,
