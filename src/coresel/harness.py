@@ -399,13 +399,12 @@ def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[
     coreset = list(coreset)
     if len(coreset) < 2:
         raise ValueError("leave-one-out needs a coreset of at least 2 samples")
-    ids = np.array([s.id for s in coreset])
-    models.check_unique_ids(ids, "coreset")
-    kept = [ids != z_id for z_id in drop_ids]
+    full = models.stack_samples(model, coreset)
+    models.check_unique_ids(full.ids, "coreset")
+    kept = [full.ids != z_id for z_id in drop_ids]
     for z_id, mask in zip(drop_ids, kept):
         if mask.all():
             raise ValueError(f"sample {z_id} is not in the coreset")
-    full = models.stack_samples(model, coreset)
     test = models.stack_samples(model, test_set)
     base_params = models.fit(model, full, fit_cfg)
     old_loss = models.loss_sum(model, base_params, test)

@@ -35,16 +35,29 @@ itself, because the pinned scaled run ``p200_seed126`` (see
 ``tests/test_pinned_runs.py``) amplifies the last bits of that gradient
 into a different kept id.
 
-A Newton iterate computes the softmax at its parameters once and hands it
-to both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). A
-line-search trial computes its loss and its softmax from one ``exp``, and
-the iterate after an accepted trial takes both from it; only the first
-iterate, and one after backtracking runs out, evaluates them afresh.
-An influence context likewise shares one softmax of its candidates among
-``grad_matrix``, ``hvp_matrix`` and, when they are its Hessian set,
-``dense_hessian``. Both reuse the very floats the kernels would have
-computed themselves, so the results are bit-identical to computing
-everything anew.
+A Newton fit takes one ``exp`` per point it evaluates: the start, each
+line-search trial and the point where backtracking runs out each get one
+call that returns the loss and the softmax together. An iterate reads
+its point's loss and softmax from that call and hands the softmax to
+both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). The
+fit also builds the constants of its batch once: the row index,
+``sqrt(w)``, ``sqrt(w) X`` and ``sum(w)``, held by a private
+``_FitRows`` that ``grad_sum``, ``dense_hessian`` and the loss accept in
+place of a Batch; given a Batch or a sample list, they build one for the
+call, so each formula has one implementation. An influence context likewise shares
+one softmax of its candidates among ``grad_matrix``, ``hvp_matrix``
+and, when they are its Hessian set, ``dense_hessian``. Both reuse the
+very floats the kernels would have computed themselves, so the results
+are bit-identical to computing everything anew.
+
+A softmax takes each row's max from a class-major copy of the logits,
+because numpy's reduction along a short last axis is 2.5-4.5x slower
+at a few hundred rows and more (10-class rows, or 2-class ones). A
+max involves no rounding, so the shift keeps its bits, up to the sign of
+a zero max where +0.0 and -0.0 tie; such a row has two ``exp`` of 1, so
+no output bit depends on that sign. The row sum stays along the class
+axis: from 9 classes up numpy adds a row in pairwise blocks, and a
+class-major sum would add it in another order.
 
 :func:`mu_factors` gives the rows of ``grad_matrix - mu * hvp_matrix`` in
 factored form, ``w_i (u_i (x) x_i + c)``: each logistic gradient and
@@ -65,6 +78,7 @@ read-only copy of its vector, so the kernels check only its length.
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -234,8 +248,45 @@ def _as_batch(spec: ModelSpec, samples: Samples) -> Batch:
     return samples if isinstance(samples, Batch) else stack_samples(spec, samples)
 
 
+class _FitRows:
+    """A Batch and the constants of it that the summed kernels read, each
+    computed on first use and then kept: the row index, ``sqrt(w)`` as a
+    column, the square-root-weighted features and ``sum(w)``. A Newton fit
+    builds one and hands it to every kernel call of its iterates; a kernel
+    given a Batch or a sample sequence builds its own for the call."""
+
+    def __init__(self, batch: Batch):
+        self.batch = batch
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        return np.arange(len(self.batch.y))
+
+    @cached_property
+    def root_w(self) -> np.ndarray:
+        return np.sqrt(self.batch.w)[:, None]
+
+    @cached_property
+    def root_w_X(self) -> np.ndarray:
+        return self.root_w * self.batch.X
+
+    @cached_property
+    def w_sum(self) -> np.float64:
+        return self.batch.w.sum()
+
+
+def _fit_rows(spec: ModelSpec, samples) -> _FitRows:
+    return samples if isinstance(samples, _FitRows) else _FitRows(_as_batch(spec, samples))
+
+
+def _row_max(logits: np.ndarray) -> np.ndarray:
+    """Each row's max as a column, reduced over a class-major copy (see the
+    module docstring for why its bits are safe)."""
+    return np.ascontiguousarray(logits.T).max(axis=0)[:, None]
+
+
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     e /= e.sum(axis=1, keepdims=True)
     return e
@@ -244,7 +295,7 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def _log_softmax(logits: np.ndarray):
     """``(log_softmax, softmax)`` of each row, from one ``exp`` and one row
     sum; each has the bits of computing it on its own."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - _row_max(logits)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     e /= total
@@ -308,21 +359,21 @@ def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
-    return _loss_and_probs(spec, params, _as_batch(spec, samples))[0]
+    return _loss_and_probs(spec, params, samples)[0]
 
 
-def _loss_and_probs(spec: ModelSpec, params: Params, batch: Batch):
+def _loss_and_probs(spec: ModelSpec, params: Params, samples):
     """:func:`loss_sum` and the softmax at ``params`` it was computed from
     (None for quad1d or an empty batch)."""
-    X, y, w, _ = batch
-    n = len(y)
-    if n == 0:
+    rows = _fit_rows(spec, samples)
+    X, y, w, _ = rows.batch
+    if len(y) == 0:
         return 0.0, None
     if spec.kind == "quad1d":
         return float(0.5 * (w * (params.theta[0] - X[:, 0]) ** 2).sum()), None
     theta = _theta_matrix(spec, params)
     logp, probs = _log_softmax(X @ theta.T)
-    ce = -logp[np.arange(n), y]
+    ce = -logp[rows.index, y]
     l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
     return float((w * (ce + l2)).sum()), probs
 
@@ -363,19 +414,18 @@ def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,
     it agrees with ``grad_matrix(...).sum(axis=0)`` to float64 round-off,
     not bit for bit. quad1d sums its one-column rows.
     """
-    batch = _as_batch(spec, samples)
-    X, y, w, _ = batch
-    n = len(y)
-    if n == 0:
+    rows = _fit_rows(spec, samples)
+    X, y, w, _ = rows.batch
+    if len(y) == 0:
         return np.zeros(spec.param_dim)
     if spec.kind == "quad1d":
-        return grad_matrix(spec, params, batch).sum(axis=0)
+        return grad_matrix(spec, params, rows.batch).sum(axis=0)
     theta = _theta_matrix(spec, params)
     resid = _softmax(X @ theta.T) if probs is None else probs.copy()
-    resid[np.arange(n), y] -= 1.0
+    resid[rows.index, y] -= 1.0
     resid *= w[:, None]
     g = resid.T @ X
-    g += (spec.l2_strength * w.sum()) * theta
+    g += (spec.l2_strength * rows.w_sum) * theta
     return g.ravel()
 
 
@@ -455,27 +505,27 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,
     be the softmax at these ``params``, as in :func:`grad_matrix`; it is
     read, never written.
     """
-    X, _, w, _ = _as_batch(spec, samples)
-    n = len(w)
+    rows = _fit_rows(spec, samples)
+    X = rows.batch.X
+    n = len(X)
     if n == 0:
         raise ValueError("set Hessian is undefined for an empty sample list")
     if spec.kind == "quad1d":
-        return np.array([[w.sum()]])
+        return np.array([[rows.w_sum]])
     C, d, p = spec.num_classes, spec.dim, spec.param_dim
     P = _probs(spec, params, X) if probs is None else probs
-    root_w = np.sqrt(w)[:, None]
     # the products of a broadcast multiply (a zero product may lose its
     # sign, which no sum below can see), in about half its time
-    Z = np.einsum("nc,nd->ncd", root_w * P, X).reshape(n, p)
+    Z = np.einsum("nc,nd->ncd", rows.root_w * P, X).reshape(n, p)
     H = Z.T @ Z
     np.negative(H, out=H)
-    B = (Z.T @ (root_w * X)).reshape(C, d, d)
+    B = (Z.T @ rows.root_w_X).reshape(C, d, d)
     B += B.transpose(0, 2, 1)
     B *= 0.5
     # the diagonal class blocks of H, as a writeable (C, d, d) view
     blocks = np.einsum("cjck->cjk", H.reshape(C, d, C, d))
     blocks += B
-    H.flat[::p + 1] += spec.l2_strength * w.sum()
+    H.flat[::p + 1] += spec.l2_strength * rows.w_sum
     return H
 
 
@@ -498,22 +548,19 @@ def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
             raise ValueError("closed_form fitting is only defined for quad1d")
         z, w = batch.X[:, 0], batch.w
         return Params(np.array([float((w * z).sum() / w.sum())]))
-    return _fit_newton(spec, batch, cfg, init)
+    return _fit_newton(spec, _FitRows(batch), cfg, init)
 
 
-def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
+def _fit_newton(spec: ModelSpec, rows: _FitRows, cfg: FitConfig, init) -> Params:
     params = init if init is not None else Params(np.zeros(spec.param_dim))
-    # loss and softmax at params, once an accepted line-search trial has
-    # computed them
-    base = probs = None
+    # the loss and softmax at params, from the one evaluation of that point
+    base, probs = _loss_and_probs(spec, params, rows)
     for _ in range(NEWTON_MAX_STEPS):
-        if probs is None and spec.kind != "quad1d":
-            probs = _probs(spec, params, batch.X)
-        g = grad_sum(spec, params, batch, probs=probs)
+        g = grad_sum(spec, params, rows, probs=probs)
         g_norm = float(np.linalg.norm(g))
         if g_norm <= cfg.grad_tolerance:
             return params
-        H = dense_hessian(spec, params, batch, probs=probs)
+        H = dense_hessian(spec, params, rows, probs=probs)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -521,21 +568,19 @@ def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
         # backtracking keeps the iteration safe far from the optimum; the
         # slack admits the full Newton step once the decrease is below
         # float roundoff of the loss value
-        if base is None:
-            base = _loss_and_probs(spec, params, batch)[0]
         slack = 1e-12 * (1.0 + abs(base))
         t = 1.0
         while t > 1e-8:
             trial = Params(params.theta - t * step)
-            loss, trial_probs = _loss_and_probs(spec, trial, batch)
+            loss, trial_probs = _loss_and_probs(spec, trial, rows)
             if loss <= base - 1e-4 * t * float(g @ step) + slack:
                 params, base, probs = trial, loss, trial_probs
                 break
             t *= 0.5
         else:
-            # backtracking ran out: the loss and softmax at the new theta are unknown
-            params, base, probs = Params(params.theta - t * step), None, None
-    g_norm = float(np.linalg.norm(grad_sum(spec, params, batch, probs=probs)))
+            params = Params(params.theta - t * step)
+            base, probs = _loss_and_probs(spec, params, rows)
+    g_norm = float(np.linalg.norm(grad_sum(spec, params, rows, probs=probs)))
     if g_norm <= cfg.grad_tolerance:
         return params
     raise FitError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps "

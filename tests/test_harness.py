@@ -294,9 +294,19 @@ class TestLooRetrainDelta:
 
     def test_sample_must_be_in_coreset(self):
         coreset = [qsample(0, 0.0), qsample(1, 2.0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sample 9 is not in the coreset"):
             loo_retrain_delta(QUAD, coreset, coreset, qsample(9, 1.0),
                               FitConfig(method="closed_form"))
+
+    def test_invalid_coreset_sample_is_reported_before_ids(self):
+        """The ids are read from the stacked coreset, so a sample the model
+        rejects is named before a repeated or missing id."""
+        bad = Sample(id=5, task_id=0, label=0, features=[1.0, 2.0])
+        coreset = [qsample(0, 0.0), qsample(3, 2.0), bad, qsample(3, 4.0)]
+        closed = FitConfig(method="closed_form")
+        for z in (coreset[1], qsample(9, 1.0)):
+            with pytest.raises(ValueError, match="sample 5: feature dim 2 != 1"):
+                loo_retrain_delta(QUAD, coreset, coreset[:2], z, closed)
 
     @staticmethod
     def logistic_instance(seed, n=40):

@@ -290,6 +290,60 @@ def oracle_softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def oracle_log_softmax(logits):
+    """Row log-softmax, shifted by the row max taken along the class axis."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def special_rows(num_classes):
+    """Rows of ``num_classes`` logits whose max is a tie, a signed zero or
+    not finite."""
+    rows = [[1.5] * num_classes, [-0.0] * num_classes, [np.inf] * num_classes,
+            [-np.inf] * num_classes, [np.nan] * num_classes]
+    for k in range(num_classes):
+        row = [-1.0] * num_classes
+        row[k] = np.nan
+        rows.append(row)
+    for i in range(num_classes):
+        for j in range(num_classes):
+            if i != j:
+                row = [-2.0] * num_classes
+                row[i], row[j] = 0.0, -0.0
+                rows.append(row)
+                row = [-np.inf] * num_classes
+                row[i], row[j] = 3.0, np.inf if i < j else 3.0
+                rows.append(row)
+    return np.array(rows)
+
+
+class TestRowMaxIsExact:
+    """The class-major row max gives the bits of the max along the class
+    axis: the shift may take the other sign of a zero max, but such a row
+    has two ``exp`` of 1, so every output of the softmax keeps its bits."""
+
+    @pytest.mark.parametrize("n", [1, 3, 24, 212, 1000])
+    @pytest.mark.parametrize("num_classes", [1, 2, 3, 9, 10])
+    def test_softmax_bits_match_the_class_axis_max(self, n, num_classes):
+        rng = np.random.default_rng([n, num_classes])
+        logits = rng.normal(scale=5.0, size=(n, num_classes))
+        cases = [logits]
+        special = special_rows(num_classes)
+        for start in range(0, len(special), n):
+            rows = special[start:start + n]
+            case = logits.copy()
+            case[rng.choice(n, len(rows), replace=False)] = rows
+            cases.append(case)
+        for case in cases:
+            with np.errstate(invalid="ignore"):
+                probs = oracle_softmax(case)
+                log_probs = oracle_log_softmax(case)
+                got = (models._softmax(case), *models._log_softmax(case))
+            for out, want in zip(got, (probs, log_probs, probs)):
+                assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+                assert np.isnan(out[np.isnan(case).any(axis=1)]).all()
+
+
 def oracle_grad_matrix(spec, params, batch):
     """Per-sample gradient rows, each term its own full-size array."""
     X, y, w, _ = batch
@@ -667,12 +721,11 @@ class ExpCounter:
 
 
 @pytest.mark.parametrize("case", ["zero", "far", "runs-out"])
-def test_newton_takes_one_exp_per_iterate_or_trial_and_carries_its_softmax(monkeypatch, case):
-    """One ``exp`` per loss evaluation and one per iterate that follows no
-    accepted trial (the first, and the one after backtracking runs out); an
-    iterate after an accepted trial reads that trial's softmax, bit for bit;
-    and one loss per line-search trial plus one at each base that no
-    accepted trial evaluated."""
+def test_newton_takes_one_exp_per_evaluated_point_and_carries_its_softmax(monkeypatch, case):
+    """One ``exp`` per evaluated point: one loss per line-search trial plus
+    one at each base that no accepted trial evaluated (the start, and the
+    point after backtracking runs out), and every iterate reads the softmax
+    of the evaluation of its own point, bit for bit and by identity."""
     spec, batch, init = newton_case(monkeypatch, case)
     cfg = FitConfig(method="newton")
     evaluated = []
@@ -717,8 +770,8 @@ def test_newton_takes_one_exp_per_iterate_or_trial_and_carries_its_softmax(monke
             assert probs is trial_probs
         else:
             fresh += 1
-    assert fresh == (2 if case == "runs-out" else 1)
-    assert numpy.calls == len(losses) + fresh
+    assert fresh == 0
+    assert numpy.calls == len(losses)
 
 
 class TestParams:

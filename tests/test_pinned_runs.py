@@ -153,6 +153,54 @@ def test_greedy_at_scale_is_pinned():
     assert greedy_at_scale_digests() == GREEDY_AT_SCALE
 
 
+# Newton fits at non-unit weights, from zero and warm-started from the
+# unit-weight optimum, and the leave-one-out deltas of one coreset
+FIT_PATH = {
+    "fit_c2_d10":
+        "029985ebf39f5ddc06cbaa335614a9fad491c1a584c2b69d64b22afb1c72fb45",
+    "fit_c2_d10_warm":
+        "8979bf073cf96ca03b52074d5f4f2c2fe74f1ec63b6104e59ad42c98fe412d7c",
+    "fit_c10_d20":
+        "915a43d38ca85ea184e0aa9e0982466bfdc2c829a6d2e56703545c25d323451a",
+    "fit_c10_d20_warm":
+        "90e06068fec5619f6617f70895bbdbb596376609795723d275677c77a0d146fa",
+    "loo_deltas_n60":
+        "64209f3e7d0aaecfe348bcb28079ad5d1062586ed896b8321cf1b984c0ee9005",
+}
+
+
+def blobs(rng, n, dim, num_classes, l2=0.1):
+    """(spec, samples) of ``n`` Gaussian-blob samples, labels cycling over
+    the classes."""
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=l2)
+    centers = rng.normal(size=(num_classes, dim))
+    return spec, [Sample(id=i, task_id=0, label=i % num_classes,
+                         features=rng.normal(size=dim) + centers[i % num_classes])
+                  for i in range(n)]
+
+
+def fit_path_digests():
+    rng = np.random.default_rng(29)
+    cfg = FitConfig(method="newton")
+    out = {}
+    for num_classes, dim in ((2, 10), (10, 20)):
+        spec, samples = blobs(rng, 150, dim, num_classes)
+        batch = models.stack_samples(spec, samples)
+        weighted = batch.with_weights(rng.uniform(0.5, 2.0, size=len(samples)))
+        name = f"fit_c{num_classes}_d{dim}"
+        out[name] = digest(fit(spec, weighted, cfg).theta.tolist())
+        warm = fit(spec, batch, cfg)
+        out[name + "_warm"] = digest(fit(spec, weighted, cfg, init=warm).theta.tolist())
+    spec, samples = blobs(rng, 120, 5, 3)
+    out["loo_deltas_n60"] = digest(
+        harness.loo_retrain_deltas(spec, samples[:60], samples[60:], cfg).tolist())
+    return out
+
+
+def test_fit_path_is_pinned():
+    assert fit_path_digests() == FIT_PATH
+
+
 @pytest.mark.parametrize("selector", [SelectorKind.REGULARIZED_IF, SelectorKind.RESERVOIR,
                                       SelectorKind.RING])
 def test_run_stacks_each_split_once(monkeypatch, selector):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -621,15 +622,21 @@ class TestGreedy:
         assert context_state(ctx) == state
         assert np.array_equal(ctx.mu_terms(0.5), first)
 
+    @staticmethod
+    def fitted_pools(rng):
+        """(spec, params, pool) of three pools of 300, each scored by a
+        model fitted on 300 further draws."""
+        for _ in range(3):
+            spec, drawn = random_logistic_pool(rng, 600)
+            params = fit(spec, drawn[300:], FitConfig(method="newton", grad_tolerance=1e-10))
+            yield spec, params, drawn[:300]
+
     def test_permuted_candidates_keep_the_drops(self):
         # the drops are the pool's, not its order's: a permuted order moves
         # the Hessian's and the gradients' sums, and so the scores and the
         # shared solve, by rounding only
         rng = np.random.default_rng(25)
-        for _ in range(3):
-            spec, drawn = random_logistic_pool(rng, 600)
-            params = fit(spec, drawn[300:], FitConfig(method="newton", grad_tolerance=1e-10))
-            pool = drawn[:300]
+        for spec, params, pool in self.fitted_pools(rng):
             permuted = [pool[i] for i in rng.permutation(300)]
             contexts = [build_context(spec, params, c, c, damping=0.01) for c in (pool, permuted)]
             for kind, budget in itertools.product(GREEDY_KINDS, (30, 150)):
@@ -638,6 +645,27 @@ class TestGreedy:
                 assert buffer.id_set() == other.id_set()
                 assert [i for i, _ in trace.drop_order] == [i for i, _ in oracle.drop_order]
                 assert_totals_close(trace, oracle)
+
+    def test_relabelled_candidates_keep_the_drops(self):
+        # ids only name the rows and break ties, so a strictly increasing
+        # map of them moves no float and no pick
+        def relabel(i):
+            return 3 * i + 1000
+
+        for spec, params, pool in self.fitted_pools(np.random.default_rng(25)):
+            relabelled = [replace(s, id=relabel(s.id)) for s in pool]
+            contexts = [build_context(spec, params, c, c, damping=0.01)
+                        for c in (pool, relabelled)]
+            for kind, budget in itertools.product(GREEDY_KINDS, (30, 150)):
+                cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
+                (buffer, trace), (other, mapped) = (select_greedy(c, cfg, kind) for c in contexts)
+                assert other.ids() == tuple(map(relabel, buffer.ids()))
+                assert mapped.drop_order == [(relabel(i), t) for i, t in trace.drop_order]
+                for got, want in (([t for _, t in mapped.drop_order],
+                                   [t for _, t in trace.drop_order]),
+                                  (mapped.reg_values, trace.reg_values),
+                                  ([mapped.final_criterion], [trace.final_criterion])):
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestGreedyMatchesParentLoop:
