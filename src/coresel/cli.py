@@ -12,9 +12,11 @@ only to name its key, flag or file.
 
 import argparse
 import csv
+import ctypes
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +36,13 @@ from .numkit import DEFAULT_DAMPING, ArgumentError, check_real
 from .selection import SelectorKind, select_greedy
 
 SWEEP_POINT_LIMIT = 100
+
+# the CLI's glibc mallopt settings (see _keep_freed_heap): M_TRIM_THRESHOLD
+# (-1) at 64 MiB and a fixed M_MMAP_THRESHOLD (-3) at 32 MiB
+_MALLOPT_SETTINGS = ((-1, 64 << 20), (-3, 32 << 20))
+# a user who sets any of these has set the allocator, and the CLI leaves it be
+_MALLOC_ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_",
+               "MALLOC_MMAP_MAX_")
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +497,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _keep_freed_heap() -> None:
+    """Have glibc keep the heap a command frees, once per process.
+
+    A selection step frees a few MB of arrays (the set Hessian, its
+    Cholesky factor and inverse, the gradient rows); by default glibc
+    returns the heap top to the system, or serves such arrays by ``mmap``,
+    and the next step faults the pages back in. Raising the trim threshold
+    and fixing the mmap threshold keeps them mapped; the allocator picks
+    addresses only, so no output changes. Nothing is set when the libc is
+    not glibc or the user has set any malloc parameter; nothing raises.
+    """
+    tunables = os.environ.get("GLIBC_TUNABLES", "")
+    if any(name in os.environ for name in _MALLOC_ENV) or "glibc.malloc." in tunables:
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for param, value in _MALLOPT_SETTINGS:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code: 2 for a usage error, a
     ``ValueError`` (bad input, by the library's contract) or an input path
     that is missing, is a directory or runs through a file, 1 for any other
     exception (a ``RuntimeError`` is a failed run)."""
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

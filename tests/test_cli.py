@@ -4,7 +4,10 @@ import csv
 import gc
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -725,3 +728,114 @@ class TestSelectCommand:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["select", "--data", "x.csv"]) == 2  # missing --m
+
+
+def _is_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError):
+        return False
+
+
+class TestAllocatorPolicy:
+    """``cli.main`` has glibc keep the heap it frees, unless the user has
+    set the allocator; the library itself sets no process-wide state."""
+
+    ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_",
+           "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+
+    class FakeLibc:
+        def __init__(self):
+            self.calls, self.returns = [], 1
+            # a function, not a method, so that it takes argtypes and restype
+            self.mallopt = lambda param, value: self.calls.append((param, value)) or self.returns
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """A fake libc behind ``ctypes.CDLL``, on glibc, with no user
+        allocator settings; the once-per-process cache starts and ends
+        empty."""
+        fake = self.FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: fake)
+        monkeypatch.setattr(cli.os, "confstr", lambda name: "glibc 2.36")
+        for var in self.ENV:
+            monkeypatch.delenv(var, raising=False)
+        cli._keep_freed_heap.cache_clear()
+        yield fake
+        cli._keep_freed_heap.cache_clear()
+
+    def test_sets_both_thresholds_once_per_process(self, libc):
+        cli._keep_freed_heap()
+        cli._keep_freed_heap()
+        assert libc.calls == [(-1, 64 << 20), (-3, 32 << 20)]
+
+    @pytest.mark.parametrize("var, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "0"), ("MALLOC_TOP_PAD_", "4096"),
+        ("MALLOC_MMAP_THRESHOLD_", "131072"), ("MALLOC_MMAP_MAX_", "0"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=0"),
+        ("GLIBC_TUNABLES", "glibc.rtld.nns=2:glibc.malloc.arena_max=1")])
+    def test_user_allocator_settings_take_precedence(self, libc, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        cli._keep_freed_heap()
+        assert libc.calls == []
+
+    def test_unrelated_tunables_leave_the_policy_on(self, libc, monkeypatch):
+        monkeypatch.setenv("GLIBC_TUNABLES", "glibc.rtld.nns=2")
+        cli._keep_freed_heap()
+        assert len(libc.calls) == 2
+
+    @staticmethod
+    def unsupported_name(name):
+        raise ValueError("unrecognized configuration name")
+
+    @pytest.mark.parametrize("confstr", [lambda name: None, unsupported_name],
+                             ids=["unset", "unsupported"])
+    def test_does_nothing_off_glibc(self, libc, monkeypatch, confstr):
+        monkeypatch.setattr(cli.os, "confstr", confstr)
+        cli._keep_freed_heap()
+        assert libc.calls == []
+
+    def test_missing_mallopt_is_a_silent_no_op(self, monkeypatch, libc):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_heap() is None
+
+    def test_a_refusing_mallopt_is_a_silent_no_op(self, libc):
+        libc.returns = 0
+        assert cli._keep_freed_heap() is None
+        assert len(libc.calls) == 2
+
+    def test_main_sets_the_policy_before_parsing(self, monkeypatch, capsys):
+        order = []
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: order.append("heap"))
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: order.append("parse") or build_parser())
+        assert main(["no-such-command"]) == 2
+        assert order == ["heap", "parse"]
+
+    @pytest.mark.skipif(not _is_glibc(), reason="the policy applies to glibc only")
+    def test_a_second_run_in_one_process_faults_no_pages_back_in(self, tmp_path):
+        """Two scaled runs (p = 200) in one fresh process; the second one
+        reuses the heap the first freed. Second-run minor faults over 30
+        fresh processes each (2-vCPU Xeon VM, glibc 2.36, numpy 2.4): 19-25
+        with the policy, 10,650-10,840 without it (9,826-9,830 with one
+        BLAS thread)."""
+        code = ("import contextlib, io, resource, sys\n"
+                "from coresel import cli\n"
+                "faults = []\n"
+                "for _ in range(2):\n"
+                "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert cli.main(sys.argv[1:]) == 0\n"
+                "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+                "print(*faults)\n")
+        argv = ["run", "--config", str(CONFIGS / "example_run.cfg"), "--out", str(tmp_path)]
+        for assignment in ("stream.samples_per_class=40", "criterion.m=60",
+                           "stream.dim=20", "model.dim=20"):
+            argv += ["--set", assignment]
+        env = {k: v for k, v in os.environ.items() if k not in self.ENV}
+        env["PYTHONPATH"] = str(ROOT / "src")
+        out = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                             timeout=120, capture_output=True, text=True).stdout
+        _, second = map(int, out.split())
+        assert second < 1_000

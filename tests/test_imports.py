@@ -1,5 +1,6 @@
 """Every top-level import of a ``coresel`` module is used in that module,
-and every module-level private name is read somewhere in the package.
+every module-level private name is read somewhere in the package, and no
+module but the CLI reaches the C allocator.
 
 No linter ships with the package's test dependencies, so these stdlib
 ``ast`` checks stand in for the unused-import and dead-code rules.
@@ -83,3 +84,40 @@ def test_private_name_check_flags_names_read_only_by_themselves():
               "class _Dead:\n    pass\n")
     other = "from . import mod\nx = mod._helper()\n"
     assert unread_private_names([source, other]) == ["_unused", "_recurse", "_Dead"]
+
+
+# process-wide allocator settings belong to the CLI entry, which owns its
+# process; the library is called from processes it does not own
+ALLOCATOR_NAMES = {"ctypes", "mallopt"}
+
+
+def allocator_references(source: str) -> list:
+    """Imports, names and attributes of ``source`` that reach ``ctypes`` or
+    ``mallopt``, in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[0]] + [a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in ALLOCATOR_NAMES]
+    return [name for _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"],
+                         ids=lambda p: p.stem)
+def test_only_the_cli_reaches_the_allocator(path):
+    assert allocator_references(path.read_text(encoding="utf-8")) == []
+
+
+def test_allocator_check_flags_every_kind_of_reference():
+    source = ("import ctypes.util\nfrom ctypes import CDLL\n"
+              "def f(lib):\n    return lib.mallopt(-1, 0)\n")
+    assert allocator_references(source) == ["ctypes", "ctypes", "mallopt"]
+    assert allocator_references((SRC / "cli.py").read_text(encoding="utf-8"))
