@@ -383,25 +383,19 @@ def loo_retrain_delta(model: ModelSpec, coreset: Sequence[Sample],
 
 
 def loo_retrain_deltas(model: ModelSpec, coreset: Sequence[Sample],
-                       test_set: Sequence[Sample], fit_cfg: FitConfig,
-                       base: Optional[Params] = None) -> np.ndarray:
+                       test_set: Sequence[Sample], fit_cfg: FitConfig) -> np.ndarray:
     """:func:`loo_retrain_delta` of every coreset sample, in coreset order.
 
     Fits the base model once and warm-starts each refit from it, so the
     deltas are the same floats as one call per sample at half the fits.
-    ``base``, the coreset's own fit under ``fit_cfg``, skips that fit; an
-    ``ArgumentError`` names it when its summed gradient on the coreset
-    exceeds ``fit_cfg.grad_tolerance``.
     """
-    return _loo_refits(model, coreset, test_set, [s.id for s in coreset], fit_cfg, base)
+    return _loo_refits(model, coreset, test_set, [s.id for s in coreset], fit_cfg)
 
 
 def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[Sample],
-                drop_ids: Sequence[int], fit_cfg: FitConfig,
-                base: Optional[Params] = None) -> np.ndarray:
+                drop_ids: Sequence[int], fit_cfg: FitConfig) -> np.ndarray:
     """Change in summed test loss from leaving each of ``drop_ids`` out of
-    the coreset, each refit warm-started from one fit of the whole coreset
-    (``base`` when given)."""
+    the coreset, each refit warm-started from one fit of the whole coreset."""
     coreset = list(coreset)
     if len(coreset) < 2:
         raise ValueError("leave-one-out needs a coreset of at least 2 samples")
@@ -412,18 +406,11 @@ def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[
         if mask.all():
             raise ValueError(f"sample {z_id} is not in the coreset")
     test = models.stack_samples(model, test_set)
-    if base is None:
-        base = models.fit(model, full, fit_cfg)
-    else:
-        g_norm = float(np.linalg.norm(models.grad_sum(model, base, full)))
-        if not g_norm <= fit_cfg.grad_tolerance:
-            raise ArgumentError("base", f"base has |summed gradient| {g_norm:.3e} on the "
-                                        f"coreset, above grad_tolerance "
-                                        f"{fit_cfg.grad_tolerance:.3e}")
-    old_loss = models.loss_sum(model, base, test)
+    base_params = models.fit(model, full, fit_cfg)
+    old_loss = models.loss_sum(model, base_params, test)
     deltas = np.empty(len(kept))
     for i, mask in enumerate(kept):
-        new_params = models.fit(model, full.rows(mask), fit_cfg, init=base)
+        new_params = models.fit(model, full.rows(mask), fit_cfg, init=base_params)
         deltas[i] = models.loss_sum(model, new_params, test) - old_loss
     return deltas
 

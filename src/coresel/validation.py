@@ -116,7 +116,7 @@ def suite_logistic_loo():
         params = fit(spec, train, cfg)
         ctx = build_context(spec, params, test, train, damping=0.0)
         scores = -(models.grad_matrix(spec, params, train) @ ctx.ihvp)
-        deltas = loo_retrain_deltas(spec, train, test, cfg, base=params)
+        deltas = loo_retrain_deltas(spec, train, test, cfg)
         worst = min(worst, float(np.corrcoef(deltas, -scores)[0, 1]))
     return worst >= 0.95, f"min corr(retrain delta, -score) = {worst:.4f} (need >= 0.95)"
 

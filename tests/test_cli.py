@@ -741,8 +741,7 @@ class TestAllocatorPolicy:
     """``cli.main`` has glibc keep the heap it frees, unless the user has
     set the allocator; the library itself sets no process-wide state."""
 
-    ENV = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_", "MALLOC_MMAP_THRESHOLD_",
-           "MALLOC_MMAP_MAX_", "GLIBC_TUNABLES")
+    ENV = (*cli._MALLOC_ENV, "GLIBC_TUNABLES")
 
     class FakeLibc:
         def __init__(self):

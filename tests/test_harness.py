@@ -24,7 +24,7 @@ from coresel.harness import (
 )
 from coresel.influence import CriterionConfig
 from coresel.models import FitConfig, ModelSpec, Sample
-from coresel.numkit import ArgumentError, SolveError
+from coresel.numkit import SolveError
 from coresel.selection import ReplayBuffer, SelectorKind
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
@@ -369,27 +369,6 @@ class TestLooRetrainDelta:
         loo_retrain_deltas(spec, train, test, FitConfig())
         assert len(inits) == 11 and inits[0] is None
         assert all(init is not None for init in inits[1:])
-
-    def test_sweep_from_a_fitted_base_skips_its_fit_and_keeps_the_bits(self, monkeypatch):
-        spec, train, test = self.logistic_instance(56, n=12)
-        cfg = FitConfig(grad_tolerance=1e-10)
-        base = models.fit(spec, train, cfg)
-        expected = loo_retrain_deltas(spec, train, test, cfg).tolist()
-        inits = []
-        original = models.fit
-        monkeypatch.setattr(models, "fit", lambda spec, samples, cfg, init=None:
-                            inits.append(init) or original(spec, samples, cfg, init=init))
-        assert loo_retrain_deltas(spec, train, test, cfg, base=base).tolist() == expected
-        assert len(inits) == 12 and all(init is base for init in inits)
-
-    def test_sweep_rejects_a_base_off_the_coreset_optimum(self):
-        spec, train, test = self.logistic_instance(57, n=12)
-        cfg = FitConfig(grad_tolerance=1e-10)
-        # fitted on other samples: its gradient on the coreset is far from 0
-        stale = models.fit(spec, test, cfg)
-        with pytest.raises(ArgumentError, match="base has .* above grad_tolerance") as info:
-            loo_retrain_deltas(spec, train, test, cfg, base=stale)
-        assert info.value.argument == "base"
 
     def test_sweep_needs_two_samples(self):
         with pytest.raises(ValueError):
