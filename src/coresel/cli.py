@@ -53,7 +53,7 @@ def parse_flat_file(path) -> dict:
     """Read a flat key=value config file into an ordered dict of strings.
     A key set twice is an error that names both lines."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     flat, first_line = {}, {}

@@ -10,8 +10,8 @@ which average accuracy and backward transfer are derived. A run stacks the
 stream's splits once, checking every sample against the model there; from
 then on the buffer, the oracle reservoir, replay draws and candidate pools
 are integer rows into those arrays. A selection round's candidates reach
-the influence context as a ``Batch`` of their rows, and the rows whose
-ids greedy keeps become the new buffer. Each selection step leaves one
+the influence context as a ``Batch`` of their rows, and greedy's keep
+mask over them picks the new buffer's rows. Each selection step leaves one
 :class:`StepRecord` in the report.
 
 For validating influence estimates the module provides the exact
@@ -200,7 +200,7 @@ def _parse_csv_samples(path: str):
     """Read one sample file, reporting schema violations, non-finite
     features, negative tasks or labels, ids or labels outside int64 and
     repeated sample ids by row (and column, where one is at fault)."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             reader = csv.reader(fh.readlines())
         except UnicodeDecodeError as exc:
@@ -655,7 +655,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                                                   oracle.min_overlap)
                         if selector in GREEDY_KINDS:
                             selected, _ = select_greedy(ctx, criterion, selector)
-                            buffer = rows[np.isin(ctx.batch.ids, selected.ids())]
+                            buffer = rows[selected.kept]
                         # release the context before the next SGD steps
                         del ctx
                     if selector is SelectorKind.RESERVOIR:

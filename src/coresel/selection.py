@@ -28,11 +28,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
 from .influence import CriterionConfig, InfluenceContext, _keep_masks, regularizer
-from .models import check_unique_ids
 from .numkit import matvec_by_fours
 
 EXHAUSTIVE_GUARD = 20
@@ -62,21 +62,16 @@ GREEDY_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class ReplayBuffer:
-    """The ids a selector kept, in candidate order."""
+class ReplayBuffer(NamedTuple):
+    """A selector's keep flags, one bool per context candidate, next to the
+    candidates' ids."""
 
-    kept: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "kept", tuple(map(int, self.kept)))
-        check_unique_ids(self.kept, "buffer contains duplicate sample ids")
+    kept: np.ndarray
+    candidate_ids: np.ndarray
 
     def ids(self) -> tuple:
-        return self.kept
-
-    def id_set(self) -> frozenset:
-        return frozenset(self.kept)
+        """The kept ids, in candidate order."""
+        return tuple(self.candidate_ids[self.kept].tolist())
 
 
 @dataclass
@@ -132,7 +127,8 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     scores (see :func:`_select_by_score`). A budget that does not bind
     (``budget >= n``) gives no drops and the criterion of keeping every
     candidate. A NaN total raises ValueError naming the lowest-id NaN row.
-    Returns the resulting buffer plus a :class:`SelectionTrace`.
+    Returns the keep mask over the candidates, as a :class:`ReplayBuffer`,
+    plus a :class:`SelectionTrace`.
     """
     if kind not in GREEDY_KINDS:
         raise ValueError(f"{kind} is not a greedy influence selector")
@@ -214,11 +210,11 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
 
     trace.drop_order = list(zip(ids[dropped].tolist(), drop_totals.tolist()))
     trace.reg_values = reg_values.tolist()
-    kept = np.zeros(n)
-    kept[rows[alive]] = 1.0
-    final_reg = float(np.linalg.norm((kept if kept_side else 1.0 - kept) @ M))
-    trace.final_criterion = float(all_scores[kept == 1.0].sum()) + cfg.nu * final_reg
-    return ReplayBuffer(ids[kept == 1.0]), trace
+    kept = np.zeros(n, dtype=bool)
+    kept[rows[alive]] = True
+    final_reg = float(np.linalg.norm((kept if kept_side else ~kept) @ M))
+    trace.final_criterion = float(all_scores[kept].sum()) + cfg.nu * final_reg
+    return ReplayBuffer(kept, ids), trace
 
 
 def _select_by_score(ctx: InfluenceContext, cfg: CriterionConfig):
@@ -240,7 +236,7 @@ def _select_by_score(ctx: InfluenceContext, cfg: CriterionConfig):
     trace = SelectionTrace(drop_order=[(int(ids[d]), float(totals[d])) for d in drops],
                            reg_values=[0.0] * drops.size,
                            final_criterion=float(scores[kept].sum()) + cfg.nu * 0.0)
-    return ReplayBuffer(ids[kept]), trace
+    return ReplayBuffer(kept, ids), trace
 
 
 def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
@@ -279,7 +275,7 @@ def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuff
     values = criterion_values(ctx, cfg, masks)
     tied = np.flatnonzero(values == values.min())
     best = min(tied, key=lambda c: sorted(ids[i] for i in combos[c]))
-    return ReplayBuffer([ids[i] for i in combos[best]])
+    return ReplayBuffer(masks[best] == 1.0, ctx.batch.ids)
 
 
 def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,

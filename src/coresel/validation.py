@@ -253,7 +253,7 @@ def suite_selector_equivalences():
                               SelectorKind.REGULARIZED_IF)
         b2, _ = select_greedy(ctx, CriterionConfig(budget=m, mu=0.0, nu=0.05),
                               SelectorKind.IF_GRAD_MATCH)
-        if a1.id_set() == b1.id_set() and a2.id_set() == b2.id_set():
+        if np.array_equal(a1.kept, b1.kept) and np.array_equal(a2.kept, b2.kept):
             exact += 1
     return exact == trials, f"{exact}/{trials} instances id-exact (need all)"
 
@@ -270,8 +270,8 @@ def suite_greedy_quality():
         greedy, _ = select_greedy(ctx, cfg)
         exhaustive = select_exhaustive(ctx, cfg)
         masks = np.zeros((1002, 12))
-        masks[0] = np.isin(ctx.batch.ids, greedy.ids())
-        masks[1] = np.isin(ctx.batch.ids, exhaustive.ids())
+        masks[0] = greedy.kept
+        masks[1] = exhaustive.kept
         for mask in masks[2:]:
             mask[rng.choice(12, size=6, replace=False)] = 1.0
         g_value, e_value, *values = criterion_values(ctx, cfg, masks)

@@ -539,6 +539,42 @@ def test_readme_key_table_matches_the_schema():
     assert sorted(keys) == sorted(_SCHEMA)
 
 
+BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """An input file saved with a UTF-8 byte-order mark reads as the same
+    file without it."""
+
+    def test_config_runs_byte_identically(self, tmp_path, capsys):
+        reports = []
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(prefix + BASE_CONFIG.lstrip().encode())
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / name)]) == 0
+            reports.append((tmp_path / name / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_grid_sweeps(self, config_file, tmp_path, capsys):
+        grid = tmp_path / "grid.cfg"
+        grid.write_bytes(BOM + b"# two points\ngrid.nu = 0, 0.1\n")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(config_file), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+        with (out / "sweep.csv").open() as fh:
+            assert [float(r["nu"]) for r in csv.DictReader(fh)] == [0.0, 0.1]
+
+    def test_sample_csv_selects_the_same_ids(self, tmp_path, capsys):
+        body = b"id,task,label,f0\n0,0,0,-1.0\n1,0,1,1.0\n2,0,0,-2.0\n3,0,1,0.5\n"
+        printed = []
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            data = tmp_path / f"{name}.csv"
+            data.write_bytes(prefix + body)
+            assert main(["select", "--data", str(data), "--m", "2"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] and len(printed[0].split()) == 2
+
+
 class TestShippedConfigs:
     def test_example_run_config_runs(self, tmp_path, capsys):
         assert main(["run", "--config", str(CONFIGS / "example_run.cfg"),

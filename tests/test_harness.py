@@ -436,7 +436,8 @@ class TestRunContinual:
 
     @pytest.mark.parametrize("selector, target, keep_all", [
         (SelectorKind.REGULARIZED_IF, "select_greedy",
-         lambda ctx, criterion, kind: (ReplayBuffer(ctx.batch.ids), None)),
+         lambda ctx, criterion, kind: (ReplayBuffer(np.ones(len(ctx.batch.ids), dtype=bool),
+                                                   ctx.batch.ids), None)),
         (SelectorKind.RESERVOIR, "_reservoir_rows",
          lambda rows, capacity, batch, offered, rng: np.concatenate([rows, batch])),
         (SelectorKind.RING, "ring_slots",

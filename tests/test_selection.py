@@ -386,7 +386,7 @@ class TestGreedy:
         buffer, trace = select_greedy(ctx, CriterionConfig(budget=2, nu=0.0),
                                       SelectorKind.VANILLA_IF)
         assert trace.drop_order[0][0] == 0
-        assert buffer.id_set() == {1, 2}
+        assert set(buffer.ids()) == {1, 2}
 
     def test_capacity_always_respected(self):
         rng = np.random.default_rng(0)
@@ -414,7 +414,7 @@ class TestGreedy:
                                     SelectorKind.REGULARIZED_IF)
             vanilla, _ = select_greedy(ctx, CriterionConfig(budget=m, nu=0.0),
                                        SelectorKind.VANILLA_IF)
-            assert ours.id_set() == vanilla.id_set()
+            assert set(ours.ids()) == set(vanilla.ids())
 
     def test_mu_zero_matches_grad_match(self):
         # if_grad_match reads no mu: it is regularized_if at mu = 0
@@ -427,7 +427,7 @@ class TestGreedy:
             for mu in (0.0, 0.7):
                 match, _ = select_greedy(ctx, CriterionConfig(budget=m, mu=mu, nu=0.5),
                                          SelectorKind.IF_GRAD_MATCH)
-                assert ours.id_set() == match.id_set()
+                assert set(ours.ids()) == set(match.ids())
 
     def test_diversity_kind_runs_and_respects_budget(self):
         rng = np.random.default_rng(9)
@@ -555,8 +555,7 @@ class TestGreedy:
             ctx = off_optimum_ctx(rng, int(rng.integers(8, 20)))
             cfg = CriterionConfig(budget=len(ctx.batch.ids) // 3, mu=mu, nu=0.3)
             buffer, trace = select_greedy(ctx, cfg, kind)
-            kept_mask = np.isin(ctx.batch.ids, buffer.ids())
-            assert trace.final_criterion == criterion_value(ctx, cfg, kept_mask)
+            assert trace.final_criterion == criterion_value(ctx, cfg, buffer.kept)
 
     @pytest.mark.parametrize("budget", [8, 11])
     def test_budget_not_binding_gives_the_all_kept_criterion(self, budget):
@@ -597,8 +596,9 @@ class TestGreedy:
         dropped = [i for i, _ in trace.drop_order]
         assert len(buffer.ids()) == min(m, n)
         assert all(type(i) is int for i in buffer.ids())   # JSON-able as they are
-        assert list(buffer.ids()) == [i for i in ids if i in buffer.id_set()]
-        assert set(buffer.ids()) <= set(ids)
+        kept = set(buffer.ids())
+        assert list(buffer.ids()) == [i for i in ids if i in kept]
+        assert kept <= set(ids)
         assert len(dropped) == max(n - m, 0)
         assert sorted(dropped + list(buffer.ids())) == sorted(ids)
 
@@ -642,7 +642,7 @@ class TestGreedy:
             for kind, budget in itertools.product(GREEDY_KINDS, (30, 150)):
                 cfg = CriterionConfig(budget=budget, mu=0.5, nu=1.0)
                 (buffer, trace), (other, oracle) = (select_greedy(c, cfg, kind) for c in contexts)
-                assert buffer.id_set() == other.id_set()
+                assert set(buffer.ids()) == set(other.ids())
                 assert [i for i, _ in trace.drop_order] == [i for i, _ in oracle.drop_order]
                 assert_totals_close(trace, oracle)
 
@@ -735,7 +735,7 @@ class TestExhaustive:
         buffer = select_exhaustive(ctx, CriterionConfig(budget=m, nu=0.0))
         scores = ctx.scores()
         expected = set(ctx.batch.ids[np.argsort(scores)[:m]].tolist())
-        assert buffer.id_set() == expected
+        assert set(buffer.ids()) == expected
 
     @pytest.mark.parametrize("nu", [0.0, 0.5])
     def test_ties_resolve_to_smallest_id_tuple(self, nu):
@@ -758,9 +758,8 @@ class TestExhaustive:
             cfg = CriterionConfig(budget=5)
             exhaustive = select_exhaustive(ctx, cfg)
             greedy, _ = select_greedy(ctx, cfg)
-            mask_e = np.isin(ctx.batch.ids, exhaustive.ids())
-            mask_g = np.isin(ctx.batch.ids, greedy.ids())
-            assert criterion_value(ctx, cfg, mask_e) <= criterion_value(ctx, cfg, mask_g) + 1e-12
+            assert (criterion_value(ctx, cfg, exhaustive.kept)
+                    <= criterion_value(ctx, cfg, greedy.kept) + 1e-12)
 
     def test_criterion_rejects_non_binary_mask(self):
         rng = np.random.default_rng(18)
@@ -802,7 +801,7 @@ class TestExhaustive:
             for _ in range(4):
                 ctx = make(rng, 10)
                 cfg = CriterionConfig(budget=int(rng.integers(1, 11)), nu=0.5)
-                pick = np.isin(ctx.batch.ids, select_exhaustive(ctx, cfg).ids())
+                pick = select_exhaustive(ctx, cfg).kept
                 oracle = np.isin(ctx.batch.ids, scratch_exhaustive(ctx, cfg))
                 assert criterion_value(ctx, cfg, pick) == pytest.approx(
                     criterion_value(ctx, cfg, oracle), rel=1e-12)
@@ -824,7 +823,7 @@ class TestExhaustive:
             cfg = CriterionConfig(budget=6)
             greedy, _ = selection.select_greedy(ctx, cfg)
             masks = np.zeros((1001, 12))
-            masks[0] = np.isin(ctx.batch.ids, greedy.ids())
+            masks[0] = greedy.kept
             for mask in masks[1:]:
                 mask[rng.choice(12, size=6, replace=False)] = 1.0
             g_value, *values = criterion_values(ctx, cfg, masks)
@@ -975,10 +974,23 @@ class TestRing:
             ring_slots(labels, 4, num_classes=2)
 
 
-class TestReplayBuffer:
-    # in the second, id 4 repeats too, but id 1 is met a second time first
-    @pytest.mark.parametrize("kept, first, second", [([0, 0], 0, 1), ([4, 1, 7, 1, 4, 1], 1, 3)])
-    def test_rejects_duplicate_ids_naming_the_first_repeat(self, kept, first, second):
-        with pytest.raises(ValueError, match=f"duplicate sample ids: sample id {kept[first]} "
-                                             f"appears at positions {first} and {second}"):
-            ReplayBuffer(kept)
+class TestSelectionResult:
+    @pytest.mark.parametrize("select", [
+        *(pytest.param(lambda ctx, cfg, kind=kind: select_greedy(ctx, cfg, kind)[0],
+                       id=kind.value) for kind in GREEDY_KINDS),
+        pytest.param(select_exhaustive, id="exhaustive"),
+    ])
+    @pytest.mark.parametrize("make", [shuffled_ids_ctx, weighted_ctx])
+    def test_result_is_a_keep_mask_over_the_candidates(self, make, select):
+        # ids out of row order, or rows weighted: the mask flags context
+        # rows, and ids() reads the kept ids off it in candidate order
+        rng = np.random.default_rng(26)
+        for n, budget in ((11, 4), (7, 7), (5, 8)):
+            ctx = make(rng, n)
+            buffer = select(ctx, CriterionConfig(budget=budget, mu=0.5, nu=0.5))
+            assert isinstance(buffer, ReplayBuffer)
+            assert buffer.kept.dtype == bool and buffer.kept.shape == (n,)
+            assert np.count_nonzero(buffer.kept) == min(budget, n)
+            assert np.array_equal(buffer.kept, np.isin(ctx.batch.ids, buffer.ids()))
+            kept = set(buffer.ids())
+            assert buffer.ids() == tuple(i for i in ctx.batch.ids.tolist() if i in kept)
