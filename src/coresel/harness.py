@@ -253,10 +253,12 @@ def _load_csv_stream(spec: StreamSpec) -> Stream:
     train, dim = _parse_csv_samples(spec.train_csv)
     test, test_dim = _parse_csv_samples(spec.test_csv)
     if dim != test_dim:
-        raise ValueError(f"train file has {dim} features but test file has {test_dim}")
+        raise ValueError(f"{spec.test_csv}: test file has {test_dim} features but train "
+                         f"file {spec.train_csv} has {dim}")
     task_ids = sorted({s.task_id for s in train})
     if len(task_ids) < 2:
-        raise ValueError("a stream needs at least 2 tasks")
+        raise ValueError(f"{spec.train_csv}: a stream needs at least 2 tasks, "
+                         f"got {len(task_ids)}")
     orphan = next((s for s in test if s.task_id not in task_ids), None)
     if orphan is not None:
         raise ValueError(f"{spec.test_csv}: sample id {orphan.id}: task {orphan.task_id} "
@@ -267,7 +269,7 @@ def _load_csv_stream(spec: StreamSpec) -> Stream:
         t_train = tuple(s for s in train if s.task_id == t)
         t_test = tuple(s for s in test if s.task_id == t)
         if not t_test:
-            raise ValueError(f"test file has no rows for task {t}")
+            raise ValueError(f"{spec.test_csv}: no rows for task {t}")
         tasks.append(TaskData(t_train, t_test))
     return Stream(tuple(tasks), spec.batch_size, dim, num_classes)
 
@@ -587,6 +589,11 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     """
     if model.kind != "logistic":
         raise ArgumentError("model", "the continual loop drives classification models only")
+    num_tasks = len(stream.tasks)
+    if num_tasks < 2:
+        # backward transfer is undefined for fewer than 2 tasks
+        raise ArgumentError("stream", f"the continual loop needs at least 2 tasks, "
+                                      f"got {num_tasks}")
     check_int("seed", seed, 0)
     total = stream.total_train_size()
     if criterion.budget > total:
@@ -620,7 +627,6 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     offered = 0       # samples offered so far, to both reservoirs alike
     oracle_rows = _NO_ROWS
 
-    num_tasks = len(stream.tasks)
     matrix = AccuracyMatrix.empty(num_tasks)
     steps: list = []
 
@@ -675,7 +681,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
         for tj in range(ti + 1):
             matrix.set(ti, tj, models.accuracy(model, params, tests[tj]))
 
-    acc, bwt = acc_bwt(matrix) if num_tasks >= 2 else (float(matrix.values[0, 0]), 0.0)
+    acc, bwt = acc_bwt(matrix)
     return RunReport(seed=seed, selector=selector.value, acc_matrix=matrix,
                      acc=acc, bwt=bwt, steps=steps)
 

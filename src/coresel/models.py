@@ -40,12 +40,10 @@ line-search trial and the point where backtracking runs out each get one
 call that returns the loss and the softmax together. An iterate reads
 its point's loss and softmax from that call and hands the softmax to
 both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). The
-fit also builds the constants of its batch once: the row index,
-``sqrt(w)``, ``sqrt(w) X`` and ``sum(w)``, held by a private
-``_FitRows`` that ``grad_sum``, ``dense_hessian`` and the loss accept in
-place of a Batch; given a Batch or a sample list, they build one for the
-call, so each formula has one implementation. An influence context likewise shares
-one softmax of its candidates among ``grad_matrix``, ``hvp_matrix``
+constants those kernels read (the row index, ``sqrt(w)``, ``sqrt(w) X``
+and ``sum(w)``) are kept on the :class:`Batch`, so the fit computes them
+once for all its iterates. An influence context likewise shares one
+softmax of its candidates among ``grad_matrix``, ``hvp_matrix``
 and, when they are its Hessian set, ``dense_hessian``. Both reuse the
 very floats the kernels would have computed themselves, so the results
 are bit-identical to computing everything anew.
@@ -65,7 +63,7 @@ Hessian-vector row is a class residual times the sample's features, plus
 the L2 term shared by all rows. The dot product of two rows then reads
 ``num_classes + dim + 2`` numbers per row instead of ``param_dim``.
 
-Every batch helper takes either a sample sequence or a :class:`Batch`.
+Every batch helper takes a :class:`Batch` or a sample list.
 :func:`stack_samples` is the one place a sample set is validated against
 the model, by array comparisons over the whole set, and stacked into a
 ``Batch`` of read-only arrays, sample ids included; a helper given a
@@ -172,17 +170,27 @@ def _check_sample(spec: ModelSpec, sample: Sample):
         raise ValueError(f"sample {sample.id}: label {sample.label} outside [0, {spec.num_classes})")
 
 
-class Batch(NamedTuple):
-    """A validated sample set as read-only arrays: features ``X`` (n, dim),
-    labels ``y``, row weights ``w`` and sample ids ``ids``. Build one with
-    :func:`stack_samples`, which sets every weight to 1, and reweight it with
-    :meth:`with_weights`; every quantity computed from a Batch reads its
-    ``w``."""
-
+class _BatchArrays(NamedTuple):
     X: np.ndarray
     y: np.ndarray
     w: np.ndarray
     ids: np.ndarray
+
+
+class Batch(_BatchArrays):
+    """A validated sample set as read-only arrays: features ``X`` (n, dim),
+    labels ``y``, row weights ``w`` and sample ids ``ids``. Build one with
+    :func:`stack_samples`, which sets every weight to 1, and reweight it with
+    :meth:`with_weights`; every quantity computed from a Batch reads its
+    ``w``.
+
+    It also keeps the constants of its rows that the summed kernels read:
+    the row ``index``, ``root_w`` (``sqrt(w)`` as a column), ``root_w_X``
+    (``root_w * X``) and ``w_sum``, each computed on first use. A batch
+    whose kernels never read them pays nothing for them, and one from
+    :meth:`rows` or :meth:`with_weights` computes its own. The constants
+    hold only while the arrays keep their values, so the arrays must stay
+    read-only."""
 
     def rows(self, index) -> "Batch":
         """The sub-batch selected by an index or boolean mask, in row order."""
@@ -200,6 +208,22 @@ class Batch(NamedTuple):
             raise ArgumentError(
                 "w", f"sample {self.ids[i]}: weight must be finite and positive, got {w[i]}")
         return Batch(self.X, self.y, _read_only(w), self.ids)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        return _read_only(np.arange(len(self.y)))
+
+    @cached_property
+    def root_w(self) -> np.ndarray:
+        return _read_only(np.sqrt(self.w)[:, None])
+
+    @cached_property
+    def root_w_X(self) -> np.ndarray:
+        return _read_only(self.root_w * self.X)
+
+    @cached_property
+    def w_sum(self) -> np.float64:
+        return self.w.sum()
 
 
 Samples = Union[Batch, Sequence[Sample]]
@@ -246,37 +270,6 @@ def stack_samples(spec: ModelSpec, samples: Sequence[Sample]) -> Batch:
 
 def _as_batch(spec: ModelSpec, samples: Samples) -> Batch:
     return samples if isinstance(samples, Batch) else stack_samples(spec, samples)
-
-
-class _FitRows:
-    """A Batch and the constants of it that the summed kernels read, each
-    computed on first use and then kept: the row index, ``sqrt(w)`` as a
-    column, the square-root-weighted features and ``sum(w)``. A Newton fit
-    builds one and hands it to every kernel call of its iterates; a kernel
-    given a Batch or a sample sequence builds its own for the call."""
-
-    def __init__(self, batch: Batch):
-        self.batch = batch
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        return np.arange(len(self.batch.y))
-
-    @cached_property
-    def root_w(self) -> np.ndarray:
-        return np.sqrt(self.batch.w)[:, None]
-
-    @cached_property
-    def root_w_X(self) -> np.ndarray:
-        return self.root_w * self.batch.X
-
-    @cached_property
-    def w_sum(self) -> np.float64:
-        return self.batch.w.sum()
-
-
-def _fit_rows(spec: ModelSpec, samples) -> _FitRows:
-    return samples if isinstance(samples, _FitRows) else _FitRows(_as_batch(spec, samples))
 
 
 def _row_max(logits: np.ndarray) -> np.ndarray:
@@ -362,18 +355,16 @@ def loss_sum(spec: ModelSpec, params: Params, samples: Samples) -> float:
     return _loss_and_probs(spec, params, samples)[0]
 
 
-def _loss_and_probs(spec: ModelSpec, params: Params, samples):
+def _loss_and_probs(spec: ModelSpec, params: Params, samples: Samples):
     """:func:`loss_sum` and the softmax at ``params`` it was computed from
-    (None for quad1d or an empty batch)."""
-    rows = _fit_rows(spec, samples)
-    X, y, w, _ = rows.batch
-    if len(y) == 0:
-        return 0.0, None
+    (None for quad1d)."""
+    batch = _as_batch(spec, samples)
+    X, y, w, _ = batch
     if spec.kind == "quad1d":
         return float(0.5 * (w * (params.theta[0] - X[:, 0]) ** 2).sum()), None
     theta = _theta_matrix(spec, params)
     logp, probs = _log_softmax(X @ theta.T)
-    ce = -logp[rows.index, y]
+    ce = -logp[batch.index, y]
     l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
     return float((w * (ce + l2)).sum()), probs
 
@@ -414,19 +405,24 @@ def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,
     it agrees with ``grad_matrix(...).sum(axis=0)`` to float64 round-off,
     not bit for bit. quad1d sums its one-column rows.
     """
-    rows = _fit_rows(spec, samples)
-    X, y, w, _ = rows.batch
-    if len(y) == 0:
-        return np.zeros(spec.param_dim)
+    batch = _as_batch(spec, samples)
+    X, y, w, _ = batch
     if spec.kind == "quad1d":
-        return grad_matrix(spec, params, rows.batch).sum(axis=0)
+        return grad_matrix(spec, params, batch).sum(axis=0)
     theta = _theta_matrix(spec, params)
     resid = _softmax(X @ theta.T) if probs is None else probs.copy()
-    resid[rows.index, y] -= 1.0
+    resid[batch.index, y] -= 1.0
     resid *= w[:, None]
     g = resid.T @ X
-    g += (spec.l2_strength * rows.w_sum) * theta
+    g += (spec.l2_strength * batch.w_sum) * theta
     return g.ravel()
+
+
+def _hvp_class_factor(P: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Each row's class factor ``P * (V x - P . V x)`` of its logistic
+    Hessian-vector product, whose row is that factor times ``x``."""
+    Vx = X @ V.T
+    return P * (Vx - np.einsum("nc,nc->n", P, Vx)[:, None])
 
 
 def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
@@ -441,10 +437,7 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
         return w[:, None] * v[None, :]
     P = _probs(spec, params, X) if probs is None else probs
     V = v.reshape(spec.num_classes, spec.dim)
-    a = X @ V.T
-    m = np.einsum("nc,nc->n", P, a)
-    rows = P * (a - m[:, None])
-    out = rows[:, :, None] * X[:, None, :]
+    out = _hvp_class_factor(P, X, V)[:, :, None] * X[:, None, :]
     out += spec.l2_strength * V
     out *= w[:, None, None]
     return out.reshape(n, spec.param_dim)
@@ -480,8 +473,7 @@ def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, 
     P = _probs(spec, params, X) if probs is None else probs
     U = P.copy()
     if mu != 0.0:
-        Vx = X @ V.T
-        U -= mu * (P * (Vx - np.einsum("nc,nc->n", P, Vx)[:, None]))
+        U -= mu * _hvp_class_factor(P, X, V)
     U[np.arange(n), y] -= 1.0
     U *= w[:, None]
     c = spec.l2_strength * (theta - mu * V)
@@ -505,27 +497,27 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,
     be the softmax at these ``params``, as in :func:`grad_matrix`; it is
     read, never written.
     """
-    rows = _fit_rows(spec, samples)
-    X = rows.batch.X
+    batch = _as_batch(spec, samples)
+    X = batch.X
     n = len(X)
     if n == 0:
         raise ValueError("set Hessian is undefined for an empty sample list")
     if spec.kind == "quad1d":
-        return np.array([[rows.w_sum]])
+        return np.array([[batch.w_sum]])
     C, d, p = spec.num_classes, spec.dim, spec.param_dim
     P = _probs(spec, params, X) if probs is None else probs
     # the products of a broadcast multiply (a zero product may lose its
     # sign, which no sum below can see), in about half its time
-    Z = np.einsum("nc,nd->ncd", rows.root_w * P, X).reshape(n, p)
+    Z = np.einsum("nc,nd->ncd", batch.root_w * P, X).reshape(n, p)
     H = Z.T @ Z
     np.negative(H, out=H)
-    B = (Z.T @ rows.root_w_X).reshape(C, d, d)
+    B = (Z.T @ batch.root_w_X).reshape(C, d, d)
     B += B.transpose(0, 2, 1)
     B *= 0.5
     # the diagonal class blocks of H, as a writeable (C, d, d) view
     blocks = np.einsum("cjck->cjk", H.reshape(C, d, C, d))
     blocks += B
-    H.flat[::p + 1] += spec.l2_strength * rows.w_sum
+    H.flat[::p + 1] += spec.l2_strength * batch.w_sum
     return H
 
 
@@ -548,19 +540,19 @@ def fit(spec: ModelSpec, samples: Samples, cfg: FitConfig,
             raise ValueError("closed_form fitting is only defined for quad1d")
         z, w = batch.X[:, 0], batch.w
         return Params(np.array([float((w * z).sum() / w.sum())]))
-    return _fit_newton(spec, _FitRows(batch), cfg, init)
+    return _fit_newton(spec, batch, cfg, init)
 
 
-def _fit_newton(spec: ModelSpec, rows: _FitRows, cfg: FitConfig, init) -> Params:
+def _fit_newton(spec: ModelSpec, batch: Batch, cfg: FitConfig, init) -> Params:
     params = init if init is not None else Params(np.zeros(spec.param_dim))
     # the loss and softmax at params, from the one evaluation of that point
-    base, probs = _loss_and_probs(spec, params, rows)
+    base, probs = _loss_and_probs(spec, params, batch)
     for _ in range(NEWTON_MAX_STEPS):
-        g = grad_sum(spec, params, rows, probs=probs)
+        g = grad_sum(spec, params, batch, probs=probs)
         g_norm = float(np.linalg.norm(g))
         if g_norm <= cfg.grad_tolerance:
             return params
-        H = dense_hessian(spec, params, rows, probs=probs)
+        H = dense_hessian(spec, params, batch, probs=probs)
         try:
             step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError as exc:
@@ -572,15 +564,15 @@ def _fit_newton(spec: ModelSpec, rows: _FitRows, cfg: FitConfig, init) -> Params
         t = 1.0
         while t > 1e-8:
             trial = Params(params.theta - t * step)
-            loss, trial_probs = _loss_and_probs(spec, trial, rows)
+            loss, trial_probs = _loss_and_probs(spec, trial, batch)
             if loss <= base - 1e-4 * t * float(g @ step) + slack:
                 params, base, probs = trial, loss, trial_probs
                 break
             t *= 0.5
         else:
             params = Params(params.theta - t * step)
-            base, probs = _loss_and_probs(spec, params, rows)
-    g_norm = float(np.linalg.norm(grad_sum(spec, params, rows, probs=probs)))
+            base, probs = _loss_and_probs(spec, params, batch)
+    g_norm = float(np.linalg.norm(grad_sum(spec, params, batch, probs=probs)))
     if g_norm <= cfg.grad_tolerance:
         return params
     raise FitError(f"Newton did not converge in {NEWTON_MAX_STEPS} steps "

@@ -26,7 +26,7 @@ in one batched criterion call, serves as the small-instance oracle.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -74,13 +74,13 @@ class ReplayBuffer(NamedTuple):
         return tuple(self.candidate_ids[self.kept].tolist())
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionTrace:
     """Diagnostics of one greedy round: what was dropped, at what score."""
 
-    drop_order: list = field(default_factory=list)   # (sample id, drop score)
-    reg_values: list = field(default_factory=list)   # regularizer before each drop
-    final_criterion: float = 0.0
+    drop_order: list        # (sample id, drop score)
+    reg_values: list        # regularizer before each drop
+    final_criterion: float
 
 
 def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
@@ -136,7 +136,6 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         return _select_by_score(ctx, cfg)
     ids = ctx.batch.ids
     n = len(ids)
-    trace = SelectionTrace()
 
     # The term is ||a @ M|| on the discarded side (a = 1 - kept, gradient
     # negated) or, for if_diversity, the kept side (a = kept), where M is
@@ -208,12 +207,12 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
         column += class_dots
         move(Mv, column, out=Mv)
 
-    trace.drop_order = list(zip(ids[dropped].tolist(), drop_totals.tolist()))
-    trace.reg_values = reg_values.tolist()
     kept = np.zeros(n, dtype=bool)
     kept[rows[alive]] = True
     final_reg = float(np.linalg.norm((kept if kept_side else ~kept) @ M))
-    trace.final_criterion = float(all_scores[kept].sum()) + cfg.nu * final_reg
+    trace = SelectionTrace(drop_order=list(zip(ids[dropped].tolist(), drop_totals.tolist())),
+                           reg_values=reg_values.tolist(),
+                           final_criterion=float(all_scores[kept].sum()) + cfg.nu * final_reg)
     return ReplayBuffer(kept, ids), trace
 
 

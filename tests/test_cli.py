@@ -174,6 +174,16 @@ class TestRunCommand:
         assert code == 2
         assert "criterion" in capsys.readouterr().err
 
+    def test_one_feature_run_repeats_byte_identically(self, config_file, tmp_path, capsys):
+        """At ``stream.dim = 1`` the class means sit on a line, not a circle."""
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["run", "--config", str(config_file), "--out", str(out),
+                         "--set", "stream.dim=1", "--set", "model.dim=1"]) == 0
+        blobs = [(out / "report.json").read_bytes() for out in outs]
+        assert blobs[0] == blobs[1]
+        assert json.loads(blobs[0])["config"]["stream.dim"] == 1
+
     def test_seed_flag_repeats_byte_identically(self, config_file, tmp_path, capsys):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
@@ -363,8 +373,9 @@ def input_argv(tmp_path, where, value):
     """The argv of one bad-input case, with ``value`` put where ``where``
     says: a --set assignment on the synthetic or (``csv-set``, with
     ``{dir}`` the case's directory) the csv stream, extra flags, extra train
-    or test rows of the csv stream, extra rows or flags of a select run, or
-    a grid or run config file's bytes. Commands that take ``--out`` write to
+    or test rows of the csv stream or (``train-file``, ``test-file``) the
+    whole of one of its files, extra rows or flags of a select run, or a
+    grid or run config file's bytes. Commands that take ``--out`` write to
     ``tmp_path / "o"``."""
     out = ["--out", str(tmp_path / "o")]
     config = tmp_path / "run.cfg"
@@ -380,6 +391,9 @@ def input_argv(tmp_path, where, value):
         return ["sweep", "--config", str(config), "--grid", str(grid)] + out
     if where in ("train", "test"):
         config = write_csv_config(tmp_path, **{f"{where}_extra": value})
+    if where in ("train-file", "test-file"):
+        config = write_csv_config(tmp_path)
+        (tmp_path / where.replace("-file", ".csv")).write_bytes(as_bytes(value))
     if where == "csv-set":
         config, value = write_csv_config(tmp_path), value.format(dir=tmp_path)
     flags = {"set": ["--set", value], "csv-set": ["--set", value], "flags": value}.get(where, [])
@@ -390,6 +404,7 @@ LABEL_NOISE = "config key 'stream.label_noise': label_noise entries must lie in 
 WITHIN_STD = "config key 'stream.within_std': within_std must be finite and nonnegative"
 MEAN_SCALE = "config key 'stream.mean_scale': mean_scale must be finite"
 NOT_UTF8 = "'utf-8' codec can't decode"
+CSV_HEADER = "id,task,label,f0,f1\n"
 
 # Every input error exits 2 naming its key, flag, or file and row:
 # (where the bad value goes, see input_argv; the value; what stderr must
@@ -465,6 +480,39 @@ INPUT_ERRORS = [
                  id="grid-not-utf8"),
     pytest.param("config", BASE_CONFIG.encode() + b"# caf\xe9\n", "{dir}/run.cfg: " + NOT_UTF8,
                  id="config-not-utf8"),
+    pytest.param("config", BASE_CONFIG.encode() + b"seed 7\n",
+                 f"{{dir}}/run.cfg:{BASE_CONFIG.count(chr(10)) + 1}: expected 'key = value', "
+                 "got 'seed 7'", id="config-line-without-equals"),
+    pytest.param("set", "oracle.enabled=maybe",
+                 "config key 'oracle.enabled': expected a boolean, got 'maybe'",
+                 id="oracle.enabled=maybe"),
+    pytest.param("set", "selector.kind=greedy",
+                 "config key 'selector.kind': 'greedy' is not one of regularized_if, ",
+                 id="selector.kind=greedy"),
+    pytest.param("set", "seed=x", "config key 'seed': invalid literal for int()",
+                 id="seed=x"),
+    pytest.param("flags", ["--set", "seed"], "--set expects KEY=VALUE, got 'seed'",
+                 id="set-without-equals"),
+    pytest.param("set", "stream.source=parquet",
+                 "config key 'stream.source': unknown stream source 'parquet'",
+                 id="stream.source=parquet"),
+    pytest.param("grid", b"grid.lr = 0.1\n", "unknown grid key 'grid.lr'", id="grid.lr"),
+    pytest.param("grid", b"# no axis\n", "grid file must set grid.mu and/or grid.nu",
+                 id="grid-without-axis"),
+    pytest.param("train", "8,1,2,0.0\n", "{dir}/train.csv: row 10: expected 5 fields, got 4",
+                 id="train-short-row"),
+    pytest.param("test-file", "", "{dir}/test.csv: file is empty", id="test-empty"),
+    pytest.param("test-file", "id,task,class,f0,f1\n10,0,0,1.0,0.0\n",
+                 "{dir}/test.csv: header must start with id,task,label, "
+                 "got ['id', 'task', 'class']", id="test-bad-header"),
+    pytest.param("test-file", "id,task,label,f0\n10,0,0,1.0\n11,1,2,-1.0\n",
+                 "{dir}/test.csv: test file has 1 features but train file {dir}/train.csv "
+                 "has 2", id="test-feature-count"),
+    pytest.param("train-file", CSV_HEADER + "0,0,0,1.0,0.0\n1,0,1,0.0,1.0\n",
+                 "{dir}/train.csv: a stream needs at least 2 tasks, got 1",
+                 id="train-one-task"),
+    pytest.param("test-file", CSV_HEADER + "10,0,0,1.0,0.0\n",
+                 "{dir}/test.csv: no rows for task 1", id="test-task-without-test-rows"),
 ]
 
 
@@ -764,6 +812,14 @@ class TestSelectCommand:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["select", "--data", "x.csv"]) == 2  # missing --m
+
+    def test_quad1d_on_two_features_exits_2_before_fitting(self, tmp_path, capsys,
+                                                           monkeypatch):
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0,f1\n0,0,0,0.0,1.0\n1,0,0,1.0,0.0\n")
+        monkeypatch.setattr(cli, "fit", None)
+        assert main(["select", "--data", str(data), "--m", "1", "--model", "quad1d"]) == 2
+        assert "quad1d selection needs exactly one feature column" in capsys.readouterr().err
 
 
 def _is_glibc():

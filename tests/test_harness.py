@@ -19,12 +19,13 @@ from coresel.harness import (
     loo_retrain_delta,
     loo_retrain_deltas,
     make_stream,
+    Stream,
     named_rng,
     run_continual,
 )
 from coresel.influence import CriterionConfig
 from coresel.models import FitConfig, ModelSpec, Sample
-from coresel.numkit import SolveError
+from coresel.numkit import ArgumentError, SolveError
 from coresel.selection import ReplayBuffer, SelectorKind
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
@@ -221,6 +222,11 @@ class TestKendallTau:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau([1, 2], [1, 2, 3])
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_scores_rejected(self, n):
+        with pytest.raises(ValueError, match="rank correlation needs at least 2 scores"):
+            kendall_tau([1.0] * n, [2.0] * n)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -425,6 +431,28 @@ class TestRunContinual:
         taus = [s.tau for s in report.steps if s.tau is not None]
         assert taus, "expected at least one checkpoint with enough overlap"
         assert all(-1.0 <= t <= 1.0 for t in taus)
+
+    def test_quad1d_model_rejected(self):
+        stream = make_stream(StreamSpec(num_tasks=2, classes_per_task=1,
+                                        samples_per_class=5, dim=1, seed=1))
+        with pytest.raises(ArgumentError, match="classification models only") as err:
+            run_continual(stream, QUAD, SelectorKind.RESERVOIR, CriterionConfig(budget=4),
+                          learning_rate=0.01, epochs=1)
+        assert err.value.argument == "model"
+
+    def test_one_task_stream_rejected_before_step_0(self, monkeypatch):
+        # backward transfer is undefined for one task; no stream source
+        # builds such a stream, so it is one built by hand
+        full = make_stream(StreamSpec(num_tasks=2, classes_per_task=2,
+                                      samples_per_class=5, seed=1))
+        stream = Stream(full.tasks[:1], full.batch_size, full.dim, 2)
+        model = ModelSpec(kind="logistic", dim=2, num_classes=2, l2_strength=0.05)
+        monkeypatch.setattr(models, "stack_samples", None)
+        with pytest.raises(ArgumentError,
+                           match="the continual loop needs at least 2 tasks, got 1") as err:
+            run_continual(stream, model, SelectorKind.RESERVOIR, CriterionConfig(budget=4),
+                          learning_rate=0.01, epochs=1)
+        assert err.value.argument == "stream"
 
     def test_oversized_budget_rejected(self):
         stream = make_stream(StreamSpec(num_tasks=2, classes_per_task=1,

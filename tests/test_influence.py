@@ -91,6 +91,10 @@ class TestBuildContext:
         with pytest.raises(ValueError):
             build_context(QUAD, Params([1.0]), [], [qsample(0, 0.0)])
 
+    def test_empty_hessian_set_rejected(self):
+        with pytest.raises(ValueError, match="hessian_set must be nonempty"):
+            build_context(QUAD, Params([1.0]), [qsample(0, 0.0)], [])
+
     def test_repeated_candidate_id_rejected(self):
         candidates = [qsample(i, float(i)) for i in (0, 2, 1, 2, 4)]
         with pytest.raises(ValueError, match="candidates: sample id 2 appears at positions 1 and 3"):

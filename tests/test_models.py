@@ -1,5 +1,6 @@
 """Model derivative tests: analytic formulas against finite differences."""
 
+import math
 import re
 from dataclasses import replace
 
@@ -435,6 +436,14 @@ def count_calls(monkeypatch, name, record=lambda *args, **kwargs: None):
     return calls
 
 
+BATCH_CONSTANTS = ("index", "root_w", "root_w_X", "w_sum")
+
+
+def batch_constants(batch):
+    """The constants a Batch keeps, each read (and so computed) once."""
+    return [np.asarray(getattr(batch, name)) for name in BATCH_CONSTANTS]
+
+
 def quad_instance(rng, n=9):
     """(QUAD, samples, w, params), as :func:`random_logistic_instance`."""
     samples, w = [], []
@@ -476,6 +485,20 @@ class TestBatch:
             dense_hessian(QUAD, Params([1.0]), empty)
         with pytest.raises(ValueError, match="empty"):
             fit(QUAD, empty, FitConfig(method="closed_form"))
+
+    @pytest.mark.parametrize("kind", ["quad1d", "logistic"])
+    def test_empty_sums_are_positive_zeros(self, kind):
+        # negative parameters, so a stray -0.0 from the L2 term would show
+        spec = QUAD if kind == "quad1d" else ModelSpec(kind="logistic", dim=2, num_classes=3,
+                                                       l2_strength=0.1)
+        params = Params(-np.arange(1.0, spec.param_dim + 1))
+        for samples in ([], stack_samples(spec, [])):
+            loss_value = loss_sum(spec, params, samples)
+            assert type(loss_value) is float and math.copysign(1.0, loss_value) == 1.0
+            assert loss_value == 0.0
+            g = grad_sum(spec, params, samples)
+            assert g.shape == (spec.param_dim,)
+            assert g.tobytes() == np.zeros(spec.param_dim).tobytes()
 
     def test_arrays_are_read_only(self):
         rng = np.random.default_rng(41)
@@ -556,6 +579,52 @@ class TestBatch:
             stack_samples(spec, samples)
         with pytest.raises(ValueError, match=re.escape("sample 3: feature dim 1 != 2")):
             stack_samples(spec, samples[2:])
+
+    def test_derived_batches_compute_their_own_constants(self):
+        """A batch from ``rows`` or ``with_weights`` computes its own
+        constants, even after its parent's were read, with the bits of
+        stacking its rows and weights afresh."""
+        rng = np.random.default_rng(46)
+        spec, samples, w, _ = random_logistic_instance(rng, n=12)
+        parent = weighted(spec, samples, w)
+        batch_constants(parent)
+        mask = rng.random(12) < 0.5
+        reweighting = rng.uniform(0.5, 2.0, size=12)
+        for derived, fresh in (
+                (parent.rows(mask),
+                 weighted(spec, [s for s, keep in zip(samples, mask) if keep], w[mask])),
+                (parent.with_weights(reweighting), weighted(spec, samples, reweighting))):
+            assert vars(derived) == {}
+            for got, want in zip(batch_constants(derived), batch_constants(fresh)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            for a in batch_constants(derived)[:3]:
+                assert not a.flags.writeable
+
+    def test_newton_fit_computes_the_weighted_features_once(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        spec, samples, w, _ = random_logistic_instance(rng, n=30)
+        descriptor = vars(Batch)["root_w_X"]
+        computed = []
+        original = descriptor.func
+
+        def counting(batch):
+            computed.append(len(batch.ids))
+            return original(batch)
+
+        monkeypatch.setattr(descriptor, "func", counting)
+        steps = count_calls(monkeypatch, "dense_hessian")
+        fit(spec, weighted(spec, samples, w), FitConfig(method="newton"))
+        assert len(steps) > 1 and computed == [30]
+
+    def test_sgd_step_batch_computes_no_constant(self):
+        # the SGD step feeds a rows() batch to grad_matrix alone, which
+        # reads none of the constants, so its batch stays a plain tuple
+        rng = np.random.default_rng(48)
+        spec, samples, _, params = random_logistic_instance(rng, n=20)
+        batch = stack_samples(spec, samples).rows(np.array([3, 4, 5, 11, 17]))
+        grad_matrix(spec, params, batch)
+        assert vars(batch) == {}
 
     def test_newton_fit_stacks_its_samples_once(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -848,6 +917,26 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(QUAD, [], FitConfig(method="closed_form"))
 
+    def test_closed_form_is_quad1d_only(self):
+        spec = ModelSpec(kind="logistic", dim=1, num_classes=2)
+        with pytest.raises(ValueError, match="closed_form fitting is only defined for quad1d"):
+            fit(spec, [Sample(id=0, task_id=0, label=0, features=[1.0])],
+                FitConfig(method="closed_form"))
+
+
+class TestSpecs:
+    @pytest.mark.parametrize("make, argument, message", [
+        (lambda: ModelSpec(kind="linear"), "kind",
+         "unknown model kind 'linear'; expected one of ('quad1d', 'logistic')"),
+        (lambda: ModelSpec(kind="quad1d", dim=2), "dim", "quad1d requires dim=1"),
+        (lambda: FitConfig(method="lbfgs"), "method",
+         "unknown fit method 'lbfgs'; expected one of ('closed_form', 'newton')"),
+    ], ids=["kind", "dim", "method"])
+    def test_bad_value_names_its_argument(self, make, argument, message):
+        with pytest.raises(ArgumentError, match=re.escape(message)) as err:
+            make()
+        assert err.value.argument == argument
+
 
 class TestAccuracy:
     def test_counts_argmax_correct(self):
@@ -870,3 +959,8 @@ class TestAccuracy:
     def test_quad_has_no_accuracy(self):
         with pytest.raises(ValueError):
             accuracy(QUAD, Params([0.0]), [qsample(0, 1.0)])
+
+    def test_empty_set_has_no_accuracy(self):
+        spec = ModelSpec(kind="logistic", dim=1, num_classes=2)
+        with pytest.raises(ValueError, match="accuracy over an empty sample list is undefined"):
+            accuracy(spec, Params([-1.0, 1.0]), [])

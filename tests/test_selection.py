@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -115,7 +115,6 @@ def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
     default). Returns the kept ids and the trace."""
     ids = ctx.batch.ids
     n = len(ids)
-    trace = selection.SelectionTrace()
     M, kept_side = greedy_term(ctx, cfg, kind)
     sign, step = (1.0, -1.0) if kept_side else (-1.0, 1.0)
     scores = ctx.scores()
@@ -123,20 +122,22 @@ def parent_select_greedy(ctx, cfg, kind, drop_row=parent_drop_index):
     w = np.ones(n)
     v = (w if kept_side else 1.0 - w) @ M
     Mv = padded_matvec(M, v)
+    drop_order, reg_values = [], []
 
     for _ in range(n - cfg.budget):
         reg_value = float(np.linalg.norm(v))
         grad = sign * Mv / reg_value if reg_value > threshold else np.zeros(n)
         totals = scores + cfg.nu * grad
         drop = drop_row(totals, ids, w)
-        trace.drop_order.append((int(ids[drop]), float(totals[drop])))
-        trace.reg_values.append(reg_value)
+        drop_order.append((int(ids[drop]), float(totals[drop])))
+        reg_values.append(reg_value)
         w[drop] = 0.0
         v += step * M[drop]
         Mv += step * padded_matvec(M, M[drop])
 
     final_reg = float(np.linalg.norm((w if kept_side else 1.0 - w) @ M))
-    trace.final_criterion = float(scores[w == 1.0].sum()) + cfg.nu * final_reg
+    trace = selection.SelectionTrace(drop_order, reg_values,
+                                     float(scores[w == 1.0].sum()) + cfg.nu * final_reg)
     return tuple(ids[w == 1.0].tolist()), trace
 
 
@@ -967,6 +968,10 @@ class TestRing:
         updated = ring_ids(start + [2], [0, 0, 0], 2, 1)
         assert updated == [1, 2]
 
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError, match="num_classes must be positive"):
+            ring_slots([], 4, num_classes=0)
+
     @pytest.mark.parametrize("labels", [[0, 1, 2], [0, -1]])
     def test_out_of_range_label_rejected(self, labels):
         with pytest.raises(ValueError, match=rf"position {len(labels) - 1}: label "
@@ -975,6 +980,14 @@ class TestRing:
 
 
 class TestSelectionResult:
+    @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda kind: kind.value)
+    def test_trace_is_an_immutable_record(self, kind):
+        ctx = weighted_ctx(np.random.default_rng(27), 9)
+        _, trace = select_greedy(ctx, CriterionConfig(budget=4, mu=0.5, nu=0.5), kind)
+        assert len(trace.drop_order) == len(trace.reg_values) == 5
+        with pytest.raises(FrozenInstanceError):
+            trace.final_criterion = 0.0
+
     @pytest.mark.parametrize("select", [
         *(pytest.param(lambda ctx, cfg, kind=kind: select_greedy(ctx, cfg, kind)[0],
                        id=kind.value) for kind in GREEDY_KINDS),
