@@ -40,7 +40,6 @@ from .selection import (
     select_greedy,
 )
 from .harness import (
-    AccuracyMatrix,
     OracleConfig,
     RunReport,
     Stream,

@@ -164,6 +164,8 @@ def _argument_error(exc: ArgumentError, part: str) -> ValueError:
     # a field name may recur in another part (``seed`` fills the run and the
     # stream, ``dim`` the stream and the model), so a key of ``part`` comes first
     keys = [key for key, row in _SCHEMA.items() if row.field == exc.argument]
+    if not keys:  # an argument no key fills, such as the run's model or stream
+        return ValueError(str(exc))
     key = min(keys, key=lambda k: _SCHEMA[k].part != part)
     return ValueError(f"config key '{key}': {exc}")
 
@@ -279,36 +281,44 @@ def execute_run(cfg: RunConfig) -> RunReport:
 # artifact files
 # ---------------------------------------------------------------------------
 
+def _csv_views(doc: dict) -> dict:
+    """Each CSV file of a run as (header, rows), a view of ``report.json``'s
+    fields. The ``csv`` module writes None as a blank cell and a float as its
+    ``repr``."""
+    metrics = ("step", "task", "tau", "buffer_size")
+    return {
+        "acc_matrix.csv": (("after_task", *(f"task_{j}" for j in range(len(doc["acc_matrix"])))),
+                           [(i, *row) for i, row in enumerate(doc["acc_matrix"])]),
+        "metrics.csv": (metrics, [[point[k] for k in metrics] for point in doc["tau_series"]]),
+        "buffer_trace.csv": (("step", "kept_ids"),
+                             [(entry["step"], ";".join(map(str, entry["kept_ids"])))
+                              for entry in doc["buffer_trace"]]),
+    }
+
+
+def _write_csv(path: Path, header, rows):
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_artifacts(out_dir, report: RunReport):
+    """Write ``report.json`` and its CSV views to ``out_dir``, then check them."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-    R = report.acc_matrix.values
-    T = R.shape[0]
-    with (out / "acc_matrix.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["after_task"] + [f"task_{j}" for j in range(T)])
-        for i in range(T):
-            row = [i] + [("" if j > i else repr(float(R[i, j]))) for j in range(T)]
-            writer.writerow(row)
-    with (out / "metrics.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "task", "tau", "buffer_size"])
-        for s in report.steps:
-            writer.writerow([s.step, s.task, "" if s.tau is None else repr(s.tau),
-                             len(s.kept_ids)])
-    with (out / "buffer_trace.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "kept_ids"])
-        for s in report.steps:
-            writer.writerow([s.step, ";".join(str(i) for i in s.kept_ids)])
-    _check_artifacts(out, report)
+    doc = report.to_json_dict()
+    (out / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n",
+                                     encoding="utf-8")
+    views = _csv_views(doc)
+    for name, (header, rows) in views.items():
+        _write_csv(out / name, header, rows)
+    _check_artifacts(out, views)
 
 
-def _check_artifacts(out: Path, report: RunReport):
-    """Re-read every artifact and verify it parses per its schema."""
+def _check_artifacts(out: Path, views: dict):
+    """Re-read every artifact: the report's schema and config echo, and each
+    CSV's header and row count against its view."""
     parsed = json.loads((out / "report.json").read_text(encoding="utf-8"))
     if parsed.get("schema") != "coresel-report-v1":
         raise RuntimeError("report.json failed schema check")
@@ -318,15 +328,13 @@ def _check_artifacts(out: Path, report: RunReport):
         raise RuntimeError(f"report.json config echo does not parse back: {exc}") from exc
     if reparsed.to_flat() != parsed["config"]:
         raise RuntimeError("report.json config echo does not round-trip")
-    for name, expected_header in [("acc_matrix.csv", "after_task"),
-                                  ("metrics.csv", "step"),
-                                  ("buffer_trace.csv", "step")]:
+    for name, (header, rows) in views.items():
         with (out / name).open(newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-        if not rows or rows[0][0] != expected_header:
+            written = list(csv.reader(fh))
+        if written[:1] != [list(header)]:
             raise RuntimeError(f"{name} failed schema check")
-        if name == "metrics.csv" and len(rows) - 1 != len(report.steps):
-            raise RuntimeError("metrics.csv row count mismatch")
+        if len(written) - 1 != len(rows):
+            raise RuntimeError(f"{name} row count mismatch")
 
 
 # ---------------------------------------------------------------------------
@@ -409,14 +417,9 @@ def cmd_sweep(args) -> int:
     for idx, ((mu, nu), cfg) in enumerate(zip(points, configs)):
         report = execute_run(cfg)
         write_artifacts(out / f"point_{idx:03d}", report)
-        mean_tau = report.mean_tau
-        rows.append([mu, nu, report.acc, report.bwt,
-                     "" if mean_tau is None else repr(mean_tau)])
+        rows.append((mu, nu, report.acc, report.bwt, report.mean_tau))
         print(f"point {idx:03d}: mu={mu} nu={nu} acc={report.acc:.4f}")
-    with (out / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mu", "nu", "acc", "bwt", "mean_tau"])
-        writer.writerows(rows)
+    _write_csv(out / "sweep.csv", ("mu", "nu", "acc", "bwt", "mean_tau"), rows)
     return 0
 
 

@@ -5,8 +5,8 @@ refreshes the buffer during the last epoch of every task: after each batch
 of that epoch the configured selector is run on the union of the previous
 buffer and the batch (with the batch reweighted so both cohorts carry equal
 total mass in the outer objective). Accuracy on every seen task's test
-split is recorded after each task into a lower-triangular matrix, from
-which average accuracy and backward transfer are derived. A run stacks the
+split is recorded after each task into a ``(T, T)`` array, NaN above the
+diagonal, from which average accuracy and backward transfer are derived. A run stacks the
 stream's splits once, checking every sample against the model there; from
 then on the buffer, the oracle reservoir, replay draws and candidate pools
 are integer rows into those arrays. A selection round's candidates reach
@@ -278,38 +278,17 @@ def _load_csv_stream(spec: StreamSpec) -> Stream:
 # metrics
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AccuracyMatrix:
-    """Lower-triangular grid: entry (i, j) is accuracy on task j after task i."""
-
-    values: np.ndarray
-
-    @classmethod
-    def empty(cls, num_tasks: int) -> "AccuracyMatrix":
-        return cls(np.full((num_tasks, num_tasks), np.nan))
-
-    @property
-    def num_tasks(self) -> int:
-        return self.values.shape[0]
-
-    def set(self, after_task: int, on_task: int, value: float):
-        if on_task > after_task:
-            raise ValueError("cannot evaluate a task before it is trained")
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("accuracy must lie in [0, 1]")
-        self.values[after_task, on_task] = value
-
-
-def acc_bwt(matrix: AccuracyMatrix):
-    """Average final accuracy and average backward transfer.
+def acc_bwt(R: np.ndarray):
+    """Average final accuracy and average backward transfer of a ``(T, T)``
+    accuracy grid whose entry (i, j) is accuracy on task j after task i.
 
     ACC averages the last row; BWT averages the drop from each task's
-    just-trained accuracy to its final accuracy.
+    just-trained accuracy to its final accuracy. Entries above the diagonal
+    are not read.
     """
-    T = matrix.num_tasks
+    T = R.shape[0]
     if T < 2:
         raise ValueError("backward transfer is undefined for fewer than 2 tasks")
-    R = matrix.values
     for i in range(T):
         if np.any(np.isnan(R[i, :i + 1])):
             raise ValueError(f"accuracy matrix row {i} is not fully populated")
@@ -477,7 +456,7 @@ class StepRecord:
 class RunReport:
     seed: int
     selector: str
-    acc_matrix: AccuracyMatrix
+    acc_matrix: np.ndarray                # (T, T); NaN above the diagonal
     acc: float
     bwt: float
     steps: list                           # one StepRecord per selection step
@@ -489,9 +468,7 @@ class RunReport:
         return float(np.mean(taus)) if taus else None
 
     def to_json_dict(self) -> dict:
-        R = self.acc_matrix.values
-        grid = [[None if np.isnan(R[i, j]) else float(R[i, j]) for j in range(R.shape[1])]
-                for i in range(R.shape[0])]
+        grid = [[None if np.isnan(v) else v for v in row] for row in self.acc_matrix.tolist()]
         return {
             "schema": "coresel-report-v1",
             "seed": self.seed,
@@ -627,7 +604,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     offered = 0       # samples offered so far, to both reservoirs alike
     oracle_rows = _NO_ROWS
 
-    matrix = AccuracyMatrix.empty(num_tasks)
+    matrix = np.full((num_tasks, num_tasks), np.nan)
     steps: list = []
 
     for ti in range(num_tasks):
@@ -679,7 +656,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                     raise RuntimeError(f"step {len(steps)} (task {ti}, epoch {epoch}, "
                                        f"batch {bi}): {exc}") from exc
         for tj in range(ti + 1):
-            matrix.set(ti, tj, models.accuracy(model, params, tests[tj]))
+            matrix[ti, tj] = models.accuracy(model, params, tests[tj])
 
     acc, bwt = acc_bwt(matrix)
     return RunReport(seed=seed, selector=selector.value, acc_matrix=matrix,

@@ -16,6 +16,7 @@ import pytest
 
 from coresel import cli, influence
 from coresel.cli import _SCHEMA, RunConfig, main, parse_flat_file
+from coresel.numkit import ArgumentError
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -369,6 +370,22 @@ def test_artifact_check_closes_every_file(tmp_path, config_file, capsys):
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("name", ["acc_matrix.csv", "metrics.csv", "buffer_trace.csv"])
+@pytest.mark.parametrize("tamper, message", [
+    (lambda header, rows: (header[:-1], rows), "failed schema check"),
+    (lambda header, rows: (header, rows[:-1]), "row count mismatch"),
+], ids=["header", "rows"])
+def test_artifact_check_fails_the_run_on_a_csv_that_is_not_its_view(
+        config_file, tmp_path, capsys, monkeypatch, name, tamper, message):
+    write_csv = cli._write_csv
+
+    def tampered(path, header, rows):
+        write_csv(path, *(tamper(header, rows) if path.name == name else (header, rows)))
+    monkeypatch.setattr(cli, "_write_csv", tampered)
+    assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {name} {message}\n"
+
+
 def input_argv(tmp_path, where, value):
     """The argv of one bad-input case, with ``value`` put where ``where``
     says: a --set assignment on the synthetic or (``csv-set``, with
@@ -524,6 +541,20 @@ class TestExitCodes:
         assert message.format(dir=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argument", ["model", "stream"])
+    def test_argument_no_key_fills_keeps_its_message(self, argument):
+        error = cli._argument_error(ArgumentError(argument, "not for this run"), "run")
+        assert type(error) is ValueError and str(error) == "not for this run"
+
+    def test_run_argument_no_key_fills_exits_2_with_its_message(self, config_file, tmp_path,
+                                                                 capsys, monkeypatch):
+        def rejected(*args, **kwargs):
+            raise ArgumentError("stream", "a stream needs at least 2 tasks, got 1")
+        monkeypatch.setattr(cli, "run_continual", rejected)
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: a stream needs at least 2 tasks, got 1\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("case", ["config-is-a-directory", "grid-is-a-directory",
                                       "data-is-a-directory", "config-under-a-file"])
     def test_input_path_not_a_file_exits_2_names_it_and_writes_nothing(
@@ -585,6 +616,30 @@ def test_readme_key_table_matches_the_schema():
     rows = itertools.takewhile(lambda line: line.startswith("|"), lines[start:])
     keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
     assert sorted(keys) == sorted(_SCHEMA)
+
+
+def test_readme_artifact_columns_match_the_written_headers(config_file, tmp_path, capsys):
+    """README's "Run artifacts" section lists each CSV's columns as the CLI
+    writes them; ``...`` ends a list that goes on per task."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Run artifacts\n", 1)[1].split("\n#", 1)[0]
+    documented = dict(re.findall(r"^- `(\w+\.csv)`.*? - `([^`]+)`", section, re.M))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.nu = 0.1\n")
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_file), "--grid", str(grid),
+                 "--out", str(out)]) == 0
+    written = {}
+    for path in [out / "sweep.csv", *sorted((out / "point_000").glob("*.csv"))]:
+        with path.open(newline="", encoding="utf-8") as fh:
+            written[path.name] = next(csv.reader(fh))
+    assert sorted(documented) == sorted(written)
+    for name, columns in documented.items():
+        columns = columns.split(",")
+        if columns[-1] == "...":
+            assert written[name][:len(columns) - 1] == columns[:-1], name
+        else:
+            assert written[name] == columns, name
 
 
 BOM = "\ufeff".encode()

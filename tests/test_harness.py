@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from coresel import harness, models
 from coresel.harness import (
-    AccuracyMatrix,
     OracleConfig,
     StreamSpec,
     acc_bwt,
@@ -151,49 +150,48 @@ class TestCsvStream:
             make_stream(spec)
 
 
+def lower_grid(T, value):
+    """A ``(T, T)`` accuracy grid: ``value(i, j)`` on and below the
+    diagonal, NaN above it."""
+    R = np.full((T, T), np.nan)
+    for i in range(T):
+        for j in range(i + 1):
+            R[i, j] = value(i, j)
+    return R
+
+
 class TestMetrics:
     def test_acc_bwt_hand_case(self):
-        m = AccuracyMatrix.empty(3)
         values = {(0, 0): 0.9, (1, 0): 0.85, (1, 1): 0.9, (2, 0): 0.7,
                   (2, 1): 0.8, (2, 2): 0.9}
-        for (i, j), v in values.items():
-            m.set(i, j, v)
-        acc, bwt = acc_bwt(m)
+        acc, bwt = acc_bwt(lower_grid(3, lambda i, j: values[i, j]))
         assert acc == pytest.approx(0.8)
         assert bwt == pytest.approx(-0.15)
 
     def test_perfect_matrix(self):
-        m = AccuracyMatrix.empty(3)
-        for i in range(3):
-            for j in range(i + 1):
-                m.set(i, j, 1.0)
-        assert acc_bwt(m) == (1.0, 0.0)
+        assert acc_bwt(lower_grid(3, lambda i, j: 1.0)) == (1.0, 0.0)
 
     def test_matches_independent_resummation(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             T = int(rng.integers(2, 7))
-            m = AccuracyMatrix.empty(T)
-            for i in range(T):
-                for j in range(i + 1):
-                    m.set(i, j, float(rng.random()))
-            acc, bwt = acc_bwt(m)
-            R = m.values
+            R = lower_grid(T, lambda i, j: float(rng.random()))
+            acc, bwt = acc_bwt(R)
             acc_ref = sum(R[T - 1, j] for j in range(T)) / T
             bwt_ref = sum(R[T - 1, j] - R[j, j] for j in range(T - 1)) / (T - 1)
             assert acc == pytest.approx(acc_ref, abs=1e-12)
             assert bwt == pytest.approx(bwt_ref, abs=1e-12)
 
     def test_single_task_rejected(self):
-        m = AccuracyMatrix.empty(1)
-        m.set(0, 0, 1.0)
-        with pytest.raises(ValueError):
-            acc_bwt(m)
+        with pytest.raises(ValueError, match="fewer than 2 tasks"):
+            acc_bwt(lower_grid(1, lambda i, j: 1.0))
 
-    def test_future_task_rejected(self):
-        m = AccuracyMatrix.empty(2)
-        with pytest.raises(ValueError):
-            m.set(0, 1, 0.5)
+    @pytest.mark.parametrize("i, j", [(1, 0), (2, 2)])
+    def test_unpopulated_row_rejected(self, i, j):
+        R = lower_grid(3, lambda i, j: 0.5)
+        R[i, j] = np.nan
+        with pytest.raises(ValueError, match=f"row {i} is not fully populated"):
+            acc_bwt(R)
 
 
 @st.composite
@@ -397,10 +395,10 @@ def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, **kwarg
 class TestRunContinual:
     def test_smoke_contract(self):
         report = small_run()
-        R = report.acc_matrix.values
+        R = report.acc_matrix
         assert R.shape == (2, 2)
         assert np.isnan(R[0, 1]) and not np.isnan(R[1, 0])
-        acc, bwt = acc_bwt(report.acc_matrix)
+        acc, bwt = acc_bwt(R)
         assert report.acc == pytest.approx(acc) and report.bwt == pytest.approx(bwt)
         assert all(len(s.kept_ids) <= 20 for s in report.steps)
         assert len(report.steps) == 8  # 4 batches per task, last epoch only
@@ -423,7 +421,7 @@ class TestRunContinual:
                                           SelectorKind.RING])
     def test_all_selectors_run(self, selector):
         report = small_run(selector=selector, oracle=False)
-        assert not np.isnan(report.acc_matrix.values[1, 1])
+        assert not np.isnan(report.acc_matrix[1, 1])
 
     def test_tau_series_emitted_with_oracle(self):
         report = small_run()

@@ -119,6 +119,46 @@ def test_example_config_artifact_bytes_are_pinned(tmp_path, capsys, off_optimum_
     assert len(checked) == len(steps) > 0
 
 
+# sha256 of each artifact file of the example config with the oracle off:
+# every tau cell is blank
+ORACLE_OFF_BYTES = {
+    "report.json": "4a9ad1f5c8d594c032bffb73566fc8829dabc2e8cc0d2d8043b748619edbe4ff",
+    "acc_matrix.csv": "707f1d9d7f8e1bd371c0974ea0d25f3fdda8ff799442b87e4b31359a669183c7",
+    "metrics.csv": "b8ce40dfd2d225ab2591303a0fbecac97f99f3ba2d7040316df25dcd0d881f8b",
+    "buffer_trace.csv": "3bcdd89b9ca9584b3417dc916f3380b576339e3fe518e041007e34667713076f",
+}
+
+
+def test_oracle_off_artifact_bytes_are_pinned(tmp_path, capsys):
+    assert cli.main(["run", "--config", str(EXAMPLE), "--out", str(tmp_path),
+                     "--set", "oracle.enabled=false"]) == 0
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ORACLE_OFF_BYTES} == ORACLE_OFF_BYTES
+
+
+# sha256 of sweep.csv of the example config over grid.mu = 0.5 and
+# grid.nu = 0, 1.0, with the oracle on and off (a blank mean_tau)
+SWEEP_BYTES = {
+    "oracle_on": "ea855de22cdd0fa65081b9b2fa9dccd49ffa69871683c2c781482b7dd13736b5",
+    "oracle_off": "0a3641a5486451e610d5a9062d5728783ba107321a2d86a826be1ee25d21bfea",
+}
+
+
+@pytest.mark.parametrize("oracle", SWEEP_BYTES)
+def test_sweep_csv_bytes_are_pinned(tmp_path, capsys, oracle):
+    text = EXAMPLE.read_text(encoding="utf-8")
+    assert "oracle.enabled = true" in text
+    config = tmp_path / "run.cfg"
+    config.write_text(text if oracle == "oracle_on" else
+                      text.replace("oracle.enabled = true", "oracle.enabled = false"))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.mu = 0.5\ngrid.nu = 0, 1.0\n")
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(config), "--grid", str(grid),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == SWEEP_BYTES[oracle]
+
+
 # kept ids (sorted) of each greedy kind on one fitted blob pool at p = 200
 GREEDY_AT_SCALE = {
     "regularized_if":
