@@ -599,7 +599,8 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
     method_res_rng = named_rng(seed, "method_reservoir")
     oracle_res_rng = named_rng(seed, "oracle_reservoir")
 
-    params = Params(init_rng.normal(scale=0.01, size=model.param_dim))
+    # a plain array in the SGD loop, wrapped in Params where it leaves it
+    theta = init_rng.normal(scale=0.01, size=model.param_dim)
     buffer = _NO_ROWS
     offered = 0       # samples offered so far, to both reservoirs alike
     oracle_rows = _NO_ROWS
@@ -615,12 +616,12 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
             for bi, batch in enumerate(batches):
                 try:
                     replay = _draw_replay(buffer, stream.batch_size, replay_rng)
-                    # the row sum, not grad_sum's product: the pinned run
-                    # p200_seed126 amplifies the last bits of this gradient
-                    # into a different kept id
-                    g = models.grad_matrix(model, params,
-                                           train.rows(np.concatenate([batch, replay]))).sum(axis=0)
-                    params = Params(params.theta - learning_rate * g)
+                    # grad_matrix's row sum, not grad_sum's product: the
+                    # pinned run p200_seed126 amplifies the last bits of
+                    # this gradient into a different kept id
+                    idx = np.concatenate([batch, replay])
+                    theta = models._sgd_step(model, theta, train.X[idx], train.y[idx],
+                                             learning_rate)
                     if epoch < epochs:
                         continue
                     # the last epoch: one selection step after every batch
@@ -631,7 +632,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                     rows = np.concatenate([buffer, batch])
                     tau = None
                     if selector in GREEDY_KINDS or oracle is not None:
-                        ctx = _selection_context(model, params, train, rows, len(buffer),
+                        ctx = _selection_context(model, Params(theta), train, rows, len(buffer),
                                                  reweight_constant, damping)
                         if oracle is not None:
                             tau = _tau_checkpoint(ctx, train, rows, oracle_rows,
@@ -655,6 +656,7 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                 except Exception as exc:
                     raise RuntimeError(f"step {len(steps)} (task {ti}, epoch {epoch}, "
                                        f"batch {bi}): {exc}") from exc
+        params = Params(theta)
         for tj in range(ti + 1):
             matrix[ti, tj] = models.accuracy(model, params, tests[tj])
 

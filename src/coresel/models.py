@@ -30,10 +30,12 @@ float operations, in the same order, as the plain out-of-place formulas.
 ``((P - onehot) * w)^T X`` plus ``l2_strength * sum(w) * theta``, which
 agrees with the row sum of ``grad_matrix`` to float64 round-off but not
 bit for bit. The SGD step of :func:`~coresel.harness.run_continual` is the
-one gradient sum that does not use it: it sums ``grad_matrix`` rows
-itself, because the pinned scaled run ``p200_seed126`` (see
-``tests/test_pinned_runs.py``) amplifies the last bits of that gradient
-into a different kept id.
+one gradient sum that does not use it, because the pinned scaled run
+``p200_seed126`` (see ``tests/test_pinned_runs.py``) amplifies the last
+bits of that gradient into a different kept id. Its private helper
+``_sgd_step``, next to ``grad_matrix``, repeats ``grad_matrix``'s
+arithmetic on plain arrays and sums the rows, with no ``Batch`` or
+``Params`` per step.
 
 A Newton fit takes one ``exp`` per point it evaluates: the start, each
 line-search trial and the point where backtracking runs out each get one
@@ -393,6 +395,27 @@ def grad_matrix(spec: ModelSpec, params: Params, samples: Samples, *,
     G += spec.l2_strength * theta
     G *= w[:, None, None]
     return G.reshape(n, spec.param_dim)
+
+
+def _sgd_step(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
+              learning_rate: float) -> np.ndarray:
+    """``theta - learning_rate * grad_matrix(...).sum(axis=0)`` for logistic
+    rows ``X, y`` of weight 1, bit for bit, on a plain theta array.
+
+    It repeats :func:`grad_matrix`'s float operations in their order,
+    less the weight multiply, which is exact at weight 1. The result is
+    checked finite as :class:`Params` would check it.
+    """
+    n = len(y)
+    Theta = theta.reshape(spec.num_classes, spec.dim)
+    resid = _softmax(X @ Theta.T)
+    resid[np.arange(n), y] -= 1.0
+    G = resid[:, :, None] * X[:, None, :]
+    G += spec.l2_strength * Theta
+    theta = theta - learning_rate * G.reshape(n, spec.param_dim).sum(axis=0)
+    if not np.isfinite(theta).all():
+        raise ValueError("vector contains NaN or Inf entries")
+    return theta
 
 
 def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,

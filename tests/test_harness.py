@@ -380,7 +380,8 @@ class TestLooRetrainDelta:
                                FitConfig(method="closed_form"))
 
 
-def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, **kwargs):
+def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, learning_rate=0.01,
+              **kwargs):
     stream = make_stream(StreamSpec(num_tasks=2, classes_per_task=2,
                                     samples_per_class=20, dim=2, batch_size=10,
                                     seed=123))
@@ -389,7 +390,7 @@ def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, **kwarg
         stream, model, selector,
         CriterionConfig(budget=20, mu=0.5, nu=0.01),
         OracleConfig() if oracle else None,
-        seed=seed, learning_rate=0.01, epochs=2, **kwargs)
+        seed=seed, learning_rate=learning_rate, epochs=2, **kwargs)
 
 
 class TestRunContinual:
@@ -493,6 +494,27 @@ class TestRunContinual:
         monkeypatch.setattr(harness, "build_context", tracked)
         report = small_run()
         assert alive_at_build == [0] * len(report.steps) == [0] * 8
+
+    def test_sgd_steps_call_no_kernel(self, monkeypatch):
+        """``grad_matrix`` runs once per selection step, for its context;
+        the SGD steps between them compute their gradients without it."""
+        calls = []
+        original = models.grad_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(models, "grad_matrix", counting)
+        report = small_run(oracle=False)
+        assert len(calls) == len(report.steps) == 8
+
+    @pytest.mark.parametrize("learning_rate, batch", [(1e308, 0), (1e305, 1)])
+    def test_divergence_carries_step_context(self, learning_rate, batch):
+        # numpy's overflow warning, an error under this suite's settings,
+        # would end the step before the finiteness check it pins
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                RuntimeError, match=rf"step 0 \(task 0, epoch 1, batch {batch}\): .*NaN or Inf"):
+            small_run(learning_rate=learning_rate)
 
     def test_errors_carry_step_context(self, monkeypatch):
         def failing_context(*args, **kwargs):

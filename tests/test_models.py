@@ -374,10 +374,11 @@ def oracle_hvp_matrix(spec, params, batch, v):
 class TestInPlaceKernelsAreBitExact:
     """The in-place logistic kernels give the out-of-place oracles' exact bits.
 
-    The SGD step sums ``grad_matrix`` rows, and the pinned run
-    ``p200_seed126`` amplifies their last bits into a kept id, so
-    ``grad_matrix`` is held to its oracle by ``np.array_equal``, as are
-    ``hvp_matrix`` and every ``probs=`` variant to its own kernel.
+    The SGD step repeats ``grad_matrix``'s arithmetic, and is held to its
+    row sum by :class:`TestSgdStep`; the pinned run ``p200_seed126``
+    amplifies those last bits into a kept id. So ``grad_matrix`` is held
+    to its oracle by ``np.array_equal``, as are ``hvp_matrix`` and every
+    ``probs=`` variant to its own kernel.
     ``grad_sum`` is one product in another summation order than the row
     sum, so it is held to that sum within ``1e-13 * max(1, max_j sum_i
     |G_ij|)``. The inputs are writeable, so a kernel that wrote into them
@@ -421,6 +422,35 @@ class TestInPlaceKernelsAreBitExact:
             assert np.array_equal(a, b)
             for out in (G, g, Hv, H, *shared):
                 assert not np.shares_memory(out, a)
+
+
+class TestSgdStep:
+    """The run loop's fused SGD step gives the bits of stepping along
+    ``grad_matrix``'s row sum over a ``rows()`` batch of the same rows."""
+
+    @pytest.mark.parametrize("n", [1, 12, 13, 24])
+    @pytest.mark.parametrize("num_classes", [2, 10])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_matches_grad_matrix_row_sum(self, n, num_classes, l2):
+        rng = np.random.default_rng([n, num_classes, int(l2 * 100)])
+        dim, lr = 20, 0.01
+        spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=l2)
+        X = rng.normal(size=(40, dim))
+        y = rng.integers(num_classes, size=40)
+        X[7], y[7] = 0.0, 0   # a row of zero features: its products are signed zeros
+        train = Batch(X, y, np.ones(40), np.arange(40))
+        idx = rng.permutation(np.append(rng.choice(np.delete(np.arange(40), 7), n - 1,
+                                                   replace=False), 7))
+        theta = rng.normal(size=spec.param_dim)
+        theta[:4] = [0.0, -0.0, 0.0, -0.0]   # signed zeros, kept as the oracle keeps them
+        before = theta.copy()
+
+        got = models._sgd_step(spec, theta, train.X[idx], train.y[idx], lr)
+        want = theta - lr * grad_matrix(spec, Params(theta), train.rows(idx)).sum(axis=0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(theta, before) and np.array_equal(np.signbit(theta),
+                                                                np.signbit(before))
 
 
 def count_calls(monkeypatch, name, record=lambda *args, **kwargs: None):
@@ -618,8 +648,8 @@ class TestBatch:
         assert len(steps) > 1 and computed == [30]
 
     def test_sgd_step_batch_computes_no_constant(self):
-        # the SGD step feeds a rows() batch to grad_matrix alone, which
-        # reads none of the constants, so its batch stays a plain tuple
+        # grad_matrix reads none of the constants, so a rows() batch it
+        # is given stays a plain tuple
         rng = np.random.default_rng(48)
         spec, samples, _, params = random_logistic_instance(rng, n=20)
         batch = stack_samples(spec, samples).rows(np.array([3, 4, 5, 11, 17]))
