@@ -522,21 +522,18 @@ def _tau_checkpoint(ctx: InfluenceContext, pool: models.Batch, rows: np.ndarray,
     reservoir. That isolates exactly the pool bias the reservoir is meant
     to expose. Returns None when the overlap is too small to rank.
     """
-    overlap = np.flatnonzero(np.isin(rows, oracle_rows))
+    oracle = np.zeros(len(pool.ids), dtype=bool)
+    oracle[oracle_rows] = True
+    overlap = np.flatnonzero(oracle[rows])
     if len(overlap) < min_overlap:
         return None
-    # raw-weight gradients: the context's own rows, except the reweighted
-    # ones, which are recomputed at their raw weight
-    G = ctx.grads[overlap]
-    reweighted = np.flatnonzero(ctx.batch.w[overlap] != pool.w[rows[overlap]])
-    if len(reweighted):
-        G[reweighted] = models.grad_matrix(ctx.model, ctx.params,
-                                           pool.rows(rows[overlap[reweighted]]))
     oracle_gsum = models.grad_sum(ctx.model, ctx.params, pool.rows(oracle_rows))
     oracle_solve = ctx.solve(oracle_gsum)
-    method_scores = -(G @ ctx.ihvp)
-    oracle_scores = -(G @ oracle_solve)
-    return kendall_tau(method_scores, oracle_scores)
+    # the overlap rows at their raw weights, each gradient dotted with both
+    # solves in factored form, from the context's softmax of them
+    dots = models.grad_dots(ctx.model, ctx.params, pool.rows(rows[overlap]),
+                            np.stack((ctx.ihvp, oracle_solve)), probs=ctx.probs[overlap])
+    return kendall_tau(-dots[:, 0], -dots[:, 1])
 
 
 def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,

@@ -15,6 +15,12 @@ influence reads.
 Scores follow the "more negative = more valuable to keep" convention: the
 first-order influence of upweighting ``z`` on the summed candidate loss is
 ``-ihvp . grad(z)``, and a coreset should retain the lowest-scoring samples.
+The context computes them, and greedy its regularizer rows, from factors
+of the candidates' rows (:func:`~coresel.models.grad_dots`,
+:func:`~coresel.models.mu_factors`), with no per-candidate gradient
+matrix; :meth:`InfluenceContext.mu_terms` builds the dense rows for the
+oracles (:func:`regularizer`, :func:`identical_hessian_form` and the
+batched criterion of exhaustive selection).
 """
 
 from dataclasses import dataclass
@@ -31,7 +37,6 @@ from .numkit import (
     as_vector,
     check_int,
     check_real,
-    matvec_by_fours,
 )
 
 
@@ -57,25 +62,28 @@ class CriterionConfig:
 class InfluenceContext:
     """Frozen selection-time state; build via :func:`build_context`.
 
-    ``batch`` holds the candidates, stacked with their ids; ``grads``,
-    ``grad_sum``, ``ihvp``, :meth:`scores`, :meth:`mu_terms` and
-    :meth:`mu_factors` read its weights. ``grads``, ``grad_sum`` and
-    ``ihvp`` are read-only arrays, and nothing is written to the context
-    after :func:`build_context`.
+    ``batch`` holds the candidates, stacked with their ids; ``grad_sum``,
+    ``ihvp``, :meth:`scores`, :meth:`mu_terms` and :meth:`mu_factors` read
+    its weights. ``probs`` is the candidates' softmax at ``params`` (None
+    for quad1d). The context holds no per-candidate gradient row: the
+    scores and greedy's rows come from the factored forms
+    :func:`~coresel.models.grad_dots` and :func:`~coresel.models.
+    mu_factors`, and :meth:`mu_terms` builds the dense rows on each call,
+    for the oracles. ``grad_sum``, ``ihvp`` and ``probs`` are read-only
+    arrays, and nothing is written to the context after
+    :func:`build_context`.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
-                 batch: models.Batch, solver: CholeskySolver, grads: np.ndarray,
-                 probs: Optional[np.ndarray]):
+                 batch: models.Batch, solver: CholeskySolver, probs: Optional[np.ndarray]):
         self.model = model
         self.params = params
         self.batch = batch
         self._solver = solver
-        self._probs = probs
-        self.grads = grads                      # (n, p) per-candidate gradients
+        self.probs = probs
         self.grad_sum = models.grad_sum(model, params, batch, probs=probs)
         self.ihvp = solver.solve(self.grad_sum)
-        for a in (self.grads, self.grad_sum, self.ihvp, probs):
+        for a in (self.grad_sum, self.ihvp, probs):
             if a is not None:
                 a.flags.writeable = False
 
@@ -100,34 +108,36 @@ class InfluenceContext:
         return self._solver.solve(rhs)
 
     def scores(self) -> np.ndarray:
-        """First-order influence of every candidate, in candidate order.
-
-        The product runs over the rows padded to a multiple of 4
-        (:func:`~coresel.numkit.matvec_by_fours`), so two copies of one
-        sample score alike wherever they sit among the candidates."""
-        return -matvec_by_fours(self.grads, self.ihvp)
+        """First-order influence ``-grad(z_i) . ihvp`` of every candidate,
+        in candidate order, from :func:`~coresel.models.grad_dots`: each
+        score comes from its own row alone, so two copies of one sample
+        score alike wherever they sit among the candidates."""
+        return -models.grad_dots(self.model, self.params, self.batch, self.ihvp[None],
+                                 probs=self.probs)[:, 0]
 
     def mu_terms(self, mu: float) -> np.ndarray:
-        """Rows ``grad(z_i) - mu * H_{z_i} ihvp`` for every candidate.
-
-        At ``mu = 0`` this is ``grads`` itself (read-only, no copy); any
-        other ``mu`` computes the Hessian-vector products on each call.
+        """Rows ``grad(z_i) - mu * H_{z_i} ihvp`` for every candidate, as
+        the dense ``(n, param_dim)`` array of
+        :func:`~coresel.models.grad_matrix` and, at ``mu != 0``,
+        :func:`~coresel.models.hvp_matrix`, computed on each call: the
+        oracle for the factored rows of :meth:`mu_factors`.
         """
         _check_mu(mu)
+        grads = models.grad_matrix(self.model, self.params, self.batch, probs=self.probs)
         if mu == 0.0:
-            return self.grads
+            return grads
         out = models.hvp_matrix(self.model, self.params, self.batch, self.ihvp,
-                                probs=self._probs)
+                                probs=self.probs)
         out *= mu
-        return np.subtract(self.grads, out, out=out)
+        return np.subtract(grads, out, out=out)
 
     def mu_factors(self, mu: float):
-        """The rows of :meth:`mu_terms` in factored form, ``(U, X, a, c2)``
-        as :func:`~coresel.models.mu_factors` returns them, computed from
-        the stored softmax of the candidates."""
+        """The rows of :meth:`mu_terms` in factored form, ``(U, X, C)`` as
+        :func:`~coresel.models.mu_factors` returns them, computed from the
+        stored softmax of the candidates."""
         _check_mu(mu)
         return models.mu_factors(self.model, self.params, self.batch, self.ihvp, mu,
-                                 probs=self._probs)
+                                 probs=self.probs)
 
 
 def build_context(model: models.ModelSpec, params: models.Params,
@@ -141,8 +151,8 @@ def build_context(model: models.ModelSpec, params: models.Params,
     softmax when ``hessian_set is candidates``), Cholesky-factors it once,
     and solves it against the candidates' summed gradient
     (:func:`~coresel.models.grad_sum`). The candidates' softmax is
-    computed once, here, for their gradients, their gradient sum, their
-    Hessian-vector products and, if it is theirs, the Hessian. Raises
+    computed once, here, for their gradient sum, their scores, their
+    factored rows and, if it is theirs, the Hessian. Raises
     :class:`SolveError` if the damped Hessian is not positive definite or
     the solve's true residual exceeds the tolerance.
     """
@@ -164,8 +174,7 @@ def build_context(model: models.ModelSpec, params: models.Params,
             f"damped Hessian of the {len(hessian_batch.ids)}-sample Hessian set is not "
             f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
             f"raise either") from None
-    grads = models.grad_matrix(model, params, batch, probs=probs)
-    return InfluenceContext(model, params, batch, solver, grads, probs)
+    return InfluenceContext(model, params, batch, solver, probs)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:
@@ -237,5 +246,5 @@ def identical_hessian_form(ctx: InfluenceContext, keep, mu: float, alpha: float)
     """
     _check_mu(mu)
     check_real("alpha", alpha)
-    kept_sum = ctx.grads[_keep_masks(ctx, keep, 1) == 1.0].sum(axis=0)
+    kept_sum = ctx.mu_terms(0.0)[_keep_masks(ctx, keep, 1) == 1.0].sum(axis=0)
     return float(np.linalg.norm((1.0 - alpha * mu) * ctx.grad_sum - kept_sum))

@@ -45,8 +45,10 @@ both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). The
 constants those kernels read (the row index, ``sqrt(w)``, ``sqrt(w) X``
 and ``sum(w)``) are kept on the :class:`Batch`, so the fit computes them
 once for all its iterates. An influence context likewise shares one
-softmax of its candidates among ``grad_matrix``, ``hvp_matrix``
-and, when they are its Hessian set, ``dense_hessian``. Both reuse the
+softmax of its candidates among ``grad_sum``, ``grad_dots``,
+``mu_factors`` and, when they are its Hessian set, ``dense_hessian``
+(and ``grad_matrix`` and ``hvp_matrix`` when an oracle asks for its
+dense rows). Both reuse the
 very floats the kernels would have computed themselves, so the results
 are bit-identical to computing everything anew.
 
@@ -62,8 +64,14 @@ class-major sum would add it in another order.
 :func:`mu_factors` gives the rows of ``grad_matrix - mu * hvp_matrix`` in
 factored form, ``w_i (u_i (x) x_i + c)``: each logistic gradient and
 Hessian-vector row is a class residual times the sample's features, plus
-the L2 term shared by all rows. The dot product of two rows then reads
+the L2 term shared by all rows (the per-example factorization of
+Goodfellow, arXiv 1510.01799). The dot product of two rows then reads
 ``num_classes + dim + 2`` numbers per row instead of ``param_dim``.
+:func:`grad_dots` dots every gradient row with given vectors in the same
+form, one product over the features and a sum over the classes, so a
+selection round (its scores, greedy's rows and the tau checkpoint) builds
+no ``(n, param_dim)`` gradient or Hessian-vector array; ``grad_matrix``
+and ``hvp_matrix`` remain as the oracles those forms are tested against.
 
 Every batch helper takes a :class:`Batch` or a sample list.
 :func:`stack_samples` is the one place a sample set is validated against
@@ -466,6 +474,44 @@ def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
     return out.reshape(n, spec.param_dim)
 
 
+def grad_dots(spec: ModelSpec, params: Params, samples: Samples, vs, *,
+              probs: Optional[np.ndarray] = None) -> np.ndarray:
+    """``grad_matrix(...) @ vs.T``: each sample's gradient dotted with each
+    row of the ``(k, param_dim)`` array ``vs``, as an ``(n, k)`` array,
+    with no gradient row built.
+
+    For ``logistic``, entry ``(i, j)`` is ``w_i ((r_i * (V_j x_i)).sum() +
+    l2_strength * theta . v_j)`` with ``r_i = P_i - onehot(y_i)`` and
+    ``V_j`` the class-major ``vs[j]``; for ``quad1d`` it is ``w_i (theta -
+    x_i) v_j``. A row's entries come from that row alone (one product over
+    its features, element-wise operations and a sum over its classes), and
+    OpenBLAS rounds a row of a matrix-matrix product alike wherever the
+    row sits (unlike the last ``n % 4`` rows of a matrix-vector product),
+    so two equal rows get equal entries wherever they sit. They agree with
+    ``grad_matrix(...) @ vs.T`` to float64 round-off, not bit for bit.
+    ``probs`` as in :func:`grad_matrix`, the softmax at these ``params``,
+    only read.
+    """
+    vs = np.asarray(vs, dtype=np.float64)
+    if vs.ndim != 2 or vs.shape[1] != spec.param_dim:
+        raise ValueError(f"expected a (k, {spec.param_dim}) array of vectors, "
+                         f"got shape {vs.shape}")
+    batch = _as_batch(spec, samples)
+    X, y, w, _ = batch
+    if spec.kind == "quad1d":
+        return (w * (params.theta[0] - X[:, 0]))[:, None] * vs[:, 0]
+    theta = _theta_matrix(spec, params)
+    n, k, C = len(y), len(vs), spec.num_classes
+    resid = _softmax(X @ theta.T) if probs is None else probs.copy()
+    resid[batch.index, y] -= 1.0
+    VX = (X @ vs.reshape(k * C, spec.dim).T).reshape(n, k, C)
+    VX *= resid[:, None, :]
+    out = VX.sum(axis=2)
+    out += spec.l2_strength * (vs @ params.theta)
+    out *= w[:, None]
+    return out
+
+
 def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, *,
                probs: Optional[np.ndarray] = None):
     """The rows ``grad_matrix - mu * hvp_matrix(v)`` in factored form.
@@ -475,12 +521,11 @@ def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, 
     ``u_i = (P_i - onehot(y_i)) - mu * P_i * (V x_i - P_i . V x_i)`` and
     ``c = l2_strength * (theta - mu * V)``, with ``V = v`` class-major;
     ``quad1d``'s row is its own factor, with ``x_i = 1`` and ``c = 0``.
-    Returns ``(U, X, a, c2)``: ``U[i] = w_i u_i``, the features,
-    ``a[i] = U[i] . (C x_i)`` with ``C`` the class-major ``c``, and
-    ``c2 = ||c||^2``, from which ``row_i . row_d`` is
-    ``(U[i] . U[d]) (x_i . x_d) + a[i] w_d + w_i (a[d] + w_d c2)``, at
-    ``num_classes + dim + 2`` numbers per row where the row has
-    ``param_dim``. ``probs`` as in :func:`hvp_matrix`, only read.
+    Returns ``(U, X, C)``: ``U[i] = w_i u_i``, the features and the
+    class-major ``c``, so row ``i`` is ``U[i] (x) X[i] + w_i C`` flattened,
+    and the dot product of two rows reads ``num_classes + dim + 2``
+    numbers per row where the row has ``param_dim``. ``probs`` as in
+    :func:`hvp_matrix`, only read.
     """
     v = as_vector(v, dim=spec.param_dim)
     batch = _as_batch(spec, samples)
@@ -490,7 +535,7 @@ def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, 
         rows = grad_matrix(spec, params, batch)
         if mu != 0.0:
             rows = rows - mu * hvp_matrix(spec, params, batch, v)
-        return rows, np.ones((n, 1)), np.zeros(n), 0.0
+        return rows, np.ones((n, 1)), np.zeros((1, 1))
     theta = _theta_matrix(spec, params)
     V = v.reshape(spec.num_classes, spec.dim)
     P = _probs(spec, params, X) if probs is None else probs
@@ -499,8 +544,7 @@ def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, 
         U -= mu * _hvp_class_factor(P, X, V)
     U[np.arange(n), y] -= 1.0
     U *= w[:, None]
-    c = spec.l2_strength * (theta - mu * V)
-    return U, X, np.einsum("nc,nc->n", U, X @ c.T), float((c * c).sum())
+    return U, X, spec.l2_strength * (theta - mu * V)
 
 
 def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,

@@ -18,8 +18,8 @@ import numpy as np
 DEFAULT_DAMPING = 0.01
 # Largest accepted true residual ||A x - b|| of a solve, relative to ||b||.
 SOLVE_REL_TOLERANCE = 1e-8
-# Triangular blocks up to this size are inverted by one LAPACK call;
-# larger ones are split in two and joined by matrix products.
+# Blocks up to this size are factored and inverted by one LAPACK call
+# each; larger ones are split in two and joined by matrix products.
 _INVERSE_LEAF = 32
 
 
@@ -85,23 +85,32 @@ def matvec_by_fours(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x)[:n]
 
 
-def _inverse_lower(lower: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular matrix, by recursive 2x2 blocking.
+def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
+    """``L^{-1}`` of the Cholesky factor ``matrix = L L^T``, factored and
+    inverted in one recursive 2x2-block pass.
 
-    ``[[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]``.
-    numpy has no triangular inverse; a generic ``np.linalg.inv`` of the
-    whole factor costs about 5x as much at 200 parameters.
+    With ``matrix = [[A, B^T], [B, D]]``, ``L = [[L1, 0], [L21, L2]]``
+    where ``L1 L1^T = A``, ``L21 = B L1^{-T}`` and ``L2 L2^T`` is the Schur
+    complement ``D - L21 L21^T``; then ``L^{-1} = [[L1^{-1}, 0], [-L2^{-1}
+    L21 L1^{-1}, L2^{-1}]]``. Blocks up to ``_INVERSE_LEAF`` rows are
+    factored by ``np.linalg.cholesky`` and inverted by ``np.linalg.inv``.
+    The Schur complement of a block is positive definite exactly when the
+    whole matrix is, so a leaf that fails to factor raises LinAlgError
+    for the whole. numpy has no triangular inverse; a generic
+    ``np.linalg.inv`` of the whole factor costs about 5x as much at 200
+    parameters.
     """
-    n = lower.shape[0]
+    n = matrix.shape[0]
     if n <= _INVERSE_LEAF:
-        return np.linalg.inv(lower)
+        return np.linalg.inv(np.linalg.cholesky(matrix))
     h = n // 2
-    top = _inverse_lower(lower[:h, :h])
-    bottom = _inverse_lower(lower[h:, h:])
-    out = np.zeros_like(lower)
+    top = _inverse_cholesky(matrix[:h, :h])
+    lower = matrix[h:, :h] @ top.T
+    bottom = _inverse_cholesky(matrix[h:, h:] - lower @ lower.T)
+    out = np.zeros_like(matrix)
     out[:h, :h] = top
     out[h:, h:] = bottom
-    out[h:, :h] = -(bottom @ (lower[h:, :h] @ top))
+    out[h:, :h] = -(bottom @ (lower @ top))
     return out
 
 
@@ -123,12 +132,11 @@ class CholeskySolver:
             raise ValueError(f"expected a nonempty square matrix, got shape {matrix.shape}")
         matrix[np.diag_indices(matrix.shape[0])] += damping
         try:
-            lower = np.linalg.cholesky(matrix)
+            self._inv_lower = _inverse_cholesky(matrix)
         except np.linalg.LinAlgError:
             raise SolveError("matrix is not positive definite") from None
         matrix.flags.writeable = False
         self.matrix = matrix
-        self._inv_lower = _inverse_lower(lower)
 
     @property
     def dim(self) -> int:

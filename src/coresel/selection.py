@@ -5,23 +5,26 @@ repeatedly drops the sample whose removal most improves the criterion
 ``sum_kept(score) + nu * regularizer``, re-linearizing the regularizer after
 every drop (the influence scores and the shared inverse-Hessian solve stay
 fixed for the round). The regularizer ``||a @ M||`` and its gradient come
-from running sums ``v = a @ M`` and ``M @ v``. A drop moves ``M @ v`` by a
-Gram column of ``M``, built from the factored rows ``w_i (u_i (x) x_i +
-c)`` of :meth:`~coresel.influence.InfluenceContext.mu_factors`: three
-small matrix-vector products over ``num_classes + dim + 2`` numbers per
-row, where a row of ``M`` has ``num_classes * dim``, and a fixed handful
-of O(n) vector calls. Each kept row's factors, ``M @ v`` and score are
-one column of a single C-contiguous block, in id order, so the drop is
-the first maximum among them and the products run transposed over the
-block's row slices; a dropped column is marked dead in place, and once
-dead columns reach 1/``SQUEEZE_RATIO`` of those held, one copy of the
-block squeezes them out, so each product spans little more than the kept
-rows. The columns held are padded to a multiple of 4, where OpenBLAS
-rounds a column's product alike wherever the column sits, so copies of
-one sample tie exactly. Baselines cover pure influence ranking, the two
-single-term regularizer ablations, the reservoir-sampling update, and a
-class-balanced ring buffer; an exhaustive enumerator, scoring every subset
-in one batched criterion call, serves as the small-instance oracle.
+from running sums ``v = a @ M`` and ``M @ v``. ``M`` holds the factored
+rows ``w_i (u_i (x) x_i + c)`` of :meth:`~coresel.influence.
+InfluenceContext.mu_factors`, built once from the factors, never from a
+gradient or Hessian-vector row. A drop moves ``M @ v`` by a Gram column
+of ``M``, built from the factors too: three small matrix-vector products
+over ``num_classes + dim + 2`` numbers per row, where a row of ``M`` has
+``num_classes * dim``, and a fixed handful of O(n) vector calls. Each
+kept row's factors, ``M @ v`` and score are one column of a single
+C-contiguous block, in id order, so the drop is the first maximum among
+them and the products run transposed over the block's row slices; a
+dropped column is marked dead in place, and once dead columns reach
+1/``SQUEEZE_RATIO`` of those held, one copy of the block squeezes them
+out, so each product spans little more than the kept rows. The columns
+held are padded to a multiple of 4, where OpenBLAS rounds a column's
+product alike wherever the column sits, and the scores and ``M`` are
+row-local, so copies of one sample tie exactly. Baselines cover pure
+influence ranking, the two single-term regularizer ablations, the
+reservoir-sampling update, and a class-balanced ring buffer; an
+exhaustive enumerator, scoring every subset in one batched criterion
+call, serves as the small-instance oracle.
 """
 
 import itertools
@@ -96,13 +99,16 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     The regularizer is ``||a @ M||`` and its gradient ``sign * M @ v /
     ||v||`` with ``v = a @ M``. Both ``v`` and ``M @ v`` are running sums:
     dropping row ``d`` moves ``a`` by ``+-e_d``, so ``v`` moves by
-    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``. That column comes from the
-    factors ``(U, X, a, c2)`` of ``M`` (see :meth:`~coresel.influence.
-    InfluenceContext.mu_factors`) as ``(U @ U[d]) * (X @ X[d]) + (a, w) @
-    (w[d], a[d] + w[d] c2)``, with ``w`` the batch weights: a drop costs
-    three matrix-vector products over ``num_classes + dim + 2`` numbers per
-    row, not one over ``M``'s ``num_classes * dim``, plus a fixed handful
-    of O(n) calls. Greedy holds one C-contiguous ``(num_classes + dim + 6,
+    ``+-M[d]`` and ``M @ v`` by ``+-M @ M[d]``. ``M`` is built once from
+    the factors ``(U, X, C)`` of :meth:`~coresel.influence.InfluenceContext.
+    mu_factors` as ``U (x) X + w (x) C`` (:func:`_factored_rows`), with
+    ``w`` the batch weights, and read only for the moves of ``v`` and the
+    final criterion. The column comes from the same factors as ``(U @
+    U[d]) * (X @ X[d]) + (a, w) @ (w[d], a[d] + w[d] c2)``, with ``a[i] =
+    U[i] . C X[i]`` and ``c2 = ||C||^2``: a drop costs three matrix-vector
+    products over ``num_classes + dim + 2`` numbers per row, not one over
+    ``M``'s ``num_classes * dim``, plus a fixed handful of O(n) calls.
+    Greedy holds one C-contiguous ``(num_classes + dim + 6,
     columns)`` block whose rows are ``U^T``, ``X^T``, ``(a, w)^T``, ``(w,
     a + w c2)^T``, ``M @ v`` and the scores, and whose columns are the rows
     held, in id order, so the drop is the first maximum among them and
@@ -113,14 +119,16 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     flags) squeezes them out, so each product spans little more than the
     kept rows. The columns held are padded with dead ones to a multiple of
     4, where OpenBLAS rounds a column's product alike wherever the column
-    sits (it rounds the last ``columns % 4`` of other blocks its own way),
-    and the scores and the initial ``M @ v`` come from products padded the
-    same way (:func:`~coresel.numkit.matvec_by_fours`), so copies of one
-    sample tie exactly wherever they sit among the candidates. The totals
-    can differ in their last bits from those of the product ``M @ M[d]``;
-    ``v``, moved by the rows of ``M`` themselves, the norms and the
-    criterion do not. At or below ``DEGENERATE_NORM_FACTOR * n`` the
-    gradient is zero.
+    sits (it rounds the last ``columns % 4`` of other blocks its own way).
+    The scores (:meth:`~coresel.influence.InfluenceContext.scores`) and
+    ``M`` come from each row alone, the discarded-side kinds start ``v``
+    and ``M @ v`` at zero, and ``if_diversity``'s initial ``M @ v`` is a
+    product over rows padded the same way (:func:`~coresel.numkit.
+    matvec_by_fours`), so copies of one sample tie exactly wherever they
+    sit among the candidates. The totals can differ in their last bits
+    from those of the product ``M @ M[d]``; ``v``, moved by the rows of
+    ``M`` themselves, the norms and the criterion do not. At or below
+    ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
     ``reg_values`` are ``||v||`` of the running ``v``; ``final_criterion``
     is computed from scratch on the kept mask.
     ``vanilla_if`` has no regularizer, so its drops are one sort of the
@@ -142,24 +150,29 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     # the gradients themselves, the terms at mu = 0.
     kept_side = kind is SelectorKind.IF_DIVERSITY
     mu = cfg.mu if kind is SelectorKind.REGULARIZED_IF else 0.0
-    M = ctx.mu_terms(mu)
-    U, X, a, c2 = ctx.mu_factors(mu)
+    U, X, C = ctx.mu_factors(mu)
     w = ctx.batch.w
+    M = _factored_rows(U, X, C, w)
+    a = np.einsum("nc,nc->n", U, X @ C.T)
+    c2 = float((C * C).sum())
     # The gradient's sign folds into add or subtract, and a drop's step of
     # +-1 into the running sums' update: IEEE negation commutes with
     # rounding, so these give the bits of multiplying by +-1.
     add_grad, move = (np.add, np.subtract) if kept_side else (np.subtract, np.add)
     threshold = DEGENERATE_NORM_FACTOR * max(1, n)
     all_scores = ctx.scores()
-    v = (np.ones(n) if kept_side else np.zeros(n)) @ M
+    if kept_side:
+        v = np.ones(n) @ M
+        Mv = matvec_by_fours(M, v)
+    else:
+        v, Mv = np.zeros(M.shape[1]), np.zeros(n)
     # Held rows, in id order: rows[i] is the context row that column i of
     # the block holds. np.resize pads them to a multiple of 4 with repeats,
     # held dead. The block's rows are U^T, X^T, the pairs (a, w), their
     # mates (w, a + w c2), M @ v and the scores, so M[i] . M[d] is
     # (U[i] . U[d]) (X[i] . X[d]) + pairs[i] . mates[d].
     rows = np.resize(np.argsort(ids, kind="stable"), n + -n % 4)
-    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, matvec_by_fours(M, v),
-                      all_scores)).take(rows, axis=1)
+    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, Mv, all_scores)).take(rows, axis=1)
     bounds = np.cumsum((U.shape[1], X.shape[1], 2, 2))
     held_U, held_X, pairs, mates, (Mv, scores) = np.split(held, bounds)
     alive = np.arange(len(rows)) < n
@@ -214,6 +227,18 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
                            reg_values=reg_values.tolist(),
                            final_criterion=float(all_scores[kept].sum()) + cfg.nu * final_reg)
     return ReplayBuffer(kept, ids), trace
+
+
+def _factored_rows(U: np.ndarray, X: np.ndarray, C: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The ``(n, num_classes * dim)`` rows ``U[i] (x) X[i] + w[i] C`` of
+    factors ``(U, X, C)`` as :meth:`~coresel.influence.InfluenceContext.
+    mu_factors` returns them: greedy's ``M``. Every entry comes from its
+    own row alone, so copies of one sample get equal rows; the rows agree
+    with :meth:`~coresel.influence.InfluenceContext.mu_terms` to float64
+    round-off, not bit for bit."""
+    M = np.einsum("nc,nd->ncd", U, X).reshape(len(w), -1)
+    M += np.outer(w, C)
+    return M
 
 
 def _select_by_score(ctx: InfluenceContext, cfg: CriterionConfig):

@@ -222,7 +222,7 @@ def suite_regularizer_identities():
         r_shift = identical_hessian_form(ctx, w, mu, alpha)
         r_plain = gradient_matching_distance(ctx, w)
         g_all = float(ctx.grad_sum[0])
-        g_kept = float(ctx.grads[w == 1.0].sum())
+        g_kept = float(ctx.mu_terms(0.0)[w == 1.0].sum())
         expected = (-2 * alpha * mu + (alpha * mu) ** 2) * g_all ** 2 \
             + 2 * alpha * mu * g_all * g_kept
         decomp_worst = max(decomp_worst, abs(r_shift ** 2 - r_plain ** 2 - expected))

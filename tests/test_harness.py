@@ -495,18 +495,55 @@ class TestRunContinual:
         report = small_run()
         assert alive_at_build == [0] * len(report.steps) == [0] * 8
 
-    def test_sgd_steps_call_no_kernel(self, monkeypatch):
-        """``grad_matrix`` runs once per selection step, for its context;
-        the SGD steps between them compute their gradients without it."""
+    @pytest.mark.parametrize("selector", [SelectorKind.REGULARIZED_IF,
+                                          SelectorKind.IF_DIVERSITY], ids=lambda k: k.value)
+    def test_a_run_builds_no_per_sample_matrix(self, monkeypatch, selector):
+        """The SGD steps sum their gradients on plain arrays, and each
+        selection step scores, drops and checks tau from factored rows: a
+        greedy run with the oracle on calls neither ``grad_matrix`` nor
+        ``hvp_matrix``."""
         calls = []
-        original = models.grad_matrix
+        for name in ("grad_matrix", "hvp_matrix"):
+            def counting(*args, _kernel=getattr(models, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(models, name, counting)
+        report = small_run(selector=selector)
+        assert any(step.tau is not None for step in report.steps)
+        assert calls == []
 
-        def counting(*args, **kwargs):
-            calls.append(None)
-            return original(*args, **kwargs)
-        monkeypatch.setattr(models, "grad_matrix", counting)
-        report = small_run(oracle=False)
-        assert len(calls) == len(report.steps) == 8
+    def test_tau_scores_the_overlap_at_raw_weight(self, monkeypatch):
+        """On a context whose batch rows are reweighted, the tau checkpoint
+        ranks the overlap's raw-weight gradients against the two solves of
+        a dense ``np.linalg.solve`` of the damped candidate Hessian, within
+        1e-12 relative to the gradient and solve norms."""
+        rng = np.random.default_rng(45)
+        spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
+        train = models.stack_samples(spec, [
+            Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=3))
+            for i in range(20)])
+        params = models.Params(rng.normal(scale=0.5, size=spec.param_dim))
+        # six buffer rows at weight 1, then four batch rows at weight 6 / 4
+        rows = np.array([0, 2, 4, 6, 8, 10, 12, 13, 14, 15])
+        ctx = harness._selection_context(spec, params, train, rows, 6, None, 0.01)
+        assert not np.all(ctx.batch.w == 1.0)
+        oracle_rows = np.array([2, 6, 13, 15, 16, 17, 18, 19])
+        ranked = []
+        monkeypatch.setattr(harness, "kendall_tau",
+                            lambda a, b: ranked.append((a, b)) or kendall_tau(a, b))
+        tau = harness._tau_checkpoint(ctx, train, rows, oracle_rows, 2)
+
+        H = models.dense_hessian(spec, params, ctx.batch) + 0.01 * np.eye(spec.param_dim)
+        solves = [np.linalg.solve(H, models.grad_sum(spec, params, batch))
+                  for batch in (ctx.batch, train.rows(oracle_rows))]
+        G = np.array([models.grad(spec, params, models.Sample(
+            id=0, task_id=0, label=int(train.y[r]), features=train.X[r]))
+            for r in (2, 6, 13, 15)])
+        (method, oracle), = ranked
+        for got, solve in zip((method, oracle), solves):
+            bound = 1e-12 * np.linalg.norm(G, axis=1) * np.linalg.norm(solve)
+            assert np.all(np.abs(got - -(G @ solve)) <= bound)
+        assert tau == kendall_tau(-(G @ solves[0]), -(G @ solves[1]))
 
     @pytest.mark.parametrize("learning_rate, batch", [(1e308, 0), (1e305, 1)])
     def test_divergence_carries_step_context(self, learning_rate, batch):

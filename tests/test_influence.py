@@ -17,7 +17,7 @@ from coresel.influence import (
     regularizer,
     second_order_influence,
 )
-from coresel import models
+from coresel import models, selection
 from coresel.models import (
     FitConfig,
     ModelSpec,
@@ -144,7 +144,8 @@ class TestBuildContext:
         ctx = build_context(spec, params, pool, pool)
         U = ctx.mu_terms(0.5)
         assert calls == [25]
-        assert np.array_equal(U, ctx.grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
+        assert np.array_equal(U, grad_matrix(spec, params, pool)
+                              - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
         calls.clear()
         build_context(spec, params, pool, pool[:10])
         assert calls == [25, 10]
@@ -153,9 +154,10 @@ class TestBuildContext:
         assert calls == [25, 10]
 
     def test_one_softmax_per_context(self, monkeypatch):
-        # the candidates' softmax feeds their gradients, their Hessian and
-        # mu_terms' Hessian-vector products; a separate Hessian set takes
-        # one more. The shared floats are the ones each kernel computes.
+        # the candidates' softmax feeds their gradient sum, their scores,
+        # their Hessian and mu_terms' gradients and Hessian-vector
+        # products; a separate Hessian set takes one more. The shared
+        # floats are the ones each kernel computes.
         rng = np.random.default_rng(61)
         spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
         pool = [Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=3))
@@ -168,24 +170,28 @@ class TestBuildContext:
         for hessian_set, expected in ((pool, [25]), (pool[:10], [25, 10])):
             calls.clear()
             ctx = build_context(spec, params, pool, hessian_set, damping=0.01)
-            U = ctx.mu_terms(0.5)
+            U, grads, scores = ctx.mu_terms(0.5), ctx.mu_terms(0.0), ctx.scores()
             ctx.mu_factors(0.5)
             assert calls == expected
             H = dense_hessian(spec, params, hessian_set)
             H[np.diag_indices(spec.param_dim)] += 0.01
             assert np.array_equal(ctx.damped_hessian, H)
-            assert np.array_equal(ctx.grads, grad_matrix(spec, params, pool))
-            assert np.array_equal(U, ctx.grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
+            assert np.array_equal(grads, grad_matrix(spec, params, pool))
+            assert np.array_equal(U, grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
+            assert np.array_equal(
+                scores, -models.grad_dots(spec, params, pool, ctx.ihvp[None])[:, 0])
 
     def test_context_arrays_are_read_only(self):
+        # mu_terms builds its rows anew on each call, the oracle rows
         samples, ctx = off_optimum_ctx(np.random.default_rng(63))
-        assert ctx.mu_terms(0.0) is ctx.grads
-        for a in (ctx.grads, ctx.grad_sum, ctx.ihvp, ctx.mu_terms(0.0)):
+        for a in (ctx.grad_sum, ctx.ihvp, ctx.probs):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+        grads = grad_matrix(ctx.model, ctx.params, samples)
         hvps = hvp_matrix(ctx.model, ctx.params, samples, ctx.ihvp)
-        for mu in (0.3, 1.0, 0.3):
-            assert np.array_equal(ctx.mu_terms(mu), ctx.grads - mu * hvps)
+        assert ctx.mu_terms(0.0) is not ctx.mu_terms(0.0)
+        for mu in (0.0, 0.3, 1.0, 0.3):
+            assert np.array_equal(ctx.mu_terms(mu), grads - mu * hvps)
 
     def test_stacked_candidates_match_list_context(self):
         rng = np.random.default_rng(61)
@@ -212,7 +218,8 @@ class TestBuildContext:
         batch = stack_samples(spec, pool).with_weights(w)
         ctx = build_context(spec, params, batch, batch, damping=0.0)
         assert ctx.batch.ids.tolist() == list(range(9))
-        np.testing.assert_allclose(ctx.grads, [wi * ctx.grad_of(z) for z, wi in zip(pool, w)],
+        np.testing.assert_allclose(ctx.mu_terms(0.0),
+                                   [wi * ctx.grad_of(z) for z, wi in zip(pool, w)],
                                    rtol=1e-12, atol=1e-13)
         v = rng.normal(size=spec.param_dim)
         np.testing.assert_allclose(
@@ -265,42 +272,90 @@ FACTOR_CONTEXTS = {
 
 class TestMuFactors:
     """``mu_factors(mu)`` is ``mu_terms(mu)`` in the form ``w_i (u_i (x)
-    x_i + c)``: the factors rebuild the rows with one shared ``c``, and
-    their Gram columns are the rows' own, both within 1e-13 of the
-    largest entry."""
+    x_i + c)``: the rows ``U (x) X + w C`` greedy builds from the factors
+    are the rows, and the Gram columns greedy reads off the factors are
+    the rows' own, both within 1e-13 of the largest entry."""
 
     @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("make", FACTOR_CONTEXTS.values(), ids=FACTOR_CONTEXTS)
     def test_factors_rebuild_the_rows_and_their_gram_columns(self, make, mu):
         ctx = make(np.random.default_rng(64))
         M, w = ctx.mu_terms(mu), ctx.batch.w
-        U, X, a, c2 = ctx.mu_factors(mu)
-        n = len(w)
-        outer = (U[:, :, None] * X[:, None, :]).reshape(n, -1)
-        # what the outer products leave of each row is w_i c
-        c = ((M - outer) / w[:, None]).mean(axis=0)
-        np.testing.assert_allclose(outer + w[:, None] * c, M,
+        U, X, C = ctx.mu_factors(mu)
+        np.testing.assert_allclose(selection._factored_rows(U, X, C, w), M,
                                    rtol=0, atol=1e-13 * np.abs(M).max())
         gram = M @ M.T
         atol = 1e-13 * np.abs(gram).max()
-        C = c.reshape(U.shape[1], X.shape[1])
-        np.testing.assert_allclose(a, np.einsum("nc,nc->n", U, X @ C.T), rtol=0, atol=atol)
-        assert c2 == pytest.approx(float(c @ c), rel=0, abs=atol)
-        for d in range(n):
+        a, c2 = np.einsum("nc,nc->n", U, X @ C.T), float((C * C).sum())
+        for d in range(len(w)):
             column = (U @ U[d]) * (X @ X[d]) + a * w[d] + w * (a[d] + w[d] * c2)
             np.testing.assert_allclose(column, gram[:, d], rtol=0, atol=atol)
 
     def test_quad_factors_are_the_rows_themselves(self):
         ctx = weighted_quad_ctx(np.random.default_rng(65))
-        U, X, a, c2 = ctx.mu_factors(0.5)
+        U, X, C = ctx.mu_factors(0.5)
         assert np.array_equal(U, ctx.mu_terms(0.5))
-        assert np.array_equal(X, np.ones((20, 1))) and np.array_equal(a, np.zeros(20))
-        assert c2 == 0.0
+        assert np.array_equal(X, np.ones((20, 1))) and np.array_equal(C, np.zeros((1, 1)))
 
     def test_mu_outside_the_unit_interval_rejected(self):
         _, ctx = off_optimum_ctx(np.random.default_rng(66))
         with pytest.raises(ValueError, match="mu must lie in"):
             ctx.mu_factors(1.5)
+
+
+def oracle_kernel_ctx(rng, kind, n):
+    """A context of ``n`` candidates for the factored-kernel oracles: quad1d
+    under row weights, or logistic off its optimum (3 classes, dim 5)
+    with unit weights, row weights or ids a shuffled, gapped range."""
+    if kind == "quad1d":
+        return weighted_quad_ctx(rng, n)
+    spec = ModelSpec(kind="logistic", dim=5, num_classes=3, l2_strength=0.1)
+    ids = 5 * rng.permutation(n) - 100 if kind == "shuffled_ids" else range(n)
+    pool = stack_samples(spec, [Sample(id=int(i), task_id=0, label=int(rng.integers(3)),
+                                       features=rng.normal(size=5)) for i in ids])
+    if kind == "weighted":
+        pool = pool.with_weights(rng.uniform(0.5, 2.0, size=n))
+    params = Params(rng.normal(scale=0.5, size=spec.param_dim))
+    return build_context(spec, params, pool, pool, damping=0.01)
+
+
+class TestFactoredKernels:
+    """The scores and greedy's rows, built from factors and never from a
+    gradient row, against the dense oracle rows of ``grad_matrix`` and
+    ``hvp_matrix`` (``mu_terms``). A float64 dot product of ``g`` and
+    ``v`` is off by at most ``param_dim * 2^-53 * ||g|| ||v||``; both sides
+    are held to 1e-13 relative to the row norms, about 100x what the
+    contexts here reach."""
+
+    KINDS = ("logistic", "weighted", "shuffled_ids", "quad1d")
+
+    @pytest.mark.parametrize("n", [40, 41, 42, 43])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scores_match_the_gradient_rows(self, kind, n):
+        ctx = oracle_kernel_ctx(np.random.default_rng(n), kind, n)
+        grads = ctx.mu_terms(0.0)
+        bound = 1e-13 * np.linalg.norm(grads, axis=1) * np.linalg.norm(ctx.ihvp)
+        assert np.all(np.abs(ctx.scores() - -(grads @ ctx.ihvp)) <= bound)
+
+    @pytest.mark.parametrize("n", [40, 41, 42, 43])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_greedy_rows_match_mu_terms(self, kind, n):
+        ctx = oracle_kernel_ctx(np.random.default_rng(n), kind, n)
+        for mu in (0.0, 0.5, 1.0):
+            rows = ctx.mu_terms(mu)
+            M = selection._factored_rows(*ctx.mu_factors(mu), ctx.batch.w)
+            assert np.all(np.linalg.norm(M - rows, axis=1)
+                          <= 1e-13 * np.linalg.norm(rows, axis=1))
+
+    def test_grad_dots_match_the_gradient_rows_for_several_vectors(self):
+        ctx = oracle_kernel_ctx(np.random.default_rng(67), "weighted", 30)
+        vs = np.random.default_rng(68).normal(size=(3, ctx.dim))
+        grads = ctx.mu_terms(0.0)
+        dots = models.grad_dots(ctx.model, ctx.params, ctx.batch, vs)
+        bound = 1e-13 * np.outer(np.linalg.norm(grads, axis=1), np.linalg.norm(vs, axis=1))
+        assert dots.shape == (30, 3) and np.all(np.abs(dots - grads @ vs.T) <= bound)
+        with pytest.raises(ValueError, match=r"\(k, 15\) array"):
+            models.grad_dots(ctx.model, ctx.params, ctx.batch, vs[0])
 
 
 class TestFirstOrder:
@@ -315,10 +370,10 @@ class TestFirstOrder:
 
     @pytest.mark.parametrize("n", [4 * k + r for k in (10, 53) for r in range(4)])
     def test_a_copy_scores_as_its_original_in_the_last_row(self, n):
-        """BLAS rounds the last ``n % 4`` rows of a product its own way; a
-        copy of row 0 placed there still ties it, at the benchmark's model
-        width, over several pools. A multiple of 4 rows keeps the plain
-        product's bits."""
+        """BLAS rounds the last ``n % 4`` rows of a matrix-vector product
+        its own way; the scores come from each row alone, so a copy of row
+        0 placed there still ties it, at the benchmark's model width, over
+        several pools."""
         rng = np.random.default_rng(n)
         spec = ModelSpec(kind="logistic", dim=20, num_classes=10, l2_strength=0.1)
         for _ in range(6):
@@ -330,8 +385,6 @@ class TestFirstOrder:
             ctx = build_context(spec, params, samples, samples, damping=0.01)
             scores = ctx.scores()
             assert scores[0] == scores[-1]
-            if n % 4 == 0:
-                assert np.array_equal(scores, -(ctx.grads @ ctx.ihvp))
 
     def test_quad_loo_exactness_on_worked_family(self):
         """Finite removal matches the linearized score exactly on this
@@ -529,7 +582,7 @@ class TestEquivalences:
             r_shifted = identical_hessian_form(ctx, w, mu, alpha)
             r_plain = gradient_matching_distance(ctx, w)
             g_all = float(ctx.grad_sum[0])
-            g_kept = float(ctx.grads[w == 1.0].sum())
+            g_kept = float(ctx.mu_terms(0.0)[w == 1.0].sum())
             constant = (-2 * alpha * mu + alpha**2 * mu**2) * g_all**2
             diversity = 2 * alpha * mu * g_all * g_kept
             assert r_shifted**2 - r_plain**2 == pytest.approx(constant + diversity, abs=1e-9)

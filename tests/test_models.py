@@ -680,19 +680,6 @@ class TestGradientSumsBuildNoRows:
         harness.loo_retrain_delta(spec, samples[:30], samples[30:], samples[3], cfg)
         assert calls == []
 
-    def test_tau_checkpoint_recomputes_only_the_reweighted_rows(self, monkeypatch):
-        rng = np.random.default_rng(45)
-        spec, samples, _, params = random_logistic_instance(rng, n=20)
-        train = stack_samples(spec, samples)
-        # six buffer rows at weight 1, then four batch rows at weight 6 / 4
-        rows = np.array([0, 2, 4, 6, 8, 10, 12, 13, 14, 15])
-        ctx = harness._selection_context(spec, params, train, rows, 6, None, 0.01)
-        oracle_rows = np.array([2, 6, 13, 15, 16, 17, 18, 19])
-        calls = count_calls(monkeypatch, "grad_matrix",
-                            lambda spec, params, samples, **kwargs: samples.ids.tolist())
-        assert harness._tau_checkpoint(ctx, train, rows, oracle_rows, 2) is not None
-        assert calls == [[13, 15]]
-
 
 def oracle_fit_newton(spec, batch, cfg, init=None, evaluated=None):
     """Newton fit with every quantity computed anew at every iterate: the

@@ -134,6 +134,21 @@ class TestCholeskySolver:
         with pytest.raises(SolveError, match="not positive definite"):
             CholeskySolver(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_indefinite_past_the_leading_leaf_rejected(self):
+        # the blocked factorization factors the leading leaf, then Schur
+        # complements: a matrix positive definite in its leading rows but
+        # not as a whole fails in a later leaf, with the same error
+        rng = np.random.default_rng(11)
+        n = 3 * _INVERSE_LEAF
+        A = random_spd(rng, n)
+        v = np.zeros(n)
+        v[_INVERSE_LEAF:] = rng.normal(size=n - _INVERSE_LEAF)
+        A -= 4.0 * np.outer(v, v) / (v @ v)
+        np.linalg.cholesky(A[:_INVERSE_LEAF, :_INVERSE_LEAF])
+        assert np.linalg.eigvalsh(A).min() < 0
+        with pytest.raises(SolveError, match="not positive definite"):
+            CholeskySolver(A)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             CholeskySolver(np.diag([1.0, 2.0])).solve([1.0, 2.0, 3.0])

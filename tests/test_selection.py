@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coresel import influence, selection
+from coresel import influence, models, selection
 from coresel.influence import CriterionConfig, build_context
 from coresel.models import FitConfig, ModelSpec, Params, Sample, fit, stack_samples
 from coresel.selection import (
@@ -56,13 +56,14 @@ def sorted_drop_row(totals, ids, w):
 
 
 def greedy_term(ctx, cfg, kind):
-    """The regularizer rows greedy linearizes and whether they are kept-side."""
+    """The regularizer rows greedy linearizes, built from the context's
+    factors as greedy builds them, and whether they are kept-side."""
     n = len(ctx.batch.ids)
     if kind is SelectorKind.VANILLA_IF:
         return np.zeros((n, 0)), False
-    if kind is SelectorKind.IF_DIVERSITY:
-        return ctx.grads, True
-    return ctx.mu_terms(0.0 if kind is SelectorKind.IF_GRAD_MATCH else cfg.mu), False
+    mu = cfg.mu if kind is SelectorKind.REGULARIZED_IF else 0.0
+    M = selection._factored_rows(*ctx.mu_factors(mu), ctx.batch.w)
+    return M, kind is SelectorKind.IF_DIVERSITY
 
 
 def degenerate_threshold(ctx):
@@ -198,16 +199,16 @@ def stand_in_ctx(ids, scores, at_zero, at_mu=None):
     """A stand-in context with unit weights whose regularizer rows are
     ``at_zero`` at ``mu = 0`` (the gradients) and ``at_mu`` (default
     ``at_zero``) at any other ``mu``. Its factors are the trivial ones, the
-    rows themselves with ``X = 1``, ``a = 0`` and ``c2 = 0``, whose Gram
-    column is ``rows @ rows[d]``."""
+    rows themselves with ``X = 1`` and ``C = 0``, whose Gram column is
+    ``rows @ rows[d]``; greedy reads nothing else of it."""
     n = len(ids)
 
-    def terms(mu):
-        return at_zero if mu == 0.0 or at_mu is None else at_mu
+    def factors(mu):
+        rows = at_zero if mu == 0.0 or at_mu is None else at_mu
+        return rows, np.ones((n, 1)), np.zeros((rows.shape[1], 1))
 
-    return SimpleNamespace(batch=SimpleNamespace(ids=ids, w=np.ones(n)), grads=at_zero,
-                           mu_terms=terms, scores=lambda: scores,
-                           mu_factors=lambda mu: (terms(mu), np.ones((n, 1)), np.zeros(n), 0.0))
+    return SimpleNamespace(batch=SimpleNamespace(ids=ids, w=np.ones(n)),
+                           scores=lambda: scores, mu_factors=factors)
 
 
 # Directions whose norm is a power of two: with rows that are integer
@@ -556,7 +557,12 @@ class TestGreedy:
             ctx = off_optimum_ctx(rng, int(rng.integers(8, 20)))
             cfg = CriterionConfig(budget=len(ctx.batch.ids) // 3, mu=mu, nu=0.3)
             buffer, trace = select_greedy(ctx, cfg, kind)
-            assert trace.final_criterion == criterion_value(ctx, cfg, buffer.kept)
+            # greedy's regularizer sums its factored rows, criterion_value's
+            # the dense mu_terms rows: they differ by the rows' round-off
+            rows = ctx.mu_terms(mu)[~buffer.kept]
+            bound = cfg.nu * 1e-14 * np.linalg.norm(rows, axis=1).sum()
+            assert trace.final_criterion == pytest.approx(
+                criterion_value(ctx, cfg, buffer.kept), rel=0, abs=bound)
 
     @pytest.mark.parametrize("budget", [8, 11])
     def test_budget_not_binding_gives_the_all_kept_criterion(self, budget):
@@ -576,12 +582,13 @@ class TestGreedy:
             ctx = off_optimum_ctx(rng, 12)
             cfg = CriterionConfig(budget=11, nu=1.0)
             _, trace = select_greedy(ctx, cfg, SelectorKind.IF_DIVERSITY)
+            grads = ctx.mu_terms(0.0)
             fd = np.empty(12)
             for i in range(12):
                 wp, wm = np.ones(12), np.ones(12)
                 wp[i] += h
                 wm[i] -= h
-                fd[i] = (np.linalg.norm(wp @ ctx.grads) - np.linalg.norm(wm @ ctx.grads)) / (2 * h)
+                fd[i] = (np.linalg.norm(wp @ grads) - np.linalg.norm(wm @ grads)) / (2 * h)
             totals = ctx.scores() + cfg.nu * fd
             first = int(np.argmax(totals))
             assert trace.drop_order[0][0] == ctx.batch.ids[first]
@@ -622,6 +629,46 @@ class TestGreedy:
         assert all(vars(ctx)[key] is value for key, value in attributes.items())
         assert context_state(ctx) == state
         assert np.array_equal(ctx.mu_terms(0.5), first)
+
+    @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
+    def test_a_copy_in_any_row_loses_to_its_lower_id_original(self, kind):
+        # a copy of the sample in row 0, under the highest id, in each row
+        # in turn: the two tie in every total while both are held, so the
+        # original, the lower id, is always dropped first, and at budget 1
+        # one of the two is dropped; pools of each size mod 4, at an odd
+        # factor width and at the benchmark's
+        rng = np.random.default_rng(29)
+        for num_classes, dim in ((3, 5), (10, 20)):
+            spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=0.1)
+            params = Params(rng.normal(scale=0.5, size=spec.param_dim))
+            for n in (20, 21, 22, 23):
+                drawn = [Sample(id=i, task_id=0, label=int(rng.integers(num_classes)),
+                                features=rng.normal(size=dim)) for i in range(n - 1)]
+                copy = replace(drawn[0], id=n - 1)
+                for row in range(1, n):
+                    pool = drawn[:row] + [copy] + drawn[row:]
+                    ctx = build_context(spec, params, pool, pool, damping=0.01)
+                    buffer, trace = select_greedy(ctx, CriterionConfig(budget=1, nu=1.0), kind)
+                    order = [i for i, _ in trace.drop_order] + list(buffer.ids())
+                    assert order.index(0) < order.index(n - 1)
+
+    def test_selection_builds_no_per_sample_matrix(self, monkeypatch):
+        # select_pool's shape: a fitted pool of 1000 at 10 classes and dim
+        # 20; the context and every greedy kind read factored rows only
+        calls = []
+        for name in ("grad_matrix", "hvp_matrix"):
+            def counting(*args, _kernel=getattr(models, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(models, name, counting)
+        spec, drawn = random_logistic_pool(np.random.default_rng(30), 2000, dim=20,
+                                           num_classes=10)
+        params = fit(spec, drawn[1000:], FitConfig(method="newton", grad_tolerance=1e-10))
+        ctx = influence.build_context(spec, params, drawn[:1000], drawn[:1000])
+        for kind in GREEDY_KINDS:
+            buffer, _ = select_greedy(ctx, CriterionConfig(budget=500, mu=0.5, nu=1.0), kind)
+            assert np.count_nonzero(buffer.kept) == 500
+        assert calls == []
 
     @staticmethod
     def fitted_pools(rng):
