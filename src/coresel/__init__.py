@@ -1,9 +1,9 @@
 """Influence-guided replay-buffer selection for continual learning.
 
 The package keeps every quantity small enough to check against exact
-oracles: convex models with analytic derivatives, one Cholesky factor of
-the damped Hessian per selection round serving all of that round's
-inverse-Hessian solves, influence scores with their second-order
+oracles: convex models with analytic derivatives, one LU solve of the
+damped Hessian per selection round against all of that round's
+right-hand sides, influence scores with their second-order
 interference regularizer, greedy and brute-force selectors, and a
 continual-learning harness with retraining and rank-agreement validation
 built in.

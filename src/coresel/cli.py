@@ -504,8 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _keep_freed_heap() -> None:
     """Have glibc keep the heap a command frees, once per process.
 
-    A selection step frees a few MB of arrays (the set Hessian, its
-    Cholesky factor and inverse, the gradient rows); by default glibc
+    A selection step frees a few MB of arrays (the damped Hessian, its LU
+    factors, greedy's rows); by default glibc
     returns the heap top to the system, or serves such arrays by ``mmap``,
     and the next step faults the pages back in. Raising the trim threshold
     and fixing the mmap threshold keeps them mapped; the allocator picks

@@ -490,10 +490,12 @@ _NO_ROWS = np.zeros(0, dtype=np.intp)
 
 def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
                        rows: np.ndarray, buffer_size: int, constant: Optional[float],
-                       damping: float) -> InfluenceContext:
+                       damping: float,
+                       oracle_grad_sum: Optional[np.ndarray] = None) -> InfluenceContext:
     """The influence context of a selection round over the candidate rows,
     the buffer's ``buffer_size`` first, with the batch after them
-    reweighted to balance cohort mass.
+    reweighted to balance cohort mass; ``oracle_grad_sum``, if given, is
+    solved in the same LU solve as the candidates' (``ctx.oracle_ihvp``).
 
     The default constant |buffer| / |batch| gives both cohorts equal total
     weight in the outer objective; with an empty buffer there is nothing to
@@ -507,32 +509,36 @@ def _selection_context(model: ModelSpec, params: Params, pool: models.Batch,
     w = candidates.w.copy()
     w[buffer_size:] *= constant
     candidates = candidates.with_weights(w)
-    return build_context(model, params, candidates, candidates, damping=damping)
+    return build_context(model, params, candidates, candidates, damping=damping,
+                         oracle_grad_sum=oracle_grad_sum)
+
+
+def _oracle_overlap(pool: models.Batch, rows: np.ndarray, oracle_rows: np.ndarray) -> np.ndarray:
+    """Positions in ``rows`` of the pool rows the oracle reservoir also
+    holds, in order."""
+    oracle = np.zeros(len(pool.ids), dtype=bool)
+    oracle[oracle_rows] = True
+    return np.flatnonzero(oracle[rows])
 
 
 def _tau_checkpoint(ctx: InfluenceContext, pool: models.Batch, rows: np.ndarray,
-                    oracle_rows: np.ndarray, min_overlap: int):
+                    overlap: np.ndarray) -> float:
     """Rank agreement between method and unbiased influence estimates.
 
-    ``rows`` are the context's candidate rows; ``ctx.batch.w`` holds their
-    selection-round weights. Both estimates score the same raw samples
+    ``rows`` are the context's candidate rows and ``overlap`` the positions
+    among them that the oracle reservoir also holds; ``ctx.batch.w`` holds
+    their selection-round weights, and ``ctx.oracle_ihvp`` solves the
+    reservoir's gradient sum. Both estimates score the same raw samples
     through the same damped Hessian (the one over the method's candidate
     pool, the set the model would be trained on); they differ only in the
     outer gradient sum, the method's candidate pool versus the oracle
     reservoir. That isolates exactly the pool bias the reservoir is meant
-    to expose. Returns None when the overlap is too small to rank.
+    to expose.
     """
-    oracle = np.zeros(len(pool.ids), dtype=bool)
-    oracle[oracle_rows] = True
-    overlap = np.flatnonzero(oracle[rows])
-    if len(overlap) < min_overlap:
-        return None
-    oracle_gsum = models.grad_sum(ctx.model, ctx.params, pool.rows(oracle_rows))
-    oracle_solve = ctx.solve(oracle_gsum)
     # the overlap rows at their raw weights, each gradient dotted with both
     # solves in factored form, from the context's softmax of them
     dots = models.grad_dots(ctx.model, ctx.params, pool.rows(rows[overlap]),
-                            np.stack((ctx.ihvp, oracle_solve)), probs=ctx.probs[overlap])
+                            np.stack((ctx.ihvp, ctx.oracle_ihvp)), probs=ctx.probs[overlap])
     return kendall_tau(-dots[:, 0], -dots[:, 1])
 
 
@@ -629,11 +635,18 @@ def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,
                     rows = np.concatenate([buffer, batch])
                     tau = None
                     if selector in GREEDY_KINDS or oracle is not None:
-                        ctx = _selection_context(model, Params(theta), train, rows, len(buffer),
-                                                 reweight_constant, damping)
+                        at = Params(theta)
+                        # the oracle's gradient sum only where its overlap
+                        # is large enough to rank; too small, no tau point
+                        oracle_gsum = None
                         if oracle is not None:
-                            tau = _tau_checkpoint(ctx, train, rows, oracle_rows,
-                                                  oracle.min_overlap)
+                            overlap = _oracle_overlap(train, rows, oracle_rows)
+                            if len(overlap) >= oracle.min_overlap:
+                                oracle_gsum = models.grad_sum(model, at, train.rows(oracle_rows))
+                        ctx = _selection_context(model, at, train, rows, len(buffer),
+                                                 reweight_constant, damping, oracle_gsum)
+                        if oracle_gsum is not None:
+                            tau = _tau_checkpoint(ctx, train, rows, overlap)
                         if selector in GREEDY_KINDS:
                             selected, _ = select_greedy(ctx, criterion, selector)
                             buffer = rows[selected.kept]

@@ -3,14 +3,13 @@
 The machinery revolves around a frozen selection-time state (the
 :class:`InfluenceContext`): model parameters, the candidate pool whose
 summed gradient defines the outer objective, and the damped Hessian
-``H + damping*I`` of a designated Hessian set, materialized and
-Cholesky-factored once. Every solve of the round comes from that one
-factor: the shared inverse-Hessian-vector product
+``H + damping*I`` of a designated Hessian set, materialized once. One LU
+solve of it gives the round's shared inverse-Hessian-vector product
 
     ihvp = (H + damping*I)^{-1} * sum_of_candidate_gradients
 
-and one extra solve per future sample whose score a second-order
-influence reads.
+together with, when one is given, the solve of the tau oracle's gradient
+sum; a second-order influence solves once more per future sample it reads.
 
 Scores follow the "more negative = more valuable to keep" convention: the
 first-order influence of upweighting ``z`` on the summed candidate loss is
@@ -32,11 +31,11 @@ from . import models
 from .numkit import (
     DEFAULT_DAMPING,
     ArgumentError,
-    CholeskySolver,
     SolveError,
     as_vector,
     check_int,
     check_real,
+    solve_checked,
 )
 
 
@@ -69,21 +68,31 @@ class InfluenceContext:
     scores and greedy's rows come from the factored forms
     :func:`~coresel.models.grad_dots` and :func:`~coresel.models.
     mu_factors`, and :meth:`mu_terms` builds the dense rows on each call,
-    for the oracles. ``grad_sum``, ``ihvp`` and ``probs`` are read-only
-    arrays, and nothing is written to the context after
-    :func:`build_context`.
+    for the oracles. ``oracle_ihvp`` is the damped inverse Hessian applied
+    to the ``oracle_grad_sum`` given to :func:`build_context` (None without
+    one). ``damped_hessian``, ``grad_sum``, ``ihvp``, ``oracle_ihvp`` and
+    ``probs`` are read-only arrays, and nothing is written to the context
+    after :func:`build_context`.
     """
 
     def __init__(self, model: models.ModelSpec, params: models.Params,
-                 batch: models.Batch, solver: CholeskySolver, probs: Optional[np.ndarray]):
+                 batch: models.Batch, damped_hessian: np.ndarray, probs: Optional[np.ndarray],
+                 oracle_grad_sum: Optional[np.ndarray]):
         self.model = model
         self.params = params
         self.batch = batch
-        self._solver = solver
+        self._damped_hessian = damped_hessian
         self.probs = probs
         self.grad_sum = models.grad_sum(model, params, batch, probs=probs)
-        self.ihvp = solver.solve(self.grad_sum)
-        for a in (self.grad_sum, self.ihvp, probs):
+        # a zero second row without an oracle: the method's solution gets
+        # the same bits whether or not the oracle's is solved beside it
+        rhs = np.zeros((2, model.param_dim))
+        rhs[0] = self.grad_sum
+        if oracle_grad_sum is not None:
+            rhs[1] = as_vector(oracle_grad_sum, dim=model.param_dim)
+        self.ihvp, oracle_ihvp = solve_checked(damped_hessian, rhs)
+        self.oracle_ihvp = None if oracle_grad_sum is None else oracle_ihvp
+        for a in (damped_hessian, self.grad_sum, self.ihvp, self.oracle_ihvp, probs):
             if a is not None:
                 a.flags.writeable = False
 
@@ -93,19 +102,20 @@ class InfluenceContext:
 
     @property
     def damped_hessian(self) -> np.ndarray:
-        """The factored matrix ``H + damping*I``, as a read-only view."""
-        return self._solver.matrix
+        """The solved matrix ``H + damping*I``, as a read-only view."""
+        return self._damped_hessian
 
     def grad_of(self, z: models.Sample) -> np.ndarray:
         return models.grad(self.model, self.params, z)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Apply the damped inverse Hessian to ``rhs``.
+        """Apply the damped inverse Hessian to ``rhs`` by a dense solve of
+        the stored matrix, for the oracles.
 
         Raises :class:`SolveError` naming the residual if the solution's
         true residual exceeds the solver tolerance.
         """
-        return self._solver.solve(rhs)
+        return solve_checked(self._damped_hessian, as_vector(rhs, dim=self.dim))
 
     def scores(self) -> np.ndarray:
         """First-order influence ``-grad(z_i) . ihvp`` of every candidate,
@@ -142,20 +152,33 @@ class InfluenceContext:
 
 def build_context(model: models.ModelSpec, params: models.Params,
                   candidates: models.Samples, hessian_set: models.Samples,
-                  damping: float = DEFAULT_DAMPING) -> InfluenceContext:
+                  damping: float = DEFAULT_DAMPING,
+                  oracle_grad_sum: Optional[np.ndarray] = None) -> InfluenceContext:
     """Assemble the shared selection-time state.
 
     ``candidates`` and ``hessian_set`` are each a sample sequence or a
     :class:`~coresel.models.Batch`; a sequence is stacked once. Materializes
     the damped Hessian of ``hessian_set`` (reusing the candidates' stack and
-    softmax when ``hessian_set is candidates``), Cholesky-factors it once,
-    and solves it against the candidates' summed gradient
-    (:func:`~coresel.models.grad_sum`). The candidates' softmax is
+    softmax when ``hessian_set is candidates``) and solves it, in one LU
+    factorization, against the candidates' summed gradient
+    (:func:`~coresel.models.grad_sum`) for ``ihvp`` and, if given, against
+    ``oracle_grad_sum`` for ``oracle_ihvp``. The candidates' softmax is
     computed once, here, for their gradient sum, their scores, their
-    factored rows and, if it is theirs, the Hessian. Raises
-    :class:`SolveError` if the damped Hessian is not positive definite or
-    the solve's true residual exceeds the tolerance.
+    factored rows and, if it is theirs, the Hessian.
+
+    Positive definiteness is read from the Hessian's known floor, not from
+    a factorization. Every weight is positive, so the data Hessian is a sum
+    of positive semidefinite terms; each logistic term maps a shift shared
+    by all classes, ``1_C (x) u``, to zero, because the softmax does not
+    see it. The smallest eigenvalue of the damped Hessian is therefore
+    exactly ``damping + l2_strength * w_sum`` for logistic, and the one
+    eigenvalue of quad1d's is ``damping + w_sum``. Raises
+    :class:`SolveError` naming damping and l2_strength unless that floor
+    exceeds ``1e-12 * ||H + damping*I||_F``, a round-off bound, and
+    :class:`SolveError` naming the residual if a solution's true residual
+    exceeds the tolerance.
     """
+    check_real("damping", damping)
     batch = models._as_batch(model, candidates)
     if len(batch.ids) == 0:
         raise ValueError("candidate list must be nonempty")
@@ -165,16 +188,16 @@ def build_context(model: models.ModelSpec, params: models.Params,
     if len(hessian_batch.ids) == 0:
         raise ValueError("hessian_set must be nonempty")
     probs = None if model.kind == "quad1d" else models._probs(model, params, batch.X)
-    try:
-        solver = CholeskySolver(
-            models.dense_hessian(model, params, hessian_batch, probs=probs if shared else None),
-            damping=damping)
-    except SolveError:
+    damped = models.dense_hessian(model, params, hessian_batch,
+                                  probs=probs if shared else None)
+    damped.flat[::damped.shape[0] + 1] += damping
+    curvature = 1.0 if model.kind == "quad1d" else model.l2_strength
+    if not damping + curvature * hessian_batch.w_sum > 1e-12 * np.linalg.norm(damped):
         raise SolveError(
             f"damped Hessian of the {len(hessian_batch.ids)}-sample Hessian set is not "
             f"positive definite (damping={damping}, l2_strength={model.l2_strength}); "
-            f"raise either") from None
-    return InfluenceContext(model, params, batch, solver, probs)
+            f"raise either")
+    return InfluenceContext(model, params, batch, damped, probs, oracle_grad_sum)
 
 
 def first_order_influence(ctx: InfluenceContext, z: models.Sample) -> float:

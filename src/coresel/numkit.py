@@ -1,9 +1,9 @@
-"""Argument and vector validation, and factored solves against one SPD matrix.
+"""Argument and vector validation, and residual-checked dense solves.
 
 Every model here has at most a few hundred parameters, so the damped
-Hessian of a selection round is materialized once and Cholesky-factored
-once; each later solve against it costs two matrix-vector products plus a
-check of the true residual.
+Hessian of a selection round is materialized once and solved against
+every right-hand side of the round in one LU factorization; each solution
+is checked by its true residual.
 """
 
 import math
@@ -18,14 +18,12 @@ import numpy as np
 DEFAULT_DAMPING = 0.01
 # Largest accepted true residual ||A x - b|| of a solve, relative to ||b||.
 SOLVE_REL_TOLERANCE = 1e-8
-# Blocks up to this size are factored and inverted by one LAPACK call
-# each; larger ones are split in two and joined by matrix products.
-_INVERSE_LEAF = 32
 
 
 class SolveError(RuntimeError):
-    """A solve failed: the matrix is not positive definite, or the true
-    residual of a solution exceeds ``SOLVE_REL_TOLERANCE * ||b||``."""
+    """A solve failed: the damped Hessian's smallest eigenvalue is not
+    clear of round-off, or the true residual of a solution exceeds
+    ``SOLVE_REL_TOLERANCE * ||b||``."""
 
 
 class ArgumentError(ValueError):
@@ -85,69 +83,20 @@ def matvec_by_fours(A: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (A @ x)[:n]
 
 
-def _inverse_cholesky(matrix: np.ndarray) -> np.ndarray:
-    """``L^{-1}`` of the Cholesky factor ``matrix = L L^T``, factored and
-    inverted in one recursive 2x2-block pass.
+def solve_checked(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` of ``matrix`` against ``rhs``, a vector or a
+    ``(k, dim)`` stack of right-hand sides in its rows, all through one LU
+    factorization; the solutions come back in the same layout.
 
-    With ``matrix = [[A, B^T], [B, D]]``, ``L = [[L1, 0], [L21, L2]]``
-    where ``L1 L1^T = A``, ``L21 = B L1^{-T}`` and ``L2 L2^T`` is the Schur
-    complement ``D - L21 L21^T``; then ``L^{-1} = [[L1^{-1}, 0], [-L2^{-1}
-    L21 L1^{-1}, L2^{-1}]]``. Blocks up to ``_INVERSE_LEAF`` rows are
-    factored by ``np.linalg.cholesky`` and inverted by ``np.linalg.inv``.
-    The Schur complement of a block is positive definite exactly when the
-    whole matrix is, so a leaf that fails to factor raises LinAlgError
-    for the whole. numpy has no triangular inverse; a generic
-    ``np.linalg.inv`` of the whole factor costs about 5x as much at 200
-    parameters.
+    Raises :class:`SolveError` naming the residual unless every solution's
+    true residual ``||matrix x - b||`` is at most
+    ``SOLVE_REL_TOLERANCE * ||b||``.
     """
-    n = matrix.shape[0]
-    if n <= _INVERSE_LEAF:
-        return np.linalg.inv(np.linalg.cholesky(matrix))
-    h = n // 2
-    top = _inverse_cholesky(matrix[:h, :h])
-    lower = matrix[h:, :h] @ top.T
-    bottom = _inverse_cholesky(matrix[h:, h:] - lower @ lower.T)
-    out = np.zeros_like(matrix)
-    out[:h, :h] = top
-    out[h:, h:] = bottom
-    out[h:, :h] = -(bottom @ (lower @ top))
-    return out
-
-
-class CholeskySolver:
-    """Repeated solves ``A x = b`` against one symmetric positive-definite
-    ``A = matrix + damping*I``.
-
-    Factors ``A = L L^T`` once and keeps ``L^{-1}``, so a solve is
-    ``x = L^{-T} (L^{-1} b)``. Every solution's true residual is checked
-    against :data:`SOLVE_REL_TOLERANCE`. Raises :class:`SolveError` at
-    construction when ``A`` is not positive definite. ``matrix`` is a
-    read-only copy of ``A``.
-    """
-
-    def __init__(self, matrix: np.ndarray, damping: float = 0.0):
-        check_real("damping", damping)
-        matrix = np.array(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] < 1:
-            raise ValueError(f"expected a nonempty square matrix, got shape {matrix.shape}")
-        matrix[np.diag_indices(matrix.shape[0])] += damping
-        try:
-            self._inv_lower = _inverse_cholesky(matrix)
-        except np.linalg.LinAlgError:
-            raise SolveError("matrix is not positive definite") from None
-        matrix.flags.writeable = False
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def solve(self, b) -> np.ndarray:
-        b = as_vector(b, dim=self.dim)
-        x = self._inv_lower.T @ (self._inv_lower @ b)
-        residual = float(np.linalg.norm(self.matrix @ x - b))
-        bound = SOLVE_REL_TOLERANCE * float(np.linalg.norm(b))
-        if not residual <= bound:
-            raise SolveError(f"solve residual {residual:.3e} exceeds "
-                             f"{SOLVE_REL_TOLERANCE:.0e} * ||b|| = {bound:.3e}")
-        return x
+    x = np.linalg.solve(matrix, rhs.T).T
+    residual = np.atleast_1d(np.linalg.norm(x @ matrix.T - rhs, axis=-1))
+    bound = SOLVE_REL_TOLERANCE * np.atleast_1d(np.linalg.norm(rhs, axis=-1))
+    for r, b in zip(residual, bound):
+        if not r <= b:
+            raise SolveError(f"solve residual {r:.3e} exceeds "
+                             f"{SOLVE_REL_TOLERANCE:.0e} * ||b|| = {b:.3e}")
+    return np.ascontiguousarray(x)

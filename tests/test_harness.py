@@ -380,8 +380,8 @@ class TestLooRetrainDelta:
                                FitConfig(method="closed_form"))
 
 
-def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, learning_rate=0.01,
-              **kwargs):
+def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=OracleConfig(),
+              learning_rate=0.01, **kwargs):
     stream = make_stream(StreamSpec(num_tasks=2, classes_per_task=2,
                                     samples_per_class=20, dim=2, batch_size=10,
                                     seed=123))
@@ -389,8 +389,7 @@ def small_run(selector=SelectorKind.REGULARIZED_IF, seed=0, oracle=True, learnin
     return run_continual(
         stream, model, selector,
         CriterionConfig(budget=20, mu=0.5, nu=0.01),
-        OracleConfig() if oracle else None,
-        seed=seed, learning_rate=learning_rate, epochs=2, **kwargs)
+        oracle, seed=seed, learning_rate=learning_rate, epochs=2, **kwargs)
 
 
 class TestRunContinual:
@@ -421,7 +420,7 @@ class TestRunContinual:
                                           SelectorKind.RESERVOIR,
                                           SelectorKind.RING])
     def test_all_selectors_run(self, selector):
-        report = small_run(selector=selector, oracle=False)
+        report = small_run(selector=selector, oracle=None)
         assert not np.isnan(report.acc_matrix[1, 1])
 
     def test_tau_series_emitted_with_oracle(self):
@@ -477,7 +476,7 @@ class TestRunContinual:
         monkeypatch.setattr(harness, target, keep_all)
         with pytest.raises(RuntimeError,
                            match=r"step 2 .*selector violated the buffer capacity"):
-            small_run(selector=selector, oracle=False)
+            small_run(selector=selector, oracle=None)
 
     def test_one_live_context_per_step(self, monkeypatch):
         """Each selection step's context is released before the next one is
@@ -512,6 +511,27 @@ class TestRunContinual:
         assert any(step.tau is not None for step in report.steps)
         assert calls == []
 
+    def test_one_solve_per_selection_round(self, monkeypatch):
+        """Each round solves its damped Hessian once, against the
+        candidates' gradient sum and, where the overlap reaches
+        ``min_overlap``, the oracle reservoir's, formed just before the
+        context; below it no oracle gradient sum is formed. No round
+        factors by Cholesky."""
+        events = []
+        def counting(name, function):
+            return lambda *args, **kwargs: events.append(name) or function(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(models, "grad_sum", counting("grad_sum", models.grad_sum))
+        monkeypatch.setattr(harness, "build_context",
+                            counting("context", harness.build_context))
+        # rounds of 10 to 30 candidates, so an overlap of 15 splits them
+        report = small_run(oracle=OracleConfig(min_overlap=15))
+        taus = [step.tau is not None for step in report.steps]
+        assert any(taus) and not all(taus)
+        assert events == [name for tau in taus
+                          for name in ["grad_sum"] * tau + ["context", "grad_sum", "solve"]]
+
     def test_tau_scores_the_overlap_at_raw_weight(self, monkeypatch):
         """On a context whose batch rows are reweighted, the tau checkpoint
         ranks the overlap's raw-weight gradients against the two solves of
@@ -525,13 +545,15 @@ class TestRunContinual:
         params = models.Params(rng.normal(scale=0.5, size=spec.param_dim))
         # six buffer rows at weight 1, then four batch rows at weight 6 / 4
         rows = np.array([0, 2, 4, 6, 8, 10, 12, 13, 14, 15])
-        ctx = harness._selection_context(spec, params, train, rows, 6, None, 0.01)
-        assert not np.all(ctx.batch.w == 1.0)
         oracle_rows = np.array([2, 6, 13, 15, 16, 17, 18, 19])
+        ctx = harness._selection_context(spec, params, train, rows, 6, None, 0.01,
+                                         models.grad_sum(spec, params, train.rows(oracle_rows)))
+        assert not np.all(ctx.batch.w == 1.0)
         ranked = []
         monkeypatch.setattr(harness, "kendall_tau",
                             lambda a, b: ranked.append((a, b)) or kendall_tau(a, b))
-        tau = harness._tau_checkpoint(ctx, train, rows, oracle_rows, 2)
+        tau = harness._tau_checkpoint(ctx, train, rows,
+                                      harness._oracle_overlap(train, rows, oracle_rows))
 
         H = models.dense_hessian(spec, params, ctx.batch) + 0.01 * np.eye(spec.param_dim)
         solves = [np.linalg.solve(H, models.grad_sum(spec, params, batch))

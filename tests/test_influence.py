@@ -184,7 +184,7 @@ class TestBuildContext:
     def test_context_arrays_are_read_only(self):
         # mu_terms builds its rows anew on each call, the oracle rows
         samples, ctx = off_optimum_ctx(np.random.default_rng(63))
-        for a in (ctx.grad_sum, ctx.ihvp, ctx.probs):
+        for a in (ctx.damped_hessian, ctx.grad_sum, ctx.ihvp, ctx.probs):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
         grads = grad_matrix(ctx.model, ctx.params, samples)
@@ -242,6 +242,86 @@ class TestBuildContext:
         with pytest.raises(ValueError, match=f"damping must be finite and nonnegative, "
                                              f"got {damping}"):
             build_context(QUAD, Params([1.0]), pool, pool, damping=damping)
+
+
+def weighted_pool(rng, n, dim, num_classes, l2):
+    """A logistic model and a batch of ``n`` random samples under random
+    positive row weights, with random parameters."""
+    spec = ModelSpec(kind="logistic", dim=dim, num_classes=num_classes, l2_strength=l2)
+    pool = [Sample(id=i, task_id=0, label=int(rng.integers(num_classes)),
+                   features=rng.normal(size=dim)) for i in range(n)]
+    batch = stack_samples(spec, pool).with_weights(rng.uniform(0.1, 3.0, size=n))
+    return spec, batch, Params(rng.normal(scale=0.5, size=spec.param_dim))
+
+
+class TestDampedHessianSolve:
+    """build_context reads positive definiteness from the damped Hessian's
+    known floor and solves both right-hand sides of a round at once."""
+
+    @pytest.mark.parametrize("num_classes,dim,l2,damping",
+                             [(2, 3, 0.1, 0.0), (3, 4, 0.05, 0.01), (5, 2, 0.0, 0.3),
+                              (4, 6, 1.0, 1e-3)])
+    def test_floor_is_the_smallest_eigenvalue(self, num_classes, dim, l2, damping):
+        rng = np.random.default_rng(70 + num_classes)
+        spec, batch, params = weighted_pool(rng, 30, dim, num_classes, l2)
+        ctx = build_context(spec, params, batch, batch, damping=damping)
+        eigs = np.linalg.eigvalsh(ctx.damped_hessian)
+        assert abs(eigs[0] - (damping + l2 * batch.w_sum)) <= 1e-12 * eigs[-1]
+
+    @pytest.mark.parametrize("num_classes", [2, 3, 7])
+    def test_a_shift_shared_by_all_classes_is_in_the_null_space(self, num_classes):
+        rng = np.random.default_rng(80 + num_classes)
+        spec, batch, params = weighted_pool(rng, 25, 4, num_classes, 0.0)
+        H = dense_hessian(spec, params, batch)
+        for _ in range(3):
+            shift = np.tile(rng.normal(size=4), num_classes)
+            assert np.linalg.norm(H @ shift) <= 1e-12 * np.linalg.norm(H) * np.linalg.norm(shift)
+
+    @pytest.mark.parametrize("num_classes,damping", [(2, 0.0), (3, 0.01), (6, 1.0)])
+    def test_each_solution_matches_a_dense_solve(self, num_classes, damping):
+        rng = np.random.default_rng(90 + num_classes)
+        spec, batch, params = weighted_pool(rng, 30, 3, num_classes, 0.1)
+        oracle_sum = models.grad_sum(spec, params, batch.rows(np.arange(0, 30, 3)))
+        ctx = build_context(spec, params, batch, batch, damping=damping,
+                            oracle_grad_sum=oracle_sum)
+        H = dense_hessian(spec, params, batch) + damping * np.eye(spec.param_dim)
+        for got, rhs in ((ctx.ihvp, ctx.grad_sum), (ctx.oracle_ihvp, oracle_sum)):
+            expected = np.linalg.solve(H, rhs)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_the_oracle_solve_leaves_the_method_solve_alone(self):
+        # the oracle observes: with or without its right-hand side, the
+        # candidates' solve has the same bits, and only it is read-only
+        spec, batch, params = weighted_pool(np.random.default_rng(95), 40, 5, 4, 0.1)
+        oracle_sum = models.grad_sum(spec, params, batch.rows(np.arange(10)))
+        alone = build_context(spec, params, batch, batch)
+        paired = build_context(spec, params, batch, batch, oracle_grad_sum=oracle_sum)
+        assert alone.oracle_ihvp is None
+        assert np.array_equal(alone.ihvp, paired.ihvp)
+        with pytest.raises(ValueError, match="read-only"):
+            paired.oracle_ihvp[0] = 0.0
+
+    def test_quad_floor_at_zero_damping(self):
+        # quad1d's Hessian is its weight sum alone, the one eigenvalue
+        batch = stack_samples(QUAD, [qsample(i, z) for i, z in enumerate((0.5, 2.0, -1.0))])
+        batch = batch.with_weights(np.array([0.5, 2.0, 1.5]))
+        ctx = build_context(QUAD, Params([1.0]), batch, batch, damping=0.0,
+                            oracle_grad_sum=np.array([3.0]))
+        assert ctx.damped_hessian.tolist() == [[batch.w_sum]]
+        np.testing.assert_allclose(ctx.ihvp, ctx.grad_sum / batch.w_sum, rtol=1e-15)
+        np.testing.assert_allclose(ctx.oracle_ihvp, [3.0 / batch.w_sum], rtol=1e-15)
+
+    def test_a_floor_within_round_off_is_rejected(self):
+        # positive, but below 1e-12 of the Hessian's norm: not clear of
+        # the round-off of the data Hessian's zero eigenvalues
+        spec, batch, params = weighted_pool(np.random.default_rng(96), 30, 3, 3, 0.0)
+        with pytest.raises(SolveError, match=r"damping=1e-15, l2_strength=0\.0"):
+            build_context(spec, params, batch, batch, damping=1e-15)
+
+    def test_oracle_grad_sum_of_the_wrong_dimension_rejected(self):
+        spec, batch, params = weighted_pool(np.random.default_rng(97), 10, 3, 3, 0.1)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            build_context(spec, params, batch, batch, oracle_grad_sum=np.ones(4))
 
 
 def weighted_logistic_ctx(rng, at_optimum, n=40, dim=4, num_classes=3):

@@ -1,4 +1,4 @@
-"""Factored SPD solver, argument and vector validation tests."""
+"""Residual-checked solves, argument and vector validation tests."""
 
 import dataclasses
 import re
@@ -12,14 +12,13 @@ from coresel.harness import OracleConfig, StreamSpec
 from coresel.influence import CriterionConfig
 from coresel.models import FitConfig, ModelSpec
 from coresel.numkit import (
-    _INVERSE_LEAF,
     SOLVE_REL_TOLERANCE,
     ArgumentError,
-    CholeskySolver,
     SolveError,
     as_vector,
     check_int,
     check_real,
+    solve_checked,
 )
 
 
@@ -74,124 +73,106 @@ class TestArgumentChecks:
         assert err.value.argument == field
 
 
-class TestCholeskySolver:
+class TestSolveChecked:
     def test_diagonal_system(self):
-        x = CholeskySolver(np.diag([2.0, 4.0])).solve([2.0, 4.0])
+        x = solve_checked(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-12)
 
-    def test_damped_diagonal_closed_form(self):
-        x = CholeskySolver(np.diag([2.0, 4.0]), damping=0.01).solve([2.0, 4.0])
-        np.testing.assert_allclose(x, [2.0 / 2.01, 4.0 / 4.01], atol=1e-12)
+    def test_rows_are_solved_each(self):
+        x = solve_checked(np.diag([2.0, 4.0]), np.array([[2.0, 4.0], [4.0, 2.0]]))
+        np.testing.assert_allclose(x, [[1.0, 1.0], [2.0, 0.5]], atol=1e-12)
+        assert x.flags.c_contiguous
 
     def test_zero_rhs_gives_exact_zero(self):
-        x = CholeskySolver(np.diag([2.0, 4.0])).solve([0.0, 0.0])
+        x = solve_checked(np.diag([2.0, 4.0]), np.zeros(2))
         assert np.array_equal(x, [0.0, 0.0])
+        x = solve_checked(np.diag([2.0, 4.0]), np.array([[2.0, 4.0], [0.0, 0.0]]))
+        assert np.array_equal(x[1], [0.0, 0.0])
 
     def test_matches_dense_inverse_on_random_spd(self):
         rng = np.random.default_rng(7)
-        for n in (1, 2, 10, 50, 130):  # 50 and 130 take the blocked inverse
+        for n in (1, 2, 10, 50, 130):
             A = random_spd(rng, n, eig_range=(1e-3, 10.0))
-            solver = CholeskySolver(A)
             inverse = np.linalg.inv(A)
-            for _ in range(3):
-                b = rng.normal(size=n)
-                np.testing.assert_allclose(solver.solve(b), inverse @ b, rtol=1e-9, atol=1e-12)
+            for k in (1, 2, 3):
+                B = rng.normal(size=(k, n))
+                np.testing.assert_allclose(solve_checked(A, B), B @ inverse,
+                                           rtol=1e-9, atol=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(n=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
            damping=st.just(0.0) | st.floats(1e-3, 10))
     def test_matches_dense_inverse_of_the_damped_matrix(self, n, seed, damping):
-        """Sizes span the blocked inverse's leaf size. A damped matrix may be
-        singular PSD; an undamped one is positive definite."""
-        assert 2 * _INVERSE_LEAF < 80
+        """A damped matrix may be singular PSD; an undamped one is positive
+        definite. Each row of a stacked solve is its own solve."""
         rng = np.random.default_rng(seed)
         Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         eigs = rng.uniform(0.1, 10.0, size=n)
         if damping > 0:
             eigs[rng.random(n) < 0.3] = 0.0
-        A = (Q * eigs) @ Q.T
-        b = rng.normal(size=n)
-        expected = np.linalg.inv(A + damping * np.eye(n)) @ b
-        x = CholeskySolver(A, damping).solve(b)
-        assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
+        A = (Q * eigs) @ Q.T + damping * np.eye(n)
+        B = rng.normal(size=(2, n))
+        X = solve_checked(A, B)
+        for x, b in zip(X, B):
+            expected = np.linalg.inv(A) @ b
+            assert np.linalg.norm(x - expected) <= 1e-8 * np.linalg.norm(expected)
 
     def test_solutions_meet_the_residual_tolerance(self):
         rng = np.random.default_rng(3)
         A = random_spd(rng, 12, eig_range=(1e-4, 10.0))
-        b = rng.normal(size=12)
-        x = CholeskySolver(A).solve(b)
-        assert np.linalg.norm(A @ x - b) <= SOLVE_REL_TOLERANCE * np.linalg.norm(b)
+        B = rng.normal(size=(2, 12))
+        for x, b in zip(solve_checked(A, B), B):
+            assert np.linalg.norm(A @ x - b) <= SOLVE_REL_TOLERANCE * np.linalg.norm(b)
 
     def test_residual_failure_names_the_residual(self):
         # the 13x13 Hilbert matrix (condition ~4e18) still factors in
         # float64, but no solution reaches the residual tolerance
         with pytest.raises(SolveError, match="residual .* exceeds"):
-            CholeskySolver(hilbert(13)).solve(np.ones(13))
+            solve_checked(hilbert(13), np.ones(13))
 
-    def test_non_positive_definite_rejected(self):
-        with pytest.raises(SolveError, match="not positive definite"):
-            CholeskySolver(np.diag([1.0, 0.0]))
-        with pytest.raises(SolveError, match="not positive definite"):
-            CholeskySolver(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_failing_row_of_a_stacked_solve_raises(self, monkeypatch, row):
+        rng = np.random.default_rng(4)
+        A = random_spd(rng, 6)
+        B = rng.normal(size=(2, 6))
+        solve = np.linalg.solve
 
-    def test_indefinite_past_the_leading_leaf_rejected(self):
-        # the blocked factorization factors the leading leaf, then Schur
-        # complements: a matrix positive definite in its leading rows but
-        # not as a whole fails in a later leaf, with the same error
-        rng = np.random.default_rng(11)
-        n = 3 * _INVERSE_LEAF
-        A = random_spd(rng, n)
-        v = np.zeros(n)
-        v[_INVERSE_LEAF:] = rng.normal(size=n - _INVERSE_LEAF)
-        A -= 4.0 * np.outer(v, v) / (v @ v)
-        np.linalg.cholesky(A[:_INVERSE_LEAF, :_INVERSE_LEAF])
-        assert np.linalg.eigvalsh(A).min() < 0
-        with pytest.raises(SolveError, match="not positive definite"):
-            CholeskySolver(A)
+        def perturbed(a, b):
+            x = solve(a, b)
+            x[:, row] *= 1.0 + 1e-6
+            return x
+        monkeypatch.setattr(np.linalg, "solve", perturbed)
+        with pytest.raises(SolveError, match="residual .* exceeds"):
+            solve_checked(A, B)
+
+    def test_a_row_solves_alike_whatever_sits_beside_it(self):
+        rng = np.random.default_rng(8)
+        for n in (3, 40, 200):
+            A = random_spd(rng, n)
+            b = rng.normal(size=n)
+            beside = solve_checked(A, np.stack((b, rng.normal(size=n))))[0]
+            assert np.array_equal(beside, solve_checked(A, np.stack((b, np.zeros(n))))[0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            CholeskySolver(np.diag([1.0, 2.0])).solve([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="mismatch"):
+            solve_checked(np.diag([1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="square"):
-            CholeskySolver(np.ones((2, 3)))
+            solve_checked(np.ones((2, 3)), np.ones(2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         A = random_spd(rng, 8)
         b = rng.normal(size=8)
-        assert np.array_equal(CholeskySolver(A).solve(b), CholeskySolver(A.copy()).solve(b))
-
-    def test_matrix_is_read_only(self):
-        solver = CholeskySolver(np.diag([2.0, 4.0]))
-        with pytest.raises(ValueError):
-            solver.matrix[0, 0] = 0.0
-
-
-class TestSpdOperator:
-    """The damped matrix ``A + damping*I`` that a solver factors and solves."""
-
-    def test_rejects_negative_damping(self):
-        with pytest.raises(ValueError, match="damping"):
-            CholeskySolver(np.eye(2), damping=-1.0)
-
-    def test_dense_materialization(self):
-        rng = np.random.default_rng(2)
-        A = random_spd(rng, 5)
-        original = A.copy()
-        np.testing.assert_allclose(CholeskySolver(A, damping=0.3).matrix,
-                                   A + 0.3 * np.eye(5), atol=1e-14)
-        assert np.array_equal(A, original)  # damped in a copy, not in place
-        assert np.array_equal(CholeskySolver(A).matrix, A)
+        assert np.array_equal(solve_checked(A, b), solve_checked(A.copy(), b))
 
     def test_symmetry_probe(self):
-        # x'(A y) == y'(A x) and x'(A^-1 y) == y'(A^-1 x) for random probes
+        # x'(A^-1 y) == y'(A^-1 x) for random probes
         rng = np.random.default_rng(9)
-        solver = CholeskySolver(random_spd(rng, 10), damping=0.01)
+        A = random_spd(rng, 10) + 0.01 * np.eye(10)
         for _ in range(20):
             x, y = rng.normal(size=10), rng.normal(size=10)
             scale = np.linalg.norm(x) * np.linalg.norm(y)
-            assert abs(x @ solver.matrix @ y - y @ solver.matrix @ x) <= 1e-9 * scale
-            assert abs(x @ solver.solve(y) - y @ solver.solve(x)) <= 1e-9 * scale
+            assert abs(x @ solve_checked(A, y) - y @ solve_checked(A, x)) <= 1e-9 * scale
 
 
 class TestAsVector:
