@@ -9,7 +9,7 @@ magnitude cheaper than the 200 refits it stands in for.
 import numpy as np
 
 from coresel import FitConfig, ModelSpec, Sample, build_context, fit, loo_retrain_deltas
-from coresel.models import grad_matrix
+from coresel.oracles import grad_matrix
 
 rng = np.random.default_rng(42)
 dim, n = 10, 200

@@ -10,13 +10,8 @@ is.
 import numpy as np
 
 from coresel import CriterionConfig, FitConfig, ModelSpec, Sample, build_context, fit
-from coresel.selection import (
-    SelectorKind,
-    criterion_value,
-    criterion_values,
-    select_exhaustive,
-    select_greedy,
-)
+from coresel.oracles import criterion_value, criterion_values, select_exhaustive
+from coresel.selection import SelectorKind, select_greedy
 
 rng = np.random.default_rng(7)
 spec = ModelSpec(kind="logistic", dim=4, num_classes=2, l2_strength=0.1)

@@ -12,8 +12,7 @@ error, which the table below makes visible.
 import numpy as np
 
 from coresel import FitConfig, ModelSpec, Sample, build_context, fit
-from coresel.harness import finite_eps_second_order
-from coresel.influence import second_order_influence
+from coresel.oracles import finite_eps_second_order, second_order_influence
 
 rng = np.random.default_rng(3)
 spec = ModelSpec(kind="logistic", dim=5, num_classes=3, l2_strength=0.1)

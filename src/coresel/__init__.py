@@ -6,7 +6,9 @@ damped Hessian per selection round against all of that round's
 right-hand sides, influence scores with their second-order
 interference regularizer, greedy and brute-force selectors, and a
 continual-learning harness with retraining and rank-agreement validation
-built in.
+built in. The run path (``models``, ``influence``, ``selection``,
+``harness``) holds what ``coresel run``, ``sweep`` and ``select`` use;
+the slow, exact oracles it is checked against live in ``oracles``.
 """
 
 from .numkit import DEFAULT_DAMPING, ArgumentError, SolveError
@@ -18,25 +20,16 @@ from .models import (
     Sample,
     accuracy,
     fit,
-    grad,
-    loss,
-    sample_hvp,
 )
 from .influence import (
     CriterionConfig,
     InfluenceContext,
     build_context,
-    first_order_influence,
-    gradient_matching_distance,
-    identical_hessian_form,
-    regularizer,
-    second_order_influence,
 )
 from .selection import (
     ReplayBuffer,
     SelectionTrace,
     SelectorKind,
-    select_exhaustive,
     select_greedy,
 )
 from .harness import (
@@ -45,12 +38,23 @@ from .harness import (
     Stream,
     StreamSpec,
     acc_bwt,
-    finite_eps_second_order,
     kendall_tau,
     loo_retrain_delta,
     loo_retrain_deltas,
     make_stream,
     run_continual,
+)
+from .oracles import (
+    finite_eps_second_order,
+    first_order_influence,
+    grad,
+    gradient_matching_distance,
+    identical_hessian_form,
+    loss,
+    regularizer,
+    sample_hvp,
+    second_order_influence,
+    select_exhaustive,
 )
 
 __version__ = "0.1.0"

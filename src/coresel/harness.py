@@ -1,4 +1,4 @@
-"""Continual-learning simulation, evaluation metrics, and validation oracles.
+"""Continual-learning simulation, evaluation metrics, and the leave-one-out oracle.
 
 The training loop replays a bounded buffer alongside each incoming batch and
 refreshes the buffer during the last epoch of every task: after each batch
@@ -15,8 +15,8 @@ mask over them picks the new buffer's rows. Each selection step leaves one
 :class:`StepRecord` in the report.
 
 For validating influence estimates the module provides the exact
-leave-one-out retraining delta and a dense-inverse finite-perturbation
-probe of the second-order scores, plus the rank-agreement protocol: an
+leave-one-out retraining delta (the other oracles are in
+:mod:`~coresel.oracles`), plus the rank-agreement protocol: an
 unbiased reservoir over the whole stream scores the samples it shares with
 the method's candidate pool, and Kendall's tau between the two scorings is
 logged at every selection step where the overlap is large enough.
@@ -31,12 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models
-from .influence import (
-    CriterionConfig,
-    InfluenceContext,
-    _check_mu,
-    build_context,
-)
+from .influence import CriterionConfig, InfluenceContext, build_context
 from .models import FitConfig, ModelSpec, Params, Sample
 from .numkit import DEFAULT_DAMPING, ArgumentError, check_int, check_real
 from .selection import (
@@ -47,7 +42,6 @@ from .selection import (
     select_greedy,
 )
 
-DENSE_ORACLE_GUARD = 200
 
 # Fixed tags for the independent named RNG streams of a run.
 _RNG_TAGS = {"model_init": 0, "replay": 1, "method_reservoir": 2, "oracle_reservoir": 3}
@@ -351,7 +345,7 @@ def kendall_tau(scores_a: Sequence[float], scores_b: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# the leave-one-out oracle (the others are in coresel.oracles)
 # ---------------------------------------------------------------------------
 
 def loo_retrain_delta(model: ModelSpec, coreset: Sequence[Sample],
@@ -394,36 +388,6 @@ def _loo_refits(model: ModelSpec, coreset: Sequence[Sample], test_set: Sequence[
         new_params = models.fit(model, full.rows(mask), fit_cfg, init=base_params)
         deltas[i] = models.loss_sum(model, new_params, test) - old_loss
     return deltas
-
-
-def finite_eps_second_order(ctx: InfluenceContext, z: Sample, zp: Sample,
-                            mu: float, eps: float) -> float:
-    """Finite-perturbation probe of the second-order influence.
-
-    Evaluates the perturbed score of ``zp`` after upweighting ``z`` by
-    ``eps`` in the outer gradient sum and by ``mu * eps`` in the Hessian,
-    with dense inverses throughout, and returns the difference quotient
-    against the unperturbed score. At ``mu = 0`` (the excluded case) the
-    quotient is exactly linear in ``eps``; otherwise the perturbed Hessian
-    makes it converge at rate O(eps).
-    """
-    _check_mu(mu)
-    check_real("eps", eps, positive=True)
-    p = ctx.dim
-    if p > DENSE_ORACLE_GUARD:
-        raise ValueError(f"dense oracle is guarded to {DENSE_ORACLE_GUARD} parameters, got {p}")
-    H = ctx.damped_hessian
-    g_sum = ctx.grad_sum
-    g_z = ctx.grad_of(z)
-    g_zp = ctx.grad_of(zp)
-    base = float(-(g_sum @ np.linalg.solve(H, g_zp)))
-    H_pert = H + (mu * eps) * models.dense_hessian(ctx.model, ctx.params, [z])
-    try:
-        q = np.linalg.solve(H_pert, g_zp)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"perturbed Hessian is singular at eps={eps}: {exc}") from exc
-    perturbed = float(-((g_sum + eps * g_z) @ q))
-    return (perturbed - base) / eps
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Convex models with per-sample losses, gradients and Hessian-vector products.
+"""Convex models: batch kernels for fitting, scoring and selection.
 
 Two model families are provided:
 
@@ -18,14 +18,11 @@ sets to 1 and :meth:`Batch.with_weights` replaces with checked finite,
 positive weights.
 
 Parameters for ``logistic`` are flattened class-major: ``theta.reshape(
-num_classes, dim)`` has one row per class. Per-sample operations are exact
-analytic formulas; batch helpers (``grad_matrix``, ``dense_hessian``, ...)
-are vectorized equivalents that agree with per-sample summation to float64
-roundoff and exist because the leave-one-out oracles need thousands of
-refits and every selection round needs one set Hessian.
+num_classes, dim)`` has one row per class. The exact per-sample formulas
+and the dense ``(n, param_dim)`` rows ``grad_matrix`` and ``hvp_matrix``
+are the oracles of :mod:`~coresel.oracles`; the batch kernels here agree
+with them to float64 round-off.
 
-The logistic kernels build their per-sample rows in place with the same
-float operations, in the same order, as the plain out-of-place formulas.
 ``grad_sum`` builds no rows: for ``logistic`` it is the one product
 ``((P - onehot) * w)^T X`` plus ``l2_strength * sum(w) * theta``, which
 agrees with the row sum of ``grad_matrix`` to float64 round-off but not
@@ -33,9 +30,8 @@ bit for bit. The SGD step of :func:`~coresel.harness.run_continual` is the
 one gradient sum that does not use it, because the pinned scaled run
 ``p200_seed126`` (see ``tests/test_pinned_runs.py``) amplifies the last
 bits of that gradient into a different kept id. Its private helper
-``_sgd_step``, next to ``grad_matrix``, repeats ``grad_matrix``'s
-arithmetic on plain arrays and sums the rows, with no ``Batch`` or
-``Params`` per step.
+``_sgd_step`` repeats ``grad_matrix``'s arithmetic on plain arrays and
+sums the rows, with no ``Batch`` or ``Params`` per step.
 
 A Newton fit takes one ``exp`` per point it evaluates: the start, each
 line-search trial and the point where backtracking runs out each get one
@@ -46,11 +42,9 @@ constants those kernels read (the row index, ``sqrt(w)``, ``sqrt(w) X``
 and ``sum(w)``) are kept on the :class:`Batch`, so the fit computes them
 once for all its iterates. An influence context likewise shares one
 softmax of its candidates among ``grad_sum``, ``grad_dots``,
-``mu_factors`` and, when they are its Hessian set, ``dense_hessian``
-(and ``grad_matrix`` and ``hvp_matrix`` when an oracle asks for its
-dense rows). Both reuse the
-very floats the kernels would have computed themselves, so the results
-are bit-identical to computing everything anew.
+``mu_factors`` and, when they are its Hessian set, ``dense_hessian``.
+Both reuse the very floats the kernels would have computed themselves, so
+the results are bit-identical to computing everything anew.
 
 A softmax takes each row's max from a class-major copy of the logits,
 because numpy's reduction along a short last axis is 2.5-4.5x slower
@@ -70,8 +64,8 @@ Goodfellow, arXiv 1510.01799). The dot product of two rows then reads
 :func:`grad_dots` dots every gradient row with given vectors in the same
 form, one product over the features and a sum over the classes, so a
 selection round (its scores, greedy's rows and the tau checkpoint) builds
-no ``(n, param_dim)`` gradient or Hessian-vector array; ``grad_matrix``
-and ``hvp_matrix`` remain as the oracles those forms are tested against.
+no ``(n, param_dim)`` gradient or Hessian-vector array. quad1d's one-column
+rows ``w * (theta - x)`` are built in place.
 
 Every batch helper takes a :class:`Batch` or a sample list.
 :func:`stack_samples` is the one place a sample set is validated against
@@ -315,49 +309,6 @@ def _theta_matrix(spec: ModelSpec, params: Params) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# per-sample operations (the contract surface)
-# ---------------------------------------------------------------------------
-
-def loss(spec: ModelSpec, params: Params, sample: Sample) -> float:
-    _check_sample(spec, sample)
-    if spec.kind == "quad1d":
-        t = params.theta[0]
-        return 0.5 * (t - sample.features[0]) ** 2
-    theta = _theta_matrix(spec, params)
-    logits = (theta @ sample.features)[None, :]
-    ce = -_log_softmax(logits)[0][0, sample.label]
-    l2 = 0.5 * spec.l2_strength * float(params.theta @ params.theta)
-    return ce + l2
-
-
-def grad(spec: ModelSpec, params: Params, sample: Sample) -> np.ndarray:
-    _check_sample(spec, sample)
-    if spec.kind == "quad1d":
-        return np.array([params.theta[0] - sample.features[0]])
-    theta = _theta_matrix(spec, params)
-    p = _softmax((theta @ sample.features)[None, :])[0]
-    resid = p.copy()
-    resid[sample.label] -= 1.0
-    g = np.outer(resid, sample.features) + spec.l2_strength * theta
-    return g.ravel()
-
-
-def sample_hvp(spec: ModelSpec, params: Params, sample: Sample, v) -> np.ndarray:
-    """Action of one sample's loss Hessian on ``v`` (exact, analytic)."""
-    _check_sample(spec, sample)
-    v = as_vector(v, dim=spec.param_dim)
-    if spec.kind == "quad1d":
-        return v.copy()
-    theta = _theta_matrix(spec, params)
-    p = _softmax((theta @ sample.features)[None, :])[0]
-    V = v.reshape(spec.num_classes, spec.dim)
-    a = V @ sample.features
-    row = p * (a - float(p @ a))
-    out = np.outer(row, sample.features) + spec.l2_strength * V
-    return out.ravel()
-
-
-# ---------------------------------------------------------------------------
 # vectorized batch helpers
 # ---------------------------------------------------------------------------
 
@@ -384,33 +335,12 @@ def _probs(spec: ModelSpec, params: Params, X: np.ndarray) -> np.ndarray:
     return _softmax(X @ _theta_matrix(spec, params).T)
 
 
-def grad_matrix(spec: ModelSpec, params: Params, samples: Samples, *,
-                probs: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-sample gradients stacked as rows of an (n, param_dim) array.
-
-    ``probs``, if given, must be the softmax at these ``params``, the class
-    probabilities ``softmax(X @ theta.T)`` of the samples; it is read,
-    never written, and spares recomputing them. quad1d ignores it.
-    """
-    X, y, w, _ = _as_batch(spec, samples)
-    n = len(y)
-    if spec.kind == "quad1d":
-        return (w * (params.theta[0] - X[:, 0]))[:, None]
-    theta = _theta_matrix(spec, params)
-    resid = _softmax(X @ theta.T) if probs is None else probs.copy()
-    resid[np.arange(n), y] -= 1.0
-    G = resid[:, :, None] * X[:, None, :]
-    G += spec.l2_strength * theta
-    G *= w[:, None, None]
-    return G.reshape(n, spec.param_dim)
-
-
 def _sgd_step(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
               learning_rate: float) -> np.ndarray:
     """``theta - learning_rate * grad_matrix(...).sum(axis=0)`` for logistic
     rows ``X, y`` of weight 1, bit for bit, on a plain theta array.
 
-    It repeats :func:`grad_matrix`'s float operations in their order,
+    It repeats :func:`~coresel.oracles.grad_matrix`'s float operations in their order,
     less the weight multiply, which is exact at weight 1. The result is
     checked finite as :class:`Params` would check it.
     """
@@ -428,18 +358,21 @@ def _sgd_step(spec: ModelSpec, theta: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 def grad_sum(spec: ModelSpec, params: Params, samples: Samples, *,
              probs: Optional[np.ndarray] = None) -> np.ndarray:
-    """Summed gradient; ``probs`` as in :func:`grad_matrix`, the softmax at
-    these ``params``.
+    """Summed gradient; ``probs``, if given, must be the softmax at these
+    ``params``, the class probabilities ``softmax(X @ theta.T)`` of the
+    samples; it is read, never written, and spares recomputing them.
+    quad1d has no softmax.
 
     For ``logistic`` this is one product, ``((P - onehot) * w)^T X + l2 *
     sum(w) * theta`` flattened class-major, which builds no per-sample row;
-    it agrees with ``grad_matrix(...).sum(axis=0)`` to float64 round-off,
-    not bit for bit. quad1d sums its one-column rows.
+    it agrees with the row sum of :func:`~coresel.oracles.grad_matrix` to
+    float64 round-off, not bit for bit. quad1d sums its one-column rows
+    ``w * (theta - x)``.
     """
     batch = _as_batch(spec, samples)
     X, y, w, _ = batch
     if spec.kind == "quad1d":
-        return grad_matrix(spec, params, batch).sum(axis=0)
+        return (w[:, None] * (params.theta - X)).sum(axis=0)
     theta = _theta_matrix(spec, params)
     resid = _softmax(X @ theta.T) if probs is None else probs.copy()
     resid[batch.index, y] -= 1.0
@@ -454,24 +387,6 @@ def _hvp_class_factor(P: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray
     Hessian-vector product, whose row is that factor times ``x``."""
     Vx = X @ V.T
     return P * (Vx - np.einsum("nc,nc->n", P, Vx)[:, None])
-
-
-def hvp_matrix(spec: ModelSpec, params: Params, samples: Samples, v, *,
-               probs: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows ``H_i v`` of each sample's Hessian applied to a fixed vector;
-    ``probs`` as in :func:`dense_hessian`, the softmax at these ``params``,
-    only read."""
-    v = as_vector(v, dim=spec.param_dim)
-    X, _, w, _ = _as_batch(spec, samples)
-    n = len(w)
-    if spec.kind == "quad1d":
-        return w[:, None] * v[None, :]
-    P = _probs(spec, params, X) if probs is None else probs
-    V = v.reshape(spec.num_classes, spec.dim)
-    out = _hvp_class_factor(P, X, V)[:, :, None] * X[:, None, :]
-    out += spec.l2_strength * V
-    out *= w[:, None, None]
-    return out.reshape(n, spec.param_dim)
 
 
 def grad_dots(spec: ModelSpec, params: Params, samples: Samples, vs, *,
@@ -489,7 +404,7 @@ def grad_dots(spec: ModelSpec, params: Params, samples: Samples, vs, *,
     row sits (unlike the last ``n % 4`` rows of a matrix-vector product),
     so two equal rows get equal entries wherever they sit. They agree with
     ``grad_matrix(...) @ vs.T`` to float64 round-off, not bit for bit.
-    ``probs`` as in :func:`grad_matrix`, the softmax at these ``params``,
+    ``probs`` as in :func:`grad_sum`, the softmax at these ``params``,
     only read.
     """
     vs = np.asarray(vs, dtype=np.float64)
@@ -525,16 +440,16 @@ def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, 
     class-major ``c``, so row ``i`` is ``U[i] (x) X[i] + w_i C`` flattened,
     and the dot product of two rows reads ``num_classes + dim + 2``
     numbers per row where the row has ``param_dim``. ``probs`` as in
-    :func:`hvp_matrix`, only read.
+    :func:`grad_sum`, only read.
     """
     v = as_vector(v, dim=spec.param_dim)
     batch = _as_batch(spec, samples)
     X, y, w, _ = batch
     n = len(w)
     if spec.kind == "quad1d":
-        rows = grad_matrix(spec, params, batch)
+        rows = w[:, None] * (params.theta - X)
         if mu != 0.0:
-            rows = rows - mu * hvp_matrix(spec, params, batch, v)
+            rows = rows - mu * (w[:, None] * v)
         return rows, np.ones((n, 1)), np.zeros((1, 1))
     theta = _theta_matrix(spec, params)
     V = v.reshape(spec.num_classes, spec.dim)
@@ -560,9 +475,8 @@ def dense_hessian(spec: ModelSpec, params: Params, samples: Samples, *,
     ``(p, n) @ (n, dim)`` product ``Z^T (sqrt(w) X)``, reshaped to
     ``(num_classes, dim, dim)``; that is no Gram matrix, so each block is
     symmetrized as ``(B + B^T) / 2`` and the result stays exactly
-    symmetric. The L2 term goes on the diagonal. ``probs``, if given, must
-    be the softmax at these ``params``, as in :func:`grad_matrix`; it is
-    read, never written.
+    symmetric. The L2 term goes on the diagonal. ``probs`` as in
+    :func:`grad_sum`, the softmax at these ``params``, only read.
     """
     batch = _as_batch(spec, samples)
     X = batch.X

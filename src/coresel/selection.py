@@ -22,12 +22,11 @@ held are padded to a multiple of 4, where OpenBLAS rounds a column's
 product alike wherever the column sits, and the scores and ``M`` are
 row-local, so copies of one sample tie exactly. Baselines cover pure
 influence ranking, the two single-term regularizer ablations, the
-reservoir-sampling update, and a class-balanced ring buffer; an
-exhaustive enumerator, scoring every subset in one batched criterion
-call, serves as the small-instance oracle.
+reservoir-sampling update, and a class-balanced ring buffer. The
+small-instance oracle, exhaustive selection over every subset, is
+:func:`~coresel.oracles.select_exhaustive`.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,10 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .influence import CriterionConfig, InfluenceContext, _keep_masks, regularizer
-from .numkit import matvec_by_fours
+from .influence import CriterionConfig, InfluenceContext
 
-EXHAUSTIVE_GUARD = 20
 # When the regularizer norm is at or below this factor times the pool size,
 # its gradient direction is arbitrary; greedy takes the gradient as zero
 # there, so the drop falls back to the raw influence scores.
@@ -122,10 +119,10 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     sits (it rounds the last ``columns % 4`` of other blocks its own way).
     The scores (:meth:`~coresel.influence.InfluenceContext.scores`) and
     ``M`` come from each row alone, the discarded-side kinds start ``v``
-    and ``M @ v`` at zero, and ``if_diversity``'s initial ``M @ v`` is a
-    product over rows padded the same way (:func:`~coresel.numkit.
-    matvec_by_fours`), so copies of one sample tie exactly wherever they
-    sit among the candidates. The totals can differ in their last bits
+    and ``M @ v`` at zero, and ``if_diversity``'s initial ``M @ v`` is one
+    product over the held rows of ``M``, in the block's padded id order, so
+    copies of one sample tie exactly wherever they sit among the
+    candidates. The totals can differ in their last bits
     from those of the product ``M @ M[d]``; ``v``, moved by the rows of
     ``M`` themselves, the norms and the criterion do not. At or below
     ``DEGENERATE_NORM_FACTOR * n`` the gradient is zero.
@@ -161,20 +158,19 @@ def select_greedy(ctx: InfluenceContext, cfg: CriterionConfig,
     add_grad, move = (np.add, np.subtract) if kept_side else (np.subtract, np.add)
     threshold = DEGENERATE_NORM_FACTOR * max(1, n)
     all_scores = ctx.scores()
-    if kept_side:
-        v = np.ones(n) @ M
-        Mv = matvec_by_fours(M, v)
-    else:
-        v, Mv = np.zeros(M.shape[1]), np.zeros(n)
+    v = np.ones(n) @ M if kept_side else np.zeros(M.shape[1])
     # Held rows, in id order: rows[i] is the context row that column i of
     # the block holds. np.resize pads them to a multiple of 4 with repeats,
     # held dead. The block's rows are U^T, X^T, the pairs (a, w), their
     # mates (w, a + w c2), M @ v and the scores, so M[i] . M[d] is
     # (U[i] . U[d]) (X[i] . X[d]) + pairs[i] . mates[d].
     rows = np.resize(np.argsort(ids, kind="stable"), n + -n % 4)
-    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, Mv, all_scores)).take(rows, axis=1)
+    held = np.vstack((U.T, X.T, a, w, w, a + w * c2, np.zeros(n), all_scores)).take(
+        rows, axis=1)
     bounds = np.cumsum((U.shape[1], X.shape[1], 2, 2))
     held_U, held_X, pairs, mates, (Mv, scores) = np.split(held, bounds)
+    if kept_side:   # a multiple of 4 rows, where copies' products round alike
+        Mv[:] = M[rows] @ v
     alive = np.arange(len(rows)) < n
     scores[~alive] = -math.inf
     dead = 0
@@ -261,45 +257,6 @@ def _select_by_score(ctx: InfluenceContext, cfg: CriterionConfig):
                            reg_values=[0.0] * drops.size,
                            final_criterion=float(scores[kept].sum()) + cfg.nu * 0.0)
     return ReplayBuffer(kept, ids), trace
-
-
-def criterion_value(ctx: InfluenceContext, cfg: CriterionConfig,
-                    keep_mask: np.ndarray) -> float:
-    """Criterion ``sum_kept(score) + nu * regularizer`` for a 0/1 keep mask."""
-    w = _keep_masks(ctx, keep_mask, 1)
-    return float(ctx.scores()[w == 1.0].sum()) + cfg.nu * regularizer(ctx, w, cfg.mu)
-
-
-def criterion_values(ctx: InfluenceContext, cfg: CriterionConfig,
-                     masks: np.ndarray) -> np.ndarray:
-    """:func:`criterion_value` of every row of a ``(K, n)`` 0/1 keep matrix,
-    from one product with the scores and one row-norm of the discarded sums."""
-    masks = _keep_masks(ctx, masks, 2)
-    regs = np.linalg.norm((1.0 - masks) @ ctx.mu_terms(cfg.mu), axis=1)
-    return masks @ ctx.scores() + cfg.nu * regs
-
-
-def select_exhaustive(ctx: InfluenceContext, cfg: CriterionConfig) -> ReplayBuffer:
-    """Brute-force minimizer of the selection criterion over all subsets.
-
-    Enumerates subsets of size exactly ``budget`` and evaluates them in one
-    :func:`criterion_values` call; ties resolve to the lexicographically
-    smallest sorted id tuple. Guarded to at most 20 candidates; at the
-    guard (budget 10) the keep matrix is 30 MB and the call peaks ~90 MB
-    above its caller.
-    """
-    ids = ctx.batch.ids.tolist()
-    n = len(ids)
-    if n > EXHAUSTIVE_GUARD:
-        raise ValueError(f"exhaustive selection is guarded to {EXHAUSTIVE_GUARD} candidates, got {n}")
-
-    combos = np.array(list(itertools.combinations(range(n), min(cfg.budget, n))))
-    masks = np.zeros((len(combos), n))
-    np.put_along_axis(masks, combos, 1.0, axis=1)
-    values = criterion_values(ctx, cfg, masks)
-    tied = np.flatnonzero(values == values.min())
-    best = min(tied, key=lambda c: sorted(ids[i] for i in combos[c]))
-    return ReplayBuffer(masks[best] == 1.0, ctx.batch.ids)
 
 
 def reservoir_slots(size: int, capacity: int, incoming: int, seen_count: int,

@@ -14,34 +14,31 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import models
 from .harness import (
     OracleConfig,
     StreamSpec,
     acc_bwt,
-    finite_eps_second_order,
     kendall_tau,
     loo_retrain_delta,
     loo_retrain_deltas,
     make_stream,
     run_continual,
 )
-from .influence import (
-    CriterionConfig,
-    build_context,
+from .influence import CriterionConfig, build_context
+from .models import FitConfig, ModelSpec, Params, Sample, fit
+from .oracles import (
+    criterion_values,
+    finite_eps_second_order,
     first_order_influence,
+    grad_matrix,
     gradient_matching_distance,
     identical_hessian_form,
+    mu_terms,
     regularizer,
     second_order_influence,
-)
-from .models import FitConfig, ModelSpec, Params, Sample, fit
-from .selection import (
-    SelectorKind,
-    criterion_values,
     select_exhaustive,
-    select_greedy,
 )
+from .selection import SelectorKind, select_greedy
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
@@ -114,7 +111,7 @@ def suite_logistic_loo():
         _, test = _blob_instance(rng, 200, 10, 2, 0.1, id0=1000)
         params = fit(spec, train, cfg)
         ctx = build_context(spec, params, test, train, damping=0.0)
-        scores = -(models.grad_matrix(spec, params, train) @ ctx.ihvp)
+        scores = -(grad_matrix(spec, params, train) @ ctx.ihvp)
         deltas = loo_retrain_deltas(spec, train, test, cfg)
         worst = min(worst, float(np.corrcoef(deltas, -scores)[0, 1]))
     return worst >= 0.95, f"min corr(retrain delta, -score) = {worst:.4f} (need >= 0.95)"
@@ -222,7 +219,7 @@ def suite_regularizer_identities():
         r_shift = identical_hessian_form(ctx, w, mu, alpha)
         r_plain = gradient_matching_distance(ctx, w)
         g_all = float(ctx.grad_sum[0])
-        g_kept = float(ctx.mu_terms(0.0)[w == 1.0].sum())
+        g_kept = float(mu_terms(ctx, 0.0)[w == 1.0].sum())
         expected = (-2 * alpha * mu + (alpha * mu) ** 2) * g_all ** 2 \
             + 2 * alpha * mu * g_all * g_kept
         decomp_worst = max(decomp_worst, abs(r_shift ** 2 - r_plain ** 2 - expected))

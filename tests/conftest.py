@@ -1,7 +1,12 @@
 """Fixtures shared by the test modules."""
 
+import sys
+
 import numpy as np
 import pytest
+
+from coresel import oracles
+from coresel.oracles import mu_terms
 
 
 @pytest.fixture
@@ -18,7 +23,7 @@ def off_optimum_guard(monkeypatch):
     def install(*modules):
         for module in modules:
             def guarded(ctx, *args, _select=module.select_greedy, **kwargs):
-                score, grad = np.abs(ctx.scores()).max(), np.abs(ctx.mu_terms(0.0)).max()
+                score, grad = np.abs(ctx.scores()).max(), np.abs(mu_terms(ctx, 0.0)).max()
                 assert score >= 1e-9 * grad, (
                     f"greedy selects at the pool's own optimum: max |score| {score:.1e}, "
                     f"max |gradient| {grad:.1e}")
@@ -27,3 +32,24 @@ def off_optimum_guard(monkeypatch):
             monkeypatch.setattr(module, "select_greedy", guarded)
         return checked
     return install
+
+
+@pytest.fixture
+def oracle_entries():
+    """Run a call under ``sys.setprofile`` and return the sorted names of
+    the functions defined in ``coresel/oracles.py`` that it entered."""
+    def entries(call):
+        entered = set()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == oracles.__file__:
+                entered.add(frame.f_code.co_name)
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(previous)
+        return sorted(entered)
+    return entries

@@ -56,10 +56,12 @@ def test_workload_ops_match_the_seed_0_reference(workloads, tmp_path, name):
         assert workload.check(key, out, workload.expected(ref, key)) is None, key
 
 
-# tracer targets whose functions were deleted from coresel; the tracer
-# reports each as 0 calls until the benchmark drops it
+# tracer targets whose functions were deleted from coresel or moved to
+# coresel.oracles; the tracer reports each as 0 calls until the benchmark
+# drops it
 DELETED_TARGETS = {"numkit.cg_solve", "models.set_hvp",
-                   "influence.regularizer_taylor_grad", "selection.select_reservoir"}
+                   "influence.regularizer_taylor_grad", "selection.select_reservoir",
+                   "models.grad_matrix", "models.hvp_matrix", "influence.InfluenceContext.solve"}
 
 
 def test_tracer_targets_resolve_except_the_deleted_ones():

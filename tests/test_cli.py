@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coresel import cli, influence
+from coresel import cli, oracles
 from coresel.cli import _SCHEMA, RunConfig, main, parse_flat_file
 from coresel.numkit import ArgumentError
 
@@ -732,8 +732,8 @@ class TestValidateCommand:
     def test_sign_flip_mutation_is_caught(self, capsys, monkeypatch):
         """Flipping the curvature-correction sign must fail the joint-case
         oracle and name it in the output."""
-        original = influence.models.sample_hvp
-        monkeypatch.setattr(influence.models, "sample_hvp", lambda *args: -original(*args))
+        original = oracles.sample_hvp
+        monkeypatch.setattr(oracles, "sample_hvp", lambda *args: -original(*args))
         assert main(["validate", "--filter", "second_order"]) == 1
         out = capsys.readouterr().out
         assert "second_order_oracles" in out and "FAIL" in out
@@ -875,6 +875,43 @@ class TestSelectCommand:
         monkeypatch.setattr(cli, "fit", None)
         assert main(["select", "--data", str(data), "--m", "1", "--model", "quad1d"]) == 2
         assert "quad1d selection needs exactly one feature column" in capsys.readouterr().err
+
+
+class TestCommandsEnterNoOracle:
+    """``coresel run``, ``sweep`` and ``select`` enter no function of
+    ``coresel.oracles``: the slow, exact oracles stay off the run path."""
+
+    @pytest.mark.parametrize("selector", ["regularized_if", "if_diversity", "reservoir"])
+    def test_run(self, config_file, tmp_path, capsys, oracle_entries, selector):
+        out = tmp_path / "o"
+        codes = []
+        assert oracle_entries(lambda: codes.append(main(
+            ["run", "--config", str(config_file), "--out", str(out),
+             "--set", f"selector.kind={selector}", "--set", "oracle.min_overlap=2"]))) == []
+        assert codes == [0]
+        taus = [p["tau"] for p in json.loads((out / "report.json").read_text())["tau_series"]]
+        # the run reaches the tau checkpoint with the oracle on
+        assert any(tau is not None for tau in taus)
+
+    def test_sweep(self, config_file, tmp_path, capsys, oracle_entries):
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("grid.nu = 0, 1\n")
+        codes = []
+        assert oracle_entries(lambda: codes.append(main(
+            ["sweep", "--config", str(config_file), "--grid", str(grid),
+             "--out", str(tmp_path / "sweep")]))) == []
+        assert codes == [0]
+
+    @pytest.mark.parametrize("model", ["logistic", "quad1d"])
+    def test_select(self, tmp_path, capsys, oracle_entries, model):
+        rng = np.random.default_rng(9)
+        data = tmp_path / "pool.csv"
+        data.write_text("id,task,label,f0\n" + "".join(
+            f"{i},0,{i % 2},{rng.normal() + 2 * (i % 2)!r}\n" for i in range(30)))
+        codes = []
+        assert oracle_entries(lambda: codes.append(main(
+            ["select", "--data", str(data), "--m", "10", "--model", model]))) == []
+        assert codes == [0] and len(capsys.readouterr().out.split()) == 10
 
 
 def _is_glibc():

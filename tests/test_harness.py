@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coresel import harness, models
+from coresel import harness, models, oracles
 from coresel.harness import (
     OracleConfig,
     StreamSpec,
@@ -494,23 +494,6 @@ class TestRunContinual:
         report = small_run()
         assert alive_at_build == [0] * len(report.steps) == [0] * 8
 
-    @pytest.mark.parametrize("selector", [SelectorKind.REGULARIZED_IF,
-                                          SelectorKind.IF_DIVERSITY], ids=lambda k: k.value)
-    def test_a_run_builds_no_per_sample_matrix(self, monkeypatch, selector):
-        """The SGD steps sum their gradients on plain arrays, and each
-        selection step scores, drops and checks tau from factored rows: a
-        greedy run with the oracle on calls neither ``grad_matrix`` nor
-        ``hvp_matrix``."""
-        calls = []
-        for name in ("grad_matrix", "hvp_matrix"):
-            def counting(*args, _kernel=getattr(models, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _kernel(*args, **kwargs)
-            monkeypatch.setattr(models, name, counting)
-        report = small_run(selector=selector)
-        assert any(step.tau is not None for step in report.steps)
-        assert calls == []
-
     def test_one_solve_per_selection_round(self, monkeypatch):
         """Each round solves its damped Hessian once, against the
         candidates' gradient sum and, where the overlap reaches
@@ -558,7 +541,7 @@ class TestRunContinual:
         H = models.dense_hessian(spec, params, ctx.batch) + 0.01 * np.eye(spec.param_dim)
         solves = [np.linalg.solve(H, models.grad_sum(spec, params, batch))
                   for batch in (ctx.batch, train.rows(oracle_rows))]
-        G = np.array([models.grad(spec, params, models.Sample(
+        G = np.array([oracles.grad(spec, params, models.Sample(
             id=0, task_id=0, label=int(train.y[r]), features=train.X[r]))
             for r in (2, 6, 13, 15)])
         (method, oracle), = ranked

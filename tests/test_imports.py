@@ -1,6 +1,7 @@
 """Every top-level import of a ``coresel`` module is used in that module,
-every module-level private name is read somewhere in the package, and no
-module but the CLI reaches the C allocator.
+every module-level private name is read somewhere in the package, no
+module but the CLI reaches the C allocator, and no run-path module imports
+the oracles.
 
 No linter ships with the package's test dependencies, so these stdlib
 ``ast`` checks stand in for the unused-import and dead-code rules.
@@ -121,3 +122,42 @@ def test_allocator_check_flags_every_kind_of_reference():
               "def f(lib):\n    return lib.mallopt(-1, 0)\n")
     assert allocator_references(source) == ["ctypes", "ctypes", "mallopt"]
     assert allocator_references((SRC / "cli.py").read_text(encoding="utf-8"))
+
+
+# the modules `coresel run`, `sweep` and `select` execute; the oracles they
+# are checked against stay out of them
+RUN_PATH = ("numkit", "models", "influence", "selection", "harness", "cli")
+
+
+def imported_coresel_modules(source: str) -> set:
+    """The ``coresel`` modules that ``source``'s imports name, relative
+    (``from . import x``, ``from .x import y``) or absolute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("coresel.")}
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import in the package resolves under coresel
+            base = ".".join(filter(None, ("coresel" if node.level else "", node.module)))
+            if base == "coresel":
+                found |= {a.name for a in node.names}
+            elif base.startswith("coresel."):
+                found.add(base.split(".")[1])
+    return found
+
+
+@pytest.mark.parametrize("name", RUN_PATH)
+def test_no_run_path_module_imports_the_oracles(name):
+    assert "oracles" not in imported_coresel_modules(
+        (SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def test_import_check_flags_every_kind_of_import():
+    for source in ("from . import oracles\n", "from .oracles import grad\n",
+                   "from coresel import oracles\n", "import coresel.oracles\n",
+                   "from coresel.oracles import grad\n",
+                   "def f():\n    from .oracles import grad\n"):
+        assert imported_coresel_modules(source) == {"oracles"}, source
+    assert "oracles" in imported_coresel_modules((SRC / "validation.py").read_text(
+        encoding="utf-8"))

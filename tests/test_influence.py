@@ -5,19 +5,13 @@ curvature 2 gives a shared solve of -1.5 against the outer gradient sum -3,
 so every score below has a closed form checked by hand.
 """
 
+import re
+
 import numpy as np
 import pytest
 
-from coresel.influence import (
-    CriterionConfig,
-    build_context,
-    first_order_influence,
-    gradient_matching_distance,
-    identical_hessian_form,
-    regularizer,
-    second_order_influence,
-)
 from coresel import models, selection
+from coresel.influence import CriterionConfig, build_context
 from coresel.models import (
     FitConfig,
     ModelSpec,
@@ -25,11 +19,22 @@ from coresel.models import (
     Sample,
     dense_hessian,
     fit,
-    grad_matrix,
-    hvp_matrix,
     stack_samples,
 )
-from coresel.numkit import SolveError
+from coresel.numkit import SolveError, solve_checked
+from coresel.oracles import (
+    finite_eps_second_order,
+    first_order_influence,
+    grad,
+    grad_matrix,
+    gradient_matching_distance,
+    hvp_matrix,
+    identical_hessian_form,
+    mu_terms,
+    regularizer,
+    sample_hvp,
+    second_order_influence,
+)
 from coresel.selection import select_greedy
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
@@ -117,8 +122,8 @@ class TestBuildContext:
                                    atol=1e-9)
         np.testing.assert_allclose(ctx.ihvp, inverse @ ctx.grad_sum, rtol=1e-8, atol=1e-12)
         for z in samples[:5]:
-            g = ctx.grad_of(z)
-            np.testing.assert_allclose(ctx.solve(g), inverse @ g,
+            g = grad(ctx.model, ctx.params, z)
+            np.testing.assert_allclose(solve_checked(ctx.damped_hessian, g), inverse @ g,
                                        rtol=1e-8, atol=1e-12)
 
     def test_rank_deficient_hessian_names_damping_and_l2(self):
@@ -142,10 +147,9 @@ class TestBuildContext:
                             lambda spec, samples: calls.append(len(samples))
                             or original(spec, samples))
         ctx = build_context(spec, params, pool, pool)
-        U = ctx.mu_terms(0.5)
+        ctx.scores()
+        ctx.mu_factors(0.5)
         assert calls == [25]
-        assert np.array_equal(U, grad_matrix(spec, params, pool)
-                              - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
         calls.clear()
         build_context(spec, params, pool, pool[:10])
         assert calls == [25, 10]
@@ -155,9 +159,9 @@ class TestBuildContext:
 
     def test_one_softmax_per_context(self, monkeypatch):
         # the candidates' softmax feeds their gradient sum, their scores,
-        # their Hessian and mu_terms' gradients and Hessian-vector
-        # products; a separate Hessian set takes one more. The shared
-        # floats are the ones each kernel computes.
+        # their Hessian and their factored rows; a separate Hessian set
+        # takes one more. The shared floats are the ones each kernel
+        # computes.
         rng = np.random.default_rng(61)
         spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
         pool = [Sample(id=i, task_id=0, label=i % 3, features=rng.normal(size=3))
@@ -170,28 +174,26 @@ class TestBuildContext:
         for hessian_set, expected in ((pool, [25]), (pool[:10], [25, 10])):
             calls.clear()
             ctx = build_context(spec, params, pool, hessian_set, damping=0.01)
-            U, grads, scores = ctx.mu_terms(0.5), ctx.mu_terms(0.0), ctx.scores()
-            ctx.mu_factors(0.5)
+            scores, factors = ctx.scores(), ctx.mu_factors(0.5)
             assert calls == expected
             H = dense_hessian(spec, params, hessian_set)
             H[np.diag_indices(spec.param_dim)] += 0.01
             assert np.array_equal(ctx.damped_hessian, H)
-            assert np.array_equal(grads, grad_matrix(spec, params, pool))
-            assert np.array_equal(U, grads - 0.5 * hvp_matrix(spec, params, pool, ctx.ihvp))
+            for got, fresh in zip(factors, models.mu_factors(spec, params, pool, ctx.ihvp, 0.5)):
+                assert np.array_equal(got, fresh)
             assert np.array_equal(
                 scores, -models.grad_dots(spec, params, pool, ctx.ihvp[None])[:, 0])
 
     def test_context_arrays_are_read_only(self):
-        # mu_terms builds its rows anew on each call, the oracle rows
         samples, ctx = off_optimum_ctx(np.random.default_rng(63))
         for a in (ctx.damped_hessian, ctx.grad_sum, ctx.ihvp, ctx.probs):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
+        # the oracle rows, at the context's weights
         grads = grad_matrix(ctx.model, ctx.params, samples)
         hvps = hvp_matrix(ctx.model, ctx.params, samples, ctx.ihvp)
-        assert ctx.mu_terms(0.0) is not ctx.mu_terms(0.0)
         for mu in (0.0, 0.3, 1.0, 0.3):
-            assert np.array_equal(ctx.mu_terms(mu), grads - mu * hvps)
+            assert np.array_equal(mu_terms(ctx, mu), grads - mu * hvps)
 
     def test_stacked_candidates_match_list_context(self):
         rng = np.random.default_rng(61)
@@ -218,13 +220,13 @@ class TestBuildContext:
         batch = stack_samples(spec, pool).with_weights(w)
         ctx = build_context(spec, params, batch, batch, damping=0.0)
         assert ctx.batch.ids.tolist() == list(range(9))
-        np.testing.assert_allclose(ctx.mu_terms(0.0),
-                                   [wi * ctx.grad_of(z) for z, wi in zip(pool, w)],
+        np.testing.assert_allclose(mu_terms(ctx, 0.0),
+                                   [wi * grad(ctx.model, ctx.params, z) for z, wi in zip(pool, w)],
                                    rtol=1e-12, atol=1e-13)
         v = rng.normal(size=spec.param_dim)
         np.testing.assert_allclose(
             ctx.damped_hessian @ v,
-            sum(wi * models.sample_hvp(spec, params, z, v) for z, wi in zip(pool, w)),
+            sum(wi * sample_hvp(spec, params, z, v) for z, wi in zip(pool, w)),
             rtol=1e-12, atol=1e-13)
         np.testing.assert_allclose(ctx.scores(),
                                    [wi * first_order_influence(ctx, z) for z, wi in zip(pool, w)],
@@ -318,6 +320,17 @@ class TestDampedHessianSolve:
         with pytest.raises(SolveError, match=r"damping=1e-15, l2_strength=0\.0"):
             build_context(spec, params, batch, batch, damping=1e-15)
 
+    @pytest.mark.parametrize("weight,l2", [(1e308, 0.1), (1.0, 1e308)])
+    def test_an_overflowing_hessian_is_named_as_such(self, weight, l2):
+        # no damping or l2_strength mends an overflow, so the error names
+        # the non-finite Hessian, not positive definiteness
+        spec, batch, params = weighted_pool(np.random.default_rng(98), 10, 3, 3, l2)
+        batch = batch.with_weights(np.full(10, weight))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                SolveError, match=r"non-finite entries .*damping=0\.01, l2_strength="
+                                  + re.escape(str(l2))):
+            build_context(spec, params, batch, batch)
+
     def test_oracle_grad_sum_of_the_wrong_dimension_rejected(self):
         spec, batch, params = weighted_pool(np.random.default_rng(97), 10, 3, 3, 0.1)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -360,7 +373,7 @@ class TestMuFactors:
     @pytest.mark.parametrize("make", FACTOR_CONTEXTS.values(), ids=FACTOR_CONTEXTS)
     def test_factors_rebuild_the_rows_and_their_gram_columns(self, make, mu):
         ctx = make(np.random.default_rng(64))
-        M, w = ctx.mu_terms(mu), ctx.batch.w
+        M, w = mu_terms(ctx, mu), ctx.batch.w
         U, X, C = ctx.mu_factors(mu)
         np.testing.assert_allclose(selection._factored_rows(U, X, C, w), M,
                                    rtol=0, atol=1e-13 * np.abs(M).max())
@@ -374,7 +387,7 @@ class TestMuFactors:
     def test_quad_factors_are_the_rows_themselves(self):
         ctx = weighted_quad_ctx(np.random.default_rng(65))
         U, X, C = ctx.mu_factors(0.5)
-        assert np.array_equal(U, ctx.mu_terms(0.5))
+        assert np.array_equal(U, mu_terms(ctx, 0.5))
         assert np.array_equal(X, np.ones((20, 1))) and np.array_equal(C, np.zeros((1, 1)))
 
     def test_mu_outside_the_unit_interval_rejected(self):
@@ -413,7 +426,7 @@ class TestFactoredKernels:
     @pytest.mark.parametrize("kind", KINDS)
     def test_scores_match_the_gradient_rows(self, kind, n):
         ctx = oracle_kernel_ctx(np.random.default_rng(n), kind, n)
-        grads = ctx.mu_terms(0.0)
+        grads = mu_terms(ctx, 0.0)
         bound = 1e-13 * np.linalg.norm(grads, axis=1) * np.linalg.norm(ctx.ihvp)
         assert np.all(np.abs(ctx.scores() - -(grads @ ctx.ihvp)) <= bound)
 
@@ -422,15 +435,15 @@ class TestFactoredKernels:
     def test_greedy_rows_match_mu_terms(self, kind, n):
         ctx = oracle_kernel_ctx(np.random.default_rng(n), kind, n)
         for mu in (0.0, 0.5, 1.0):
-            rows = ctx.mu_terms(mu)
+            rows = mu_terms(ctx, mu)
             M = selection._factored_rows(*ctx.mu_factors(mu), ctx.batch.w)
             assert np.all(np.linalg.norm(M - rows, axis=1)
                           <= 1e-13 * np.linalg.norm(rows, axis=1))
 
     def test_grad_dots_match_the_gradient_rows_for_several_vectors(self):
         ctx = oracle_kernel_ctx(np.random.default_rng(67), "weighted", 30)
-        vs = np.random.default_rng(68).normal(size=(3, ctx.dim))
-        grads = ctx.mu_terms(0.0)
+        vs = np.random.default_rng(68).normal(size=(3, ctx.model.param_dim))
+        grads = mu_terms(ctx, 0.0)
         dots = models.grad_dots(ctx.model, ctx.params, ctx.batch, vs)
         bound = 1e-13 * np.outer(np.linalg.norm(grads, axis=1), np.linalg.norm(vs, axis=1))
         assert dots.shape == (30, 3) and np.all(np.abs(dots - grads @ vs.T) <= bound)
@@ -543,11 +556,10 @@ class TestSecondOrder:
 
     @pytest.mark.parametrize("mu", [-0.1, 1.5, 5.0, np.nan])
     def test_mu_outside_unit_interval_rejected(self, quad_ctx, mu):
-        from coresel.harness import finite_eps_second_order
         z, zp = qsample(20, 0.0), qsample(21, 3.0)
         calls = [lambda: second_order_influence(quad_ctx, z, zp, mu),
                  lambda: finite_eps_second_order(quad_ctx, z, zp, mu, 0.01),
-                 lambda: quad_ctx.mu_terms(mu),
+                 lambda: mu_terms(quad_ctx, mu),
                  lambda: identical_hessian_form(quad_ctx, np.ones(3), mu, 0.5)]
         for call in calls:
             with pytest.raises(ValueError, match=r"mu must lie in \[0, 1\]"):
@@ -662,7 +674,7 @@ class TestEquivalences:
             r_shifted = identical_hessian_form(ctx, w, mu, alpha)
             r_plain = gradient_matching_distance(ctx, w)
             g_all = float(ctx.grad_sum[0])
-            g_kept = float(ctx.mu_terms(0.0)[w == 1.0].sum())
+            g_kept = float(mu_terms(ctx, 0.0)[w == 1.0].sum())
             constant = (-2 * alpha * mu + alpha**2 * mu**2) * g_all**2
             diversity = 2 * alpha * mu * g_all * g_kept
             assert r_shifted**2 - r_plain**2 == pytest.approx(constant + diversity, abs=1e-9)
@@ -670,7 +682,6 @@ class TestEquivalences:
 
 class TestFiniteEpsOracles:
     def test_excluded_quotient_is_linear_in_eps(self):
-        from coresel.harness import finite_eps_second_order
         rng = np.random.default_rng(123)
         samples, ctx = off_optimum_ctx(rng, n=14)
         z, zp = samples[0], samples[-1]
@@ -682,7 +693,6 @@ class TestFiniteEpsOracles:
             assert quotient == pytest.approx(exact, abs=1e-9 * max(1.0, abs(exact)))
 
     def test_joint_quotient_converges_linearly(self):
-        from coresel.harness import finite_eps_second_order
         quad_candidates = [qsample(0, 0.0), qsample(1, 2.0), qsample(2, 4.0)]
         hessian_set = [qsample(10, 0.0), qsample(11, 2.0)]
         ctx = build_context(QUAD, Params([1.0]), quad_candidates, hessian_set, damping=0.0)
@@ -695,12 +705,10 @@ class TestFiniteEpsOracles:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan, np.inf])
     def test_eps_must_be_finite_and_positive(self, quad_ctx, eps):
-        from coresel.harness import finite_eps_second_order
         with pytest.raises(ValueError, match="eps must be finite and positive"):
             finite_eps_second_order(quad_ctx, qsample(20, 0.0), qsample(21, 3.0), 0.5, eps)
 
     def test_mixed_quotient_converges_linearly_off_optimum(self):
-        from coresel.harness import finite_eps_second_order
         samples, ctx = off_optimum_ctx(np.random.default_rng(124))
         z, zp = samples[0], samples[-1]
         exact = second_order_influence(ctx, z, zp, 0.5)

@@ -18,16 +18,12 @@ from coresel.models import (
     accuracy,
     dense_hessian,
     fit,
-    grad,
-    grad_matrix,
     grad_sum,
-    hvp_matrix,
-    loss,
     loss_sum,
-    sample_hvp,
     stack_samples,
 )
 from coresel.numkit import ArgumentError
+from coresel.oracles import grad, grad_matrix, hvp_matrix, loss, sample_hvp
 
 QUAD = ModelSpec(kind="quad1d", dim=1)
 
@@ -377,8 +373,9 @@ class TestInPlaceKernelsAreBitExact:
     The SGD step repeats ``grad_matrix``'s arithmetic, and is held to its
     row sum by :class:`TestSgdStep`; the pinned run ``p200_seed126``
     amplifies those last bits into a kept id. So ``grad_matrix`` is held
-    to its oracle by ``np.array_equal``, as are ``hvp_matrix`` and every
-    ``probs=`` variant to its own kernel.
+    to its oracle by ``np.array_equal``, as are ``hvp_matrix`` and each
+    ``probs=`` variant of ``grad_sum`` and ``dense_hessian`` to its own
+    kernel.
     ``grad_sum`` is one product in another summation order than the row
     sum, so it is held to that sum within ``1e-13 * max(1, max_j sum_i
     |G_ij|)``. The inputs are writeable, so a kernel that wrote into them
@@ -411,11 +408,9 @@ class TestInPlaceKernelsAreBitExact:
         Hv = hvp_matrix(spec, params, batch, v)
         assert np.array_equal(Hv, oracle_hvp_matrix(spec, params, batch, v))
         H = dense_hessian(spec, params, batch)
-        shared = [grad_matrix(spec, params, batch, probs=probs),
-                  grad_sum(spec, params, batch, probs=probs),
-                  hvp_matrix(spec, params, batch, v, probs=probs),
+        shared = [grad_sum(spec, params, batch, probs=probs),
                   dense_hessian(spec, params, batch, probs=probs)]
-        for got, want in zip(shared, (G, g, Hv, H)):
+        for got, want in zip(shared, (g, H)):
             assert np.array_equal(got, want)
 
         for a, b in zip(inputs, before):
@@ -671,14 +666,15 @@ class TestGradientSumsBuildNoRows:
     """Every logistic gradient sum but the SGD step's is ``grad_sum``'s one
     product, so no per-sample gradient row is built for it."""
 
-    def test_newton_fit_and_leave_one_out_build_no_rows(self, monkeypatch):
+    def test_newton_fit_and_leave_one_out_build_no_rows(self, oracle_entries):
+        # grad_matrix, the dense rows, is an oracle
         rng = np.random.default_rng(44)
         spec, samples, _, _ = random_logistic_instance(rng, n=40)
         cfg = FitConfig(method="newton", grad_tolerance=1e-10)
-        calls = count_calls(monkeypatch, "grad_matrix")
-        fit(spec, samples[:30], cfg)
-        harness.loo_retrain_delta(spec, samples[:30], samples[30:], samples[3], cfg)
-        assert calls == []
+        assert oracle_entries(
+            lambda: (fit(spec, samples[:30], cfg),
+                     harness.loo_retrain_delta(spec, samples[:30], samples[30:], samples[3],
+                                               cfg))) == []
 
 
 def oracle_fit_newton(spec, batch, cfg, init=None, evaluated=None):

@@ -9,6 +9,9 @@ config's four artifact files are pinned byte for byte.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -194,16 +197,18 @@ def test_greedy_at_scale_is_pinned():
 
 
 # Newton fits at non-unit weights, from zero and warm-started from the
-# unit-weight optimum, and the leave-one-out deltas of one coreset
+# unit-weight optimum, and the leave-one-out deltas of one coreset, under
+# one BLAS thread (the benchmark's setting): np.linalg.solve of a
+# 200-parameter Newton step rounds differently under two threads
 FIT_PATH = {
     "fit_c2_d10":
         "029985ebf39f5ddc06cbaa335614a9fad491c1a584c2b69d64b22afb1c72fb45",
     "fit_c2_d10_warm":
         "8979bf073cf96ca03b52074d5f4f2c2fe74f1ec63b6104e59ad42c98fe412d7c",
     "fit_c10_d20":
-        "915a43d38ca85ea184e0aa9e0982466bfdc2c829a6d2e56703545c25d323451a",
+        "b662700a07b36f53f9b7fbde97c92283757b130bec3bb82e68adf8e879347f66",
     "fit_c10_d20_warm":
-        "90e06068fec5619f6617f70895bbdbb596376609795723d275677c77a0d146fa",
+        "ca186c2b442fbed0d391abcedfd36dddaa15ef194dbedf3bf33bc08138291e84",
     "loo_deltas_n60":
         "64209f3e7d0aaecfe348bcb28079ad5d1062586ed896b8321cf1b984c0ee9005",
 }
@@ -238,7 +243,14 @@ def fit_path_digests():
 
 
 def test_fit_path_is_pinned():
-    assert fit_path_digests() == FIT_PATH
+    # a child process, so that the thread count holds whatever this one uses
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join((str(tests.parent / "src"), str(tests))))
+    code = "import json, test_pinned_runs as t\nprint(json.dumps(t.fit_path_digests()))\n"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert json.loads(out) == FIT_PATH
 
 
 @pytest.mark.parametrize("selector", [SelectorKind.REGULARIZED_IF, SelectorKind.RESERVOIR,

@@ -14,18 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coresel import influence, models, selection
+from coresel import influence, models, oracles, selection
 from coresel.influence import CriterionConfig, build_context
 from coresel.models import FitConfig, ModelSpec, Params, Sample, fit, stack_samples
+from coresel.oracles import criterion_value, criterion_values, mu_terms, select_exhaustive
 from coresel.selection import (
     GREEDY_KINDS,
     ReplayBuffer,
     SelectorKind,
-    criterion_value,
-    criterion_values,
     reservoir_slots,
     ring_slots,
-    select_exhaustive,
     select_greedy,
 )
 
@@ -532,7 +530,7 @@ class TestGreedy:
             n = len(ctx.batch.ids)
             cfg = CriterionConfig(budget=n // 4, mu=0.5, nu=1.0)
             _, trace = select_greedy(ctx, cfg)
-            M, scores = ctx.mu_terms(cfg.mu), ctx.scores()
+            M, scores = mu_terms(ctx, cfg.mu), ctx.scores()
             row_of = {int(i): r for r, i in enumerate(ctx.batch.ids)}
             dropped = [row_of[i] for i, _ in trace.drop_order]
             w, v, Mv = np.ones(n), np.zeros(M.shape[1]), np.zeros(n)
@@ -559,7 +557,7 @@ class TestGreedy:
             buffer, trace = select_greedy(ctx, cfg, kind)
             # greedy's regularizer sums its factored rows, criterion_value's
             # the dense mu_terms rows: they differ by the rows' round-off
-            rows = ctx.mu_terms(mu)[~buffer.kept]
+            rows = mu_terms(ctx, mu)[~buffer.kept]
             bound = cfg.nu * 1e-14 * np.linalg.norm(rows, axis=1).sum()
             assert trace.final_criterion == pytest.approx(
                 criterion_value(ctx, cfg, buffer.kept), rel=0, abs=bound)
@@ -582,7 +580,7 @@ class TestGreedy:
             ctx = off_optimum_ctx(rng, 12)
             cfg = CriterionConfig(budget=11, nu=1.0)
             _, trace = select_greedy(ctx, cfg, SelectorKind.IF_DIVERSITY)
-            grads = ctx.mu_terms(0.0)
+            grads = mu_terms(ctx, 0.0)
             fd = np.empty(12)
             for i in range(12):
                 wp, wm = np.ones(12), np.ones(12)
@@ -620,15 +618,15 @@ class TestGreedy:
         ctx = off_optimum_ctx(np.random.default_rng(23), 15)
         cfg = CriterionConfig(budget=5, mu=0.5, nu=1.0)
         attributes, state = dict(vars(ctx)), context_state(ctx)
-        first = ctx.mu_terms(0.5)
-        influence.regularizer(ctx, np.arange(15) % 2, 0.5)
+        first = mu_terms(ctx, 0.5)
+        oracles.regularizer(ctx, np.arange(15) % 2, 0.5)
         criterion_values(ctx, cfg, np.eye(15))
         for kind in GREEDY_KINDS:
             select_greedy(ctx, cfg, kind)
         assert vars(ctx).keys() == attributes.keys()
         assert all(vars(ctx)[key] is value for key, value in attributes.items())
         assert context_state(ctx) == state
-        assert np.array_equal(ctx.mu_terms(0.5), first)
+        assert np.array_equal(mu_terms(ctx, 0.5), first)
 
     @pytest.mark.parametrize("kind", GREEDY_KINDS, ids=lambda k: k.value)
     def test_a_copy_in_any_row_loses_to_its_lower_id_original(self, kind):
@@ -652,23 +650,23 @@ class TestGreedy:
                     order = [i for i, _ in trace.drop_order] + list(buffer.ids())
                     assert order.index(0) < order.index(n - 1)
 
-    def test_selection_builds_no_per_sample_matrix(self, monkeypatch):
+    def test_selection_enters_no_oracle(self, oracle_entries):
         # select_pool's shape: a fitted pool of 1000 at 10 classes and dim
-        # 20; the context and every greedy kind read factored rows only
-        calls = []
-        for name in ("grad_matrix", "hvp_matrix"):
-            def counting(*args, _kernel=getattr(models, name), _name=name, **kwargs):
-                calls.append(_name)
-                return _kernel(*args, **kwargs)
-            monkeypatch.setattr(models, name, counting)
+        # 20; the context and every greedy kind read factored rows only,
+        # never the dense rows of oracles.grad_matrix or hvp_matrix
         spec, drawn = random_logistic_pool(np.random.default_rng(30), 2000, dim=20,
                                            num_classes=10)
         params = fit(spec, drawn[1000:], FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = influence.build_context(spec, params, drawn[:1000], drawn[:1000])
-        for kind in GREEDY_KINDS:
-            buffer, _ = select_greedy(ctx, CriterionConfig(budget=500, mu=0.5, nu=1.0), kind)
-            assert np.count_nonzero(buffer.kept) == 500
-        assert calls == []
+        kept = []
+
+        def select_all():
+            ctx = influence.build_context(spec, params, drawn[:1000], drawn[:1000])
+            for kind in GREEDY_KINDS:
+                buffer, _ = select_greedy(ctx, CriterionConfig(budget=500, mu=0.5, nu=1.0),
+                                          kind)
+                kept.append(np.count_nonzero(buffer.kept))
+        assert oracle_entries(select_all) == []
+        assert kept == [500] * len(GREEDY_KINDS)
 
     @staticmethod
     def fitted_pools(rng):
@@ -822,8 +820,8 @@ class TestExhaustive:
     @pytest.mark.parametrize("evaluate", [
         lambda ctx, m: criterion_value(ctx, CriterionConfig(budget=2), m),
         lambda ctx, m: criterion_values(ctx, CriterionConfig(budget=2), m[None, :]),
-        lambda ctx, m: influence.gradient_matching_distance(ctx, m),
-        lambda ctx, m: influence.identical_hessian_form(ctx, m, 0.5, 1.0),
+        lambda ctx, m: oracles.gradient_matching_distance(ctx, m),
+        lambda ctx, m: oracles.identical_hessian_form(ctx, m, 0.5, 1.0),
     ], ids=["criterion_value", "criterion_values", "gradient_matching_distance",
             "identical_hessian_form"])
     def test_keep_mask_of_wrong_length_names_both_lengths(self, evaluate):
