@@ -21,7 +21,8 @@ pool = [Sample(id=i, task_id=0, label=i % 3,
                features=rng.normal(size=5) + centers[i % 3]) for i in range(30)]
 
 params = fit(spec, pool, FitConfig(method="newton", grad_tolerance=1e-10))
-ctx = build_context(spec, params, pool[:25], pool[:25], damping=0.01)
+candidates = pool[:25]
+ctx = build_context(spec, params, candidates, candidates, damping=0.01)
 z, zp = pool[0], pool[-1]
 
 # mu mixes the curvature correction in: 0 is the excluded case, 1 the joint.

@@ -499,11 +499,13 @@ def _tau_checkpoint(ctx: InfluenceContext, pool: models.Batch, rows: np.ndarray,
     reservoir. That isolates exactly the pool bias the reservoir is meant
     to expose.
     """
-    # the overlap rows at their raw weights, each gradient dotted with both
-    # solves in factored form, from the context's softmax of them
-    dots = models.grad_dots(ctx.model, ctx.params, pool.rows(rows[overlap]),
-                            np.stack((ctx.ihvp, ctx.oracle_ihvp)), probs=ctx.probs[overlap])
-    return kendall_tau(-dots[:, 0], -dots[:, 1])
+    # the overlap rows' gradients at their raw weights, from the context's
+    # softmax of them; the dots are the negated scores, which keeps tau
+    batch = pool.rows(rows[overlap])
+    factors = models.mu_factors(ctx.model, ctx.params, batch, ctx.ihvp, 0.0,
+                                probs=ctx.probs[overlap])
+    dots = models.factored_dots(*factors, batch.w, np.stack((ctx.ihvp, ctx.oracle_ihvp)))
+    return kendall_tau(dots[:, 0], dots[:, 1])
 
 
 def run_continual(stream: Stream, model: ModelSpec, selector: SelectorKind,

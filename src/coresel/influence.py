@@ -14,10 +14,11 @@ sum.
 Scores follow the "more negative = more valuable to keep" convention: the
 first-order influence of upweighting ``z`` on the summed candidate loss is
 ``-ihvp . grad(z)``, and a coreset should retain the lowest-scoring samples.
-The context computes them, and greedy its regularizer rows, from factors
-of the candidates' rows (:func:`~coresel.models.grad_dots`,
-:func:`~coresel.models.mu_factors`), with no per-candidate gradient
-matrix. Second-order influence, the regularizer at given keep weights and
+The scores and greedy's regularizer rows share one row form, ``grad(z_i)
+- mu * H_{z_i} ihvp``, in the factors of :func:`~coresel.models.
+mu_factors`: the scores are :func:`~coresel.models.factored_dots` of its
+``mu = 0`` rows with ``ihvp``, and no per-candidate gradient matrix is
+built. Second-order influence, the regularizer at given keep weights and
 its closed forms are oracles, in :mod:`~coresel.oracles`.
 """
 
@@ -64,11 +65,10 @@ class InfluenceContext:
     ``ihvp``, :meth:`scores` and :meth:`mu_factors` read its weights.
     ``probs`` is the candidates' softmax at ``params`` (None for quad1d).
     The context holds no per-candidate gradient row: the scores and
-    greedy's rows come from the factored forms
-    :func:`~coresel.models.grad_dots` and :func:`~coresel.models.
-    mu_factors`. ``damped_hessian`` is the solved matrix ``H +
-    damping*I``. ``oracle_ihvp`` is the damped inverse Hessian applied
-    to the ``oracle_grad_sum`` given to :func:`build_context` (None without
+    greedy's rows come from the factors of :meth:`mu_factors`.
+    ``damped_hessian`` is the solved matrix ``H + damping*I``.
+    ``oracle_ihvp`` is the damped inverse Hessian applied to the
+    ``oracle_grad_sum`` given to :func:`build_context` (None without
     one). ``damped_hessian``, ``grad_sum``, ``ihvp``, ``oracle_ihvp`` and
     ``probs`` are read-only arrays, and nothing is written to the context
     after :func:`build_context`.
@@ -97,11 +97,11 @@ class InfluenceContext:
 
     def scores(self) -> np.ndarray:
         """First-order influence ``-grad(z_i) . ihvp`` of every candidate,
-        in candidate order, from :func:`~coresel.models.grad_dots`: each
-        score comes from its own row alone, so two copies of one sample
-        score alike wherever they sit among the candidates."""
-        return -models.grad_dots(self.model, self.params, self.batch, self.ihvp[None],
-                                 probs=self.probs)[:, 0]
+        in candidate order: :func:`~coresel.models.factored_dots` of the
+        ``mu = 0`` factors. Each score comes from its own row alone, so two
+        copies of one sample score alike wherever they sit among the
+        candidates."""
+        return -models.factored_dots(*self.mu_factors(0.0), self.batch.w, self.ihvp[None])[:, 0]
 
     def mu_factors(self, mu: float):
         """The rows ``grad(z_i) - mu * H_{z_i} ihvp`` of every candidate in
@@ -152,16 +152,18 @@ def build_context(model: models.ModelSpec, params: models.Params,
     if len(hessian_batch.ids) == 0:
         raise ValueError("hessian_set must be nonempty")
     probs = None if model.kind == "quad1d" else models._probs(model, params, batch.X)
-    damped = models.dense_hessian(model, params, hessian_batch,
-                                  probs=probs if shared else None)
-    damped.flat[::damped.shape[0] + 1] += damping
     what = f"damped Hessian of the {len(hessian_batch.ids)}-sample Hessian set"
     knobs = f"damping={damping}, l2_strength={model.l2_strength}"
-    norm = np.linalg.norm(damped)
-    if not np.isfinite(norm):
-        raise SolveError(f"{what} has non-finite entries or overflows float64 ({knobs}, "
-                         f"largest weight {hessian_batch.w.max()})")
-    curvature = 1.0 if model.kind == "quad1d" else model.l2_strength
-    if not damping + curvature * hessian_batch.w_sum > 1e-12 * norm:
-        raise SolveError(f"{what} is not positive definite ({knobs}); raise either")
+    # an overflow or NaN leaves the norm non-finite, which is named below
+    with np.errstate(over="ignore", invalid="ignore"):
+        damped = models.dense_hessian(model, params, hessian_batch,
+                                      probs=probs if shared else None)
+        damped.flat[::damped.shape[0] + 1] += damping
+        norm = np.linalg.norm(damped)
+        if not np.isfinite(norm):
+            raise SolveError(f"{what} has non-finite entries or overflows float64 ({knobs}, "
+                             f"largest weight {hessian_batch.w.max()})")
+        curvature = 1.0 if model.kind == "quad1d" else model.l2_strength
+        if not damping + curvature * hessian_batch.w_sum > 1e-12 * norm:
+            raise SolveError(f"{what} is not positive definite ({knobs}); raise either")
     return InfluenceContext(model, params, batch, damped, probs, oracle_grad_sum)

@@ -41,10 +41,10 @@ both ``grad_sum`` and ``dense_hessian`` (their ``probs`` keyword). The
 constants those kernels read (the row index, ``sqrt(w)``, ``sqrt(w) X``
 and ``sum(w)``) are kept on the :class:`Batch`, so the fit computes them
 once for all its iterates. An influence context likewise shares one
-softmax of its candidates among ``grad_sum``, ``grad_dots``,
-``mu_factors`` and, when they are its Hessian set, ``dense_hessian``.
-Both reuse the very floats the kernels would have computed themselves, so
-the results are bit-identical to computing everything anew.
+softmax of its candidates among ``grad_sum``, ``mu_factors`` and, when
+they are its Hessian set, ``dense_hessian``. Both reuse the very floats
+the kernels would have computed themselves, so the results are
+bit-identical to computing everything anew.
 
 A softmax takes each row's max from a class-major copy of the logits,
 because numpy's reduction along a short last axis is 2.5-4.5x slower
@@ -61,11 +61,11 @@ Hessian-vector row is a class residual times the sample's features, plus
 the L2 term shared by all rows (the per-example factorization of
 Goodfellow, arXiv 1510.01799). The dot product of two rows then reads
 ``num_classes + dim + 2`` numbers per row instead of ``param_dim``.
-:func:`grad_dots` dots every gradient row with given vectors in the same
-form, one product over the features and a sum over the classes, so a
-selection round (its scores, greedy's rows and the tau checkpoint) builds
-no ``(n, param_dim)`` gradient or Hessian-vector array. quad1d's one-column
-rows ``w * (theta - x)`` are built in place.
+quad1d's one-column rows ``w * (theta - x)`` are built in place, as their
+own factor with ``x_i = 1`` and ``c = 0``. No other kernel has per-model
+row code: :func:`factored_dots` dots the rows of any factors with given
+vectors, so a selection round (its scores, greedy's rows and the tau
+checkpoint) builds no ``(n, param_dim)`` gradient or Hessian-vector array.
 
 Every batch helper takes a :class:`Batch` or a sample list.
 :func:`stack_samples` is the one place a sample set is validated against
@@ -389,41 +389,29 @@ def _hvp_class_factor(P: np.ndarray, X: np.ndarray, V: np.ndarray) -> np.ndarray
     return P * (Vx - np.einsum("nc,nc->n", P, Vx)[:, None])
 
 
-def grad_dots(spec: ModelSpec, params: Params, samples: Samples, vs, *,
-              probs: Optional[np.ndarray] = None) -> np.ndarray:
-    """``grad_matrix(...) @ vs.T``: each sample's gradient dotted with each
-    row of the ``(k, param_dim)`` array ``vs``, as an ``(n, k)`` array,
-    with no gradient row built.
-
-    For ``logistic``, entry ``(i, j)`` is ``w_i ((r_i * (V_j x_i)).sum() +
-    l2_strength * theta . v_j)`` with ``r_i = P_i - onehot(y_i)`` and
-    ``V_j`` the class-major ``vs[j]``; for ``quad1d`` it is ``w_i (theta -
-    x_i) v_j``. A row's entries come from that row alone (one product over
-    its features, element-wise operations and a sum over its classes), and
-    OpenBLAS rounds a row of a matrix-matrix product alike wherever the
-    row sits (unlike the last ``n % 4`` rows of a matrix-vector product),
-    so two equal rows get equal entries wherever they sit. They agree with
-    ``grad_matrix(...) @ vs.T`` to float64 round-off, not bit for bit.
-    ``probs`` as in :func:`grad_sum`, the softmax at these ``params``,
-    only read.
-    """
+def factored_dots(U: np.ndarray, X: np.ndarray, C: np.ndarray, w: np.ndarray,
+                  vs) -> np.ndarray:
+    """Each row ``U[i] (x) X[i] + w[i] C`` of factors ``(U, X, C)`` as
+    :func:`mu_factors` returns them, for either model, dotted with each
+    class-major row ``V_j`` of the ``(k, num_classes * dim)`` array ``vs``:
+    entry ``(i, j)`` of the ``(n, k)`` result is ``(U[i] * (V_j X[i])).sum()
+    + w[i] (C . V_j)``, with no row built. A row's entries come from that
+    row alone (one product over its features, element-wise operations and a
+    sum over its classes), and OpenBLAS rounds a row of a matrix-matrix
+    product alike wherever the row sits (unlike the last ``n % 4`` rows of
+    a matrix-vector product), so equal rows get equal entries wherever they
+    sit. They agree with the dense rows times ``vs.T`` to float64 round-off,
+    not bit for bit."""
+    (n, classes), dim = U.shape, X.shape[1]
     vs = np.asarray(vs, dtype=np.float64)
-    if vs.ndim != 2 or vs.shape[1] != spec.param_dim:
-        raise ValueError(f"expected a (k, {spec.param_dim}) array of vectors, "
+    if vs.ndim != 2 or vs.shape[1] != classes * dim:
+        raise ValueError(f"expected a (k, {classes * dim}) array of vectors, "
                          f"got shape {vs.shape}")
-    batch = _as_batch(spec, samples)
-    X, y, w, _ = batch
-    if spec.kind == "quad1d":
-        return (w * (params.theta[0] - X[:, 0]))[:, None] * vs[:, 0]
-    theta = _theta_matrix(spec, params)
-    n, k, C = len(y), len(vs), spec.num_classes
-    resid = _softmax(X @ theta.T) if probs is None else probs.copy()
-    resid[batch.index, y] -= 1.0
-    VX = (X @ vs.reshape(k * C, spec.dim).T).reshape(n, k, C)
-    VX *= resid[:, None, :]
+    k = len(vs)
+    VX = (X @ vs.reshape(k * classes, dim).T).reshape(n, k, classes)
+    VX *= U[:, None, :]
     out = VX.sum(axis=2)
-    out += spec.l2_strength * (vs @ params.theta)
-    out *= w[:, None]
+    out += np.outer(w, vs @ C.ravel())
     return out
 
 
@@ -457,7 +445,7 @@ def mu_factors(spec: ModelSpec, params: Params, samples: Samples, v, mu: float, 
     U = P.copy()
     if mu != 0.0:
         U -= mu * _hvp_class_factor(P, X, V)
-    U[np.arange(n), y] -= 1.0
+    U[batch.index, y] -= 1.0
     U *= w[:, None]
     return U, X, spec.l2_strength * (theta - mu * V)
 

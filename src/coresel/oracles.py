@@ -6,8 +6,8 @@ Each function is the plain formula, written for clarity:
 
 * per-sample ``loss``, ``grad`` and ``sample_hvp``, and the dense
   ``(n, param_dim)`` rows ``grad_matrix`` and ``hvp_matrix``, which the
-  factored kernels of :mod:`~coresel.models` (``grad_sum``, ``grad_dots``,
-  ``mu_factors``) are tested against;
+  factored kernels of :mod:`~coresel.models` (``grad_sum``,
+  ``mu_factors``, ``factored_dots``) are tested against;
 * the influence quantities of a context: first- and second-order
   influence, the regularizer at real keep weights and its closed forms,
   and the dense rows ``mu_terms`` of greedy's factored ``M``;

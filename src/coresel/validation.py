@@ -71,7 +71,8 @@ def _fitted_elsewhere_ctx(rng, n, dim, damping):
     ``n`` further draws: at the pool's own optimum every score would vanish."""
     spec, drawn = _blob_instance(rng, 2 * n, dim, 2, 0.1)
     params = fit(spec, drawn[n:], FitConfig(method="newton", grad_tolerance=1e-10))
-    return build_context(spec, params, drawn[:n], drawn[:n], damping=damping)
+    pool = drawn[:n]
+    return build_context(spec, params, pool, pool, damping=damping)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,8 @@ def suite_second_order():
         rng = np.random.default_rng(20_000 + seed)
         spec, samples = _blob_instance(rng, 30, 5, 3, 0.1)
         params = fit(spec, samples, FitConfig(method="newton", grad_tolerance=1e-10))
-        ctx = build_context(spec, params, samples[:25], samples[:25], damping=0.01)
+        pool = samples[:25]
+        ctx = build_context(spec, params, pool, pool, damping=0.01)
         pairs = [(samples[i], samples[-1 - i]) for i in range(4)]
         z, zp = max(pairs, key=lambda p: abs(second_order_influence(ctx, p[0], p[1], 1.0)))
 

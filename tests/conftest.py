@@ -35,15 +35,17 @@ def off_optimum_guard(monkeypatch):
 
 
 @pytest.fixture
-def oracle_entries():
-    """Run a call under ``sys.setprofile`` and return the sorted names of
-    the functions defined in ``coresel/oracles.py`` that it entered."""
-    def entries(call):
+def function_entries():
+    """Run a call under ``sys.setprofile`` and return the ``(file, first
+    line, name)`` of each function defined in the given files that it
+    entered."""
+    def entries(call, files):
         entered = set()
 
         def profile(frame, event, arg):
-            if event == "call" and frame.f_code.co_filename == oracles.__file__:
-                entered.add(frame.f_code.co_name)
+            code = frame.f_code
+            if event == "call" and code.co_filename in files:
+                entered.add((code.co_filename, code.co_firstlineno, code.co_name))
 
         previous = sys.getprofile()
         sys.setprofile(profile)
@@ -51,5 +53,12 @@ def oracle_entries():
             call()
         finally:
             sys.setprofile(previous)
-        return sorted(entered)
+        return entered
     return entries
+
+
+@pytest.fixture
+def oracle_entries(function_entries):
+    """Run a call under ``sys.setprofile`` and return the sorted names of
+    the functions defined in ``coresel/oracles.py`` that it entered."""
+    return lambda call: sorted(name for _, _, name in function_entries(call, {oracles.__file__}))

@@ -1,5 +1,6 @@
 """Command-line contract tests: exit codes, artifacts, overrides, sweeps."""
 
+import ast
 import csv
 import gc
 import itertools
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coresel import cli, oracles
+from coresel import cli, harness, influence, models, oracles, selection
 from coresel.cli import _SCHEMA, RunConfig, main, parse_flat_file
 from coresel.numkit import ArgumentError
 
@@ -609,6 +610,19 @@ class TestExitCodes:
         assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "o")]) == 1
         assert message in capsys.readouterr().err
 
+    def test_an_overflowing_hessian_prints_one_error_line(self, tmp_path, capsys):
+        # a run's warnings go to stderr, so none may be issued before the error
+        with warnings.catch_warnings(record=True) as issued:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(CONFIGS / "example_run.cfg"),
+                         "--set", "harness.reweight_constant=1e308",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1 and [str(w.message) for w in issued] == []
+        assert re.fullmatch(
+            r"error: step 0 \(task 0, epoch 20, batch 0\): damped Hessian of the 12-sample "
+            r"Hessian set has non-finite entries or overflows float64 \(damping=0\.01, "
+            r"l2_strength=0\.01, largest weight 1e\+308\)\n", capsys.readouterr().err)
+
 
 def test_readme_key_table_matches_the_schema():
     lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
@@ -912,6 +926,59 @@ class TestCommandsEnterNoOracle:
         assert oracle_entries(lambda: codes.append(main(
             ["select", "--data", str(data), "--m", "10", "--model", model]))) == []
         assert codes == [0] and len(capsys.readouterr().out.split()) == 10
+
+
+def defined_functions(module):
+    """``{(file, first line, name): qualified name}`` of every function in
+    ``module``'s source; a decorated function's first line is its first
+    decorator's, as in its code object."""
+    prefix = module.__name__.rpartition(".")[2]
+    found = {}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[module.__file__, first, child.name] = f"{prefix}.{scope}{child.name}"
+                visit(child, f"{scope}{child.name}.<locals>.")
+            else:
+                visit(child, f"{scope}{child.name}." if isinstance(child, ast.ClassDef)
+                      else scope)
+
+    visit(ast.parse(Path(module.__file__).read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_the_run_path_modules_hold_what_the_commands_enter(
+        config_file, csv_config_file, tmp_path, capsys, function_entries):
+    """``run`` under every selector with the oracle on and on a csv stream,
+    a two-point ``sweep`` and ``select`` on both models enter every
+    function of ``models``, ``influence``, ``selection`` and ``harness``
+    but the leave-one-out cluster, which the benchmark still calls there,
+    and one path that only bad input reaches."""
+    data = tmp_path / "pool.csv"
+    rng = np.random.default_rng(9)
+    data.write_text("id,task,label,f0\n" + "".join(
+        f"{i},0,{i % 2},{rng.normal() + 2 * (i % 2)!r}\n" for i in range(30)))
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("grid.nu = 0, 1\n")
+    commands = [["run", "--config", str(config_file), "--out", str(tmp_path / kind.value),
+                 "--set", f"selector.kind={kind.value}", "--set", "oracle.min_overlap=2"]
+                for kind in selection.SelectorKind]
+    commands += [["run", "--config", str(csv_config_file), "--out", str(tmp_path / "csv")],
+                 ["sweep", "--config", str(config_file), "--grid", str(grid),
+                  "--out", str(tmp_path / "sweep")]]
+    commands += [["select", "--data", str(data), "--m", "10", "--model", model]
+                 for model in ("logistic", "quad1d")]
+    modules = (models, influence, selection, harness)
+    defined = {key: name for module in modules for key, name in defined_functions(module).items()}
+    codes = []
+    entered = function_entries(lambda: codes.extend(map(main, commands)),
+                               {module.__file__ for module in modules})
+    assert codes == [0] * len(commands)
+    assert sorted(name for key, name in defined.items() if key not in entered) == [
+        "harness._loo_refits", "harness.loo_retrain_delta", "harness.loo_retrain_deltas",
+        "models._check_sample", "models.loss_sum"]
 
 
 def _is_glibc():

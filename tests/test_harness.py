@@ -517,9 +517,10 @@ class TestRunContinual:
 
     def test_tau_scores_the_overlap_at_raw_weight(self, monkeypatch):
         """On a context whose batch rows are reweighted, the tau checkpoint
-        ranks the overlap's raw-weight gradients against the two solves of
-        a dense ``np.linalg.solve`` of the damped candidate Hessian, within
-        1e-12 relative to the gradient and solve norms."""
+        ranks the overlap's raw-weight gradients dotted with the two solves
+        of a dense ``np.linalg.solve`` of the damped candidate Hessian,
+        within 1e-12 relative to the gradient and solve norms. It ranks the
+        dots, the negated scores, which give the scores' tau."""
         rng = np.random.default_rng(45)
         spec = ModelSpec(kind="logistic", dim=3, num_classes=3, l2_strength=0.1)
         train = models.stack_samples(spec, [
@@ -547,7 +548,7 @@ class TestRunContinual:
         (method, oracle), = ranked
         for got, solve in zip((method, oracle), solves):
             bound = 1e-12 * np.linalg.norm(G, axis=1) * np.linalg.norm(solve)
-            assert np.all(np.abs(got - -(G @ solve)) <= bound)
+            assert np.all(np.abs(got - G @ solve) <= bound)
         assert tau == kendall_tau(-(G @ solves[0]), -(G @ solves[1]))
 
     @pytest.mark.parametrize("learning_rate, batch", [(1e308, 0), (1e305, 1)])

@@ -181,8 +181,9 @@ class TestBuildContext:
             assert np.array_equal(ctx.damped_hessian, H)
             for got, fresh in zip(factors, models.mu_factors(spec, params, pool, ctx.ihvp, 0.5)):
                 assert np.array_equal(got, fresh)
+            grad_factors = models.mu_factors(spec, params, pool, ctx.ihvp, 0.0)
             assert np.array_equal(
-                scores, -models.grad_dots(spec, params, pool, ctx.ihvp[None])[:, 0])
+                scores, -models.factored_dots(*grad_factors, ctx.batch.w, ctx.ihvp[None])[:, 0])
 
     def test_context_arrays_are_read_only(self):
         samples, ctx = off_optimum_ctx(np.random.default_rng(63))
@@ -326,9 +327,9 @@ class TestDampedHessianSolve:
         # the non-finite Hessian, not positive definiteness
         spec, batch, params = weighted_pool(np.random.default_rng(98), 10, 3, 3, l2)
         batch = batch.with_weights(np.full(10, weight))
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                SolveError, match=r"non-finite entries .*damping=0\.01, l2_strength="
-                                  + re.escape(str(l2))):
+        # under the suite's filterwarnings = error, no numpy warning escapes
+        with pytest.raises(SolveError, match=r"non-finite entries .*damping=0\.01, l2_strength="
+                                             + re.escape(str(l2))):
             build_context(spec, params, batch, batch)
 
     def test_oracle_grad_sum_of_the_wrong_dimension_rejected(self):
@@ -440,15 +441,19 @@ class TestFactoredKernels:
             assert np.all(np.linalg.norm(M - rows, axis=1)
                           <= 1e-13 * np.linalg.norm(rows, axis=1))
 
-    def test_grad_dots_match_the_gradient_rows_for_several_vectors(self):
-        ctx = oracle_kernel_ctx(np.random.default_rng(67), "weighted", 30)
-        vs = np.random.default_rng(68).normal(size=(3, ctx.model.param_dim))
-        grads = mu_terms(ctx, 0.0)
-        dots = models.grad_dots(ctx.model, ctx.params, ctx.batch, vs)
-        bound = 1e-13 * np.outer(np.linalg.norm(grads, axis=1), np.linalg.norm(vs, axis=1))
-        assert dots.shape == (30, 3) and np.all(np.abs(dots - grads @ vs.T) <= bound)
-        with pytest.raises(ValueError, match=r"\(k, 15\) array"):
-            models.grad_dots(ctx.model, ctx.params, ctx.batch, vs[0])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_factored_dots_match_the_rows_for_several_vectors(self, kind, mu):
+        ctx = oracle_kernel_ctx(np.random.default_rng(67), kind, 30)
+        p = ctx.model.param_dim
+        vs = np.random.default_rng(68).normal(size=(3, p))
+        rows = mu_terms(ctx, mu)
+        factors = ctx.mu_factors(mu)
+        dots = models.factored_dots(*factors, ctx.batch.w, vs)
+        bound = 1e-13 * np.outer(np.linalg.norm(rows, axis=1), np.linalg.norm(vs, axis=1))
+        assert dots.shape == (30, 3) and np.all(np.abs(dots - rows @ vs.T) <= bound)
+        with pytest.raises(ValueError, match=rf"\(k, {p}\) array"):
+            models.factored_dots(*factors, ctx.batch.w, vs[0])
 
 
 class TestFirstOrder:
